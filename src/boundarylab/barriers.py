@@ -8,7 +8,7 @@ M+(D^2 d^(1-eps)) <= 0, once eps dominates the local Lipschitz seminorm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -10,12 +10,12 @@ m_k = ||u||_{L_inf(B_{r_k})}/r_k are recorded at r_k = R_k/2 = 2^(-k) r0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import BoundaryLabError, ConvergenceError, DomainError
 from .geometry import BoundaryGraph
 from .modulus import Modulus, dini_integral
 from .solver import GridProblem, LaplaceOp, solve
@@ -97,7 +97,6 @@ def _run_cascade(graph: BoundaryGraph, operator, k_max: int, n_grid: int,
         rhs = lambda p: np.zeros(len(p))
     radii, qs, ms, residuals = [], [], [], []
     prev_sol = None
-    prev_R = None
     for k in range(k_min, k_max + 1):
         R = 2.0 ** (-k + 1) * r0
         h = 2 * R / n_grid
@@ -120,7 +119,7 @@ def _run_cascade(graph: BoundaryGraph, operator, k_max: int, n_grid: int,
                            stencil=stencil)
         try:
             sol = solve(prob)
-        except Exception as exc:
+        except (BoundaryLabError, RuntimeError) as exc:
             raise ConvergenceError(f"cascade level {k} (R={R:g}) failed: {exc}") from exc
         r_k = R / 2.0
         origin_gap = float(np.atleast_1d(graph.gamma(np.zeros((1, 1))))[0])
@@ -132,7 +131,7 @@ def _run_cascade(graph: BoundaryGraph, operator, k_max: int, n_grid: int,
         qs.append(u_probe / r_k)
         ms.append(sup_u / r_k)
         residuals.append(sol.residual)
-        prev_sol, prev_R = sol, R
+        prev_sol = sol
     return (np.arange(k_min, k_max + 1), np.asarray(radii), np.asarray(qs),
             np.asarray(ms), np.asarray(residuals))
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import brentq, nnls
+from scipy.optimize import nnls
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, DomainError, MonotonicityError
@@ -70,8 +70,10 @@ def _direction_count(stencil: str, width: int) -> int:
 class GridProblem:
     """A discretized Dirichlet problem on Omega cap B_r.
 
-    rhs and dirichlet are callables on points (vectorized over (m, 2)
-    arrays); dirichlet is evaluated at the exact cut intersection points.
+    rhs and dirichlet are vectorized callables on (m, 2) point arrays that
+    return (m,) values, or a scalar for constant data.  rhs is evaluated at
+    the interior nodes.  dirichlet is evaluated at the exact cut
+    intersection points, once per assembly, on a single (n_cut, 2) array.
     """
 
     def __init__(self, graph: BoundaryGraph, r: float, h: float, operator,
@@ -92,14 +94,17 @@ class GridProblem:
         self.stencil = stencil
         self.width = width
         self.n_dir = _direction_count(stencil, width)
-        if isinstance(operator, (FixedOp, PucciOp)) and self.n_dir < 4 \
-                and not _is_isotropic(operator):
-            # anisotropy generally needs the rotated directions
-            pass
 
 
-def _is_isotropic(op) -> bool:
-    return isinstance(op, PucciOp) and op.E.is_laplacian
+def _values_at(fn: Callable, pts: np.ndarray, name: str) -> np.ndarray:
+    """fn(pts) as an (m,) float array; a scalar return is broadcast."""
+    vals = np.asarray(fn(pts), dtype=float)
+    if vals.ndim == 0:
+        return np.full(len(pts), float(vals))
+    if vals.shape != (len(pts),):
+        raise DomainError(f"{name} returned shape {vals.shape} on {len(pts)} points; "
+                          f"it must be vectorized, returning shape ({len(pts)},)")
+    return vals
 
 
 class _DiscreteSystem:
@@ -114,58 +119,50 @@ class _DiscreteSystem:
         inside = (X**2 + Y**2 < r**2 - 1e-14) & (Y > g.gamma(X.reshape(-1, 1)).reshape(X.shape))
         self.ids = -np.ones(X.shape, dtype=int)
         self.ids[inside] = np.arange(inside.sum())
-        self.m = int(inside.sum())
-        if self.m == 0:
+        self.m = m = int(inside.sum())
+        if m == 0:
             raise DomainError("no interior grid nodes; refine the grid or enlarge r")
         self.nodes = np.stack([X[inside], Y[inside]], axis=-1)
         self.shape = X.shape
         self.xs = xs
 
+        # steps[d, k] is the lattice step along direction d with sign (+1, -1)[k]
+        dirs = np.array(_DIRECTIONS[: problem.n_dir])
+        steps = dirs[:, None, :] * np.array([1, -1])[None, :, None]
+        # neighbour ids, (n_dir, m, 2); -1 outside the domain or off the grid
+        pad = int(np.abs(steps).max())
+        ii, jj = np.nonzero(inside)
+        nbr = np.pad(self.ids, pad, constant_values=-1)[
+            ii[None, :, None] + pad + steps[:, None, :, 0],
+            jj[None, :, None] + pad + steps[:, None, :, 1]]
+        # every cut segment, direction-major, then node, then sign
+        cd, ck, cs = np.nonzero(nbr < 0)
+        W = steps[cd, cs] * h
+        X0 = self.nodes[ck]
+        s_cut = _cut_fractions(g, r, X0, W)
+        self.boundary_points = X0 + s_cut[:, None] * W
+        self.boundary_values = _values_at(problem.dirichlet, self.boundary_points,
+                                          "dirichlet")
+        frac = np.ones(nbr.shape)
+        frac[cd, ck, cs] = s_cut
+        bvals = np.zeros(nbr.shape)
+        bvals[cd, ck, cs] = self.boundary_values
+
+        arms = h * np.hypot(dirs[:, 0], dirs[:, 1])
+        rows = np.repeat(np.arange(m), 3)
         self.D = []            # per-direction sparse operators
         self.c = []            # per-direction boundary contribution vectors
-        self.boundary_points = []
-        self.boundary_values = []
-        dirichlet = problem.dirichlet
-        ii, jj = np.nonzero(inside)
-        for v in _DIRECTIONS[: problem.n_dir]:
-            rows, cols, vals = [], [], []
-            cvec = np.zeros(self.m)
-            arm = h * np.hypot(*v)
-            for k in range(self.m):
-                i, j = ii[k], jj[k]
-                x = self.nodes[k]
-                deltas = []
-                contrib = []   # (kind, index-or-value)
-                for sgn in (1, -1):
-                    ni, nj = i + sgn * v[0], j + sgn * v[1]
-                    nid = self.ids[ni, nj] if 0 <= ni <= n and 0 <= nj <= n else -1
-                    if nid >= 0:
-                        deltas.append(arm)
-                        contrib.append(("n", nid))
-                    else:
-                        w = np.array([sgn * v[0] * h, sgn * v[1] * h])
-                        s = _cut_fraction(g, r, x, w)
-                        bp = x + s * w
-                        bv = float(np.atleast_1d(dirichlet(bp[None, :]))[0])
-                        deltas.append(s * arm)
-                        contrib.append(("b", bv))
-                        self.boundary_points.append(bp)
-                        self.boundary_values.append(bv)
-                dp, dm = deltas
-                wp = 2.0 / (dp * (dp + dm))
-                wm = 2.0 / (dm * (dp + dm))
-                rows.append(k); cols.append(k); vals.append(-(wp + wm))
-                for (kind, val), wgt in zip(contrib, (wp, wm)):
-                    if kind == "n":
-                        rows.append(k); cols.append(val); vals.append(wgt)
-                    else:
-                        cvec[k] += wgt * val
-            D = sparse.csr_matrix((vals, (rows, cols)), shape=(self.m, self.m))
-            self.D.append(D)
-            self.c.append(cvec)
-        self.boundary_points = (np.asarray(self.boundary_points)
-                                if self.boundary_points else np.zeros((0, 2)))
-        self.boundary_values = np.asarray(self.boundary_values)
+        for d in range(len(dirs)):
+            # Shortley-Weller weights from the (possibly shortened) arms
+            dp, dm = (frac[d] * arms[d]).T
+            wgt = np.column_stack([2.0 / (dp * (dp + dm)), 2.0 / (dm * (dp + dm))])
+            # per row: the diagonal, then the + and - neighbours where inside
+            cols = np.column_stack([np.arange(m), nbr[d]]).ravel()
+            vals = np.column_stack([-wgt.sum(axis=1), wgt]).ravel()
+            keep = cols >= 0
+            self.D.append(sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                                            shape=(m, m)))
+            self.c.append((wgt * bvals[d]).sum(axis=1))
 
         self.weights, self.policies = _operator_weights(problem, self.nodes)
         self.certificate = self._certify()
@@ -200,36 +197,61 @@ class _DiscreteSystem:
         return {"min_direction_weight": max(min_alpha, 0.0), "monotone": True}
 
 
-def _cut_fraction(graph: BoundaryGraph, r: float, x: np.ndarray, w: np.ndarray,
-                  samples: int = 64) -> float:
-    """First exit s in (0, 1] of the segment x + s w from Omega cap B_r."""
-    cands = []
-    a = w @ w
-    b = 2.0 * (x @ w)
-    c = x @ x - r * r
-    disc = b * b - 4 * a * c
-    if disc >= 0:
-        s_ball = (-b + np.sqrt(disc)) / (2 * a)
-        if 0 < s_ball <= 1 + 1e-12:
-            cands.append(min(s_ball, 1.0))
+# segments per sign-scan block: bounds the (rows, samples + 1) temporaries,
+# and with them the peak memory of repeated solves
+_SCAN_ROWS = 256
 
-    def psi(s):
-        p = x + s * w
-        return p[1] - float(graph.gamma(np.array([p[0]])))
+
+def _psi(graph: BoundaryGraph, X0: np.ndarray, W: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Height above the graph, y - Gamma(x), at X0 + t W; t broadcasts to (k, q)."""
+    return X0[:, 1:] + t * W[:, 1:] - graph.gamma((X0[:, :1] + t * W[:, :1])[..., None])
+
+
+def _cut_fractions(graph: BoundaryGraph, r: float, X0: np.ndarray, W: np.ndarray,
+                   samples: int = 64) -> np.ndarray:
+    """First exit s in (0, 1] of each segment X0 + s W from Omega cap B_r.
+
+    Each X0 must lie in Omega.  The circle root is closed-form.  The graph
+    root is bracketed by the first of samples + 1 equispaced s with
+    y - Gamma(x) <= 0 (an exact zero is taken as is), scanned _SCAN_ROWS
+    segments at a time, and bisected to a width of at most 1e-14.  A
+    segment with neither root keeps s = 1: the grid can class the far node
+    as outside while X0 + W evaluates just inside, e.g. y = 1e-17 above the
+    flat graph.
+    """
+    a = np.sum(W * W, axis=1)
+    b = 2.0 * np.sum(X0 * W, axis=1)
+    c = np.sum(X0 * X0, axis=1) - r * r
+    disc = b * b - 4 * a * c
+    s_ball = (-b + np.sqrt(np.maximum(disc, 0.0))) / (2 * a)
+    s = np.where((disc >= 0) & (s_ball > 0) & (s_ball <= 1 + 1e-12),
+                 np.minimum(s_ball, 1.0), np.inf)
 
     ss = np.linspace(0.0, 1.0, samples + 1)
-    vals = np.array([psi(s) for s in ss])
-    neg = np.nonzero(vals <= 0)[0]
-    if neg.size:
-        i = neg[0]
-        if vals[i] == 0.0:
-            cands.append(ss[i])
-        else:
-            cands.append(brentq(psi, ss[i - 1], ss[i], xtol=1e-14))
-    if not cands:
-        # segment leaves the bounding square; treat the far end as boundary
-        return 1.0
-    return max(min(cands), 1e-10)
+    first = np.full(len(X0), -1)      # first sample at or below the graph; -1 if none
+    exact = np.zeros(len(X0), dtype=bool)
+    for k0 in range(0, len(X0), _SCAN_ROWS):
+        blk = slice(k0, k0 + _SCAN_ROWS)
+        vals = _psi(graph, X0[blk], W[blk], ss[None, :])
+        below = vals <= 0
+        hit = np.nonzero(below.any(axis=1))[0]
+        i = below[hit].argmax(axis=1)
+        first[k0 + hit] = i
+        exact[k0 + hit] = vals[hit, i] == 0.0
+    rows = np.nonzero(first >= 0)[0]
+    root = ss[first[rows]]
+    bis = ~exact[rows]
+    lo, hi = ss[first[rows][bis] - 1][:, None], root[bis][:, None]
+    Xb, Wb = X0[rows[bis]], W[rows[bis]]
+    while lo.size and np.max(hi - lo) > 1e-14:
+        mid = 0.5 * (lo + hi)
+        neg = _psi(graph, Xb, Wb, mid) <= 0
+        hi = np.where(neg, mid, hi)
+        lo = np.where(neg, lo, mid)
+    root[bis] = 0.5 * (lo + hi)[:, 0]
+    s[rows] = np.minimum(s[rows], root)
+    s[np.isinf(s)] = 1.0
+    return np.maximum(s, 1e-10)
 
 
 def _decompose_spd(A: np.ndarray, dirs: list) -> np.ndarray:
@@ -394,9 +416,7 @@ def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None,
     with frozen-policy linear solves until the policy is stationary.
     """
     sys_ = discretize(problem) if system is None else system
-    f = np.atleast_1d(np.asarray(problem.rhs(sys_.nodes), dtype=float))
-    if f.ndim == 0 or f.size == 1:
-        f = np.full(sys_.m, float(f))
+    f = _values_at(problem.rhs, sys_.nodes, "rhs")
     g_scale = float(np.abs(sys_.boundary_values).max()) if sys_.boundary_values.size else 0.0
     tol = 1e-10 * g_scale + 1e-10
 
@@ -460,9 +480,7 @@ class ABPReport:
 def abp_check(solution: GridSolution) -> ABPReport:
     """Discrete maximum-principle / ABP report for a solved problem."""
     prob = solution.problem
-    f = np.atleast_1d(np.asarray(prob.rhs(solution.nodes), dtype=float))
-    if f.size == 1:
-        f = np.full(len(solution.nodes), float(f))
+    f = _values_at(prob.rhs, solution.nodes, "rhs")
     h = solution.h
     n_dim = 2
     f_neg = np.minimum(f, 0.0)

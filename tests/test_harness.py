@@ -20,6 +20,14 @@ def test_flat_linear_data_gives_unit_quotients():
     assert np.all(np.diff(rep.radii) < 0)
 
 
+def test_cascade_lets_programming_errors_through():
+    def bad_data(p):
+        raise TypeError("not a boundary datum")
+
+    with pytest.raises(TypeError, match="not a boundary datum"):
+        measure_growth(BoundaryGraph("zero"), k_max=2, n_grid=32, graph_data=bad_data)
+
+
 def test_fit_log_slope_recovers_power():
     r = 2.0 ** (-np.arange(1, 8, dtype=float))
     q = 3.0 * r ** 0.37

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from boundarylab import (
     BoundaryGraph, DomainError, EllipticityPair, FixedOp, GridProblem,
-    LaplaceOp, MonotonicityError, PucciOp, abp_check, discretize, solve,
+    LaplaceOp, MonotonicityError, PucciOp, abp_check, discretize, power, solve,
 )
+from boundarylab.solver import _DIRECTIONS, _cut_fractions
 
 R = 0.5
 ZERO = lambda p: np.zeros(len(np.atleast_2d(p)))
@@ -25,10 +27,92 @@ def test_grid_geometry_checks():
 
 def test_linear_exactness_with_cut_cells():
     lin = lambda p: 1.0 + 0.3 * np.atleast_2d(p)[:, 0] + 0.7 * np.atleast_2d(p)[:, 1]
-    for fam, kw in [("cone", {"L": 0.2}), ("sinusoid", {"A": 0.05, "k": 4.0})]:
+    # the flat case at r = 0.4, n = 64 sends segments through the
+    # no-crossing branch of the cut search (s = 1)
+    for fam, kw, r, n in [("cone", {"L": 0.2}, R, 48),
+                          ("sinusoid", {"A": 0.05, "k": 4.0}, R, 48),
+                          ("zero", {}, 0.4, 64)]:
         g = BoundaryGraph(fam, **kw)
-        sol = solve(GridProblem(g, R, 2 * R / 48, LaplaceOp(), ZERO, lin))
+        sol = solve(GridProblem(g, r, 2 * r / n, LaplaceOp(), ZERO, lin))
         assert np.abs(sol.values - lin(sol.nodes)).max() < 1e-12
+
+
+def _cut_fraction_reference(graph, r, x, w, samples=64):
+    """Scalar first exit of x + s w: circle root, sign scan, then brentq."""
+    cands = []
+    a, b, c = w @ w, 2.0 * (x @ w), x @ x - r * r
+    disc = b * b - 4 * a * c
+    if disc >= 0:
+        s_ball = (-b + np.sqrt(disc)) / (2 * a)
+        if 0 < s_ball <= 1 + 1e-12:
+            cands.append(min(s_ball, 1.0))
+    psi = lambda s: x[1] + s * w[1] - float(graph.gamma(np.array([x[0] + s * w[0]])))
+    ss = np.linspace(0.0, 1.0, samples + 1)
+    vals = np.array([psi(s) for s in ss])
+    neg = np.nonzero(vals <= 0)[0]
+    if neg.size:
+        i = neg[0]
+        cands.append(ss[i] if vals[i] == 0.0 else brentq(psi, ss[i - 1], ss[i], xtol=1e-14))
+    return max(min(cands), 1e-10) if cands else None
+
+
+def _cut_segments(graph, r, n):
+    """Every node-to-outside segment along the eight wide-stencil directions."""
+    sys_ = discretize(GridProblem(graph, r, 2 * r / n, LaplaceOp(), ZERO, ZERO,
+                                  stencil="wide", width=4))
+    h = sys_.problem.h
+    ii, jj = np.nonzero(sys_.ids >= 0)
+    X0, W = [], []
+    for v in _DIRECTIONS:
+        for sgn in (1, -1):
+            ni, nj = ii + sgn * v[0], jj + sgn * v[1]
+            ok = (ni >= 0) & (ni <= n) & (nj >= 0) & (nj <= n)
+            out = ~ok
+            out[ok] = sys_.ids[ni[ok], nj[ok]] < 0
+            X0.append(sys_.nodes[out])
+            W.append(np.tile([sgn * v[0] * h, sgn * v[1] * h], (out.sum(), 1)))
+    return np.concatenate(X0), np.concatenate(W)
+
+
+@pytest.mark.parametrize("fam, kw, r, n", [
+    ("zero", {}, 0.4, 64),
+    ("linear", {"a": [0.3]}, R, 32),
+    ("cone", {"L": 0.2}, R, 32),
+    ("c1model", {"omega": power(0.5, 1.0, 1.0)}, 0.4, 32),
+    ("sinusoid", {"A": 0.05, "k": 4.0}, R, 32),
+    ("table", {"ts": np.linspace(-1, 1, 9), "values": 0.1 * np.sin(3 * np.linspace(-1, 1, 9))},
+     R, 32),
+])
+def test_batched_cut_fractions_match_scalar_reference(fam, kw, r, n):
+    g = BoundaryGraph(fam, **kw)
+    X0, W = _cut_segments(g, r, n)
+    s = _cut_fractions(g, r, X0, W)
+    ref = [_cut_fraction_reference(g, r, x, w) for x, w in zip(X0, W)]
+    found = np.array([v is not None for v in ref])
+    np.testing.assert_allclose(s[found], [v for v in ref if v is not None], rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(s[~found], 1.0)
+    if fam == "zero":
+        assert (~found).sum() > 0     # the no-crossing branch is exercised
+
+
+def test_dirichlet_called_once_per_discretize():
+    calls = []
+
+    def data(p):
+        calls.append(p.shape)
+        return p[:, 1]
+
+    sys_ = discretize(GridProblem(BoundaryGraph("cone", L=0.2), R, 2 * R / 32,
+                                  PucciOp(EllipticityPair(1.0, 2.0), "minus"), ZERO, data,
+                                  stencil="wide"))
+    assert calls == [(len(sys_.boundary_points), 2)]
+    # a scalar return is broadcast; any other shape is rejected
+    sys_ = discretize(GridProblem(BoundaryGraph("zero"), R, 2 * R / 32, LaplaceOp(), ZERO,
+                                  lambda p: 2.0))
+    np.testing.assert_array_equal(sys_.boundary_values, 2.0)
+    with pytest.raises(DomainError):
+        discretize(GridProblem(BoundaryGraph("zero"), R, 2 * R / 32, LaplaceOp(), ZERO,
+                               lambda p: p))
 
 
 def test_harmonic_convergence_order():
