@@ -9,7 +9,6 @@ M+(D^2 d^(1-eps)) <= 0, once eps dominates the local Lipschitz seminorm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -88,12 +87,11 @@ def barrier_hessian_value(b: Barrier, x, check: bool = False):
     pts = np.atleast_2d(x)
     d, grad, hess = b.field.eval_all(pts, check=check)
     q = b.exponent
-    vals = np.empty(pts.shape[0])
+    D2 = ((q * d ** (q - 1.0))[:, None, None] * hess
+          + (q * (q - 1.0) * d ** (q - 2.0))[:, None, None]
+          * (grad[:, :, None] * grad[:, None, :]))
     op = pucci_minus if b.sign == "sub" else pucci_plus
-    for i in range(pts.shape[0]):
-        D2 = (q * d[i] ** (q - 1.0) * hess[i]
-              + q * (q - 1.0) * d[i] ** (q - 2.0) * np.outer(grad[i], grad[i]))
-        vals[i] = op(b.E, D2)
+    vals = op(b.E, D2)
     return float(vals[0]) if scalar else vals
 
 
@@ -214,7 +212,6 @@ def check_special_solution_sandwich(phi, field: RegularizedDistanceField,
     h = phi.h
     nodes = phi.nodes
     vals = phi.values
-    d_all = np.empty(len(nodes))
     gap = nodes[:, -1] - np.atleast_1d(field.graph.gamma(nodes[:, :-1]))
     inner = (gap >= 2 * h) & (np.linalg.norm(nodes, axis=-1) <= r - 2 * h) \
         & (np.linalg.norm(nodes[:, :-1], axis=-1) + 1.5 * gap < field.working_radius)

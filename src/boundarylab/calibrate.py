@@ -20,7 +20,7 @@ from .barriers import minimal_passing_epsilon, sample_domain_points
 from .errors import ConfigError
 from .geometry import BoundaryGraph
 from .pucci import EllipticityPair
-from .regdist import DistanceBoundsReport, RegularizedDistanceField
+from .regdist import RegularizedDistanceField, check_distance_bounds
 
 __all__ = [
     "CalibrationConstants", "load_calibration", "save_calibration",
@@ -93,7 +93,7 @@ def _calibrate_regdist(dim: int, seed: int) -> float:
         g = BoundaryGraph(fam, dim=dim, **kw)
         f = RegularizedDistanceField(g)
         pts = sample_domain_points(g, 0.3, 400 if dim == 2 else 200, rng)
-        rep = DistanceBoundsReport(f, pts, C_hat=np.inf)
+        rep = check_distance_bounds(f, pts, np.inf)
         worst = max(worst, rep.ratio_dev, rep.grad_dev, rep.hess_scale)
     return 2.0 * worst
 

@@ -23,7 +23,7 @@ from .config import (data_from_config, ellipticity_from_config, graph_from_confi
 from .errors import BoundaryLabError, ConfigError
 from .harness import diagnostic_sequences, measure_boundary_modulus, measure_growth
 from .modulus import CompositeModulus, dini_integral
-from .regdist import RegularizedDistanceField, check_distance_bounds, batch_table
+from .regdist import RegularizedDistanceField, check_distance_bounds
 from .solver import GridProblem, abp_check, solve
 
 __all__ = ["main"]
@@ -227,8 +227,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--calibration", type=Path, default=None,
                         help="calibration constants JSON (default: packaged)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; solves are single-threaded")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomized sweeps (overrides the config)")
     args = parser.parse_args(argv)

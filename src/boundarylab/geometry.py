@@ -24,7 +24,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import DomainError
 from .modulus import Modulus
 
-__all__ = ["BoundaryGraph", "C1Report", "local_lip_seminorm", "check_c1_conditions"]
+__all__ = ["BoundaryGraph", "C1Report", "check_c1_conditions"]
 
 
 class BoundaryGraph:
@@ -218,10 +218,6 @@ class C1Report:
     @property
     def holds(self) -> bool:
         return self.margin >= 0.0
-
-
-def local_lip_seminorm(graph: BoundaryGraph, r: float) -> float:
-    return graph.local_lip_seminorm(r)
 
 
 def check_c1_conditions(graph: BoundaryGraph, omega: Modulus, side: str,

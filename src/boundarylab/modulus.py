@@ -239,19 +239,18 @@ class CompositeModulus:
         w(t) = t * (a + I1(t, b)) * exp(c * I2(t, b)),
 
     with I_i(t, b) the Dini integral of omega_i over [t, b].  Certified
-    strictly increasing on (0, tilde_t0), where tilde_t0 satisfies
-    omega1(tilde_t0)/a + c*omega2(tilde_t0) <= 1/2.
+    strictly increasing on (0, t0), where t0 (the paper's tilde t0)
+    satisfies omega1(t0)/a + c*omega2(t0) <= 1/2.
     """
 
     def __init__(self, a: float, b: float, c: float, omega1: Modulus, omega2: Modulus,
-                 tilde_t0: float, rtol: float = DEFAULT_RTOL):
+                 t0: float, rtol: float = DEFAULT_RTOL):
         self.a = a
         self.b = b
         self.c = c
         self.omega1 = omega1
         self.omega2 = omega2
-        self.tilde_t0 = tilde_t0
-        self.t0 = tilde_t0
+        self.t0 = t0
         self.kind = "composite"
         self.vanishes_at_zero = True
         self._rtol = rtol
@@ -259,9 +258,9 @@ class CompositeModulus:
     def __call__(self, t):
         scalar = np.ndim(t) == 0
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(arr < 0) or np.any(arr >= self.tilde_t0):
+        if np.any(arr < 0) or np.any(arr >= self.t0):
             raise DomainError(
-                f"composite modulus defined on [0, {self.tilde_t0}), got t={t}"
+                f"composite modulus defined on [0, {self.t0}), got t={t}"
             )
         out = np.zeros_like(arr)
         for i, ti in enumerate(arr):
@@ -274,15 +273,16 @@ class CompositeModulus:
 
     def __repr__(self):
         return (f"CompositeModulus(a={self.a}, b={self.b}, c={self.c}, "
-                f"tilde_t0={self.tilde_t0})")
+                f"t0={self.t0})")
 
 
 def make_composite(a: float, b: float, c: float, omega1: Modulus, omega2: Modulus,
                    rtol: float = DEFAULT_RTOL) -> CompositeModulus:
     """Build the composite modulus, certifying its monotonicity radius.
 
-    tilde_t0 is the largest t in (0, b) with omega1(t)/a + c*omega2(t) <= 1/2,
-    located by bisection to relative precision 1e-6.
+    Its t0 (the paper's tilde t0) is the largest t in (0, b) with
+    omega1(t)/a + c*omega2(t) <= 1/2, located by bisection to relative
+    precision 1e-6.
     """
     if a <= 0 or c <= 0:
         raise DomainError(f"need a, c > 0, got a={a}, c={c}")

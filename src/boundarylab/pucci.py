@@ -1,4 +1,4 @@
-"""Pucci extremal operators on small symmetric matrices.
+"""Pucci extremal operators on symmetric matrices and matrix stacks.
 
 M-(M) = inf over lambda I <= A <= Lambda I of Tr(A M), attained at
 A = lambda P+ + Lambda P- with P+- the spectral projections of M; hence
@@ -6,8 +6,8 @@ A = lambda P+ + Lambda P- with P+- the spectral projections of M; hence
     M-(M) = lambda * sum(eig+) + Lambda * sum(eig-),
     M+(M) = Lambda * sum(eig+) + lambda * sum(eig-).
 
-Eigenvalues come from a cyclic Jacobi sweep: the matrices are tiny
-(n <= 3), so determinism and simplicity beat speed.
+Every function takes one (n, n) matrix or an (m, n, n) stack; eigenvalues
+come from batched LAPACK eigvalsh on matrix stacks.
 """
 
 from __future__ import annotations
@@ -37,53 +37,35 @@ class EllipticityPair:
         return self.lam == self.Lam
 
 
-def sym_eigvals(M: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
+def sym_eigvals(M) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric (n, n) matrix or (m, n, n) stack.
 
-    Iterates plane rotations until the off-diagonal Frobenius norm falls
-    below tol * ||M||; always converges for symmetric input.
+    Each matrix must pass np.isclose against its transpose with
+    atol = 1e-12 * max(1, its largest |entry|); the symmetrised input goes
+    to LAPACK.
     """
-    A = np.array(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {A.shape}")
-    if not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.abs(A).max())):
+    A = np.asarray(M, dtype=float)
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    At = np.swapaxes(A, -1, -2)
+    atol = 1e-12 * np.maximum(np.abs(A).max(axis=(-2, -1), initial=0.0), 1.0)
+    if not np.isclose(A, At, atol=atol[..., None, None]).all():
         raise DomainError("matrix is not symmetric")
-    A = 0.5 * (A + A.T)
-    n = A.shape[0]
-    if n == 1:
-        return A.ravel().copy()
-    scale = max(np.abs(A).max(), 1.0)
-    for _ in range(max_sweeps):
-        off = np.sqrt(sum(A[i, j] ** 2 for i in range(n) for j in range(i + 1, n)))
-        if off <= tol * scale:
-            break
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(A[i, j]) <= 1e-300:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * A[i, j], A[j, j] - A[i, i])
-                c, s = np.cos(theta), np.sin(theta)
-                R = np.eye(n)
-                R[i, i] = c
-                R[j, j] = c
-                R[i, j] = s
-                R[j, i] = -s
-                A = R.T @ A @ R
-    return np.sort(np.diag(A))
+    return np.linalg.eigvalsh(0.5 * (A + At))
 
 
-def _split(M) -> tuple[float, float]:
-    ev = sym_eigvals(np.asarray(M, dtype=float))
-    return float(ev[ev > 0].sum()), float(ev[ev < 0].sum())
+def _pucci(M, up: float, down: float):
+    """up * sum(eig+) + down * sum(eig-), per matrix."""
+    ev = sym_eigvals(M)
+    val = up * ev.clip(min=0.0).sum(axis=-1) + down * ev.clip(max=0.0).sum(axis=-1)
+    return float(val) if val.ndim == 0 else val
 
 
-def pucci_minus(E: EllipticityPair, M) -> float:
-    """inf over admissible A of Tr(A M)."""
-    pos, neg = _split(M)
-    return E.lam * pos + E.Lam * neg
+def pucci_minus(E: EllipticityPair, M):
+    """inf over admissible A of Tr(A M); a float, or (m,) for a stack."""
+    return _pucci(M, E.lam, E.Lam)
 
 
-def pucci_plus(E: EllipticityPair, M) -> float:
-    """sup over admissible A of Tr(A M)."""
-    pos, neg = _split(M)
-    return E.Lam * pos + E.lam * neg
+def pucci_plus(E: EllipticityPair, M):
+    """sup over admissible A of Tr(A M); a float, or (m,) for a stack."""
+    return _pucci(M, E.Lam, E.lam)

@@ -17,18 +17,24 @@ merely Lipschitz graphs (cone) are handled.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, MonotonicityError, QuadratureError
 from .geometry import BoundaryGraph
+from .pucci import sym_eigvals
 
 __all__ = ["Mollifier", "RegularizedDistanceField", "DistanceBoundsReport",
-           "check_distance_bounds", "batch_table"]
+           "check_distance_bounds"]
 
 # chart guard; graphs steeper than this break the p-inversion margin
 MAX_LIPSCHITZ = 0.25
+# distance-bound checks: seminorms below S_FLOOR count as flat, and flat
+# points must meet the bounds to FLAT_TOL absolute
+S_FLOOR = 1e-12
+FLAT_TOL = 1e-10
 
 
 @lru_cache(maxsize=32)
@@ -400,6 +406,7 @@ class RegularizedDistanceField:
         return self._grad_hess(np.atleast_2d(np.asarray(y, dtype=float)), check)
 
 
+@dataclass(frozen=True)
 class DistanceBoundsReport:
     """Worst-case margins of the three pointwise distance bounds on samples.
 
@@ -408,33 +415,19 @@ class DistanceBoundsReport:
     hess_scale  = max d |D^2 d| / S                    (want <= C_hat)
 
     S is the local Lipschitz seminorm of Gamma over B'_scale(y') at
-    scale max(d, gap); points with S below s_floor are excluded from the
+    scale max(d, gap); points with S below S_FLOOR are excluded from the
     normalized maxima (0/0 on exactly flat regions) but still checked for
-    exactness (deviation <= abs_tol).
+    exactness (deviation <= FLAT_TOL).  columns holds one row
+    (y_1..y_n, d, |grad d|, |D^2 d|, d/(y_n - Gamma)) per sample.
     """
 
-    def __init__(self, field, pts, C_hat, s_floor=1e-12, abs_tol=1e-10):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d, grad, hess = field.eval_all(pts, check=False)
-        gap = pts[:, -1] - np.atleast_1d(field.graph.gamma(pts[:, :-1]))
-        S = np.array([field.graph.seminorm_at(pts[i, :-1], max(d[i], gap[i]))
-                      for i in range(len(pts))])
-        ratio = np.abs(d / gap - 1.0)
-        gdev = np.abs(np.linalg.norm(grad, axis=-1) - 1.0)
-        hnorm = np.array([np.abs(np.linalg.eigvalsh(h)).max() for h in hess])
-        rough = S > s_floor
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.ratio_dev = float(np.max(ratio[rough] / S[rough])) if rough.any() else 0.0
-            self.grad_dev = float(np.max(gdev[rough] / S[rough])) if rough.any() else 0.0
-            self.hess_scale = float(np.max(d[rough] * hnorm[rough] / S[rough])) if rough.any() else 0.0
-        flat = ~rough
-        self.flat_exact = bool(np.all(ratio[flat] <= abs_tol)
-                               and np.all(gdev[flat] <= abs_tol)
-                               and np.all(d[flat] * hnorm[flat] <= abs_tol))
-        self.n_samples = len(pts)
-        self.C_hat = C_hat
-        self.columns = np.column_stack(
-            [pts, d, np.linalg.norm(grad, axis=-1), hnorm, d / gap])
+    ratio_dev: float
+    grad_dev: float
+    hess_scale: float
+    flat_exact: bool
+    C_hat: float
+    n_samples: int
+    columns: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -455,9 +448,21 @@ class DistanceBoundsReport:
 
 def check_distance_bounds(field: RegularizedDistanceField, pts, C_hat: float) -> DistanceBoundsReport:
     """Verify the three displayed distance bounds with the calibrated constant."""
-    return DistanceBoundsReport(field, pts, C_hat)
-
-
-def batch_table(field: RegularizedDistanceField, pts) -> np.ndarray:
-    """Rows (y_1..y_n, d, |grad d|, |D^2 d|, d/(y_n - Gamma)) for CSV export."""
-    return DistanceBoundsReport(field, pts, C_hat=np.inf).columns
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    d, grad, hess = field.eval_all(pts, check=False)
+    gap = pts[:, -1] - np.atleast_1d(field.graph.gamma(pts[:, :-1]))
+    S = np.array([field.graph.seminorm_at(pts[i, :-1], max(d[i], gap[i]))
+                  for i in range(len(pts))])
+    gnorm = np.linalg.norm(grad, axis=-1)
+    hnorm = np.abs(sym_eigvals(hess)).max(axis=-1)
+    # rows: ratio, gradient and scaled-Hessian deviations per sample
+    devs = np.stack([np.abs(d / gap - 1.0), np.abs(gnorm - 1.0), d * hnorm])
+    rough = S > S_FLOOR
+    worst = (devs[:, rough] / S[rough]).max(axis=1) if rough.any() else np.zeros(3)
+    return DistanceBoundsReport(
+        *map(float, worst),
+        flat_exact=bool(np.all(devs[:, ~rough] <= FLAT_TOL)),
+        C_hat=C_hat,
+        n_samples=len(pts),
+        columns=np.column_stack([pts, d, gnorm, hnorm, d / gap]),
+    )

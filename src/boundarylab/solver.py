@@ -304,18 +304,17 @@ def _operator_weights(problem: GridProblem, nodes: np.ndarray):
         w[:, 1] = 1.0
         return w, None
     if isinstance(op, FixedOp):
-        w = np.empty((m, len(dirs)))
-        for k in range(m):
-            A = np.asarray(op.A(nodes[k]), dtype=float)
-            if op.E is not None:
-                ev = sym_eigvals(A)
-                if ev[0] < op.E.lam - 1e-10 or ev[-1] > op.E.Lam + 1e-10:
-                    raise DomainError(
-                        f"A({nodes[k]}) has eigenvalues {ev} outside "
-                        f"[{op.E.lam}, {op.E.Lam}]"
-                    )
-            w[k] = _decompose_spd(A, dirs)
-        return w, None
+        A = np.stack([np.asarray(op.A(x), dtype=float) for x in nodes])
+        if op.E is not None:
+            ev = sym_eigvals(A)
+            bad = np.nonzero((ev[:, 0] < op.E.lam - 1e-10) | (ev[:, -1] > op.E.Lam + 1e-10))[0]
+            if bad.size:
+                k = bad[0]
+                raise DomainError(
+                    f"A({nodes[k]}) has eigenvalues {ev[k]} outside "
+                    f"[{op.E.lam}, {op.E.Lam}]"
+                )
+        return np.stack([_decompose_spd(a, dirs) for a in A]), None
     if isinstance(op, PucciOp):
         lam, Lam = op.E.lam, op.E.Lam
         mats, alphas = [], []
@@ -428,20 +427,18 @@ def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None,
         return GridSolution(problem, sys_, u, res, 1)
 
     # policy iteration
-    alphas = sys_.policies["alphas"]
+    P = np.stack(sys_.policies["alphas"])             # (npol, ndir)
     sense = sys_.policies["sense"]
-    n_pol = len(alphas)
     policy = np.zeros(sys_.m, dtype=int)
     u = np.zeros(sys_.m)
     res = np.inf
     for it in range(1, max_policy_rounds + 1):
-        alpha_nodes = np.stack([alphas[p] for p in policy])
-        A, c = sys_.operator_matrix(alpha_nodes)
+        A, c = sys_.operator_matrix(P[policy])
         u, res = _linear_solve(A, f - c, tol)
         # evaluate every policy's operator value at every node
         Evals = np.stack([sys_.D[m_] @ u + sys_.c[m_] for m_ in range(len(sys_.D))],
                          axis=1)                      # (m, ndir)
-        pol_vals = Evals @ np.stack(alphas).T          # (m, npol)
+        pol_vals = Evals @ P.T                         # (m, npol)
         new_policy = (np.argmin(pol_vals, axis=1) if sense == "min"
                       else np.argmax(pol_vals, axis=1))
         # keep the old policy on exact ties to guarantee termination

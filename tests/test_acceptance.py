@@ -186,7 +186,7 @@ def test_criterion_7_composite_modulus_calculus():
         b = rng.uniform(0.2, 0.8)
         c = rng.uniform(0.5, 2.0)
         comp = make_composite(a, b, c, w1, w2)
-        ts = np.geomspace(comp.tilde_t0 * 1e-6, comp.tilde_t0 * (1 - 1e-9), 200)
+        ts = np.geomspace(comp.t0 * 1e-6, comp.t0 * (1 - 1e-9), 200)
         vals = comp(ts)
         assert np.all(np.diff(vals) > 0), trial
         slopes = np.diff(np.log(vals)) / np.diff(np.log(ts))

@@ -8,6 +8,7 @@ from boundarylab import (
     verify_barrier,
 )
 from boundarylab.calibrate import epsilon_for
+from boundarylab.pucci import pucci_minus, pucci_plus
 from boundarylab.regdist import RegularizedDistanceField
 
 E_LAP = EllipticityPair(1.0, 1.0)
@@ -51,6 +52,22 @@ def test_hessian_value_matches_manual_assembly():
               + q * (q - 1) * d[0] ** (q - 2) * np.outer(grad[0], grad[0]))
         want = np.trace(D2)  # lam = Lam = 1
         assert barrier_hessian_value(b, x) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("fam, kw", [("sinusoid", {"A": 0.05, "k": 4.0}),
+                                     ("cone", {"dim": 3, "L": 0.1})])
+def test_batched_hessian_value_matches_per_point(fam, kw):
+    g, f = _field(fam, **kw)
+    pts = sample_domain_points(g, 0.25, 20 if g.dim == 2 else 8, np.random.default_rng(5))
+    d, grad, hess = f.eval_all(pts)
+    E = EllipticityPair(1.0, 2.0)
+    for sign, op in (("sub", pucci_minus), ("super", pucci_plus)):
+        b = Barrier(field=f, eps=0.2, sign=sign, E=E, r=0.25)
+        q = b.exponent
+        want = [op(E, q * d[i] ** (q - 1) * hess[i]
+                   + q * (q - 1) * d[i] ** (q - 2) * np.outer(grad[i], grad[i]))
+                for i in range(len(pts))]
+        np.testing.assert_allclose(barrier_hessian_value(b, pts), want, rtol=1e-12)
 
 
 def test_flat_boundary_barriers_pass_any_eps():

@@ -110,7 +110,7 @@ def test_log_modulus_not_dini():
 def test_composite_t0_quarter():
     # omega1 = omega2 = t, a = c = 1: condition t + t <= 1/2 gives t0 = 1/4
     w = make_composite(1.0, 1.0 - 1e-12, 1.0, power(1.0), power(1.0))
-    assert w.tilde_t0 == pytest.approx(0.25, rel=1e-5)
+    assert w.t0 == pytest.approx(0.25, rel=1e-5)
 
 
 def test_composite_closed_form():
@@ -129,7 +129,7 @@ def test_composite_infeasible():
 
 def test_composite_monotone_with_log_slope():
     w = make_composite(0.5, 0.8, 2.0, power(0.5, 0.3), power(1.0, 0.4))
-    ts = np.geomspace(w.tilde_t0 * 1e-5, w.tilde_t0 * (1 - 1e-9), 200)
+    ts = np.geomspace(w.t0 * 1e-5, w.t0 * (1 - 1e-9), 200)
     vals = np.array([w(t) for t in ts])
     assert np.all(np.diff(vals) > 0)
     slopes = np.diff(np.log(vals)) / np.diff(np.log(ts))
@@ -139,4 +139,4 @@ def test_composite_monotone_with_log_slope():
 def test_composite_domain_error():
     w = make_composite(1.0, 0.9, 1.0, power(1.0), power(1.0))
     with pytest.raises(DomainError):
-        w(w.tilde_t0 * 1.01)
+        w(w.t0 * 1.01)

@@ -78,3 +78,31 @@ def test_pucci_concavity_signs():
         M, N = B1 + B1.T, B2 + B2.T
         assert pucci_minus(E, M + N) >= pucci_minus(E, M) + pucci_minus(E, N) - 1e-10
         assert pucci_minus(E, M) == pytest.approx(-pucci_plus(E, -M), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacks_match_per_matrix(n):
+    E = EllipticityPair(0.5, 2.5)
+    rng = np.random.default_rng(30 + n)
+    B = rng.normal(size=(40, n, n))
+    M = B + np.swapaxes(B, -1, -2)
+    ev = sym_eigvals(M)
+    assert ev.shape == (40, n)
+    lo, hi = pucci_minus(E, M), pucci_plus(E, M)
+    assert lo.shape == hi.shape == (40,)
+    for k in range(40):
+        np.testing.assert_array_equal(ev[k], sym_eigvals(M[k]))
+        assert lo[k] == pucci_minus(E, M[k])
+        assert hi[k] == pucci_plus(E, M[k])
+    assert isinstance(pucci_minus(E, M[0]), float)
+
+
+def test_stack_rejects_one_asymmetric_member():
+    M = np.tile(np.eye(3), (5, 1, 1))
+    M[3, 0, 2] = 1.0
+    with pytest.raises(DomainError):
+        sym_eigvals(M)
+    with pytest.raises(DomainError):
+        pucci_minus(EllipticityPair(1.0, 2.0), M)
+    with pytest.raises(DomainError):
+        sym_eigvals(np.ones((2, 3, 2)))

@@ -4,7 +4,7 @@ import pytest
 from boundarylab import BoundaryGraph, DomainError, power
 from boundarylab.barriers import sample_domain_points
 from boundarylab.regdist import (
-    Mollifier, RegularizedDistanceField, batch_table, check_distance_bounds,
+    Mollifier, RegularizedDistanceField, check_distance_bounds,
 )
 
 
@@ -129,7 +129,7 @@ def test_batch_table_columns():
     g = BoundaryGraph("cone", L=0.1)
     f = RegularizedDistanceField(g)
     pts = sample_domain_points(g, 0.25, 20, np.random.default_rng(0))
-    tab = batch_table(f, pts)
+    tab = check_distance_bounds(f, pts, np.inf).columns
     assert tab.shape == (20, 6)
     np.testing.assert_allclose(tab[:, :2], pts)
     assert np.all(tab[:, 2] > 0)          # d

@@ -153,6 +153,17 @@ def test_fixed_eigenvalue_range_enforced():
         solve(GridProblem(g, R, 2 * R / 32, op, ZERO, ZERO, stencil="wide"))
 
 
+def test_fixed_eigenvalue_range_enforced_at_one_node():
+    # A(x) leaves [1, 2] only at the grid node (1/4, 1/8); h = 1/32
+    g = BoundaryGraph("zero")
+    A = lambda x: np.diag([3.0 if np.allclose(x, [0.25, 0.125]) else 1.0, 1.5])
+    with pytest.raises(DomainError, match=r"A\(\[0\.25 +0\.125\]\)"):
+        solve(GridProblem(g, R, 2 * R / 32, FixedOp(A=A, E=EllipticityPair(1.0, 2.0)),
+                          ZERO, ZERO, stencil="wide"))
+    # without the range check the same field is admissible
+    solve(GridProblem(g, R, 2 * R / 32, FixedOp(A=A), ZERO, ZERO, stencil="wide"))
+
+
 def test_pucci_collapses_to_laplacian():
     g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
     lam = 2.0
