@@ -77,22 +77,24 @@ class Barrier:
         return 1.0 + self.eps if self.sign == "sub" else 1.0 - self.eps
 
 
+def _pucci_of_power(b: Barrier, d, grad, hess):
+    """M-(D^2 d^q) for sub barriers, M+(D^2 d^q) for super, from d, grad d, D^2 d."""
+    q = b.exponent
+    D2 = ((q * d ** (q - 1.0))[:, None, None] * hess
+          + (q * (q - 1.0) * d ** (q - 2.0))[:, None, None]
+          * (grad[:, :, None] * grad[:, None, :]))
+    op = pucci_minus if b.sign == "sub" else pucci_plus
+    return op(b.E, D2)
+
+
 def barrier_hessian_value(b: Barrier, x, check: bool = False):
     """M-(D^2 d^(1+eps)) at x for sub barriers, M+(D^2 d^(1-eps)) for super.
 
     Accepts a single point or a batch; propagates regdist errors.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
-    d, grad, hess = b.field.eval_all(pts, check=check)
-    q = b.exponent
-    D2 = ((q * d ** (q - 1.0))[:, None, None] * hess
-          + (q * (q - 1.0) * d ** (q - 2.0))[:, None, None]
-          * (grad[:, :, None] * grad[:, None, :]))
-    op = pucci_minus if b.sign == "sub" else pucci_plus
-    vals = op(b.E, D2)
-    return float(vals[0]) if scalar else vals
+    vals = _pucci_of_power(b, *b.field.eval_all(np.atleast_2d(x), check=check))
+    return float(vals[0]) if x.ndim == 1 else vals
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,8 @@ def verify_barrier(b: Barrier, samples: np.ndarray, tol: float = 1e-8,
     Failures are reported, not raised.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    vals = barrier_hessian_value(b, samples, check=check)
-    d = b.field.eval_d(samples, certify=False)
+    d, grad, hess = b.field.eval_all(samples, check=check)
+    vals = _pucci_of_power(b, d, grad, hess)
     scale = d ** (b.exponent - 2.0)
     signed = vals / scale if b.sign == "sub" else -vals / scale
     i = int(np.argmin(signed))

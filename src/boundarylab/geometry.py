@@ -16,6 +16,7 @@ solver is restricted to n = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -25,6 +26,33 @@ from .errors import DomainError
 from .modulus import Modulus
 
 __all__ = ["BoundaryGraph", "C1Report", "check_c1_conditions"]
+
+# seminorm_at samples a batch of balls in blocks of at most this many nodes
+# (one ball at a time when a single ball is larger)
+_SEMINORM_NODES = 1 << 16
+
+
+def _radius(arr) -> np.ndarray:
+    """|x| over the last axis, bitwise np.linalg.norm for up to two components."""
+    return np.sqrt(np.einsum("...i,...i->...", arr, arr))
+
+
+def _sample_ball(dim_surface: int, r: float, m: int) -> np.ndarray:
+    """Quasi-uniform sample of B'_r in R^dim_surface, shape (M, dim_surface)."""
+    if dim_surface == 1:
+        return np.linspace(-r, r, m)[:, None]
+    rho = np.linspace(0.0, r, m)
+    th = np.linspace(0.0, 2 * np.pi, 2 * m, endpoint=False)
+    R, T = np.meshgrid(rho, th, indexing="ij")
+    return np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=-1)
+
+
+@lru_cache(maxsize=8)
+def _unit_ball(dim_surface: int, m: int) -> np.ndarray:
+    """The read-only sample of the unit ball that seminorm_at scales."""
+    out = _sample_ball(dim_surface, 1.0, m)
+    out.flags.writeable = False
+    return out
 
 
 class BoundaryGraph:
@@ -103,7 +131,7 @@ class BoundaryGraph:
     def gamma(self, xp):
         """Gamma(x'). Accepts arrays of shape (..., n-1); scalars when n = 2."""
         arr = self._as_xp(xp)
-        rho = np.linalg.norm(arr, axis=-1)
+        rho = _radius(arr)
         if self.family == "zero":
             out = np.zeros_like(rho)
         elif self.family == "linear":
@@ -121,20 +149,20 @@ class BoundaryGraph:
     def grad_gamma(self, xp):
         """Analytic gradient of Gamma; zero at points where it is undefined."""
         arr = self._as_xp(xp)
-        rho = np.linalg.norm(arr, axis=-1)
+        rho = _radius(arr)
         out = np.zeros_like(arr)
         if self.family == "zero":
             pass
         elif self.family == "linear":
             out[...] = self._a
         elif self.family == "cone":
-            safe = rho > 0
-            out[safe] = self._L * arr[safe] / rho[safe, None]
+            np.divide(self._L * arr, rho[..., None], out=out, where=rho[..., None] > 0)
         elif self.family == "c1model":
-            safe = rho > 0
-            rs = rho[safe]
-            slope = self._omega(rs) + rs * self._omega.derivative(rs)
-            out[safe] = self._sign * slope[..., None] * arr[safe] / rs[..., None]
+            # omega'(0) may be infinite; the rho = 0 entries are masked below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = self._omega(rho) + rho * self._omega.derivative(rho)
+                num = self._sign * slope[..., None] * arr
+            np.divide(num, rho[..., None], out=out, where=rho[..., None] > 0)
         elif self.family == "sinusoid":
             out[..., 0] = self._A * self._k * np.cos(self._k * arr[..., 0])
         else:  # table
@@ -156,15 +184,6 @@ class BoundaryGraph:
 
     # -- seminorms and pointwise conditions ---------------------------------
 
-    def _sample_ball(self, r: float, m: int) -> np.ndarray:
-        """Quasi-uniform sample of B'_r, shape (M, n-1)."""
-        if self.dim == 2:
-            return np.linspace(-r, r, m)[:, None]
-        rho = np.linspace(0.0, r, m)
-        th = np.linspace(0.0, 2 * np.pi, 2 * m, endpoint=False)
-        R, T = np.meshgrid(rho, th, indexing="ij")
-        return np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=-1)
-
     def local_lip_seminorm(self, r: float) -> float:
         """sup of |grad Gamma| over B'_r, refined until 1% sample agreement."""
         if r <= 0 or r > self.chart_radius * (1 + 1e-12):
@@ -172,22 +191,35 @@ class BoundaryGraph:
         prev = None
         m = 65
         for _ in range(12):
-            pts = self._sample_ball(r, m)
-            val = float(np.max(np.linalg.norm(self.grad_gamma(pts), axis=-1)))
+            pts = _sample_ball(self.dim - 1, r, m)
+            val = float(np.max(_radius(self.grad_gamma(pts))))
             if prev is not None and abs(val - prev) <= 0.01 * max(val, 1e-300):
                 return val
             prev = val
             m = 2 * m - 1
         return prev
 
-    def seminorm_at(self, xp, scale: float, m: int = 129) -> float:
-        """sup of |grad Gamma| over B'_scale(x'), sampled; clipped to the chart."""
+    def seminorm_at(self, xp, scale, m: int = 129):
+        """sup of |grad Gamma| over B'_scale(x'), sampled; clipped to the chart.
+
+        One point x' with a scalar scale gives a float; a (k, n-1) batch
+        with k scales (or one) gives k values, sampled in blocks of about
+        _SEMINORM_NODES nodes.
+        """
         xp = self._as_xp(xp)
-        if scale <= 0:
-            raise DomainError(f"scale must be positive, got {scale}")
-        offsets = self._sample_ball(scale, m)
-        pts = np.clip(xp[None, :] + offsets, -self.chart_radius, self.chart_radius)
-        return float(np.max(np.linalg.norm(self.grad_gamma(pts), axis=-1)))
+        single = xp.ndim == 1
+        xp = np.atleast_2d(xp)
+        scale = np.broadcast_to(np.asarray(scale, dtype=float), xp.shape[:1])
+        if np.any(scale <= 0):
+            raise DomainError(f"scale must be positive, got {scale.min()}")
+        unit = _unit_ball(self.dim - 1, m)
+        step = max(1, _SEMINORM_NODES // len(unit))
+        out = np.empty(len(xp))
+        for a in range(0, len(xp), step):
+            ball = xp[a:a + step, None, :] + scale[a:a + step, None, None] * unit
+            pts = np.clip(ball, -self.chart_radius, self.chart_radius)
+            out[a:a + step] = _radius(self.grad_gamma(pts)).max(axis=-1)
+        return float(out[0]) if single else out
 
     def _compute_global_lipschitz(self) -> float:
         if self.family == "zero":

@@ -13,6 +13,13 @@ Derivatives of d are computed from exact inverse-function identities with
 the derivatives of p obtained by differentiated quadrature; kernels with
 one derivative on the mollifier avoid second derivatives of Gamma, so
 merely Lipschitz graphs (cone) are handled.
+
+For n = 2 the quadrature is batched over points.  For n = 3 it runs one
+point at a time over a polar rule on the unit disk, centred at the kink of
+cone-like graphs, and each moment is one weighted-kernel matrix product.
+The vertical inversion p(y', d) = y_n is a safeguarded Newton iteration
+per point, with its bracket capped at the chart; it hands back the
+derivatives of p at d, so grad d and D^2 d cost no further quadrature.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, MonotonicityError, QuadratureError
-from .geometry import BoundaryGraph
+from .geometry import BoundaryGraph, _radius
 from .pucci import sym_eigvals
 
 __all__ = ["Mollifier", "RegularizedDistanceField", "DistanceBoundsReport",
@@ -42,20 +49,24 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
+@lru_cache(maxsize=8)
+def _polar_rule(order: int):
+    """Gauss-Legendre radial rule and 2*order midpoint directions (M, 2)."""
+    t, w = _leggauss(order)
+    n_theta = 2 * order
+    theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    u.flags.writeable = False
+    return t, w, u
+
+
 def _bump(rho):
     """exp(-1/(1 - rho^2)) on [0, 1), zero outside; returns (phi, phi', phi'')."""
-    rho = np.asarray(rho, dtype=float)
-    inside = rho < 1.0
-    phi = np.zeros_like(rho)
-    dphi = np.zeros_like(rho)
-    d2phi = np.zeros_like(rho)
-    r = rho[inside]
-    g = 1.0 - r * r
-    f = np.exp(-1.0 / g)
-    phi[inside] = f
-    dphi[inside] = f * (-2.0 * r / g**2)
-    d2phi[inside] = f * (4.0 * r**2 / g**4 - 2.0 / g**2 - 8.0 * r**2 / g**3)
-    return phi, dphi, d2phi
+    r = np.asarray(rho, dtype=float)
+    inside = r < 1.0
+    g = np.where(inside, 1.0 - r * r, 1.0)
+    f = np.where(inside, np.exp(-1.0 / g), 0.0)
+    return f, f * (-2.0 * r / g**2), f * (4.0 * r**2 / g**4 - 2.0 / g**2 - 8.0 * r**2 / g**3)
 
 
 class Mollifier:
@@ -190,10 +201,7 @@ class RegularizedDistanceField:
         the polar rule is centered there so that Gamma is smooth in the
         radial variable.
         """
-        t, w = _leggauss(order)
-        n_theta = 2 * order
-        theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)   # (M, 2)
+        t, w, u = _polar_rule(order)
         c = np.zeros(2)
         if self.graph.radial_kink:
             cand = -xp_i / s_i
@@ -202,41 +210,47 @@ class RegularizedDistanceField:
         cu = u @ c
         R = -cu + np.sqrt(np.maximum(1.0 - c @ c + cu**2, 0.0))    # (M,)
         rho = 0.5 * R[:, None] * (t[None, :] + 1.0)                # (M, Q)
-        wq = 0.5 * R[:, None] * w[None, :] * rho * (2.0 * np.pi / n_theta)
+        wq = 0.5 * R[:, None] * w[None, :] * rho * (2.0 * np.pi / u.shape[0])
         nodes = c[None, None, :] + rho[..., None] * u[:, None, :]  # (M, Q, 2)
         return nodes.reshape(-1, 2), wq.ravel()
 
     def _p_derivs_2d(self, xp, s, order):
-        """All needed derivatives of p for n = 3, one point at a time."""
+        """All needed derivatives of p for n = 3, one point at a time.
+
+        Each moment is one product of a weighted kernel with the sampled
+        graph: (W eta) @ Gamma, (W eta) @ grad Gamma, and so on.  The loop
+        stays per point: a node table across 100 points would hold 8192
+        nodes per point, about 6.5 MB per array.
+        """
         m = s.shape[0]
         out = {
             "p": np.empty(m), "px": np.empty((m, 2)), "ps": np.empty(m),
             "pxx": np.empty((m, 2, 2)), "pxs": np.empty((m, 2)), "pss": np.empty(m),
         }
+        g0 = np.atleast_1d(self.graph.gamma(xp))
+        dg0 = self.graph.grad_gamma(xp)
         for i in range(m):
             T, W = self._disk_nodes(xp[i], s[i], order)
-            rho = np.linalg.norm(T, axis=-1)
+            rho = _radius(T)
             eta, deta_r, d2eta_r = self.mollifier.eta_derivs(rho)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                unit = np.where(rho[:, None] > 0, T / np.where(rho == 0, 1.0, rho)[:, None], 0.0)
-            grad_eta = deta_r[:, None] * unit
+            # W deta_r T/|T|, the weighted gradient of eta (zero at the centre)
+            Wgrad = np.divide(W * deta_r, rho, out=np.zeros_like(rho), where=rho > 0)[:, None] * T
             k1 = -2.0 * eta - rho * deta_r
             k2 = 6.0 * eta + 6.0 * rho * deta_r + rho**2 * d2eta_r
 
-            pts = xp[i][None, :] + s[i] * T
+            pts = xp[i] + s[i] * T
             g = self.graph.gamma(pts)
             dg = self.graph.grad_gamma(pts)
-            g0 = float(self.graph.gamma(xp[i]))
-            dg0 = self.graph.grad_gamma(xp[i][None, :])[0]
+            We = W * eta
 
-            out["p"][i] = W @ (eta * g) + s[i]
-            out["px"][i] = (W[:, None] * eta[:, None] * dg).sum(axis=0)
-            out["ps"][i] = 1.0 + W @ (eta * (T * dg).sum(axis=-1))
-            pxx = -(W[:, None, None] * grad_eta[:, :, None] * dg[:, None, :]).sum(axis=0) / s[i]
+            out["p"][i] = We @ g + s[i]
+            out["px"][i] = We @ dg
+            out["ps"][i] = 1.0 + (We @ (T * dg)).sum()
+            pxx = -(Wgrad.T @ dg) / s[i]
             out["pxx"][i] = 0.5 * (pxx + pxx.T)
-            out["pxs"][i] = (W[:, None] * k1[:, None] * dg).sum(axis=0) / s[i]
-            affine = g - g0 - s[i] * (T @ dg0)
-            out["pss"][i] = W @ (k2 * affine) / s[i] ** 2
+            out["pxs"][i] = ((W * k1) @ dg) / s[i]
+            affine = g - g0[i] - s[i] * (T @ dg0[i])
+            out["pss"][i] = ((W * k2) @ affine) / s[i] ** 2
         return out
 
     def _p_derivs(self, xp, s, order=None, certify=True):
@@ -265,64 +279,85 @@ class RegularizedDistanceField:
         return float(p[0]) if scalar else p
 
     def _solve_d(self, xp, yn, certify=True):
-        """Vertical inversion: the t > 0 with p(y', t) = y_n, per point."""
+        """Vertical inversion: the t > 0 with p(y', t) = y_n, per point.
+
+        Returns t and the derivatives of p at t.  Each point leaves the
+        Newton loop on its own residual, so its t does not depend on the
+        other points of the batch.
+        """
         g = np.atleast_1d(self.graph.gamma(xp))
         gap = yn - g
         if np.any(gap <= 0):
             raise DomainError("eval_d requires points strictly inside the domain")
         if np.any(gap >= self.working_radius):
             raise DomainError("x_n - Gamma(x') must stay below the working radius")
+        r_xp = _radius(xp)
+        if np.any(r_xp >= self.working_radius):
+            raise DomainError("|x'| must stay below the working radius")
+        # p(y', t) is defined up to |y'| + t = working radius
+        cap = self.working_radius * (1 + 1e-9) - r_xp
         L = self.graph.L_global
         lo = np.full_like(gap, 1e-14)
-        hi = gap * (1.0 + L) + L * np.maximum(yn, 0.0) + 1e-14
-        hi = np.minimum(hi, self.working_radius * (1 + 1e-9) - np.linalg.norm(xp, axis=-1))
-        # certify the bracket
+        hi = np.minimum(gap * (1.0 + L) + L * np.maximum(yn, 0.0) + 1e-14, cap)
+        # certify the bracket; only points with p(hi) < y_n are re-evaluated
+        grow = np.arange(gap.size)
         for _ in range(60):
-            p_hi = self._p_derivs(xp, hi, certify=False)["p"]
-            if np.all(p_hi >= yn):
+            grow = grow[self._p_derivs(xp[grow], hi[grow], certify=False)["p"] < yn[grow]]
+            if grow.size == 0:
                 break
-            grow = p_hi < yn
-            hi[grow] *= 1.25
+            if np.any(hi[grow] >= cap[grow]):
+                raise DomainError(
+                    "the vertical inverse leaves the chart: p(y', t) < y_n at "
+                    "|y'| + t = working radius"
+                )
+            hi[grow] = np.minimum(1.25 * hi[grow], cap[grow])
         else:
             raise ConvergenceError("failed to bracket the vertical inverse")
 
+        # Newton with bisection safeguard; only unconverged points are
+        # re-evaluated, and der keeps each point's derivatives at its last t
         t = np.clip(gap, lo, hi)
+        der = {}
+        act = np.arange(gap.size)
         for _ in range(100):
-            der = self._p_derivs(xp, t, certify=False)
-            res = der["p"] - yn
-            if np.any(der["ps"] <= 0.5):
+            part = self._p_derivs(xp[act], t[act], certify=False)
+            if np.any(part["ps"] <= 0.5):
                 raise MonotonicityError(
                     "d_s p <= 1/2 encountered; the Lipschitz constant is too "
                     "large for a certified inversion on this chart"
                 )
-            if np.all(np.abs(res) <= 1e-13):
+            for k, v in part.items():
+                der.setdefault(k, np.empty((gap.size,) + v.shape[1:]))[act] = v
+            res = part["p"] - yn[act]
+            left = np.abs(res) > 1e-13
+            act, res, ps = act[left], res[left], part["ps"][left]
+            if act.size == 0:
                 break
-            lo = np.where(res < 0, t, lo)
-            hi = np.where(res > 0, t, hi)
-            t_new = t - res / der["ps"]
-            bad = (t_new <= lo) | (t_new >= hi)
-            t_new[bad] = 0.5 * (lo[bad] + hi[bad])
-            t = t_new
+            lo[act] = np.where(res < 0, t[act], lo[act])
+            hi[act] = np.where(res > 0, t[act], hi[act])
+            t_new = t[act] - res / ps
+            bad = (t_new <= lo[act]) | (t_new >= hi[act])
+            t_new[bad] = 0.5 * (lo[act] + hi[act])[bad]
+            t[act] = t_new
         else:
             raise ConvergenceError("vertical inversion did not reach 1e-13 residual")
         if certify:
             res = self._p_derivs(xp, t)["p"] - yn
             if np.any(np.abs(res) > 1e-12):
                 raise ConvergenceError("certified residual of the inversion exceeds 1e-12")
-        return t
+        return t, der
 
     def eval_d(self, y, certify=True):
         """The regularized distance d(y) for y in the domain chart."""
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 1
         pts = np.atleast_2d(y)
-        d = self._solve_d(pts[:, :-1], pts[:, -1], certify=certify)
+        d, _ = self._solve_d(pts[:, :-1], pts[:, -1], certify=certify)
         return float(d[0]) if scalar else d
 
     def _grad_hess(self, pts, check):
         xp, yn = pts[:, :-1], pts[:, -1]
-        d = self._solve_d(xp, yn, certify=False)
-        der = self._p_derivs(xp, d, certify=False)
+        d, der = self._solve_d(xp, yn, certify=False)
         q = der["ps"]
         nm1 = self.graph.dim - 1
         grad = np.empty((pts.shape[0], self.graph.dim))
@@ -361,7 +396,7 @@ class RegularizedDistanceField:
                 key = tuple(np.round(offset / h).astype(int))
                 if key not in dvals:
                     z = np.atleast_2d(y + offset)
-                    dvals[key] = float(self._solve_d(z[:, :-1], z[:, -1], certify=False)[0])
+                    dvals[key] = float(self._solve_d(z[:, :-1], z[:, -1], certify=False)[0][0])
                 return dvals[key]
 
             d0 = d[i]
@@ -451,8 +486,7 @@ def check_distance_bounds(field: RegularizedDistanceField, pts, C_hat: float) ->
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     d, grad, hess = field.eval_all(pts, check=False)
     gap = pts[:, -1] - np.atleast_1d(field.graph.gamma(pts[:, :-1]))
-    S = np.array([field.graph.seminorm_at(pts[i, :-1], max(d[i], gap[i]))
-                  for i in range(len(pts))])
+    S = field.graph.seminorm_at(pts[:, :-1], np.maximum(d, gap))
     gnorm = np.linalg.norm(grad, axis=-1)
     hnorm = np.abs(sym_eigvals(hess)).max(axis=-1)
     # rows: ratio, gradient and scaled-Hessian deviations per sample

@@ -145,3 +145,23 @@ def test_sandwich_chart_mismatch():
     phi = solve(prob)
     with pytest.raises(DomainError):
         check_special_solution_sandwich(phi, f2, 0.2, 0.25)
+
+
+def test_verify_barrier_inverts_once(monkeypatch):
+    # d, grad d and D^2 d all come from one vertical inversion per check
+    g = BoundaryGraph("cone", dim=3, L=0.1)
+    f = RegularizedDistanceField(g)
+    pts = sample_domain_points(g, 0.25, 6, np.random.default_rng(3))
+    calls = []
+    solve_d = RegularizedDistanceField._solve_d
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return solve_d(self, *args, **kwargs)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_solve_d", counted)
+    b = Barrier(field=f, eps=0.3, sign="sub", E=EllipticityPair(1.0, 2.0), r=0.25)
+    rep = verify_barrier(b, pts)
+    assert calls == [6]
+    d = f.eval_all(pts)[0]
+    assert rep.min_value == (barrier_hessian_value(b, pts) / d ** (b.exponent - 2.0)).min()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from boundarylab import BoundaryGraph, DomainError, check_c1_conditions, power, zero
+from boundarylab.geometry import _sample_ball
 
 
 def test_zero_family():
@@ -71,6 +72,31 @@ def test_seminorm_at_off_center():
     g = BoundaryGraph("c1model", omega=power(1.0, 0.5, 1.0))
     # sup over B_0.1(0.2) of |x| is 0.3 (slope = rho for this graph)
     assert g.seminorm_at(np.array([0.2]), 0.1) == pytest.approx(0.3, rel=1e-4)
+
+
+@pytest.mark.parametrize("graph", [
+    BoundaryGraph("c1model", omega=power(0.5, 0.2)),
+    BoundaryGraph("sinusoid", A=0.05, k=4.0),
+    BoundaryGraph("c1model", dim=3, omega=power(0.5, 0.2)),
+], ids=["c1model-2d", "sinusoid-2d", "c1model-3d"])
+def test_seminorm_at_matches_per_call_sample(graph):
+    # the cached, scaled unit ball gives the per-call sample of B'_scale(x');
+    # 2-D batches of 600 points span two sampling blocks
+    rng = np.random.default_rng(2)
+    k = 600 if graph.dim == 2 else 6
+    xp = rng.uniform(-0.3, 0.3, (k, graph.dim - 1))
+    scales = rng.uniform(0.01, 0.2, k)
+    batch = graph.seminorm_at(xp, scales)
+    cr = graph.chart_radius
+    ref = np.array([
+        np.max(np.linalg.norm(graph.grad_gamma(np.clip(
+            xp[i] + _sample_ball(graph.dim - 1, scales[i], 129), -cr, cr)), axis=-1))
+        for i in range(k)])
+    single = np.array([graph.seminorm_at(xp[i], scales[i]) for i in range(k)])
+    np.testing.assert_allclose(single, ref, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(batch, ref, rtol=1e-15, atol=0)
+    with pytest.raises(DomainError):
+        graph.seminorm_at(xp, np.where(np.arange(k) == k - 1, 0.0, scales))
 
 
 def test_dim_checks():

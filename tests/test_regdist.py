@@ -134,3 +134,119 @@ def test_batch_table_columns():
     np.testing.assert_allclose(tab[:, :2], pts)
     assert np.all(tab[:, 2] > 0)          # d
     assert np.all(np.abs(tab[:, 5] - 1.0) < 0.2)   # ratio near 1
+
+
+def _max_rel(a, b):
+    """max |a - b| over max |b|, per array (0 when both vanish)."""
+    scale = np.abs(b).max()
+    return np.abs(a - b).max() / scale if scale > 0 else np.abs(a).max()
+
+
+def _p_derivs_2d_elementwise(field, xp, s, order):
+    """Reference: the per-node products and sums over the disk quadrature."""
+    m = s.shape[0]
+    out = {
+        "p": np.empty(m), "px": np.empty((m, 2)), "ps": np.empty(m),
+        "pxx": np.empty((m, 2, 2)), "pxs": np.empty((m, 2)), "pss": np.empty(m),
+    }
+    for i in range(m):
+        T, W = field._disk_nodes(xp[i], s[i], order)
+        rho = np.linalg.norm(T, axis=-1)
+        eta, deta_r, d2eta_r = field.mollifier.eta_derivs(rho)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = np.where(rho[:, None] > 0, T / np.where(rho == 0, 1.0, rho)[:, None], 0.0)
+        grad_eta = deta_r[:, None] * unit
+        k1 = -2.0 * eta - rho * deta_r
+        k2 = 6.0 * eta + 6.0 * rho * deta_r + rho**2 * d2eta_r
+        pts = xp[i][None, :] + s[i] * T
+        g = field.graph.gamma(pts)
+        dg = field.graph.grad_gamma(pts)
+        g0 = float(field.graph.gamma(xp[i]))
+        dg0 = field.graph.grad_gamma(xp[i][None, :])[0]
+        out["p"][i] = W @ (eta * g) + s[i]
+        out["px"][i] = (W[:, None] * eta[:, None] * dg).sum(axis=0)
+        out["ps"][i] = 1.0 + W @ (eta * (T * dg).sum(axis=-1))
+        pxx = -(W[:, None, None] * grad_eta[:, :, None] * dg[:, None, :]).sum(axis=0) / s[i]
+        out["pxx"][i] = 0.5 * (pxx + pxx.T)
+        out["pxs"][i] = (W[:, None] * k1[:, None] * dg).sum(axis=0) / s[i]
+        affine = g - g0 - s[i] * (T @ dg0)
+        out["pss"][i] = W @ (k2 * affine) / s[i] ** 2
+    return out
+
+
+@pytest.mark.parametrize("graph", [
+    BoundaryGraph("cone", dim=3, L=0.1),
+    BoundaryGraph("c1model", dim=3, omega=power(0.5, 0.2, 1.0)),
+], ids=["cone-3d", "c1model-3d"])
+def test_p_derivs_2d_matches_elementwise_sums(graph):
+    f = RegularizedDistanceField(graph)
+    xp = np.array([[0.02, -0.03], [-0.05, 0.01], [0.11, 0.07], [0.0, 0.0]])
+    s = np.array([0.08, 0.02, 0.06, 0.05])
+    # the kink -x'/s lies inside the unit disk for rows 0 and 3, outside for 1 and 2
+    assert list(np.linalg.norm(xp, axis=-1) < s) == [True, False, False, True]
+    ref = _p_derivs_2d_elementwise(f, xp, s, 64)
+    got = f._p_derivs_2d(xp, s, 64)
+    for key in ref:
+        assert _max_rel(got[key], ref[key]) <= 1e-13, key
+
+
+@pytest.mark.parametrize("graph", [
+    BoundaryGraph("cone", dim=3, L=0.1),
+    BoundaryGraph("sinusoid", A=0.05, k=4.0),
+], ids=["cone-3d", "sinusoid-2d"])
+def test_batch_agrees_with_point_by_point(graph):
+    # each point leaves the Newton loop on its own residual
+    f = RegularizedDistanceField(graph)
+    pts = sample_domain_points(graph, 0.25, 8, np.random.default_rng(5))
+    d, grad, hess = f.eval_all(pts)
+    if graph.dim == 3:
+        inside = np.linalg.norm(pts[:, :-1], axis=-1) < d
+        assert inside.any() and not inside.all()
+    for i in range(len(pts)):
+        di, gi, hi = f.eval_all(pts[i])
+        assert abs(di[0] - d[i]) <= 1e-15 * d[i]
+        assert _max_rel(gi[0], grad[i]) <= 1e-15
+        assert _max_rel(hi[0], hess[i]) <= 1e-15
+
+
+def test_eval_all_reuses_newton_derivatives(monkeypatch):
+    # the last Newton pass already holds the derivatives of p at d
+    f = RegularizedDistanceField(BoundaryGraph("cone", dim=3, L=0.1))
+    events = []
+    solve_d = RegularizedDistanceField._solve_d
+    p_derivs = RegularizedDistanceField._p_derivs
+
+    def counted_solve(self, *args, **kwargs):
+        out = solve_d(self, *args, **kwargs)
+        events.append("solved")
+        return out
+
+    def counted_derivs(self, *args, **kwargs):
+        events.append("p")
+        return p_derivs(self, *args, **kwargs)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_solve_d", counted_solve)
+    monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted_derivs)
+    f.eval_all(np.array([[0.02, -0.03, 0.1], [0.1, 0.05, 0.08]]))
+    assert events.count("solved") == 1
+    assert events[-1] == "solved" and "p" in events
+
+
+def test_inversion_stays_inside_the_chart():
+    g = BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0), chart_radius=0.3)
+    f = RegularizedDistanceField(g)
+    assert f.working_radius == 0.3
+    # p(0.2, t) stays below 0.2 for every t <= 0.3 - 0.2, which eval_p rejects beyond
+    with pytest.raises(DomainError):
+        f.eval_p(np.array([0.2, 0.11]))
+    outside = r"\|x'\| must stay below"
+    # p(0.2, 0.1) < 0.13 < p(0.2, 0.125): the inverse lies just past the cap
+    cases = [([0.2, 0.2], "leaves the chart"), ([0.2, 0.13], "leaves the chart"),
+             ([0.3, 0.05], outside), ([-0.31, 0.1], outside)]
+    for y, msg in cases:
+        with pytest.raises(DomainError, match=msg):
+            f.eval_d(np.array(y))
+        with pytest.raises(DomainError, match=msg):
+            f.eval_all(np.array(y))
+    y = np.array([0.05, 0.1])
+    assert f.eval_p(np.append(y[:1], f.eval_d(y))) == pytest.approx(0.1, abs=1e-12)
