@@ -46,9 +46,6 @@ class CalibrationConstants:
     C_abp: float            # recorded empirical ABP constant
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def default_calibration_path() -> Path:
     return Path(resources.files("boundarylab").joinpath("data/calibration.json"))
@@ -75,7 +72,7 @@ def load_calibration(path=None) -> CalibrationConstants:
 
 
 def save_calibration(cal: CalibrationConstants, path) -> None:
-    Path(path).write_text(json.dumps(cal.to_dict(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(asdict(cal), indent=2, sort_keys=True) + "\n")
 
 
 def epsilon_for(cal: CalibrationConstants, E: EllipticityPair, seminorm: float) -> float:
@@ -168,7 +165,7 @@ def _calibrate_recursion(C0: float) -> float:
     return float(np.mean(vals))
 
 
-def _calibrate_abp(seed: int) -> float:
+def _calibrate_abp() -> float:
     """Empirical constant in max u <= C diam ||f^-||_n for the model problem."""
     from .solver import GridProblem, LaplaceOp, abp_check, solve
 
@@ -189,7 +186,7 @@ def run_calibration(seed: int = 2026, include_3d: bool = True) -> CalibrationCon
     K = _calibrate_sandwich(seed + 3)
     Cenv = _calibrate_envelope()
     A = _calibrate_recursion(C0)
-    Cabp = _calibrate_abp(seed + 4)
+    Cabp = _calibrate_abp()
     return CalibrationConstants(
         C_regdist_2d=C2, C_regdist_3d=C3, C0_barrier=C0, K_sandwich=K,
         C_envelope=Cenv, A_recursion=A, C_abp=Cabp,

@@ -22,7 +22,7 @@ from .config import (data_from_config, ellipticity_from_config, graph_from_confi
                      load_config, modulus_from_config, operator_from_config)
 from .errors import BoundaryLabError, ConfigError
 from .harness import diagnostic_sequences, measure_boundary_modulus, measure_growth
-from .modulus import CompositeModulus, dini_integral
+from .modulus import dini_integral
 from .regdist import RegularizedDistanceField, check_distance_bounds
 from .solver import GridProblem, abp_check, solve
 
@@ -53,12 +53,7 @@ def _cmd_modulus_table(cfg, out: Path, cal, seed) -> int:
     rows = []
     for t in ts:
         rows.append([t, float(omega(t)), dini_integral(omega, t, hi)])
-    header = ["t", "omega", "dini_to_t0"]
-    if isinstance(omega, CompositeModulus):
-        for row, t in zip(rows, ts):
-            row.append(float(omega(t)))
-        header.append("omega_tilde")
-    _write_csv(out / "modulus.csv", header, rows)
+    _write_csv(out / "modulus.csv", ["t", "omega", "dini_to_t0"], rows)
     return 0
 
 
@@ -189,8 +184,7 @@ def _cmd_boundary_modulus(cfg, out: Path, cal, seed) -> int:
 
 
 def _cmd_calibrate(cfg, out: Path, cal, seed) -> int:
-    new = _calmod.run_calibration(seed=seed if seed is not None else 2026,
-                                  include_3d=bool(cfg.get("include_3d", True)))
+    new = _calmod.run_calibration(seed=seed, include_3d=bool(cfg.get("include_3d", True)))
     _calmod.save_calibration(new, out / "calibration.json")
     return 0
 

@@ -253,6 +253,7 @@ class CompositeModulus:
         self.t0 = t0
         self.kind = "composite"
         self.vanishes_at_zero = True
+        self.dini_primitive = None    # Dini integrals of w go through quadrature
         self._rtol = rtol
 
     def __call__(self, t):

@@ -383,46 +383,45 @@ class RegularizedDistanceField:
         return d, grad, hess
 
     def _fd_check(self, pts, d, grad, hess):
-        """Cross-check grad/Hessian against central differences of eval_d."""
-        n = self.graph.dim
-        for i in range(pts.shape[0]):
-            h = 1e-5 * d[i]
-            y = pts[i]
-            fd_grad = np.empty(n)
-            fd_hess = np.empty((n, n))
-            dvals = {}
+        """Cross-check grad/Hessian against central differences of eval_d.
 
-            def dval(offset):
-                key = tuple(np.round(offset / h).astype(int))
-                if key not in dvals:
-                    z = np.atleast_2d(y + offset)
-                    dvals[key] = float(self._solve_d(z[:, :-1], z[:, -1], certify=False)[0][0])
-                return dvals[key]
-
-            d0 = d[i]
-            for a in range(n):
-                ea = np.zeros(n); ea[a] = h
-                fp, fm = dval(ea), dval(-ea)
-                fd_grad[a] = (fp - fm) / (2 * h)
-                fd_hess[a, a] = (fp - 2 * d0 + fm) / h**2
-            for a in range(n):
-                for b in range(a + 1, n):
-                    ea = np.zeros(n); ea[a] = h
-                    eb = np.zeros(n); eb[b] = h
-                    fd = (dval(ea + eb) - dval(ea - eb) - dval(-ea + eb) + dval(-ea - eb)) / (4 * h**2)
-                    fd_hess[a, b] = fd_hess[b, a] = fd
-            if not np.allclose(fd_grad, grad[i], rtol=1e-3, atol=1e-9):
+        Every offset of every point, +-h e_a and +-h e_a +-h e_b (a < b) with
+        h = 1e-5 d, is evaluated in one batched inversion.
+        """
+        k, n = pts.shape
+        eye = np.eye(n)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        units = np.array([s * eye[a] for a in range(n) for s in (1, -1)]
+                         + [sa * eye[a] + sb * eye[b] for a, b in pairs for sa, sb in signs])
+        h = 1e-5 * d
+        z = (pts[:, None, :] + h[:, None, None] * units).reshape(-1, n)
+        dv = self._solve_d(z[:, :-1], z[:, -1], certify=False)[0].reshape(k, -1)
+        fp, fm = dv[:, 0:2 * n:2], dv[:, 1:2 * n:2]
+        cross = dv[:, 2 * n:].reshape(k, len(pairs), 4)
+        fd_grad = (fp - fm) / (2 * h[:, None])
+        fd_hess = np.empty((k, n, n))
+        fd_hess[:, range(n), range(n)] = (fp - 2 * d[:, None] + fm) / h[:, None] ** 2
+        for j, (a, b) in enumerate(pairs):
+            pp, pm, mp, mm = cross[:, j].T
+            fd_hess[:, a, b] = fd_hess[:, b, a] = (pp - pm - mp + mm) / (4 * h**2)
+        grad_bad = ~np.isclose(fd_grad, grad, rtol=1e-3, atol=1e-9).all(axis=1)
+        # second differences carry cancellation noise ~ eps * d / h^2
+        noise = 100 * np.finfo(float).eps * d / h**2
+        scale = np.maximum(np.maximum(np.abs(fd_hess).max(axis=(1, 2)),
+                                      np.abs(hess).max(axis=(1, 2))), noise / 1e-3)
+        diff = np.abs(fd_hess - hess).max(axis=(1, 2))
+        bad = np.nonzero(grad_bad | (diff > 1e-3 * scale))[0]
+        if bad.size:
+            i = bad[0]
+            if grad_bad[i]:
                 raise QuadratureError(
-                    f"gradient cross-check failed at {y}: {grad[i]} vs FD {fd_grad}"
+                    f"gradient cross-check failed at {pts[i]}: {grad[i]} vs FD {fd_grad[i]}"
                 )
-            # second differences carry cancellation noise ~ eps * d / h^2
-            noise = 100 * np.finfo(float).eps * d0 / h**2
-            scale = max(np.abs(fd_hess).max(), np.abs(hess[i]).max(), noise / 1e-3)
-            if np.abs(fd_hess - hess[i]).max() > 1e-3 * scale:
-                raise QuadratureError(
-                    f"Hessian cross-check failed at {y}: |diff| = "
-                    f"{np.abs(fd_hess - hess[i]).max():g} vs scale {scale:g}"
-                )
+            raise QuadratureError(
+                f"Hessian cross-check failed at {pts[i]}: |diff| = "
+                f"{diff[i]:g} vs scale {scale[i]:g}"
+            )
 
     def eval_grad_d(self, y, check=True):
         y = np.asarray(y, dtype=float)

@@ -4,9 +4,12 @@
 Shortley-Weller shortened arms where the grid meets the graph boundary or
 the circle; the wide stencil adds rotated lattice directions so that
 anisotropic and Pucci (Bellman) operators admit a monotone decomposition.
-Pucci operators are solved by policy iteration over the extremal
-coefficient matrices a v v^T + b w w^T, a, b in {lambda, Lambda}, each
-discretized canonically, with a fixed tie-break for determinism.
+Every operator is a Bellman problem inf or sup over a set of policies,
+each a coefficient matrix A with the linear operator Tr(A D^2 u).  The
+Pucci operators take the extremal matrices a v v^T + b w w^T, a, b in
+{lambda, Lambda}; a linear operator (Laplace or a fixed field A(x)) is the
+one-policy case.  All are solved by one policy iteration, with a fixed
+tie-break for determinism; one policy settles in one round.
 """
 
 from __future__ import annotations
@@ -164,8 +167,16 @@ class _DiscreteSystem:
                                             shape=(m, m)))
             self.c.append((wgt * bvals[d]).sum(axis=1))
 
-        self.weights, self.policies = _operator_weights(problem, self.nodes)
-        self.certificate = self._certify()
+        self.alphas, self.sense = _operator_weights(problem, self.nodes)
+        # nonnegative direction weights for every policy make every
+        # frozen-policy matrix monotone (an M-matrix)
+        min_alpha = float(self.alphas.min())
+        if min_alpha < -1e-12:
+            raise MonotonicityError(
+                f"negative direction weight {min_alpha:g}: stencil too narrow "
+                "for this operator's anisotropy"
+            )
+        self.certificate = {"min_direction_weight": max(min_alpha, 0.0), "monotone": True}
 
     def operator_matrix(self, alpha: np.ndarray):
         """Assemble sum_m alpha[:, m] * D_m and the boundary correction."""
@@ -180,21 +191,9 @@ class _DiscreteSystem:
             c += a * self.c[m_idx]
         return A.tocsc(), c
 
-    def _certify(self) -> dict:
-        """Monotonicity certificate: nonnegative off-diagonal weights and a
-        dominant negative diagonal for every admissible weight choice."""
-        min_alpha = np.inf
-        source = self.weights if self.policies is None else None
-        if source is not None:
-            min_alpha = float(source.min())
-        else:
-            min_alpha = float(min(a.min() for a in self.policies["alphas"]))
-        if min_alpha < -1e-12:
-            raise MonotonicityError(
-                f"negative direction weight {min_alpha:g}: stencil too narrow "
-                "for this operator's anisotropy"
-            )
-        return {"min_direction_weight": max(min_alpha, 0.0), "monotone": True}
+    def direction_values(self, u: np.ndarray) -> np.ndarray:
+        """D_d u + c_d for every direction d, as an (m, n_dir) array."""
+        return np.stack([D @ u + c for D, c in zip(self.D, self.c)], axis=1)
 
 
 # segments per sign-scan block: bounds the (rows, samples + 1) temporaries,
@@ -294,16 +293,18 @@ def _decompose_spd(A: np.ndarray, dirs: list) -> np.ndarray:
 
 
 def _operator_weights(problem: GridProblem, nodes: np.ndarray):
-    """(per-node weights, None) for linear operators, or (None, policies)."""
+    """Direction weights of every policy and the Bellman sense ("min"/"max").
+
+    The weights have shape (n_policies, m or 1, n_dir): one row per node
+    for a coefficient field, one shared row for constant coefficients.
+    Each distinct coefficient matrix is decomposed once.
+    """
     dirs = _DIRECTIONS[: problem.n_dir]
     op = problem.operator
-    m = nodes.shape[0]
+    sense = "min"
     if isinstance(op, LaplaceOp):
-        w = np.zeros((m, len(dirs)))
-        w[:, 0] = 1.0
-        w[:, 1] = 1.0
-        return w, None
-    if isinstance(op, FixedOp):
+        mats = np.eye(2)[None, None]
+    elif isinstance(op, FixedOp):
         A = np.stack([np.asarray(op.A(x), dtype=float) for x in nodes])
         if op.E is not None:
             ev = sym_eigvals(A)
@@ -314,10 +315,10 @@ def _operator_weights(problem: GridProblem, nodes: np.ndarray):
                     f"A({nodes[k]}) has eigenvalues {ev[k]} outside "
                     f"[{op.E.lam}, {op.E.Lam}]"
                 )
-        return np.stack([_decompose_spd(a, dirs) for a in A]), None
-    if isinstance(op, PucciOp):
+        mats = A[None]
+    elif isinstance(op, PucciOp):
         lam, Lam = op.E.lam, op.E.Lam
-        mats, alphas = [], []
+        pols = []
         n_frames = 1 if op.E.is_laplacian else len(dirs) // 2
         for fi in range(n_frames):
             vi, wi = _FRAMES[fi]
@@ -326,13 +327,15 @@ def _operator_weights(problem: GridProblem, nodes: np.ndarray):
             for a in (lam, Lam):
                 for b in (lam, Lam):
                     A = a * np.outer(v, v) + b * np.outer(u, u)
-                    if any(np.allclose(A, M, atol=1e-14) for M in mats):
-                        continue
-                    mats.append(A)
-                    alphas.append(_decompose_spd(A, dirs))
-        return None, {"matrices": mats, "alphas": alphas,
-                      "sense": "min" if op.sign == "minus" else "max"}
-    raise DomainError(f"unknown operator {op!r}")
+                    if not any(np.allclose(A, M, atol=1e-14) for M in pols):
+                        pols.append(A)
+        mats = np.stack(pols)[:, None]
+        sense = "min" if op.sign == "minus" else "max"
+    else:
+        raise DomainError(f"unknown operator {op!r}")
+    distinct, inverse = np.unique(mats.reshape(-1, 4), axis=0, return_inverse=True)
+    alphas = np.stack([_decompose_spd(a.reshape(2, 2), dirs) for a in distinct])
+    return alphas[inverse.ravel()].reshape(mats.shape[:2] + (len(dirs),)), sense
 
 
 class GridSolution:
@@ -340,14 +343,14 @@ class GridSolution:
 
     def __init__(self, problem: GridProblem, system: _DiscreteSystem,
                  values: np.ndarray, residual: float, iterations: int,
-                 policy: Optional[np.ndarray] = None):
+                 policy: np.ndarray):
         self.problem = problem
         self.nodes = system.nodes
         self.values = values
         self.residual = residual
         self.iterations = iterations
         self.h = problem.h
-        self.policy = policy
+        self.policy = policy          # per-node policy index; all zero for linear operators
         self.certificate = system.certificate
         self.boundary_points = system.boundary_points
         self.boundary_values = system.boundary_values
@@ -408,47 +411,39 @@ def _linear_solve(A, rhs, tol_units):
 
 def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None,
           max_policy_rounds: int = 200) -> GridSolution:
-    """Solve the discrete problem; deterministic given the problem.
+    """Solve the discrete problem by policy iteration; deterministic given the problem.
 
-    Linear operators go through a sparse LU factorization with iterative
-    refinement; Pucci operators alternate per-node optimal policy selection
-    with frozen-policy linear solves until the policy is stationary.
+    Each round solves the frozen-policy linear system (sparse LU with
+    iterative refinement), then selects the optimal policy per node; the
+    loop stops once the policy is stationary, so a linear operator, whose
+    single policy is optimal everywhere, takes one round.
     """
     sys_ = discretize(problem) if system is None else system
     f = _values_at(problem.rhs, sys_.nodes, "rhs")
     g_scale = float(np.abs(sys_.boundary_values).max()) if sys_.boundary_values.size else 0.0
     tol = 1e-10 * g_scale + 1e-10
 
-    if sys_.policies is None:
-        A, c = sys_.operator_matrix(sys_.weights)
-        u, res = _linear_solve(A, f - c, tol)
-        if res > tol:
-            raise ConvergenceError(f"linear solve residual {res:g} exceeds {tol:g}")
-        return GridSolution(problem, sys_, u, res, 1)
-
-    # policy iteration
-    P = np.stack(sys_.policies["alphas"])             # (npol, ndir)
-    sense = sys_.policies["sense"]
+    alphas = sys_.alphas
+    # a read-only view: constant coefficients keep their one shared row
+    per_node = np.broadcast_to(alphas, (len(alphas), sys_.m, alphas.shape[2]))
+    rows = np.arange(sys_.m)
     policy = np.zeros(sys_.m, dtype=int)
-    u = np.zeros(sys_.m)
-    res = np.inf
     for it in range(1, max_policy_rounds + 1):
-        A, c = sys_.operator_matrix(P[policy])
+        A, c = sys_.operator_matrix(per_node[policy, rows])
         u, res = _linear_solve(A, f - c, tol)
-        # evaluate every policy's operator value at every node
-        Evals = np.stack([sys_.D[m_] @ u + sys_.c[m_] for m_ in range(len(sys_.D))],
-                         axis=1)                      # (m, ndir)
-        pol_vals = Evals @ P.T                         # (m, npol)
-        new_policy = (np.argmin(pol_vals, axis=1) if sense == "min"
+        # every policy's operator value at every node, (m, npol); optimize
+        # contracts a shared weight row in BLAS, as a matrix product
+        pol_vals = np.einsum("nd,pnd->np", sys_.direction_values(u), alphas, optimize=True)
+        new_policy = (np.argmin(pol_vals, axis=1) if sys_.sense == "min"
                       else np.argmax(pol_vals, axis=1))
         # keep the old policy on exact ties to guarantee termination
-        old_vals = pol_vals[np.arange(sys_.m), policy]
-        best_vals = pol_vals[np.arange(sys_.m), new_policy]
+        old_vals = pol_vals[rows, policy]
+        best_vals = pol_vals[rows, new_policy]
         unchanged = np.abs(best_vals - old_vals) <= 1e-12 * (1 + np.abs(best_vals))
         new_policy[unchanged] = policy[unchanged]
         if np.array_equal(new_policy, policy):
             if res > tol:
-                raise ConvergenceError(f"policy solve residual {res:g} exceeds {tol:g}")
+                raise ConvergenceError(f"solve residual {res:g} exceeds {tol:g}")
             return GridSolution(problem, sys_, u, res, it, policy)
         policy = new_policy
     raise ConvergenceError(f"policy iteration did not settle in {max_policy_rounds} rounds")

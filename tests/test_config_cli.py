@@ -124,6 +124,22 @@ def test_cli_modulus_table(tmp_path):
     assert len(lines) == 11
 
 
+def test_cli_modulus_table_composite(tmp_path):
+    # the composite modulus has no closed-form Dini primitive: quadrature
+    cfg = _write(tmp_path, "m.json", {
+        "schema_version": 1, "n_points": 10,
+        "modulus": {"kind": "composite", "a": 1.0, "b": 0.5, "c": 1.0,
+                    "omega1": {"kind": "power", "alpha": 0.5},
+                    "omega2": {"kind": "power", "alpha": 1.0}}})
+    out = tmp_path / "out"
+    assert main(["modulus-table", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "modulus.csv").read_text().splitlines()
+    assert lines[0] == "t,omega,dini_to_t0"
+    vals = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert vals.shape == (10, 3)
+    assert np.all(np.isfinite(vals))
+
+
 def test_cli_solve_and_determinism(tmp_path):
     cfg = _write(tmp_path, "s.json", {
         "schema_version": 1, "n": 32,

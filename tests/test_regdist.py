@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boundarylab import BoundaryGraph, DomainError, power
+from boundarylab import BoundaryGraph, DomainError, QuadratureError, power
 from boundarylab.barriers import sample_domain_points
 from boundarylab.regdist import (
     Mollifier, RegularizedDistanceField, check_distance_bounds,
@@ -60,6 +60,49 @@ def test_grad_hess_fd_crosscheck_runs():
     hess = f.eval_hess_d(y, check=True)
     assert grad.shape == (2,)
     assert np.allclose(hess, hess.T)
+
+
+def test_fd_check_is_one_batched_inversion(monkeypatch):
+    # one inversion for d, one for every offset of every point: 8 in 2-D, 18 in 3-D
+    sizes = []
+    solve_d = RegularizedDistanceField._solve_d
+
+    def counted(self, xp, yn, certify=True):
+        sizes.append(len(yn))
+        return solve_d(self, xp, yn, certify)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_solve_d", counted)
+    for dim, k, n_offsets in ((2, 6, 8), (3, 2, 18)):
+        g = BoundaryGraph("cone", dim=dim, L=0.1)
+        pts = sample_domain_points(g, 0.2, k, np.random.default_rng(2))
+        sizes.clear()
+        RegularizedDistanceField(g).eval_all(pts, check=True)
+        assert sizes == [k, k * n_offsets]
+
+
+@pytest.mark.parametrize("wrong, message", [("hess", "Hessian"), ("grad", "gradient")])
+def test_fd_check_names_the_failing_point(monkeypatch, wrong, message):
+    g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
+    f = RegularizedDistanceField(g)
+    pts = sample_domain_points(g, 0.3, 6, np.random.default_rng(4))
+    fd_check = RegularizedDistanceField._fd_check
+
+    def spoiled(self, pts, d, grad, hess):
+        grad, hess = grad.copy(), hess.copy()
+        # point 3 fails first; a later failure of the other kind must not mask it
+        if wrong == "hess":
+            hess[3, 0, 0] += 1.0
+            grad[5, 1] += 0.01
+        else:
+            grad[3, 0] += 0.01
+            hess[5, 1, 1] += 1.0
+        return fd_check(self, pts, d, grad, hess)
+
+    f.eval_all(pts, check=True)
+    monkeypatch.setattr(RegularizedDistanceField, "_fd_check", spoiled)
+    with pytest.raises(QuadratureError, match=message) as exc:
+        f.eval_all(pts, check=True)
+    assert f"failed at {pts[3]}" in str(exc.value)
 
 
 def test_three_bounds_with_calibrated_constant():

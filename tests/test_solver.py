@@ -6,7 +6,7 @@ from boundarylab import (
     BoundaryGraph, DomainError, EllipticityPair, FixedOp, GridProblem,
     LaplaceOp, MonotonicityError, PucciOp, abp_check, discretize, power, solve,
 )
-from boundarylab.solver import _DIRECTIONS, _cut_fractions
+from boundarylab.solver import _DIRECTIONS, _cut_fractions, _decompose_spd
 
 R = 0.5
 ZERO = lambda p: np.zeros(len(np.atleast_2d(p)))
@@ -162,6 +162,39 @@ def test_fixed_eigenvalue_range_enforced_at_one_node():
                           ZERO, ZERO, stencil="wide"))
     # without the range check the same field is admissible
     solve(GridProblem(g, R, 2 * R / 32, FixedOp(A=A), ZERO, ZERO, stencil="wide"))
+
+
+@pytest.mark.parametrize("stencil", ["standard5", "wide"])
+def test_identity_field_is_the_laplacian(stencil):
+    # a linear operator is the one-policy case of policy iteration
+    g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
+    f = lambda p: -1.0 + np.atleast_2d(p)[:, 0]
+    sols = [solve(GridProblem(g, R, 2 * R / 48, op, f, _harmonic, stencil=stencil))
+            for op in (LaplaceOp(), FixedOp(A=lambda x: np.eye(2)))]
+    np.testing.assert_array_equal(sols[1].values, sols[0].values)
+    for sol in sols:
+        assert sol.iterations == 1
+        assert sol.policy.dtype.kind == "i" and sol.policy.shape == sol.values.shape
+        assert not sol.policy.any()
+
+
+def test_fixed_field_decomposes_each_distinct_matrix_once(monkeypatch):
+    A1 = np.array([[2.0, 1.1], [1.1, 1.0]])     # needs the nnls fallback
+    A2 = np.array([[1.0, 0.2], [0.2, 1.5]])
+    field = lambda x: A1 if x[0] < 0 else A2
+    calls = []
+
+    def counted(A, dirs):
+        calls.append(A)
+        return _decompose_spd(A, dirs)
+
+    monkeypatch.setattr("boundarylab.solver._decompose_spd", counted)
+    sys_ = discretize(GridProblem(BoundaryGraph("zero"), R, 2 * R / 32, FixedOp(A=field),
+                                  ZERO, ZERO, stencil="wide"))
+    assert len(calls) == 2
+    # each node carries the weights of its own matrix
+    expect = np.stack([_decompose_spd(field(x), _DIRECTIONS) for x in sys_.nodes])
+    np.testing.assert_array_equal(sys_.alphas, expect[None])
 
 
 def test_pucci_collapses_to_laplacian():
