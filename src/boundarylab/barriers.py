@@ -35,9 +35,11 @@ def sample_domain_points(graph: BoundaryGraph, r: float, n: int,
 
     Rejection sampling from the uniform distribution on the ball; the chart
     margin |x'| + 1.5 gap <= working radius is respected so the regularized
-    distance is evaluable at every returned point.
+    distance is evaluable at every returned point.  The working radius is
+    the field's default, min(1/2, chart radius).
     """
     dim = graph.dim
+    wr = min(0.5, graph.chart_radius)
     out = []
     budget = 500 * max(n, 1)
     while len(out) < n and budget > 0:
@@ -46,8 +48,8 @@ def sample_domain_points(graph: BoundaryGraph, r: float, n: int,
         x = rng.uniform(-r, r, size=(m, dim))
         x = x[np.linalg.norm(x, axis=-1) < r]
         gap = x[:, -1] - np.atleast_1d(graph.gamma(x[:, :-1]))
-        keep = (gap > max(d_min, 1e-6 * r)) & (gap < 0.45) \
-            & (np.linalg.norm(x[:, :-1], axis=-1) + 1.5 * gap < 0.5 * 0.999)
+        keep = (gap > max(d_min, 1e-6 * r)) & (gap < 0.9 * wr) \
+            & (np.linalg.norm(x[:, :-1], axis=-1) + 1.5 * gap < wr * 0.999)
         out.extend(x[keep])
     if len(out) < n:
         raise DomainError("could not sample enough interior points; is r too small?")

@@ -14,9 +14,11 @@ the derivatives of p obtained by differentiated quadrature; kernels with
 one derivative on the mollifier avoid second derivatives of Gamma, so
 merely Lipschitz graphs (cone) are handled.
 
-For n = 2 the quadrature is batched over points.  For n = 3 it runs one
-point at a time over a polar rule on the unit disk, centred at the kink of
-cone-like graphs, and each moment is one weighted-kernel matrix product.
+One node rule holds all that depends on the dimension: two Gauss-Legendre
+panels split at the kink preimage for n = 2, a polar rule on the unit disk
+centred there for n = 3.  One moment kernel serves both, and each moment is
+a batched weighted-kernel matrix product over a block of at most
+_QUAD_NODES nodes (one 3-D point or 64 2-D points at the default order).
 The vertical inversion p(y', d) = y_n is a safeguarded Newton iteration
 per point, with its bracket capped at the chart; it hands back the
 derivatives of p at d, so grad d and D^2 d cost no further quadrature.
@@ -38,6 +40,9 @@ __all__ = ["Mollifier", "RegularizedDistanceField", "DistanceBoundsReport",
 
 # chart guard; graphs steeper than this break the p-inversion margin
 MAX_LIPSCHITZ = 0.25
+# quadrature nodes per block of points: one 3-D point at the default order
+# (2 * 64^2 on the doubled rule), 64 points in 2-D
+_QUAD_NODES = 8192
 # distance-bound checks: seminorms below S_FLOOR count as flat, and flat
 # points must meet the bounds to FLAT_TOL absolute
 S_FLOOR = 1e-12
@@ -64,9 +69,10 @@ def _bump(rho):
     """exp(-1/(1 - rho^2)) on [0, 1), zero outside; returns (phi, phi', phi'')."""
     r = np.asarray(rho, dtype=float)
     inside = r < 1.0
-    g = np.where(inside, 1.0 - r * r, 1.0)
-    f = np.where(inside, np.exp(-1.0 / g), 0.0)
-    return f, f * (-2.0 * r / g**2), f * (4.0 * r**2 / g**4 - 2.0 / g**2 - 8.0 * r**2 / g**3)
+    ig = 1.0 / np.where(inside, 1.0 - r * r, 1.0)       # 1/g, g = 1 - rho^2
+    f = np.where(inside, np.exp(-ig), 0.0)
+    ig2, r2 = ig * ig, r * r
+    return f, f * (-2.0 * r * ig2), f * (ig2 * (4.0 * r2 * ig2 - 2.0 - 8.0 * r2 * ig))
 
 
 class Mollifier:
@@ -143,122 +149,83 @@ class RegularizedDistanceField:
             raise DomainError("point outside the chart: |x'| + s must not exceed the working radius")
         return xp, s
 
-    def _nodes_1d(self, xp, s, order):
-        """Panelized Gauss-Legendre nodes/weights on [-1, 1], split at the
-        image of the graph's kink (or at 0), per point."""
-        t, w = _leggauss(order)
-        m = s.shape[0]
-        if self.graph.radial_kink:
-            c = np.clip(-xp[:, 0] / s, -1.0, 1.0)
-        else:
-            c = np.zeros(m)
-        a0, b0 = -np.ones(m), c
-        a1, b1 = c, np.ones(m)
-        T = np.empty((m, 2 * order))
-        W = np.empty((m, 2 * order))
-        for k, (a, b) in enumerate(((a0, b0), (a1, b1))):
-            half = 0.5 * (b - a)
-            T[:, k * order:(k + 1) * order] = a[:, None] + half[:, None] * (t[None, :] + 1.0)
-            W[:, k * order:(k + 1) * order] = half[:, None] * w[None, :]
-        return T, W
+    def _nodes(self, xp, s, order):
+        """Nodes T (k, Q, n-1) and weights W (k, Q) on the unit ball, per point.
 
-    def _p_derivs_1d(self, xp, s, order):
-        """All needed derivatives of p for n = 2, vectorized over points."""
-        T, W = self._nodes_1d(xp, s, order)
-        absT = np.abs(T)
-        eta, deta_r, d2eta_r = self.mollifier.eta_derivs(absT)
-        # odd/even extensions of the radial profile derivatives
-        etap = np.sign(T) * deta_r           # eta'(t)
-        k1 = -(eta + absT * deta_r)          # -(t eta)'
-        k2 = 2.0 * eta + 4.0 * absT * deta_r + T * T * d2eta_r   # (t^2 eta)''
-
-        pts = xp[:, 0][:, None] + s[:, None] * T
-        g = self.graph.gamma(pts[..., None])
-        dg = self.graph.grad_gamma(pts[..., None])[..., 0]
-        g0 = np.atleast_1d(self.graph.gamma(xp))
-        dg0 = self.graph.grad_gamma(xp)[:, 0]
-
-        p = (W * eta * g).sum(axis=1) + s
-        px = (W * eta * dg).sum(axis=1)
-        ps = 1.0 + (W * eta * T * dg).sum(axis=1)
-        pxx = -(W * etap * dg).sum(axis=1) / s
-        pxs = (W * k1 * dg).sum(axis=1) / s
-        # subtract the affine part: int k2 = int k2*t = 0, improves accuracy
-        pss = (W * k2 * (g - g0[:, None] - s[:, None] * T * dg0[:, None])).sum(axis=1) / s**2
-        return {
-            "p": p,
-            "px": px[:, None],
-            "ps": ps,
-            "pxx": pxx[:, None, None],
-            "pxs": pxs[:, None],
-            "pss": pss,
-        }
-
-    def _disk_nodes(self, xp_i, s_i, order):
-        """Polar quadrature nodes over the unit disk for one point (n = 3).
-
-        If the graph has a radial kink whose preimage falls inside the disk,
-        the polar rule is centered there so that Gamma is smooth in the
-        radial variable.
+        The only step that depends on the dimension.  For n = 2: two
+        Gauss-Legendre panels on [-1, 1], split at the kink preimage -x'/s
+        (clipped) or at 0.  For n = 3: the polar rule on the unit disk,
+        centred at the kink preimage when it lies inside the disk.  Either
+        way Gamma is smooth along each panel or ray.
         """
+        k = s.shape[0]
+        c = -xp / s[:, None] if self.graph.radial_kink else np.zeros_like(xp)
+        if self.graph.dim == 2:
+            t, w = _leggauss(order)
+            ends = np.stack([np.full(k, -1.0), np.clip(c[:, 0], -1.0, 1.0), np.ones(k)], axis=1)
+            half = 0.5 * np.diff(ends, axis=1)[..., None]                # (k, 2, 1)
+            T = ends[:, :-1, None] + half * (t + 1.0)
+            return T.reshape(k, 2 * order, 1), (half * w).reshape(k, 2 * order)
         t, w, u = _polar_rule(order)
-        c = np.zeros(2)
-        if self.graph.radial_kink:
-            cand = -xp_i / s_i
-            if np.linalg.norm(cand) < 1.0:
-                c = cand
-        cu = u @ c
-        R = -cu + np.sqrt(np.maximum(1.0 - c @ c + cu**2, 0.0))    # (M,)
-        rho = 0.5 * R[:, None] * (t[None, :] + 1.0)                # (M, Q)
-        wq = 0.5 * R[:, None] * w[None, :] * rho * (2.0 * np.pi / u.shape[0])
-        nodes = c[None, None, :] + rho[..., None] * u[:, None, :]  # (M, Q, 2)
-        return nodes.reshape(-1, 2), wq.ravel()
+        c[_radius(c) >= 1.0] = 0.0
+        cu = c @ u.T                                                     # (k, M)
+        R = -cu + np.sqrt(np.maximum(1.0 - (c * c).sum(axis=1)[:, None] + cu**2, 0.0))
+        rho = 0.5 * R[..., None] * (t + 1.0)                             # (k, M, Q)
+        W = 0.5 * R[..., None] * w * rho * (2.0 * np.pi / len(u))
+        T = c[:, None, None, :] + rho[..., None] * u[:, None, :]
+        return T.reshape(k, len(u) * order, 2), W.reshape(k, len(u) * order)
 
-    def _p_derivs_2d(self, xp, s, order):
-        """All needed derivatives of p for n = 3, one point at a time.
+    def _moments(self, xp, s, g0, dg0, order):
+        """All needed derivatives of p for a block of points, any n.
 
-        Each moment is one product of a weighted kernel with the sampled
-        graph: (W eta) @ Gamma, (W eta) @ grad Gamma, and so on.  The loop
-        stays per point: a node table across 100 points would hold 8192
-        nodes per point, about 6.5 MB per array.
+        With rho = |t|, moving the derivatives onto the radial mollifier gives
+        the kernels k1 = -((n-1) eta + rho eta') for d_x d_s p and
+        k2 = (n-1) n eta + 2n rho eta' + rho^2 eta'' for d_s^2 p.  Each
+        moment is one batched product of a weighted kernel with the sampled
+        graph: (W eta) @ Gamma, (W eta) @ grad Gamma, and so on.  g0 and dg0
+        are Gamma and grad Gamma at x', the affine part taken out of d_s^2 p.
         """
-        m = s.shape[0]
-        out = {
-            "p": np.empty(m), "px": np.empty((m, 2)), "ps": np.empty(m),
-            "pxx": np.empty((m, 2, 2)), "pxs": np.empty((m, 2)), "pss": np.empty(m),
+        n = self.graph.dim
+        T, W = self._nodes(xp, s, order)
+        rho = _radius(T)
+        eta, deta, d2eta = self.mollifier.eta_derivs(rho)
+        # W eta' t/rho, the weighted gradient of eta (zero at the centre)
+        Wgrad = np.divide(W * deta, rho, out=np.zeros_like(rho), where=rho > 0)[..., None] * T
+        k1 = -((n - 1) * eta + rho * deta)
+        k2 = (n - 1) * n * eta + 2 * n * rho * deta + rho**2 * d2eta
+
+        pts = xp[:, None, :] + s[:, None, None] * T
+        g = self.graph.gamma(pts)
+        dg = self.graph.grad_gamma(pts)
+        # subtract the affine part: int k2 = int k2 t = 0, improves accuracy
+        affine = g - g0[:, None] - s[:, None] * (T @ dg0[..., None])[..., 0]
+
+        We = (W * eta)[:, None, :]
+        pxx = -(Wgrad.transpose(0, 2, 1) @ dg) / s[:, None, None]
+        return {
+            "p": (We @ g[..., None])[:, 0, 0] + s,
+            "px": (We @ dg)[:, 0],
+            "ps": 1.0 + (We @ (T * dg))[:, 0].sum(axis=1),
+            "pxx": 0.5 * (pxx + pxx.transpose(0, 2, 1)),
+            "pxs": ((W * k1)[:, None, :] @ dg)[:, 0] / s[:, None],
+            "pss": ((W * k2)[:, None, :] @ affine[..., None])[:, 0, 0] / s**2,
         }
-        g0 = np.atleast_1d(self.graph.gamma(xp))
-        dg0 = self.graph.grad_gamma(xp)
-        for i in range(m):
-            T, W = self._disk_nodes(xp[i], s[i], order)
-            rho = _radius(T)
-            eta, deta_r, d2eta_r = self.mollifier.eta_derivs(rho)
-            # W deta_r T/|T|, the weighted gradient of eta (zero at the centre)
-            Wgrad = np.divide(W * deta_r, rho, out=np.zeros_like(rho), where=rho > 0)[:, None] * T
-            k1 = -2.0 * eta - rho * deta_r
-            k2 = 6.0 * eta + 6.0 * rho * deta_r + rho**2 * d2eta_r
-
-            pts = xp[i] + s[i] * T
-            g = self.graph.gamma(pts)
-            dg = self.graph.grad_gamma(pts)
-            We = W * eta
-
-            out["p"][i] = We @ g + s[i]
-            out["px"][i] = We @ dg
-            out["ps"][i] = 1.0 + (We @ (T * dg)).sum()
-            pxx = -(Wgrad.T @ dg) / s[i]
-            out["pxx"][i] = 0.5 * (pxx + pxx.T)
-            out["pxs"][i] = ((W * k1) @ dg) / s[i]
-            affine = g - g0[i] - s[i] * (T @ dg0[i])
-            out["pss"][i] = ((W * k2) @ affine) / s[i] ** 2
-        return out
 
     def _p_derivs(self, xp, s, order=None, certify=True):
         order = self.order if order is None else order
-        fn = self._p_derivs_1d if self.graph.dim == 2 else self._p_derivs_2d
-        fine = fn(xp, s, 2 * order)
+        g0, dg0 = self.graph.gamma(xp), self.graph.grad_gamma(xp)
+
+        def blocked(q):
+            # the rules hold 2 q^(n-1) nodes per point; an empty batch
+            # still runs one (empty) block, so every key comes back
+            step = max(1, _QUAD_NODES // (2 * q ** (self.graph.dim - 1)))
+            parts = [self._moments(*(v[a:a + step] for v in (xp, s, g0, dg0)), q)
+                     for a in range(0, max(len(s), 1), step)]
+            return {key: np.concatenate([b[key] for b in parts]) for key in parts[0]}
+
+        fine = blocked(2 * order)
         if certify:
-            coarse = fn(xp, s, order)
+            coarse = blocked(order)
             scale = np.maximum(np.abs(fine["p"]), 1e-12)
             if np.any(np.abs(fine["p"] - coarse["p"]) > 1e-6 * scale):
                 raise QuadratureError(

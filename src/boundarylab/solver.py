@@ -119,7 +119,7 @@ class _DiscreteSystem:
         r, h, n = problem.r, problem.h, problem.n
         xs = -r + h * np.arange(n + 1)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
-        inside = (X**2 + Y**2 < r**2 - 1e-14) & (Y > g.gamma(X.reshape(-1, 1)).reshape(X.shape))
+        inside = (X**2 + Y**2 < r**2 * (1 - 1e-14)) & (Y > g.gamma(X.reshape(-1, 1)).reshape(X.shape))
         self.ids = -np.ones(X.shape, dtype=int)
         self.ids[inside] = np.arange(inside.sum())
         self.m = m = int(inside.sum())

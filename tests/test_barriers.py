@@ -4,12 +4,12 @@ import pytest
 from boundarylab import (
     Barrier, BoundaryGraph, DomainError, EllipticityPair, GridProblem,
     LaplaceOp, barrier_hessian_value, check_special_solution_sandwich,
-    load_calibration, minimal_passing_epsilon, sample_domain_points, solve,
+    load_calibration, minimal_passing_epsilon, power, sample_domain_points, solve,
     verify_barrier,
 )
 from boundarylab.calibrate import epsilon_for
 from boundarylab.pucci import pucci_minus, pucci_plus
-from boundarylab.regdist import RegularizedDistanceField
+from boundarylab.regdist import RegularizedDistanceField, check_distance_bounds
 
 E_LAP = EllipticityPair(1.0, 1.0)
 
@@ -29,6 +29,20 @@ def test_sample_domain_points_properties():
     # deterministic given the generator state
     pts2 = sample_domain_points(g, 0.3, 100, np.random.default_rng(0))
     np.testing.assert_array_equal(pts, pts2)
+
+
+@pytest.mark.parametrize("t0", [0.5, 0.4])
+def test_sample_domain_points_respect_small_charts(t0):
+    # the chart shrinks to t0/2 < 1/2; every sample must stay evaluable
+    g = BoundaryGraph("c1model", omega=power(0.5, 0.2, t0=t0))
+    assert g.chart_radius == 0.5 * t0
+    f = RegularizedDistanceField(g)
+    for r in (0.3, g.chart_radius):
+        pts = sample_domain_points(g, r, 200, np.random.default_rng(3))
+        gap = pts[:, 1] - g.gamma(pts[:, :1])
+        assert np.all(np.abs(pts[:, 0]) + 1.5 * gap < g.chart_radius)
+        rep = check_distance_bounds(f, pts, load_calibration().C_regdist_2d)
+        assert rep.passed, rep.to_dict()
 
 
 def test_barrier_validation():

@@ -4,7 +4,7 @@ import pytest
 from boundarylab import BoundaryGraph, DomainError, QuadratureError, power
 from boundarylab.barriers import sample_domain_points
 from boundarylab.regdist import (
-    Mollifier, RegularizedDistanceField, check_distance_bounds,
+    _QUAD_NODES, Mollifier, RegularizedDistanceField, check_distance_bounds,
 )
 
 
@@ -185,26 +185,34 @@ def _max_rel(a, b):
     return np.abs(a - b).max() / scale if scale > 0 else np.abs(a).max()
 
 
-def _p_derivs_2d_elementwise(field, xp, s, order):
-    """Reference: the per-node products and sums over the disk quadrature."""
-    m = s.shape[0]
+# the kernels written out for each surface dimension m = n - 1:
+# (grad eta, k1, k2) from (t, rho, eta, eta', eta'')
+_KERNELS = {
+    1: lambda t, rho, e, de, d2e: (np.sign(t) * de[:, None], -(e + rho * de),
+                                   2.0 * e + 4.0 * rho * de + rho**2 * d2e),
+    2: lambda t, rho, e, de, d2e: (
+        de[:, None] * np.divide(t, rho[:, None], out=np.zeros_like(t), where=rho[:, None] > 0),
+        -2.0 * e - rho * de, 6.0 * e + 6.0 * rho * de + rho**2 * d2e),
+}
+
+
+def _p_derivs_elementwise(field, xp, s, order):
+    """Reference: per-node products and sums over the nodes of _nodes, per point."""
+    k, m = xp.shape
     out = {
-        "p": np.empty(m), "px": np.empty((m, 2)), "ps": np.empty(m),
-        "pxx": np.empty((m, 2, 2)), "pxs": np.empty((m, 2)), "pss": np.empty(m),
+        "p": np.empty(k), "px": np.empty((k, m)), "ps": np.empty(k),
+        "pxx": np.empty((k, m, m)), "pxs": np.empty((k, m)), "pss": np.empty(k),
     }
-    for i in range(m):
-        T, W = field._disk_nodes(xp[i], s[i], order)
+    nodes, weights = field._nodes(xp, s, order)
+    for i in range(k):
+        T, W = nodes[i], weights[i]
         rho = np.linalg.norm(T, axis=-1)
         eta, deta_r, d2eta_r = field.mollifier.eta_derivs(rho)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(rho[:, None] > 0, T / np.where(rho == 0, 1.0, rho)[:, None], 0.0)
-        grad_eta = deta_r[:, None] * unit
-        k1 = -2.0 * eta - rho * deta_r
-        k2 = 6.0 * eta + 6.0 * rho * deta_r + rho**2 * d2eta_r
+        grad_eta, k1, k2 = _KERNELS[m](T, rho, eta, deta_r, d2eta_r)
         pts = xp[i][None, :] + s[i] * T
         g = field.graph.gamma(pts)
         dg = field.graph.grad_gamma(pts)
-        g0 = float(field.graph.gamma(xp[i]))
+        g0 = float(field.graph.gamma(xp[i][None, :])[0])
         dg0 = field.graph.grad_gamma(xp[i][None, :])[0]
         out["p"][i] = W @ (eta * g) + s[i]
         out["px"][i] = (W[:, None] * eta[:, None] * dg).sum(axis=0)
@@ -220,31 +228,59 @@ def _p_derivs_2d_elementwise(field, xp, s, order):
 @pytest.mark.parametrize("graph", [
     BoundaryGraph("cone", dim=3, L=0.1),
     BoundaryGraph("c1model", dim=3, omega=power(0.5, 0.2, 1.0)),
-], ids=["cone-3d", "c1model-3d"])
+    BoundaryGraph("cone", L=0.1),
+    BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0)),
+    BoundaryGraph("sinusoid", A=0.05, k=4.0),
+], ids=["cone-3d", "c1model-3d", "cone-2d", "c1model-2d", "sinusoid-2d"])
 def test_p_derivs_2d_matches_elementwise_sums(graph):
+    # one node rule and one moment kernel for n = 2 and n = 3
     f = RegularizedDistanceField(graph)
-    xp = np.array([[0.02, -0.03], [-0.05, 0.01], [0.11, 0.07], [0.0, 0.0]])
+    xp = np.array([[0.02, -0.03], [-0.05, 0.01], [0.11, 0.07], [0.0, 0.0]])[:, :graph.dim - 1]
     s = np.array([0.08, 0.02, 0.06, 0.05])
-    # the kink -x'/s lies inside the unit disk for rows 0 and 3, outside for 1 and 2
+    # the kink -x'/s lies inside the unit ball for rows 0 and 3, outside for 1 and 2;
+    # on cone and c1model the rule splits (2-D) or centres (3-D) there
     assert list(np.linalg.norm(xp, axis=-1) < s) == [True, False, False, True]
-    ref = _p_derivs_2d_elementwise(f, xp, s, 64)
-    got = f._p_derivs_2d(xp, s, 64)
+    T, W = f._nodes(xp, s, 64)
+    assert T.shape == (4, W.shape[1], graph.dim - 1)
+    # the weights integrate 1 to the volume of the unit ball: 2 in 2-D, pi in 3-D
+    assert np.allclose(W.sum(axis=1), {2: 2.0, 3: np.pi}[graph.dim])
+    ref = _p_derivs_elementwise(f, xp, s, 64)
+    got = f._moments(xp, s, graph.gamma(xp), graph.grad_gamma(xp), 64)
     for key in ref:
+        assert got[key].shape == ref[key].shape, key
         assert _max_rel(got[key], ref[key]) <= 1e-13, key
 
 
-@pytest.mark.parametrize("graph", [
-    BoundaryGraph("cone", dim=3, L=0.1),
-    BoundaryGraph("sinusoid", A=0.05, k=4.0),
-], ids=["cone-3d", "sinusoid-2d"])
-def test_batch_agrees_with_point_by_point(graph):
-    # each point leaves the Newton loop on its own residual
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nodes_split_at_the_kink(dim):
+    # the cone is linear on each panel (2-D) or ray (3-D) of a rule split at
+    # the kink preimage -x'/s, so p and grad_x p converge at once; an unsplit
+    # rule leaves an error near 1e-3 in grad_x p
+    f = RegularizedDistanceField(BoundaryGraph("cone", dim=dim, L=0.1))
+    xp = np.array([[0.02, -0.03], [0.0, 0.0]])[:, :dim - 1]
+    s = np.array([0.08, 0.05])
+    g0, dg0 = f.graph.gamma(xp), f.graph.grad_gamma(xp)
+    a, b = f._moments(xp, s, g0, dg0, 64), f._moments(xp, s, g0, dg0, 256)
+    for key in ("p", "px"):
+        assert _max_rel(a[key], b[key]) <= 1e-10, key
+
+
+@pytest.mark.parametrize("graph, n", [
+    (BoundaryGraph("cone", dim=3, L=0.1), 8),
+    (BoundaryGraph("sinusoid", A=0.05, k=4.0), 8),
+    (BoundaryGraph("cone", L=0.1), 150),
+], ids=["cone-3d", "sinusoid-2d", "cone-2d-blocks"])
+def test_batch_agrees_with_point_by_point(graph, n):
+    # each point leaves the Newton loop on its own residual, whatever its block
     f = RegularizedDistanceField(graph)
-    pts = sample_domain_points(graph, 0.25, 8, np.random.default_rng(5))
+    pts = sample_domain_points(graph, 0.25, n, np.random.default_rng(5))
     d, grad, hess = f.eval_all(pts)
     if graph.dim == 3:
         inside = np.linalg.norm(pts[:, :-1], axis=-1) < d
         assert inside.any() and not inside.all()
+    elif n > 8:
+        # 2 * 64 nodes per point on the doubled rule: the batch spans three blocks
+        assert n > 2 * (_QUAD_NODES // (4 * f.order))
     for i in range(len(pts)):
         di, gi, hi = f.eval_all(pts[i])
         assert abs(di[0] - d[i]) <= 1e-15 * d[i]

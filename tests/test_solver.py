@@ -240,6 +240,22 @@ def test_determinism():
     np.testing.assert_array_equal(a.policy, b.policy)
 
 
+def test_dilated_cone_keeps_every_node():
+    # the cone is dilation invariant and every grid coordinate scales by a power
+    # of two, so the scaled problem is the same problem down to the last bit
+    g = BoundaryGraph("cone", L=0.2)
+
+    def scaled(R):
+        data = lambda p: p[:, 1] / (2 * R)
+        return solve(GridProblem(g, R, 2 * R / 128, LaplaceOp(), ZERO, data))
+
+    ref = scaled(R)
+    for k in (10, 20, 24, 30):
+        sol = scaled(R * 2.0 ** -k)
+        np.testing.assert_array_equal(sol.nodes, ref.nodes * 2.0 ** -k)
+        np.testing.assert_array_equal(sol.values, ref.values)
+
+
 def test_interpolation_and_grid_values():
     g = BoundaryGraph("zero")
     lin = lambda p: np.atleast_2d(p)[:, 1]
