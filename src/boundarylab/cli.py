@@ -168,8 +168,13 @@ def _cmd_boundary_modulus(cfg, out: Path, cal, seed) -> int:
     op = operator_from_config(cfg.get("operator", {"kind": "laplace"}))
     k_max = int(cfg.get("k_max", 7))
     n_grid = int(cfg.get("n_grid", 128))
-    g = data_from_config(cfg.get("g", {"name": "zero"}), "g")
-    rep = measure_boundary_modulus(graph, op, k_max=k_max, n_grid=n_grid, g=g)
+    g_rec = cfg.get("g", {"name": "zero"})
+    g = data_from_config(g_rec, "g")
+    # the data's exact tangential gradient at the origin (zero unless linear)
+    grad_g0 = (np.asarray(g_rec["coeffs"], dtype=float)[:-1] if g_rec["name"] == "linear"
+               else np.zeros(graph.dim - 1))
+    rep = measure_boundary_modulus(graph, op, k_max=k_max, n_grid=n_grid, g=g,
+                                   grad_g0=grad_g0)
     extra = None
     code = 0
     if "omega_tilde" in cfg:

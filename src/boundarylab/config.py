@@ -137,6 +137,7 @@ def operator_from_config(rec, where: str = "operator"):
             raise ConfigError(f"{where}.A: expected a symmetric 2x2 matrix")
         E = (ellipticity_from_config(rec["ellipticity"], where + ".ellipticity")
              if "ellipticity" in rec else None)
+        # the constant (2, 2) matrix for every node array: one shared weight row
         return FixedOp(A=lambda x, _A=A: _A, E=E)
     if kind in ("pucci_minus", "pucci_plus"):
         _check_keys(rec, where, {"kind", "ellipticity"})

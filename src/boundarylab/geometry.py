@@ -174,6 +174,11 @@ class BoundaryGraph:
         """Whether Gamma has a derivative singularity at the origin."""
         return self.family in ("cone", "c1model")
 
+    @property
+    def dilation_invariant(self) -> bool:
+        """Whether Gamma(2^j x') = 2^j Gamma(x') holds bit for bit."""
+        return self.family in ("zero", "linear", "cone")
+
     def contains(self, x) -> bool:
         """True iff x_n > Gamma(x') (boundary excluded)."""
         x = np.asarray(x, dtype=float)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BoundaryLabError, ConvergenceError, DomainError
 from .geometry import BoundaryGraph
 from .modulus import Modulus, dini_integral
-from .solver import GridProblem, LaplaceOp, solve
+from .solver import GridProblem, LaplaceOp, discretize, solve
 
 __all__ = [
     "GrowthReport", "measure_growth", "measure_boundary_modulus",
@@ -92,11 +92,15 @@ def _run_cascade(graph: BoundaryGraph, operator, k_max: int, n_grid: int,
                  r0: float, outer_data: Callable, graph_data: Callable,
                  rhs: Optional[Callable] = None, stencil: str = "standard5",
                  k_min: int = 1):
-    """Sequential dyadic solve; returns per-level (R, r, sol) summaries."""
+    """Sequential dyadic solve; returns per-level (R, r, sol) summaries.
+
+    On a dilation-invariant graph level k_min is discretized once and every
+    later level solves its dilation, bitwise the level's own assembly.
+    """
     if rhs is None:
         rhs = lambda p: np.zeros(len(p))
     radii, qs, ms, residuals = [], [], [], []
-    prev_sol = None
+    prev_sol = base = None
     for k in range(k_min, k_max + 1):
         R = 2.0 ** (-k + 1) * r0
         h = 2 * R / n_grid
@@ -118,7 +122,13 @@ def _run_cascade(graph: BoundaryGraph, operator, k_max: int, n_grid: int,
         prob = GridProblem(graph, R, h, operator, rhs=rhs, dirichlet=dirichlet,
                            stencil=stencil)
         try:
-            sol = solve(prob)
+            if not graph.dilation_invariant:
+                system = None
+            elif base is None:
+                system = base = discretize(prob)
+            else:
+                system = base.dilated(prob)
+            sol = solve(prob, system=system)
         except (BoundaryLabError, RuntimeError) as exc:
             raise ConvergenceError(f"cascade level {k} (R={R:g}) failed: {exc}") from exc
         r_k = R / 2.0

@@ -10,10 +10,13 @@ Pucci operators take the extremal matrices a v v^T + b w w^T, a, b in
 {lambda, Lambda}; a linear operator (Laplace or a fixed field A(x)) is the
 one-policy case.  All are solved by one policy iteration, with a fixed
 tie-break for determinism; one policy settles in one round.
+On a dilation-invariant graph an assembled system is rescaled onto the
+problem on B_{2^j r} bit for bit (`_DiscreteSystem.dilated`).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,7 +42,11 @@ class LaplaceOp:
 
 @dataclass(frozen=True)
 class FixedOp:
-    """Tr(A(x) D^2 u) for a fixed coefficient field A(x) in [lam I, Lam I]."""
+    """Tr(A(x) D^2 u) for a fixed coefficient field A(x) in [lam I, Lam I].
+
+    A is vectorized: on an (m, 2) node array it returns an (m, 2, 2) stack,
+    or one (2, 2) matrix, which every node shares, for constant coefficients.
+    """
     A: Callable[[np.ndarray], np.ndarray]
     E: Optional[EllipticityPair] = None
     kind: str = "fixed"
@@ -76,7 +83,8 @@ class GridProblem:
     rhs and dirichlet are vectorized callables on (m, 2) point arrays that
     return (m,) values, or a scalar for constant data.  rhs is evaluated at
     the interior nodes.  dirichlet is evaluated at the exact cut
-    intersection points, once per assembly, on a single (n_cut, 2) array.
+    intersection points, once per assembly or dilation, on a single
+    (n_cut, 2) array.  A FixedOp field is vectorized too.
     """
 
     def __init__(self, graph: BoundaryGraph, r: float, h: float, operator,
@@ -111,10 +119,13 @@ def _values_at(fn: Callable, pts: np.ndarray, name: str) -> np.ndarray:
 
 
 class _DiscreteSystem:
-    """Per-direction second-difference operators plus boundary bookkeeping."""
+    """Per-direction second-difference operators plus boundary bookkeeping.
+
+    D and c are in the units of the assembled problem; the operator of the
+    system's own problem is unit * (D u + c), with unit = 1 until dilated.
+    """
 
     def __init__(self, problem: GridProblem):
-        self.problem = problem
         g = problem.graph
         r, h, n = problem.r, problem.h, problem.n
         xs = -r + h * np.arange(n + 1)
@@ -144,17 +155,13 @@ class _DiscreteSystem:
         X0 = self.nodes[ck]
         s_cut = _cut_fractions(g, r, X0, W)
         self.boundary_points = X0 + s_cut[:, None] * W
-        self.boundary_values = _values_at(problem.dirichlet, self.boundary_points,
-                                          "dirichlet")
         frac = np.ones(nbr.shape)
         frac[cd, ck, cs] = s_cut
-        bvals = np.zeros(nbr.shape)
-        bvals[cd, ck, cs] = self.boundary_values
 
         arms = h * np.hypot(dirs[:, 0], dirs[:, 1])
         rows = np.repeat(np.arange(m), 3)
         self.D = []            # per-direction sparse operators
-        self.c = []            # per-direction boundary contribution vectors
+        cut_weights = []       # the arm weight of each cut segment, in cut order
         for d in range(len(dirs)):
             # Shortley-Weller weights from the (possibly shortened) arms
             dp, dm = (frac[d] * arms[d]).T
@@ -165,8 +172,27 @@ class _DiscreteSystem:
             keep = cols >= 0
             self.D.append(sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
                                             shape=(m, m)))
-            self.c.append((wgt * bvals[d]).sum(axis=1))
+            at = cd == d
+            cut_weights.append(wgt[ck[at], cs[at]])
+        # each cut segment's (direction, node) row of c and its arm weight
+        self._cut_rows = cd * m + ck
+        self._cut_weights = np.concatenate(cut_weights)
+        self.unit = 1.0
+        self._factor = []      # [A, LU] of the one shared frozen matrix, once built
+        self._set_data(problem)
+        self._set_operator(problem)
 
+    def _set_data(self, problem: GridProblem) -> None:
+        """Evaluate problem's Dirichlet data at the cut points, and c from it."""
+        self.problem = problem
+        self.boundary_values = _values_at(problem.dirichlet, self.boundary_points,
+                                          "dirichlet")
+        # per-direction boundary vectors c_d; the two arms of a row add in order
+        n_dir = len(self.D)
+        self.c = np.bincount(self._cut_rows, self._cut_weights * self.boundary_values,
+                             minlength=n_dir * self.m).reshape(n_dir, self.m)
+
+    def _set_operator(self, problem: GridProblem) -> None:
         self.alphas, self.sense = _operator_weights(problem, self.nodes)
         # nonnegative direction weights for every policy make every
         # frozen-policy matrix monotone (an M-matrix)
@@ -178,22 +204,55 @@ class _DiscreteSystem:
             )
         self.certificate = {"min_direction_weight": max(min_alpha, 0.0), "monotone": True}
 
-    def operator_matrix(self, alpha: np.ndarray):
-        """Assemble sum_m alpha[:, m] * D_m and the boundary correction."""
-        A = None
+    def dilated(self, problem: GridProblem) -> "_DiscreteSystem":
+        """The system of problem: this one's problem with r scaled by s = 2^j.
+
+        On a dilation-invariant graph every coordinate scales by s bit for
+        bit and every second difference by exactly 1/s^2, so D is shared
+        and only unit changes.  The data are evaluated at the scaled points.
+        """
+        old = self.problem
+        s = problem.r / old.r
+        if not (problem.graph is old.graph and old.graph.dilation_invariant
+                and problem.n == old.n and problem.n_dir == old.n_dir
+                and problem.operator == old.operator and np.frexp(s)[0] == 0.5):
+            raise DomainError("dilated needs the same grid, stencil and operator on a "
+                              "dilation-invariant graph, with r scaled by a power of two")
+        new = copy.copy(self)
+        new.nodes = self.nodes * s
+        new.xs = self.xs * s
+        new.boundary_points = self.boundary_points * s
+        new.unit = self.unit / (s * s)
+        new._set_data(problem)
+        if self.alphas.shape[1] > 1:
+            new._set_operator(problem)
+        return new
+
+    def frozen_matrix(self, alpha: np.ndarray):
+        """sum_d alpha[:, d] D_d, its LU factors, and sum_d alpha[:, d] c_d.
+
+        One policy with one shared weight row gives the same matrix on every
+        call and every dilation; it is factored once.
+        """
+        used = [d for d in range(len(self.D)) if np.any(alpha[:, d])]
         c = np.zeros(self.m)
-        for m_idx in range(len(self.D)):
-            a = alpha[:, m_idx]
-            if not np.any(a):
-                continue
-            term = sparse.diags(a) @ self.D[m_idx]
+        for d in used:
+            c += alpha[:, d] * self.c[d]
+        if self._factor:
+            return (*self._factor, c)
+        A = None
+        for d in used:
+            term = sparse.diags(alpha[:, d]) @ self.D[d]
             A = term if A is None else A + term
-            c += a * self.c[m_idx]
-        return A.tocsc(), c
+        A = A.tocsc()
+        lu = splu(A)
+        if self.alphas.shape[:2] == (1, 1):
+            self._factor += [A, lu]
+        return A, lu, c
 
     def direction_values(self, u: np.ndarray) -> np.ndarray:
-        """D_d u + c_d for every direction d, as an (m, n_dir) array."""
-        return np.stack([D @ u + c for D, c in zip(self.D, self.c)], axis=1)
+        """The problem's D_d u + c_d for every direction d, as an (m, n_dir) array."""
+        return np.stack([self.unit * (D @ u + c) for D, c in zip(self.D, self.c)], axis=1)
 
 
 # segments per sign-scan block: bounds the (rows, samples + 1) temporaries,
@@ -305,7 +364,11 @@ def _operator_weights(problem: GridProblem, nodes: np.ndarray):
     if isinstance(op, LaplaceOp):
         mats = np.eye(2)[None, None]
     elif isinstance(op, FixedOp):
-        A = np.stack([np.asarray(op.A(x), dtype=float) for x in nodes])
+        A = np.asarray(op.A(nodes), dtype=float)
+        if A.shape not in ((2, 2), (len(nodes), 2, 2)):
+            raise DomainError(f"FixedOp.A returned shape {A.shape} on {len(nodes)} nodes; "
+                              f"it must return (2, 2) or ({len(nodes)}, 2, 2)")
+        A = A.reshape(-1, 2, 2)
         if op.E is not None:
             ev = sym_eigvals(A)
             bad = np.nonzero((ev[:, 0] < op.E.lam - 1e-10) | (ev[:, -1] > op.E.Lam + 1e-10))[0]
@@ -396,8 +459,9 @@ def discretize(problem: GridProblem) -> _DiscreteSystem:
     return _DiscreteSystem(problem)
 
 
-def _linear_solve(A, rhs, tol_units):
-    lu = splu(A)
+def _linear_solve(A, lu, c, f, tol_units):
+    """Solve A u = f - c with the LU factors lu of A."""
+    rhs = f - c
     u = lu.solve(rhs)
     # iterative refinement in node units (residual over the diagonal scale)
     diag = np.abs(A.diagonal())
@@ -416,10 +480,12 @@ def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None,
     Each round solves the frozen-policy linear system (sparse LU with
     iterative refinement), then selects the optimal policy per node; the
     loop stops once the policy is stationary, so a linear operator, whose
-    single policy is optimal everywhere, takes one round.
+    single policy is optimal everywhere, takes one round.  system, if
+    given, must be discretize(problem) or a system dilated onto problem.
     """
     sys_ = discretize(problem) if system is None else system
-    f = _values_at(problem.rhs, sys_.nodes, "rhs")
+    # the linear solves run in the system's units: rhs / unit is exact
+    f = _values_at(problem.rhs, sys_.nodes, "rhs") / sys_.unit
     g_scale = float(np.abs(sys_.boundary_values).max()) if sys_.boundary_values.size else 0.0
     tol = 1e-10 * g_scale + 1e-10
 
@@ -429,8 +495,8 @@ def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None,
     rows = np.arange(sys_.m)
     policy = np.zeros(sys_.m, dtype=int)
     for it in range(1, max_policy_rounds + 1):
-        A, c = sys_.operator_matrix(per_node[policy, rows])
-        u, res = _linear_solve(A, f - c, tol)
+        # an uncached factor is freed before the next round builds its own
+        u, res = _linear_solve(*sys_.frozen_matrix(per_node[policy, rows]), f, tol)
         # every policy's operator value at every node, (m, npol); optimize
         # contracts a shared weight row in BLAS, as a matrix product
         pol_vals = np.einsum("nd,pnd->np", sys_.direction_values(u), alphas, optimize=True)

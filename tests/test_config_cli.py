@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from boundarylab import BoundaryGraph, measure_boundary_modulus
 from boundarylab.calibrate import (
     CalibrationConstants, load_calibration, run_calibration, save_calibration,
 )
@@ -77,6 +78,9 @@ def test_operator_and_ellipticity_from_config():
         ellipticity_from_config({"lam": -1.0, "Lam": 2.0})
     with pytest.raises(ConfigError):
         operator_from_config({"kind": "fixed", "A": [[1.0, 0.5], [0.4, 1.0]]})
+    # a constant field returns its one matrix, which every node shares
+    fixed = operator_from_config({"kind": "fixed", "A": [[1.0, 0.2], [0.2, 1.5]]})
+    np.testing.assert_array_equal(fixed.A(np.zeros((5, 2))), [[1.0, 0.2], [0.2, 1.5]])
 
 
 def test_data_from_config():
@@ -166,6 +170,21 @@ def test_cli_growth_flat(tmp_path):
     assert rows[0].startswith("k,r,q,m")
     q = [float(r.split(",")[2]) for r in rows[1:]]
     np.testing.assert_allclose(q, 1.0, atol=1e-10)
+
+
+def test_cli_boundary_modulus_uses_the_exact_data_gradient(tmp_path):
+    a, off = 0.123456789, 5.0
+    cfg = _write(tmp_path, "bm.json", {
+        "schema_version": 1, "k_max": 4, "n_grid": 32,
+        "domain": {"family": "zero"},
+        "g": {"name": "linear", "coeffs": [a, 0.0], "offset": off}})
+    out = tmp_path / "out"
+    assert main(["boundary-modulus", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "boundary_modulus_report.json").read_text())
+    g = lambda p: off + np.atleast_2d(p) @ np.array([a, 0.0])
+    want = measure_boundary_modulus(BoundaryGraph("zero"), k_max=4, n_grid=32, g=g,
+                                    grad_g0=np.array([a]))
+    assert rep["m"] == want.m.tolist()
 
 
 def test_cli_barrier_check_pass(tmp_path):

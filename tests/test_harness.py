@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from boundarylab import (
-    BoundaryGraph, DomainError, constant, load_calibration, log_modulus,
-    measure_boundary_modulus, measure_growth, power,
+    BoundaryGraph, DomainError, EllipticityPair, FixedOp, GridProblem, LaplaceOp,
+    PucciOp, constant, harness, load_calibration, log_modulus,
+    measure_boundary_modulus, measure_growth, power, solver,
 )
 from boundarylab.harness import (
-    diagnostic_sequences, dyadic_sum_and_integral, envelope_lower,
+    _run_cascade, diagnostic_sequences, dyadic_sum_and_integral, envelope_lower,
     envelope_upper, fit_log_slope,
 )
+
+DILATION_GRAPHS = {"cone": {"L": 0.2}, "zero": {}, "linear": {"a": 0.15}}
+CASCADE_OPERATORS = {
+    "laplace-standard5": (LaplaceOp(), "standard5"),
+    "fixed-wide": (FixedOp(A=lambda x: np.array([[1.0, 0.3], [0.3, 1.5]])), "wide"),
+    "pucci_minus-wide": (PucciOp(EllipticityPair(1.0, 2.0), "minus"), "wide"),
+}
 
 
 def test_flat_linear_data_gives_unit_quotients():
@@ -90,6 +98,93 @@ def test_boundary_modulus_linear_data_subtracted_exactly():
         outer_data=lambda p: np.atleast_2d(p)[:, 0])
     # v = u - x1 = 0: sup quotients vanish
     assert np.all(np.abs(rep.m) < 1e-10)
+
+
+@pytest.mark.parametrize("a, off", [(0.3, 0.1), (0.7, 1.3), (0.123456789, 5.0)])
+def test_boundary_modulus_exact_gradient_leaves_no_floor(a, off):
+    # with the exact gradient, v = g - g(0) - a x1 cancels bit for bit; a central
+    # difference (h = 1e-6) leaves max|m_k| between 5e-12 and 2e-10 here
+    coeffs = np.array([a, 0.0])
+    g = lambda p: off + np.atleast_2d(p) @ coeffs
+    rep = measure_boundary_modulus(BoundaryGraph("zero"), k_max=12, n_grid=64,
+                                   g=g, outer_data=g, grad_g0=coeffs[:-1])
+    assert np.abs(rep.m).max() == 0.0
+
+
+@pytest.mark.parametrize("op_name", sorted(CASCADE_OPERATORS))
+@pytest.mark.parametrize("family", sorted(DILATION_GRAPHS))
+def test_cascade_levels_equal_their_own_assembly(monkeypatch, family, op_name):
+    # a dilation-invariant cascade solves every later level on the dilated first
+    # level; each must be bitwise the level's own assembly and solve
+    operator, stencil = CASCADE_OPERATORS[op_name]
+    graph = BoundaryGraph(family, **DILATION_GRAPHS[family])
+    real_solve = solver.solve
+    units = []
+
+    def checked(prob, system=None):
+        sol = real_solve(prob, system=system)
+        fresh = real_solve(GridProblem(prob.graph, prob.r, prob.h, prob.operator,
+                                       prob.rhs, prob.dirichlet, stencil=prob.stencil))
+        np.testing.assert_array_equal(sol.nodes, fresh.nodes)
+        np.testing.assert_array_equal(sol.values, fresh.values)
+        np.testing.assert_array_equal(sol.policy, fresh.policy)
+        assert sol.residual == fresh.residual
+        assert sol.iterations == fresh.iterations
+        units.append(system.unit)
+        return sol
+
+    monkeypatch.setattr(harness, "solve", checked)
+    _run_cascade(graph, operator, k_max=5, n_grid=32, r0=0.5,
+                 outer_data=lambda p: 1.0 + 0.4 * p[:, 0] - 0.3 * p[:, 1] ** 2,
+                 graph_data=lambda p: 0.1 + np.sin(5.0 * p[:, 0]),
+                 rhs=lambda p: -1.0 - p[:, 0], stencil=stencil)
+    assert units == [4.0 ** j for j in range(5)]
+
+
+@pytest.mark.parametrize("graph, calls", [(BoundaryGraph("cone", L=0.2), 1),
+                                          (BoundaryGraph("sinusoid", A=0.05, k=4.0), 7)])
+def test_cascade_assembles_and_factors_once_when_dilation_invariant(monkeypatch, graph,
+                                                                     calls):
+    counts = {"discretize": 0, "splu": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    discretize = counted("discretize", solver.discretize)
+    monkeypatch.setattr(solver, "discretize", discretize)
+    monkeypatch.setattr(harness, "discretize", discretize)
+    monkeypatch.setattr(solver, "splu", counted("splu", solver.splu))
+    rep = measure_growth(graph, k_max=7, n_grid=32)
+    assert len(rep.ks) == 7
+    assert counts == {"discretize": calls, "splu": calls}
+
+
+def test_deep_cone_cascade_keeps_every_node(monkeypatch):
+    real_solve = solver.solve
+    nodes = []
+
+    def counted(prob, system=None):
+        sol = real_solve(prob, system=system)
+        nodes.append(len(sol.values))
+        return sol
+
+    monkeypatch.setattr(harness, "solve", counted)
+    rep = measure_growth(BoundaryGraph("cone", L=0.2), k_max=30, n_grid=64)
+    assert rep.radii[-1] == 0.5 * 2.0 ** -30
+    assert len(nodes) == 30 and len(set(nodes)) == 1
+
+
+def test_deep_cone_cascade_meets_the_sector_exponent():
+    # measured rel. error of the fitted exponent at n_grid = 128: -3.04% at
+    # k_max = 7, -0.31% at k_max = 20, -0.18% at k_max = 26
+    L = 0.2
+    rep = measure_growth(BoundaryGraph("cone", L=L), k_max=20, n_grid=128)
+    exact = np.pi / (np.pi - 2.0 * np.arctan(L)) - 1.0
+    rel = abs(rep.exponent - exact) / exact
+    assert rel <= 0.004, (rep.exponent, exact, rel)
 
 
 def test_boundary_modulus_cone_slope_bound():

@@ -154,9 +154,16 @@ def test_fixed_eigenvalue_range_enforced():
 
 
 def test_fixed_eigenvalue_range_enforced_at_one_node():
-    # A(x) leaves [1, 2] only at the grid node (1/4, 1/8); h = 1/32
+    # A(x) leaves [1, 2] only at the grid nodes (1/4, 1/8) and, later in node
+    # order, (3/8, 1/4); h = 1/32.  The first is named.
     g = BoundaryGraph("zero")
-    A = lambda x: np.diag([3.0 if np.allclose(x, [0.25, 0.125]) else 1.0, 1.5])
+
+    def A(x):
+        out = np.tile(np.diag([1.0, 1.5]), (len(x), 1, 1))
+        for bad in ([0.25, 0.125], [0.375, 0.25]):
+            out[np.isclose(x, bad).all(axis=1), 0, 0] = 3.0
+        return out
+
     with pytest.raises(DomainError, match=r"A\(\[0\.25 +0\.125\]\)"):
         solve(GridProblem(g, R, 2 * R / 32, FixedOp(A=A, E=EllipticityPair(1.0, 2.0)),
                           ZERO, ZERO, stencil="wide"))
@@ -181,7 +188,7 @@ def test_identity_field_is_the_laplacian(stencil):
 def test_fixed_field_decomposes_each_distinct_matrix_once(monkeypatch):
     A1 = np.array([[2.0, 1.1], [1.1, 1.0]])     # needs the nnls fallback
     A2 = np.array([[1.0, 0.2], [0.2, 1.5]])
-    field = lambda x: A1 if x[0] < 0 else A2
+    field = lambda x: np.where((x[:, 0] < 0)[:, None, None], A1, A2)
     calls = []
 
     def counted(A, dirs):
@@ -193,7 +200,8 @@ def test_fixed_field_decomposes_each_distinct_matrix_once(monkeypatch):
                                   ZERO, ZERO, stencil="wide"))
     assert len(calls) == 2
     # each node carries the weights of its own matrix
-    expect = np.stack([_decompose_spd(field(x), _DIRECTIONS) for x in sys_.nodes])
+    expect = np.stack([_decompose_spd(A1 if x[0] < 0 else A2, _DIRECTIONS)
+                       for x in sys_.nodes])
     np.testing.assert_array_equal(sys_.alphas, expect[None])
 
 
@@ -254,6 +262,38 @@ def test_dilated_cone_keeps_every_node():
         sol = scaled(R * 2.0 ** -k)
         np.testing.assert_array_equal(sol.nodes, ref.nodes * 2.0 ** -k)
         np.testing.assert_array_equal(sol.values, ref.values)
+
+
+def test_dilated_system_is_the_assembly_of_the_dilated_problem():
+    g = BoundaryGraph("cone", L=0.2)
+    op = PucciOp(EllipticityPair(1.0, 2.0), "minus")
+    data = lambda p: 1.0 + np.sin(5.0 * p[:, 0]) + p[:, 1]
+
+    def prob(r, graph=g, n=32):
+        return GridProblem(graph, r, 2 * r / n, op, ZERO, data, stencil="wide")
+
+    base = discretize(prob(R))
+    small = prob(R / 8)
+    dil, fresh = base.dilated(small), discretize(small)
+    assert dil.unit == 64.0 and base.unit == 1.0
+    for name in ("nodes", "xs", "boundary_points", "boundary_values"):
+        np.testing.assert_array_equal(getattr(dil, name), getattr(fresh, name))
+    # direction values are in the dilated problem's own units
+    u = np.random.default_rng(3).standard_normal(dil.m)
+    np.testing.assert_array_equal(dil.direction_values(u), fresh.direction_values(u))
+    alpha = np.broadcast_to(dil.alphas[1], (dil.m, dil.alphas.shape[2]))
+    A, _, c = dil.frozen_matrix(alpha)
+    A_fresh, _, c_fresh = fresh.frozen_matrix(alpha)
+    assert (dil.unit * A != A_fresh).nnz == 0
+    np.testing.assert_array_equal(dil.unit * c, c_fresh)
+    # a graph that is not dilation invariant, a ratio that is not a power of
+    # two, or another grid is refused
+    sin = BoundaryGraph("sinusoid", A=0.05, k=4.0)
+    for other in (prob(R / 3), prob(R / 8, n=64)):
+        with pytest.raises(DomainError):
+            base.dilated(other)
+    with pytest.raises(DomainError):
+        discretize(prob(R, sin)).dilated(prob(R / 2, sin))
 
 
 def test_interpolation_and_grid_values():
