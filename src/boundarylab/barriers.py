@@ -119,16 +119,8 @@ class BarrierReport:
         }
 
 
-def verify_barrier(b: Barrier, samples: np.ndarray, tol: float = 1e-8,
-                   check: bool = False) -> BarrierReport:
-    """Check the barrier sign condition at every sample point.
-
-    A sub barrier passes iff M-(D^2 d^(1+eps)) >= -tol * d^(eps-1)
-    pointwise; a super barrier iff M+(D^2 d^(1-eps)) <= tol * d^(-eps-1).
-    Failures are reported, not raised.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    d, grad, hess = b.field.eval_all(samples, check=check)
+def _sign_test(b: Barrier, samples, d, grad, hess, tol: float) -> BarrierReport:
+    """The barrier sign condition at samples, given d, grad d and D^2 d there."""
     vals = _pucci_of_power(b, d, grad, hess)
     scale = d ** (b.exponent - 2.0)
     signed = vals / scale if b.sign == "sub" else -vals / scale
@@ -143,17 +135,34 @@ def verify_barrier(b: Barrier, samples: np.ndarray, tol: float = 1e-8,
     )
 
 
+def verify_barrier(b: Barrier, samples: np.ndarray, tol: float = 1e-8,
+                   check: bool = False) -> BarrierReport:
+    """Check the barrier sign condition at every sample point.
+
+    A sub barrier passes iff M-(D^2 d^(1+eps)) >= -tol * d^(eps-1)
+    pointwise; a super barrier iff M+(D^2 d^(1-eps)) <= tol * d^(-eps-1).
+    Failures are reported, not raised.
+    """
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    return _sign_test(b, samples, *b.field.eval_all(samples, check=check), tol)
+
+
 def minimal_passing_epsilon(field: RegularizedDistanceField, E: EllipticityPair,
                             r: float, samples: np.ndarray, sign: str = "sub",
                             eps_hi: float = 0.45, tol_rel: float = 1e-3) -> float:
     """Smallest eps for which the barrier check passes on the given samples.
 
     Bisection; the per-point value is monotone in eps for d <= 1, so the
-    passing set is an interval reaching eps_hi.
+    passing set is an interval reaching eps_hi.  d, grad d and D^2 d do not
+    depend on eps: the samples are inverted once, and each step runs only
+    the sign test of verify_barrier on them.
     """
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    dgh = field.eval_all(samples)
+
     def passes(eps):
         b = Barrier(field=field, eps=eps, sign=sign, E=E, r=r)
-        return verify_barrier(b, samples).passed
+        return _sign_test(b, samples, *dgh, tol=1e-8).passed
 
     if not passes(eps_hi):
         raise DomainError(f"barrier fails even at eps = {eps_hi}; domain too rough")

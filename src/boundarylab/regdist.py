@@ -19,9 +19,11 @@ panels split at the kink preimage for n = 2, a polar rule on the unit disk
 centred there for n = 3.  One moment kernel serves both, and each moment is
 a batched weighted-kernel matrix product over a block of at most
 _QUAD_NODES nodes (one 3-D point or 64 2-D points at the default order).
-The vertical inversion p(y', d) = y_n is a safeguarded Newton iteration
-per point, with its bracket capped at the chart; it hands back the
-derivatives of p at d, so grad d and D^2 d cost no further quadrature.
+The vertical inversion p(y', d) = y_n is a safeguarded Halley iteration
+per point, bracketed by the Lipschitz bound |p - s - Gamma| <= L s with no
+quadrature pass (one at the chart cap, for points whose bound reaches it);
+it hands back the derivatives of p at d, so grad d and D^2 d cost no
+further quadrature.
 """
 
 from __future__ import annotations
@@ -66,13 +68,12 @@ def _polar_rule(order: int):
 
 
 def _bump(rho):
-    """exp(-1/(1 - rho^2)) on [0, 1), zero outside; returns (phi, phi', phi'')."""
+    """exp(-1/(1 - rho^2)) on [0, 1), zero outside; returns (phi, phi')."""
     r = np.asarray(rho, dtype=float)
     inside = r < 1.0
     ig = 1.0 / np.where(inside, 1.0 - r * r, 1.0)       # 1/g, g = 1 - rho^2
     f = np.where(inside, np.exp(-ig), 0.0)
-    ig2, r2 = ig * ig, r * r
-    return f, f * (-2.0 * r * ig2), f * (ig2 * (4.0 * r2 * ig2 - 2.0 - 8.0 * r2 * ig))
+    return f, f * (-2.0 * r * (ig * ig))
 
 
 class Mollifier:
@@ -98,20 +99,18 @@ class Mollifier:
     def _mass(self, order: int) -> float:
         x, w = _leggauss(order)
         if self.dim_surface == 1:
-            phi, _, _ = _bump(np.abs(x))
-            return float(w @ phi)
+            return float(w @ _bump(np.abs(x))[0])
         # radial: 2*pi * int_0^1 rho * phi(rho) d rho
         rho = 0.5 * (x + 1.0)
-        phi, _, _ = _bump(rho)
-        return float(2.0 * np.pi * 0.5 * (w @ (rho * phi)))
+        return float(2.0 * np.pi * 0.5 * (w @ (rho * _bump(rho)[0])))
 
     def eta(self, rho):
         return _bump(rho)[0] / self.normalization
 
     def eta_derivs(self, rho):
-        phi, dphi, d2phi = _bump(rho)
+        phi, dphi = _bump(rho)
         c = self.normalization
-        return phi / c, dphi / c, d2phi / c
+        return phi / c, dphi / c
 
 
 class RegularizedDistanceField:
@@ -175,51 +174,51 @@ class RegularizedDistanceField:
         T = c[:, None, None, :] + rho[..., None] * u[:, None, :]
         return T.reshape(k, len(u) * order, 2), W.reshape(k, len(u) * order)
 
-    def _moments(self, xp, s, g0, dg0, order):
+    def _moments(self, xp, s, order):
         """All needed derivatives of p for a block of points, any n.
 
         With rho = |t|, moving the derivatives onto the radial mollifier gives
         the kernels k1 = -((n-1) eta + rho eta') for d_x d_s p and
-        k2 = (n-1) n eta + 2n rho eta' + rho^2 eta'' for d_s^2 p.  Each
-        moment is one batched product of a weighted kernel with the sampled
-        graph: (W eta) @ Gamma, (W eta) @ grad Gamma, and so on.  g0 and dg0
-        are Gamma and grad Gamma at x', the affine part taken out of d_s^2 p.
+        k2 = -(n eta + rho eta') for d_s^2 p; the latter comes from
+        d_s p - 1 = int eta(t) t.grad Gamma(x' + s t) dt, differentiated in s
+        after the change of variables z = x' + s t, so d_s^2 p reads the same
+        t.grad Gamma samples as d_s p.  Each moment is one batched product of
+        a weighted kernel with the sampled graph: (W eta) @ Gamma,
+        (W eta) @ grad Gamma, and so on.
         """
         n = self.graph.dim
         T, W = self._nodes(xp, s, order)
         rho = _radius(T)
-        eta, deta, d2eta = self.mollifier.eta_derivs(rho)
+        eta, deta = self.mollifier.eta_derivs(rho)
         # W eta' t/rho, the weighted gradient of eta (zero at the centre)
         Wgrad = np.divide(W * deta, rho, out=np.zeros_like(rho), where=rho > 0)[..., None] * T
         k1 = -((n - 1) * eta + rho * deta)
-        k2 = (n - 1) * n * eta + 2 * n * rho * deta + rho**2 * d2eta
+        k2 = -(n * eta + rho * deta)
 
         pts = xp[:, None, :] + s[:, None, None] * T
         g = self.graph.gamma(pts)
         dg = self.graph.grad_gamma(pts)
-        # subtract the affine part: int k2 = int k2 t = 0, improves accuracy
-        affine = g - g0[:, None] - s[:, None] * (T @ dg0[..., None])[..., 0]
+        tdg = (T * dg).sum(axis=-1)[..., None]                          # t . grad Gamma
 
         We = (W * eta)[:, None, :]
         pxx = -(Wgrad.transpose(0, 2, 1) @ dg) / s[:, None, None]
         return {
             "p": (We @ g[..., None])[:, 0, 0] + s,
             "px": (We @ dg)[:, 0],
-            "ps": 1.0 + (We @ (T * dg))[:, 0].sum(axis=1),
+            "ps": 1.0 + (We @ tdg)[:, 0, 0],
             "pxx": 0.5 * (pxx + pxx.transpose(0, 2, 1)),
             "pxs": ((W * k1)[:, None, :] @ dg)[:, 0] / s[:, None],
-            "pss": ((W * k2)[:, None, :] @ affine[..., None])[:, 0, 0] / s**2,
+            "pss": ((W * k2)[:, None, :] @ tdg)[:, 0, 0] / s,
         }
 
     def _p_derivs(self, xp, s, order=None, certify=True):
         order = self.order if order is None else order
-        g0, dg0 = self.graph.gamma(xp), self.graph.grad_gamma(xp)
 
         def blocked(q):
             # the rules hold 2 q^(n-1) nodes per point; an empty batch
             # still runs one (empty) block, so every key comes back
             step = max(1, _QUAD_NODES // (2 * q ** (self.graph.dim - 1)))
-            parts = [self._moments(*(v[a:a + step] for v in (xp, s, g0, dg0)), q)
+            parts = [self._moments(xp[a:a + step], s[a:a + step], q)
                      for a in range(0, max(len(s), 1), step)]
             return {key: np.concatenate([b[key] for b in parts]) for key in parts[0]}
 
@@ -248,9 +247,18 @@ class RegularizedDistanceField:
     def _solve_d(self, xp, yn, certify=True):
         """Vertical inversion: the t > 0 with p(y', t) = y_n, per point.
 
+        The mollifier has unit mass on the unit ball, so
+        |p(y', t) - t - Gamma(y')| <= L t, and the root lies in
+        [gap/(1+L), gap/(1-L)] with gap = y_n - Gamma(y'): the bracket
+        costs no quadrature, except one pass at the chart cap for the points
+        whose upper bound reaches it.  Safeguarded Halley steps follow.  For
+        families whose L_global is a sampled seminorm the bracket is not a
+        proof; the certificate is each point's residual |p - y_n| <= 1e-13,
+        and a root outside the bracket ends in a ConvergenceError.
+
         Returns t and the derivatives of p at t.  Each point leaves the
-        Newton loop on its own residual, so its t does not depend on the
-        other points of the batch.
+        loop on its own residual, so its t does not depend on the other
+        points of the batch.
         """
         g = np.atleast_1d(self.graph.gamma(xp))
         gap = yn - g
@@ -264,24 +272,19 @@ class RegularizedDistanceField:
         # p(y', t) is defined up to |y'| + t = working radius
         cap = self.working_radius * (1 + 1e-9) - r_xp
         L = self.graph.L_global
-        lo = np.full_like(gap, 1e-14)
-        hi = np.minimum(gap * (1.0 + L) + L * np.maximum(yn, 0.0) + 1e-14, cap)
-        # certify the bracket; only points with p(hi) < y_n are re-evaluated
-        grow = np.arange(gap.size)
-        for _ in range(60):
-            grow = grow[self._p_derivs(xp[grow], hi[grow], certify=False)["p"] < yn[grow]]
-            if grow.size == 0:
-                break
-            if np.any(hi[grow] >= cap[grow]):
+        hi = gap / (1.0 - L) if L < 1 else np.full_like(gap, np.inf)
+        clipped = np.nonzero(hi >= cap)[0]
+        if clipped.size:
+            if np.any(self._p_derivs(xp[clipped], cap[clipped], certify=False)["p"]
+                      < yn[clipped]):
                 raise DomainError(
                     "the vertical inverse leaves the chart: p(y', t) < y_n at "
                     "|y'| + t = working radius"
                 )
-            hi[grow] = np.minimum(1.25 * hi[grow], cap[grow])
-        else:
-            raise ConvergenceError("failed to bracket the vertical inverse")
+            hi[clipped] = cap[clipped]
+        lo = np.minimum(gap / (1.0 + L), hi)
 
-        # Newton with bisection safeguard; only unconverged points are
+        # Halley with bisection safeguard; only unconverged points are
         # re-evaluated, and der keeps each point's derivatives at its last t
         t = np.clip(gap, lo, hi)
         der = {}
@@ -297,13 +300,20 @@ class RegularizedDistanceField:
                 der.setdefault(k, np.empty((gap.size,) + v.shape[1:]))[act] = v
             res = part["p"] - yn[act]
             left = np.abs(res) > 1e-13
-            act, res, ps = act[left], res[left], part["ps"][left]
+            act, res = act[left], res[left]
             if act.size == 0:
                 break
+            ps, pss = part["ps"][left], part["pss"][left]
             lo[act] = np.where(res < 0, t[act], lo[act])
             hi[act] = np.where(res > 0, t[act], hi[act])
-            t_new = t[act] - res / ps
-            bad = (t_new <= lo[act]) | (t_new >= hi[act])
+            if np.any(np.nextafter(lo[act], np.inf) >= hi[act]):
+                raise ConvergenceError(
+                    "the vertical inverse left its bracket [gap/(1+L), gap/(1-L)]: "
+                    "L_global understates the Lipschitz constant of the graph"
+                )
+            t_new = t[act] - 2.0 * res * ps / (2.0 * ps * ps - res * pss)
+            # a NaN or infinite step fails both comparisons and is bisected
+            bad = ~((t_new > lo[act]) & (t_new < hi[act]))
             t_new[bad] = 0.5 * (lo[act] + hi[act])[bad]
             t[act] = t_new
         else:

@@ -420,32 +420,34 @@ class GridSolution:
         self._ids = system.ids
         self._xs = system.xs
 
-    def grid_values(self, fill) -> np.ndarray:
-        """Full-grid array; non-interior nodes take fill (scalar or callable)."""
-        full = np.empty(self._ids.shape)
-        if callable(fill):
-            X, Y = np.meshgrid(self._xs, self._xs, indexing="ij")
-            pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-            full[:] = np.asarray(fill(pts)).reshape(full.shape)
-        else:
-            full[:] = fill
-        full[self._ids >= 0] = self.values
-        return full
-
     def interpolate(self, pts: np.ndarray, fill=0.0) -> np.ndarray:
-        """Bilinear interpolation from the four surrounding grid nodes."""
+        """Bilinear interpolation from the four surrounding grid nodes.
+
+        Non-interior corners take fill: a scalar, or a callable evaluated
+        once on the distinct non-interior corners of the touched cells.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        full = self.grid_values(fill)
-        h = self.h
-        x0 = self._xs[0]
-        fi = (pts[:, 0] - x0) / h
-        fj = (pts[:, 1] - x0) / h
-        i = np.clip(np.floor(fi).astype(int), 0, len(self._xs) - 2)
-        j = np.clip(np.floor(fj).astype(int), 0, len(self._xs) - 2)
+        xs, h, n = self._xs, self.h, len(self._xs)
+        fi = (pts[:, 0] - xs[0]) / h
+        fj = (pts[:, 1] - xs[0]) / h
+        i = np.clip(np.floor(fi).astype(int), 0, n - 2)
+        j = np.clip(np.floor(fj).astype(int), 0, n - 2)
         tx = fi - i
         ty = fj - j
-        return ((1 - tx) * (1 - ty) * full[i, j] + tx * (1 - ty) * full[i + 1, j]
-                + (1 - tx) * ty * full[i, j + 1] + tx * ty * full[i + 1, j + 1])
+        # corners (i, j), (i+1, j), (i, j+1), (i+1, j+1), one row per point
+        ci = i[:, None] + np.array([0, 1, 0, 1])
+        cj = j[:, None] + np.array([0, 0, 1, 1])
+        ids = self._ids[ci, cj]
+        inner = ids >= 0
+        c = np.empty(ids.shape)
+        c[inner] = self.values[ids[inner]]
+        if not callable(fill):
+            c[~inner] = fill
+        elif not inner.all():
+            flat, back = np.unique(ci[~inner] * n + cj[~inner], return_inverse=True)
+            c[~inner] = np.asarray(fill(xs[np.stack(np.divmod(flat, n), axis=-1)]))[back]
+        return ((1 - tx) * (1 - ty) * c[:, 0] + tx * (1 - ty) * c[:, 1]
+                + (1 - tx) * ty * c[:, 2] + tx * ty * c[:, 3])
 
     def max_interior(self) -> float:
         return float(self.values.max())

@@ -179,3 +179,24 @@ def test_verify_barrier_inverts_once(monkeypatch):
     assert calls == [6]
     d = f.eval_all(pts)[0]
     assert rep.min_value == (barrier_hessian_value(b, pts) / d ** (b.exponent - 2.0)).min()
+
+
+def test_minimal_epsilon_inverts_the_samples_once(monkeypatch):
+    # d, grad d and D^2 d do not depend on eps: one eval_all serves every step
+    g, f = _field("cone", L=0.1)
+    pts = sample_domain_points(g, 0.25, 100, np.random.default_rng(7))
+    calls = []
+    eval_all = RegularizedDistanceField.eval_all
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return eval_all(self, *args, **kwargs)
+
+    monkeypatch.setattr(RegularizedDistanceField, "eval_all", counted)
+    eps = minimal_passing_epsilon(f, E_LAP, 0.25, pts, "sub")
+    assert calls == [100]
+    # the bisection stops within tol_rel = 1e-3 of a failing eps, and its
+    # sign test is verify_barrier's
+    assert verify_barrier(Barrier(field=f, eps=eps, sign="sub", E=E_LAP, r=0.25), pts).passed
+    below = Barrier(field=f, eps=eps * (1 - 1e-3), sign="sub", E=E_LAP, r=0.25)
+    assert not verify_barrier(below, pts).passed

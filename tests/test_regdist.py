@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boundarylab import BoundaryGraph, DomainError, QuadratureError, power
+from boundarylab import BoundaryGraph, ConvergenceError, DomainError, QuadratureError, power
 from boundarylab.barriers import sample_domain_points
 from boundarylab.regdist import (
     _QUAD_NODES, Mollifier, RegularizedDistanceField, check_distance_bounds,
@@ -186,13 +186,12 @@ def _max_rel(a, b):
 
 
 # the kernels written out for each surface dimension m = n - 1:
-# (grad eta, k1, k2) from (t, rho, eta, eta', eta'')
+# (grad eta, k1, k2) from (t, rho, eta, eta')
 _KERNELS = {
-    1: lambda t, rho, e, de, d2e: (np.sign(t) * de[:, None], -(e + rho * de),
-                                   2.0 * e + 4.0 * rho * de + rho**2 * d2e),
-    2: lambda t, rho, e, de, d2e: (
+    1: lambda t, rho, e, de: (np.sign(t) * de[:, None], -(e + rho * de), -(2.0 * e + rho * de)),
+    2: lambda t, rho, e, de: (
         de[:, None] * np.divide(t, rho[:, None], out=np.zeros_like(t), where=rho[:, None] > 0),
-        -2.0 * e - rho * de, 6.0 * e + 6.0 * rho * de + rho**2 * d2e),
+        -2.0 * e - rho * de, -3.0 * e - rho * de),
 }
 
 
@@ -207,21 +206,19 @@ def _p_derivs_elementwise(field, xp, s, order):
     for i in range(k):
         T, W = nodes[i], weights[i]
         rho = np.linalg.norm(T, axis=-1)
-        eta, deta_r, d2eta_r = field.mollifier.eta_derivs(rho)
-        grad_eta, k1, k2 = _KERNELS[m](T, rho, eta, deta_r, d2eta_r)
+        eta, deta_r = field.mollifier.eta_derivs(rho)
+        grad_eta, k1, k2 = _KERNELS[m](T, rho, eta, deta_r)
         pts = xp[i][None, :] + s[i] * T
         g = field.graph.gamma(pts)
         dg = field.graph.grad_gamma(pts)
-        g0 = float(field.graph.gamma(xp[i][None, :])[0])
-        dg0 = field.graph.grad_gamma(xp[i][None, :])[0]
         out["p"][i] = W @ (eta * g) + s[i]
         out["px"][i] = (W[:, None] * eta[:, None] * dg).sum(axis=0)
-        out["ps"][i] = 1.0 + W @ (eta * (T * dg).sum(axis=-1))
+        tdg = (T * dg).sum(axis=-1)
+        out["ps"][i] = 1.0 + W @ (eta * tdg)
         pxx = -(W[:, None, None] * grad_eta[:, :, None] * dg[:, None, :]).sum(axis=0) / s[i]
         out["pxx"][i] = 0.5 * (pxx + pxx.T)
         out["pxs"][i] = (W[:, None] * k1[:, None] * dg).sum(axis=0) / s[i]
-        affine = g - g0 - s[i] * (T @ dg0)
-        out["pss"][i] = W @ (k2 * affine) / s[i] ** 2
+        out["pss"][i] = W @ (k2 * tdg) / s[i]
     return out
 
 
@@ -245,7 +242,7 @@ def test_p_derivs_2d_matches_elementwise_sums(graph):
     # the weights integrate 1 to the volume of the unit ball: 2 in 2-D, pi in 3-D
     assert np.allclose(W.sum(axis=1), {2: 2.0, 3: np.pi}[graph.dim])
     ref = _p_derivs_elementwise(f, xp, s, 64)
-    got = f._moments(xp, s, graph.gamma(xp), graph.grad_gamma(xp), 64)
+    got = f._moments(xp, s, 64)
     for key in ref:
         assert got[key].shape == ref[key].shape, key
         assert _max_rel(got[key], ref[key]) <= 1e-13, key
@@ -259,8 +256,7 @@ def test_nodes_split_at_the_kink(dim):
     f = RegularizedDistanceField(BoundaryGraph("cone", dim=dim, L=0.1))
     xp = np.array([[0.02, -0.03], [0.0, 0.0]])[:, :dim - 1]
     s = np.array([0.08, 0.05])
-    g0, dg0 = f.graph.gamma(xp), f.graph.grad_gamma(xp)
-    a, b = f._moments(xp, s, g0, dg0, 64), f._moments(xp, s, g0, dg0, 256)
+    a, b = f._moments(xp, s, 64), f._moments(xp, s, 256)
     for key in ("p", "px"):
         assert _max_rel(a[key], b[key]) <= 1e-10, key
 
@@ -271,7 +267,7 @@ def test_nodes_split_at_the_kink(dim):
     (BoundaryGraph("cone", L=0.1), 150),
 ], ids=["cone-3d", "sinusoid-2d", "cone-2d-blocks"])
 def test_batch_agrees_with_point_by_point(graph, n):
-    # each point leaves the Newton loop on its own residual, whatever its block
+    # each point leaves the inversion loop on its own residual, whatever its block
     f = RegularizedDistanceField(graph)
     pts = sample_domain_points(graph, 0.25, n, np.random.default_rng(5))
     d, grad, hess = f.eval_all(pts)
@@ -289,7 +285,7 @@ def test_batch_agrees_with_point_by_point(graph, n):
 
 
 def test_eval_all_reuses_newton_derivatives(monkeypatch):
-    # the last Newton pass already holds the derivatives of p at d
+    # the last Halley pass already holds the derivatives of p at d
     f = RegularizedDistanceField(BoundaryGraph("cone", dim=3, L=0.1))
     events = []
     solve_d = RegularizedDistanceField._solve_d
@@ -329,3 +325,83 @@ def test_inversion_stays_inside_the_chart():
             f.eval_all(np.array(y))
     y = np.array([0.05, 0.1])
     assert f.eval_p(np.append(y[:1], f.eval_d(y))) == pytest.approx(0.1, abs=1e-12)
+
+
+# the four points of test_p_derivs_2d_matches_elementwise_sums
+_XP = np.array([[0.02, -0.03], [-0.05, 0.01], [0.11, 0.07], [0.0, 0.0]])
+_S = np.array([0.08, 0.02, 0.06, 0.05])
+
+
+@pytest.mark.parametrize("graph", [
+    BoundaryGraph("cone", dim=3, L=0.1),
+    BoundaryGraph("c1model", dim=3, omega=power(0.5, 0.2, 1.0)),
+    BoundaryGraph("sinusoid", A=0.05, k=4.0),
+], ids=["cone-3d", "c1model-3d", "sinusoid-2d"])
+def test_pss_is_the_s_derivative_of_ps(graph):
+    # measured: <= 9.9e-9; a kernel with (n+1) eta in place of n eta is off by
+    # (ps - 1)/s, far beyond the bound
+    f = RegularizedDistanceField(graph)
+    xp = _XP[:, :graph.dim - 1]
+    h = 1e-4 * _S
+    fd = (f._moments(xp, _S + h, 64)["ps"] - f._moments(xp, _S - h, 64)["ps"]) / (2 * h)
+    assert _max_rel(f._moments(xp, _S, 64)["pss"], fd) <= 1e-6
+
+
+@pytest.mark.parametrize("graph, fine", [
+    (BoundaryGraph("cone", dim=3, L=0.1), 200),
+    (BoundaryGraph("c1model", dim=3, omega=power(0.5, 0.2, 1.0)), 200),
+    (BoundaryGraph("cone", L=0.1), 400),
+    (BoundaryGraph("sinusoid", A=0.05, k=4.0), 400),
+], ids=["cone-3d", "c1model-3d", "cone-2d", "sinusoid-2d"])
+def test_pss_matches_the_fine_order_reference(graph, fine):
+    # the reference is the elementwise sum with this file's kernels, so a
+    # wrong kernel in _moments fails too; measured at order 64: 2.0e-11 to
+    # 8.5e-10, where the twice-integrated kernel against Gamma minus its
+    # affine part gave 2.6e-9 to 1.9e-8
+    f = RegularizedDistanceField(graph)
+    xp = _XP[:, :graph.dim - 1]
+    ref = _p_derivs_elementwise(f, xp, _S, fine)["pss"]
+    assert _max_rel(f._moments(xp, _S, 64)["pss"], ref) <= 2e-9
+
+
+def test_inversion_brackets_without_quadrature(monkeypatch):
+    # the Lipschitz bound brackets the root, so the first pass is already a
+    # Halley pass at t = gap, and the batch converges in about 2.6 passes
+    g = BoundaryGraph("cone", dim=3, L=0.1)
+    f = RegularizedDistanceField(g)
+    pts = sample_domain_points(g, 0.25, 20, np.random.default_rng(0))
+    s_first, evaluated = [], []
+    p_derivs, moments = RegularizedDistanceField._p_derivs, RegularizedDistanceField._moments
+
+    def counted_derivs(self, xp, s, *args, **kwargs):
+        if not s_first:
+            s_first.append(s.copy())
+        return p_derivs(self, xp, s, *args, **kwargs)
+
+    def counted_moments(self, xp, s, order):
+        evaluated.append(len(s))
+        return moments(self, xp, s, order)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted_derivs)
+    monkeypatch.setattr(RegularizedDistanceField, "_moments", counted_moments)
+    f.eval_all(pts)
+    np.testing.assert_array_equal(s_first[0], pts[:, -1] - g.gamma(pts[:, :-1]))
+    assert sum(evaluated) <= 2.7 * len(pts)
+
+
+@pytest.mark.parametrize("graph", [
+    BoundaryGraph("cone", L=0.2),
+    BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0), sign=-1.0),
+], ids=["convex-root-below-lo", "concave-root-above-hi"])
+def test_root_outside_an_understated_bracket_raises(monkeypatch, graph):
+    # a sampled L_global below the truth shrinks [gap/(1+L), gap/(1-L)] past
+    # the root; the inversion must end in a typed error, never in a number
+    f = RegularizedDistanceField(graph)
+    y = np.array([0.0, 0.1])
+    d = f.eval_d(y)
+    monkeypatch.setattr(graph, "L_global", 1e-3)
+    assert not 0.1 / (1 + 1e-3) <= d <= 0.1 / (1 - 1e-3)
+    with pytest.raises(ConvergenceError, match="left its bracket"):
+        f.eval_d(y)
+    with pytest.raises(ConvergenceError, match="left its bracket"):
+        f.eval_all(y)

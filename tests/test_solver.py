@@ -305,6 +305,40 @@ def test_interpolation_and_grid_values():
                                lin(pts), atol=1e-12)
 
 
+def test_interpolate_fills_only_the_corners_it_reads():
+    # a callable fill is evaluated once, on the distinct non-interior corners
+    # of the touched cells; the result is bitwise the full-grid fill's
+    g = BoundaryGraph("cone", L=0.2)
+    sol = solve(GridProblem(g, R, 2 * R / 32, LaplaceOp(), ZERO, _harmonic))
+    pts = np.array([[0.0, 0.3], [0.1, 0.06], [-0.2, 0.05], [0.45, 0.2], [0.1, 0.06]])
+    seen = []
+
+    def fill(q):
+        seen.append(q)
+        return _harmonic(q)
+
+    got = sol.interpolate(pts, fill=fill)
+    assert len(seen) == 1
+    ids, xs = sol._ids, sol._xs
+    i, j = np.rint((seen[0] - xs[0]) / sol.h).astype(int).T
+    np.testing.assert_array_equal(seen[0], np.stack([xs[i], xs[j]], axis=-1))
+    assert np.all(ids[i, j] < 0)
+    assert 0 < len(set(zip(i, j))) == len(i) <= 4 * 4
+    full = _harmonic(np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2))
+    full = full.reshape(ids.shape)
+    full[ids >= 0] = sol.values
+    fi, fj = ((pts - xs[0]) / sol.h).T
+    a, b = np.floor(fi).astype(int), np.floor(fj).astype(int)
+    tx, ty = fi - a, fj - b
+    ref = ((1 - tx) * (1 - ty) * full[a, b] + tx * (1 - ty) * full[a + 1, b]
+           + (1 - tx) * ty * full[a, b + 1] + tx * ty * full[a + 1, b + 1])
+    np.testing.assert_array_equal(got, ref)
+    # the point (0, 0.3) lies inside: no fill at all
+    seen.clear()
+    sol.interpolate(pts[:1], fill=fill)
+    assert seen == []
+
+
 def test_abp_max_principle_exact():
     g = BoundaryGraph("cone", L=0.2)
     data = lambda p: np.cos(3.0 * np.atleast_2d(p)[:, 0]) + np.atleast_2d(p)[:, 1]
