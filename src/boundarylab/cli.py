@@ -29,15 +29,18 @@ from .solver import GridProblem, abp_check, solve
 __all__ = ["main"]
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """One line per row, every value as '%.17g' of its float.
+
+    Each row is one '%' on its list of floats, written 1024 rows at a time
+    so the text of the whole table is never held at once.
+    """
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = np.asarray(rows, dtype=float)
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for a in range(0, len(rows), 1024):
+            f.write("".join([fmt % tuple(row) for row in rows[a:a + 1024].tolist()]))
 
 
 def _write_json(path: Path, obj) -> None:

@@ -33,8 +33,32 @@ _SEMINORM_NODES = 1 << 16
 
 
 def _radius(arr) -> np.ndarray:
-    """|x| over the last axis, bitwise np.linalg.norm for up to two components."""
-    return np.sqrt(np.einsum("...i,...i->...", arr, arr))
+    """|x| over the last axis, bitwise np.linalg.norm for one or two components.
+
+    The squares are summed component by component into one array, with no
+    reduction over the short last axis, and the root is taken in place.
+    """
+    out = np.square(arr[..., 0], out=np.empty(arr.shape[:-1]))
+    for i in range(1, arr.shape[-1]):
+        out += np.square(arr[..., i])
+    return np.sqrt(out, out=out)
+
+
+def _over_radius(num, rho) -> np.ndarray:
+    """num / rho per row, zero where rho is not positive; in place in num.
+
+    Bitwise np.divide(num, rho[..., None], where=rho[..., None] > 0) into
+    zeros, with one unmasked divide per component.
+    """
+    pos = rho > 0
+    whole = pos.all()
+    safe = rho if whole else np.where(pos, rho, 1.0)
+    for i in range(num.shape[-1]):
+        col = num[..., i]
+        np.divide(col, safe, out=col)
+    if not whole:
+        num[~pos] = 0.0
+    return num
 
 
 def _sample_ball(dim_surface: int, r: float, m: int) -> np.ndarray:
@@ -131,14 +155,15 @@ class BoundaryGraph:
     def gamma(self, xp):
         """Gamma(x'). Accepts arrays of shape (..., n-1); scalars when n = 2."""
         arr = self._as_xp(xp)
-        rho = _radius(arr)
         if self.family == "zero":
-            out = np.zeros_like(rho)
+            out = np.zeros(arr.shape[:-1])
         elif self.family == "linear":
             out = arr @ self._a
         elif self.family == "cone":
-            out = self._L * rho
+            out = _radius(arr)
+            out *= self._L
         elif self.family == "c1model":
+            rho = _radius(arr)
             out = self._sign * rho * self._omega(rho)
         elif self.family == "sinusoid":
             out = self._A * np.sin(self._k * arr[..., 0])
@@ -149,23 +174,21 @@ class BoundaryGraph:
     def grad_gamma(self, xp):
         """Analytic gradient of Gamma; zero at points where it is undefined."""
         arr = self._as_xp(xp)
-        rho = _radius(arr)
-        out = np.zeros_like(arr)
-        if self.family == "zero":
-            pass
-        elif self.family == "linear":
-            out[...] = self._a
-        elif self.family == "cone":
-            np.divide(self._L * arr, rho[..., None], out=out, where=rho[..., None] > 0)
-        elif self.family == "c1model":
-            # omega'(0) may be infinite; the rho = 0 entries are masked below
+        if self.family == "cone":
+            return _over_radius(np.multiply(self._L, arr), _radius(arr))
+        if self.family == "c1model":
+            rho = _radius(arr)
+            # omega'(0) may be infinite; the rho = 0 rows are zeroed
             with np.errstate(divide="ignore", invalid="ignore"):
                 slope = self._omega(rho) + rho * self._omega.derivative(rho)
                 num = self._sign * slope[..., None] * arr
-            np.divide(num, rho[..., None], out=out, where=rho[..., None] > 0)
+            return _over_radius(num, rho)
+        out = np.zeros_like(arr)
+        if self.family == "linear":
+            out[...] = self._a
         elif self.family == "sinusoid":
             out[..., 0] = self._A * self._k * np.cos(self._k * arr[..., 0])
-        else:  # table
+        elif self.family == "table":
             out[..., 0] = self._dinterp(arr[..., 0])
         return out
 
@@ -221,8 +244,11 @@ class BoundaryGraph:
         step = max(1, _SEMINORM_NODES // len(unit))
         out = np.empty(len(xp))
         for a in range(0, len(xp), step):
-            ball = xp[a:a + step, None, :] + scale[a:a + step, None, None] * unit
-            pts = np.clip(ball, -self.chart_radius, self.chart_radius)
+            # x' + scale u one component at a time, clipped in place
+            pts = scale[a:a + step, None, None] * unit
+            for i in range(self.dim - 1):
+                pts[..., i] += xp[a:a + step, None, i]
+            np.clip(pts, -self.chart_radius, self.chart_radius, out=pts)
             out[a:a + step] = _radius(self.grad_gamma(pts)).max(axis=-1)
         return float(out[0]) if single else out
 

@@ -19,6 +19,10 @@ panels split at the kink preimage for n = 2, a polar rule on the unit disk
 centred there for n = 3.  One moment kernel serves both, and each moment is
 a batched weighted-kernel matrix product over a block of at most
 _QUAD_NODES nodes (one 3-D point or 64 2-D points at the default order).
+The rule and its weighted kernels depend only on the centre and the order;
+the rule centred at 0 (graphs without a radial kink, and 3-D points whose
+kink preimage lies outside the disk) is built once per order and shared,
+read-only, by every block whose points all use it.
 The vertical inversion p(y', d) = y_n is a safeguarded Halley iteration
 per point, bracketed by the Lipschitz bound |p - s - Gamma| <= L s with no
 quadrature pass (one at the chart cap, for points whose bound reaches it);
@@ -113,6 +117,68 @@ class Mollifier:
         return phi / c, dphi / c
 
 
+@lru_cache(maxsize=2)
+def _mollifier(dim_surface: int) -> Mollifier:
+    """The mollifier of each surface dimension, shared by every field."""
+    return Mollifier(dim_surface)
+
+
+def _nodes(dim, c, order):
+    """Nodes T (k, Q, n-1) and weights W (k, Q) on the unit ball, centred at c.
+
+    The only step that depends on the dimension.  For n = 2: two
+    Gauss-Legendre panels on [-1, 1], split at c in [-1, 1].  For n = 3:
+    the polar rule on the unit disk, centred at c with |c| < 1.  With c at
+    the kink preimage, Gamma is smooth along each panel or ray.  The rule
+    at c = 0 is built once per dimension and order, through _centred_rule.
+    """
+    k = len(c)
+    if dim == 2:
+        t, w = _leggauss(order)
+        ends = np.stack([np.full(k, -1.0), c[:, 0], np.ones(k)], axis=1)
+        half = 0.5 * np.diff(ends, axis=1)[..., None]                    # (k, 2, 1)
+        T = ends[:, :-1, None] + half * (t + 1.0)
+        return T.reshape(k, 2 * order, 1), (half * w).reshape(k, 2 * order)
+    t, w, u = _polar_rule(order)
+    cu = c @ u.T                                                         # (k, M)
+    R = -cu + np.sqrt(np.maximum(1.0 - (c * c).sum(axis=1)[:, None] + cu**2, 0.0))
+    rho = 0.5 * R[..., None] * (t + 1.0)                                 # (k, M, Q)
+    W = 0.5 * R[..., None] * w * rho * (2.0 * np.pi / len(u))
+    T = np.empty(rho.shape + (2,))
+    for i in range(2):                                                   # c + rho u
+        np.multiply(rho, u[:, None, i], out=T[..., i])
+        T[..., i] += c[:, None, None, i]
+    return T.reshape(k, len(u) * order, 2), W.reshape(k, len(u) * order)
+
+
+def _rule(dim, c, order):
+    """The rule of _nodes at c with the weighted kernels that _moments reads.
+
+    Returns (T, W eta, Wgrad, W k1, W k2): the nodes T (k, Q, n-1), the row
+    kernels W eta, W k1 and W k2 (k, 1, Q), and Wgrad = W eta' t/rho
+    (k, Q, n-1), the weighted gradient of eta, zero at the centre.
+    """
+    T, W = _nodes(dim, c, order)
+    rho = _radius(T)
+    eta, deta = _mollifier(dim - 1).eta_derivs(rho)
+    q = np.divide(W * deta, rho, out=np.zeros_like(rho), where=rho > 0)
+    Wgrad = np.empty_like(T)
+    for i in range(dim - 1):
+        np.multiply(q, T[..., i], out=Wgrad[..., i])
+    k1 = -((dim - 1) * eta + rho * deta)
+    k2 = -(dim * eta + rho * deta)
+    return T, (W * eta)[:, None, :], Wgrad, (W * k1)[:, None, :], (W * k2)[:, None, :]
+
+
+@lru_cache(maxsize=8)
+def _centred_rule(dim: int, order: int):
+    """_rule at c = 0 for one point, read-only; a block of points broadcasts it."""
+    rule = _rule(dim, np.zeros((1, dim - 1)), order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 class RegularizedDistanceField:
     """Evaluable regularized distance d with gradient and Hessian.
 
@@ -129,7 +195,7 @@ class RegularizedDistanceField:
             )
         self.graph = graph
         self.order = int(order)
-        self.mollifier = Mollifier(graph.dim - 1)
+        self.mollifier = _mollifier(graph.dim - 1)
         wr = min(0.5, graph.chart_radius) if working_radius is None else working_radius
         if not 0 < wr <= 0.5:
             raise DomainError(f"working radius must lie in (0, 1/2], got {wr}")
@@ -148,31 +214,19 @@ class RegularizedDistanceField:
             raise DomainError("point outside the chart: |x'| + s must not exceed the working radius")
         return xp, s
 
-    def _nodes(self, xp, s, order):
-        """Nodes T (k, Q, n-1) and weights W (k, Q) on the unit ball, per point.
+    def _centre(self, xp, s):
+        """Centre c (k, n-1) of each point's rule: the kink preimage -x'/s.
 
-        The only step that depends on the dimension.  For n = 2: two
-        Gauss-Legendre panels on [-1, 1], split at the kink preimage -x'/s
-        (clipped) or at 0.  For n = 3: the polar rule on the unit disk,
-        centred at the kink preimage when it lies inside the disk.  Either
-        way Gamma is smooth along each panel or ray.
+        In 2-D it is clipped to [-1, 1]; in 3-D a preimage outside the unit
+        disk, or a graph without a radial kink, gives c = 0.
         """
-        k = s.shape[0]
-        c = -xp / s[:, None] if self.graph.radial_kink else np.zeros_like(xp)
+        if not self.graph.radial_kink:
+            return np.zeros_like(xp)
+        c = -xp / s[:, None]
         if self.graph.dim == 2:
-            t, w = _leggauss(order)
-            ends = np.stack([np.full(k, -1.0), np.clip(c[:, 0], -1.0, 1.0), np.ones(k)], axis=1)
-            half = 0.5 * np.diff(ends, axis=1)[..., None]                # (k, 2, 1)
-            T = ends[:, :-1, None] + half * (t + 1.0)
-            return T.reshape(k, 2 * order, 1), (half * w).reshape(k, 2 * order)
-        t, w, u = _polar_rule(order)
+            return np.clip(c, -1.0, 1.0)
         c[_radius(c) >= 1.0] = 0.0
-        cu = c @ u.T                                                     # (k, M)
-        R = -cu + np.sqrt(np.maximum(1.0 - (c * c).sum(axis=1)[:, None] + cu**2, 0.0))
-        rho = 0.5 * R[..., None] * (t + 1.0)                             # (k, M, Q)
-        W = 0.5 * R[..., None] * w * rho * (2.0 * np.pi / len(u))
-        T = c[:, None, None, :] + rho[..., None] * u[:, None, :]
-        return T.reshape(k, len(u) * order, 2), W.reshape(k, len(u) * order)
+        return c
 
     def _moments(self, xp, s, order):
         """All needed derivatives of p for a block of points, any n.
@@ -184,31 +238,32 @@ class RegularizedDistanceField:
         after the change of variables z = x' + s t, so d_s^2 p reads the same
         t.grad Gamma samples as d_s p.  Each moment is one batched product of
         a weighted kernel with the sampled graph: (W eta) @ Gamma,
-        (W eta) @ grad Gamma, and so on.
+        (W eta) @ grad Gamma, and so on.  A block whose rules are all centred
+        at 0 reads the weighted kernels from the per-order cache
+        (_centred_rule); any other block builds them per point.
         """
         n = self.graph.dim
-        T, W = self._nodes(xp, s, order)
-        rho = _radius(T)
-        eta, deta = self.mollifier.eta_derivs(rho)
-        # W eta' t/rho, the weighted gradient of eta (zero at the centre)
-        Wgrad = np.divide(W * deta, rho, out=np.zeros_like(rho), where=rho > 0)[..., None] * T
-        k1 = -((n - 1) * eta + rho * deta)
-        k2 = -(n * eta + rho * deta)
-
-        pts = xp[:, None, :] + s[:, None, None] * T
+        c = self._centre(xp, s)
+        T, We, Wgrad, Wk1, Wk2 = _centred_rule(n, order) if not c.any() else _rule(n, c, order)
+        # x' + s t and t . grad Gamma, one component at a time: a broadcast
+        # over the short last axis is several times slower
+        pts = s[:, None, None] * T
+        for i in range(n - 1):
+            pts[..., i] += xp[:, None, i]
         g = self.graph.gamma(pts)
         dg = self.graph.grad_gamma(pts)
-        tdg = (T * dg).sum(axis=-1)[..., None]                          # t . grad Gamma
+        tdg = T[..., :1] * dg[..., :1]
+        for i in range(1, n - 1):
+            tdg += T[..., i:i + 1] * dg[..., i:i + 1]
 
-        We = (W * eta)[:, None, :]
         pxx = -(Wgrad.transpose(0, 2, 1) @ dg) / s[:, None, None]
         return {
             "p": (We @ g[..., None])[:, 0, 0] + s,
             "px": (We @ dg)[:, 0],
             "ps": 1.0 + (We @ tdg)[:, 0, 0],
             "pxx": 0.5 * (pxx + pxx.transpose(0, 2, 1)),
-            "pxs": ((W * k1)[:, None, :] @ dg)[:, 0] / s[:, None],
-            "pss": ((W * k2)[:, None, :] @ tdg)[:, 0, 0] / s,
+            "pxs": (Wk1 @ dg)[:, 0] / s[:, None],
+            "pss": (Wk2 @ tdg)[:, 0, 0] / s,
         }
 
     def _p_derivs(self, xp, s, order=None, certify=True):

@@ -7,6 +7,7 @@ from boundarylab import BoundaryGraph, measure_boundary_modulus
 from boundarylab.calibrate import (
     CalibrationConstants, load_calibration, run_calibration, save_calibration,
 )
+from boundarylab import cli
 from boundarylab.cli import main
 from boundarylab.config import (
     ConfigError, data_from_config, ellipticity_from_config, graph_from_config,
@@ -223,3 +224,45 @@ def test_cli_regdist_check(tmp_path):
     assert rep["pass"]
     lines = (out / "regdist.csv").read_text().splitlines()
     assert len(lines) == 101
+
+
+def _per_value_csv(header, rows) -> bytes:
+    """The writer that formatted each value on its own, kept as the byte reference."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("%.17g" % float(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_write_csv_matches_the_per_value_formatter(tmp_path):
+    rows = np.array([[-0.0, np.nan, np.inf], [5e-324, -np.inf, 1e300],
+                     [0.1, 1.0 / 3.0, -2.0], [3.0, 1e-17, 123456789012345680.0]])
+    for given in (rows, rows.tolist(), rows[:0]):
+        cli._write_csv(tmp_path / "x.csv", ["a", "b", "c"], given)
+        assert (tmp_path / "x.csv").read_bytes() == _per_value_csv(["a", "b", "c"], given)
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("solve", {"n": 32, "domain": {"family": "cone", "L": 0.1},
+               "operator": {"kind": "laplace"},
+               "dirichlet": {"name": "linear", "coeffs": [0.0, 1.0]}}),
+    ("regdist-check", {"n_points": 20, "domain": {"family": "sinusoid", "A": 0.05, "k": 4.0}}),
+    ("modulus-table", {"n_points": 10, "modulus": {"kind": "power", "alpha": 0.5}}),
+    ("growth", {"k_max": 4, "n_grid": 32, "domain": {"family": "zero"},
+                "outer_data": {"name": "linear", "coeffs": [0.0, 1.0]}}),
+])
+def test_cli_csv_bytes_match_the_per_value_formatter(tmp_path, monkeypatch, command, cfg):
+    written = []
+    write = cli._write_csv
+
+    def recorded(path, header, rows):
+        written.append((path, list(header), np.array(rows, dtype=float)))
+        write(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", recorded)
+    path = _write(tmp_path, "c.json", {"schema_version": 1, **cfg})
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(written) == 1
+    out, header, rows = written[0]
+    assert len(rows) > 0
+    assert out.read_bytes() == _per_value_csv(header, rows)

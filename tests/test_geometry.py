@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boundarylab import BoundaryGraph, DomainError, check_c1_conditions, power, zero
-from boundarylab.geometry import _sample_ball
+from boundarylab.geometry import _radius, _sample_ball
 
 
 def test_zero_family():
@@ -97,6 +97,40 @@ def test_seminorm_at_matches_per_call_sample(graph):
     np.testing.assert_allclose(batch, ref, rtol=1e-15, atol=0)
     with pytest.raises(DomainError):
         graph.seminorm_at(xp, np.where(np.arange(k) == k - 1, 0.0, scales))
+
+
+# zeros of both signs, subnormals, squares that underflow or overflow, and
+# ordinary values
+_EDGE = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-170, 1e-160, 0.3, -1.7, 1e154, 1e300, -1e300])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_radius_is_bitwise_linalg_norm(m):
+    grid = np.stack(np.meshgrid(*[_EDGE] * m, indexing="ij"), axis=-1).reshape(-1, m)
+    rng = np.random.default_rng(4)
+    for arr in (grid, rng.normal(size=(3, 50, m)), grid[0]):
+        want = np.linalg.norm(arr, axis=-1)
+        got = _radius(arr)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cone_gradient_is_bitwise_the_masked_divide(dim):
+    # rows at the origin, with either sign of zero or squares that underflow,
+    # come back as +0 exactly as from the masked divide into zeros
+    g = BoundaryGraph("cone", dim=dim, L=0.1)
+    m = dim - 1
+    grid = np.stack(np.meshgrid(*[_EDGE] * m, indexing="ij"), axis=-1).reshape(-1, m)
+    rng = np.random.default_rng(6)
+    for arr in (grid, rng.normal(size=(2, 40, m)), grid[1]):
+        rho = np.linalg.norm(arr, axis=-1)[..., None]
+        want = np.zeros_like(arr)
+        np.divide(0.1 * arr, rho, out=want, where=rho > 0)
+        assert g.grad_gamma(arr).tobytes() == want.tobytes()
+        assert np.asarray(g.gamma(arr)).tobytes() == (0.1 * rho[..., 0]).tobytes()
 
 
 def test_dim_checks():

@@ -3,8 +3,11 @@ import pytest
 
 from boundarylab import BoundaryGraph, ConvergenceError, DomainError, QuadratureError, power
 from boundarylab.barriers import sample_domain_points
+from boundarylab.pucci import sym_eigvals
+from boundarylab import regdist
 from boundarylab.regdist import (
-    _QUAD_NODES, Mollifier, RegularizedDistanceField, check_distance_bounds,
+    _QUAD_NODES, Mollifier, RegularizedDistanceField, _centred_rule, _nodes,
+    check_distance_bounds,
 )
 
 
@@ -202,7 +205,7 @@ def _p_derivs_elementwise(field, xp, s, order):
         "p": np.empty(k), "px": np.empty((k, m)), "ps": np.empty(k),
         "pxx": np.empty((k, m, m)), "pxs": np.empty((k, m)), "pss": np.empty(k),
     }
-    nodes, weights = field._nodes(xp, s, order)
+    nodes, weights = _nodes(field.graph.dim, field._centre(xp, s), order)
     for i in range(k):
         T, W = nodes[i], weights[i]
         rho = np.linalg.norm(T, axis=-1)
@@ -237,7 +240,7 @@ def test_p_derivs_2d_matches_elementwise_sums(graph):
     # the kink -x'/s lies inside the unit ball for rows 0 and 3, outside for 1 and 2;
     # on cone and c1model the rule splits (2-D) or centres (3-D) there
     assert list(np.linalg.norm(xp, axis=-1) < s) == [True, False, False, True]
-    T, W = f._nodes(xp, s, 64)
+    T, W = _nodes(graph.dim, f._centre(xp, s), 64)
     assert T.shape == (4, W.shape[1], graph.dim - 1)
     # the weights integrate 1 to the volume of the unit ball: 2 in 2-D, pi in 3-D
     assert np.allclose(W.sum(axis=1), {2: 2.0, 3: np.pi}[graph.dim])
@@ -405,3 +408,116 @@ def test_root_outside_an_understated_bracket_raises(monkeypatch, graph):
         f.eval_d(y)
     with pytest.raises(ConvergenceError, match="left its bracket"):
         f.eval_all(y)
+
+
+def _moments_reference(f, xp, s, order):
+    """_moments written out on the full per-point rule of _nodes: the same
+    kernels and products, with no cache and no per-component loops."""
+    n = f.graph.dim
+    T, W = _nodes(n, f._centre(xp, s), order)
+    rho = np.linalg.norm(T, axis=-1)
+    eta, deta = f.mollifier.eta_derivs(rho)
+    Wgrad = np.divide(W * deta, rho, out=np.zeros_like(rho), where=rho > 0)[..., None] * T
+    k1 = -((n - 1) * eta + rho * deta)
+    k2 = -(n * eta + rho * deta)
+    pts = xp[:, None, :] + s[:, None, None] * T
+    g = f.graph.gamma(pts)
+    dg = f.graph.grad_gamma(pts)
+    tdg = (T * dg).sum(axis=-1)[..., None]
+    We = (W * eta)[:, None, :]
+    pxx = -(Wgrad.transpose(0, 2, 1) @ dg) / s[:, None, None]
+    return {
+        "p": (We @ g[..., None])[:, 0, 0] + s,
+        "px": (We @ dg)[:, 0],
+        "ps": 1.0 + (We @ tdg)[:, 0, 0],
+        "pxx": 0.5 * (pxx + pxx.transpose(0, 2, 1)),
+        "pxs": ((W * k1)[:, None, :] @ dg)[:, 0] / s[:, None],
+        "pss": ((W * k2)[:, None, :] @ tdg)[:, 0, 0] / s,
+    }
+
+
+# batches whose rules are all centred at 0: a 3-D cone with every kink
+# preimage -x'/s outside the unit disk, and a 2-D sinusoid (no kink)
+_CENTRED = {
+    "cone-3d": (BoundaryGraph("cone", dim=3, L=0.1),
+                np.array([[0.05, -0.02], [-0.03, 0.08], [0.1, 0.1]]), np.array([0.04, 0.06, 0.1])),
+    "sinusoid-2d": (BoundaryGraph("sinusoid", A=0.05, k=4.0),
+                    np.linspace(-0.2, 0.2, 7)[:, None], np.linspace(0.01, 0.1, 7)),
+}
+# batches with kinks inside: 3-D cone points with |x'| < s (one 3-D point per
+# block at order 64), and a 2-D cone, whose clipped centre is never 0 off x' = 0
+_KINKED = {
+    "cone-3d": (BoundaryGraph("cone", dim=3, L=0.1),
+                np.array([[0.01, 0.0], [0.0, -0.02], [0.02, 0.02]]), np.array([0.05, 0.05, 0.1])),
+    "cone-2d": (BoundaryGraph("cone", L=0.1),
+                np.linspace(-0.2, 0.2, 150)[:, None], np.full(150, 0.05)),
+}
+
+
+@pytest.mark.parametrize("case", ["centred-cone-3d", "centred-sinusoid-2d",
+                                  "kinked-cone-3d", "kinked-cone-2d"])
+def test_moments_match_the_per_point_rule_bitwise(case):
+    kind, name = case.split("-", 1)
+    graph, xp, s = (_CENTRED if kind == "centred" else _KINKED)[name]
+    f = RegularizedDistanceField(graph)
+    assert f._centre(xp, s).any() == (kind == "kinked")
+    # the orders alternate, so a cache that ignores the order hands one the other's rule
+    for order in (32, 64, 32):
+        got, want = f._moments(xp, s, order), _moments_reference(f, xp, s, order)
+        for key in want:
+            assert got[key].shape == want[key].shape, (order, key)
+            assert got[key].tobytes() == want[key].tobytes(), (order, key)
+
+
+def test_centred_blocks_build_no_rule(monkeypatch):
+    calls = []
+    nodes = regdist._nodes
+
+    def counted(dim, c, order):
+        calls.append(len(c))
+        return nodes(dim, c, order)
+
+    monkeypatch.setattr(regdist, "_nodes", counted)
+    for graph, xp, s in _CENTRED.values():
+        f = RegularizedDistanceField(graph)
+        f._p_derivs(xp, s, certify=False)
+        calls.clear()
+        f._p_derivs(xp, s, certify=False)
+        assert calls == []
+    # 2 * 64^2 nodes hold one 3-D point and 2 * 64 nodes 64 2-D points:
+    # one rule per block of three, and per block of 64, 64 and 22
+    for (graph, xp, s), blocks in zip(_KINKED.values(), ([1, 1, 1], [64, 64, 22])):
+        f = RegularizedDistanceField(graph)
+        calls.clear()
+        f._p_derivs(xp, s, certify=False)
+        assert calls == blocks
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_centred_rule_is_read_only(dim):
+    rule = _centred_rule(dim, 64)
+    assert _centred_rule(dim, 64) is rule
+    assert [a.shape[0] for a in rule] == [1] * 5
+    for a in rule:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_3d_cone_is_invariant_under_a_quarter_turn():
+    # the cone is radial and the polar rule's 128 directions map onto
+    # themselves under a quarter turn, centred or not
+    g = BoundaryGraph("cone", dim=3, L=0.1)
+    f = RegularizedDistanceField(g)
+    pts = sample_domain_points(g, 0.25, 12, np.random.default_rng(8))
+    turned = np.column_stack([-pts[:, 1], pts[:, 0], pts[:, 2]])
+    d, grad, hess = f.eval_all(pts)
+    inside = np.linalg.norm(pts[:, :-1], axis=-1) < d
+    assert inside.any() and not inside.all()
+    d_t, grad_t, hess_t = f.eval_all(turned)
+    assert np.max(np.abs(d_t - d) / d) <= 1e-12
+    gn, gn_t = np.linalg.norm(grad, axis=-1), np.linalg.norm(grad_t, axis=-1)
+    assert np.max(np.abs(gn_t - gn) / gn) <= 1e-12
+    # the Hessian turns with the point, so its eigenvalues stay; measured 2.1e-14
+    eig, eig_t = sym_eigvals(hess), sym_eigvals(hess_t)
+    assert np.max(np.abs(eig_t - eig).max(axis=1) / np.abs(eig).max(axis=1)) <= 1e-11
