@@ -28,18 +28,22 @@ __all__ = [
     "minimal_passing_epsilon",
 ]
 
+# eps < 1/2 is structural for the barrier exponents; leave head-room
+EPS_CAP = 0.45
+
 
 def sample_domain_points(graph: BoundaryGraph, r: float, n: int,
-                         rng: np.random.Generator, d_min: float = 0.0) -> np.ndarray:
-    """n random points of Omega cap B_r with x_n - Gamma(x') > d_min.
+                         rng: np.random.Generator) -> np.ndarray:
+    """n >= 1 random points of Omega cap B_r with x_n - Gamma(x') > 1e-6 r.
 
     Rejection sampling from the uniform distribution on the ball; the chart
-    margin |x'| + 1.5 gap <= working radius is respected so the regularized
-    distance is evaluable at every returned point.  The working radius is
-    the field's default, min(1/2, chart radius).
+    margin |x'| + 1.5 gap <= graph.working_radius is respected so the
+    regularized distance is evaluable at every returned point.
     """
+    if n < 1:
+        raise DomainError(f"need at least one sample point, got n = {n}")
     dim = graph.dim
-    wr = min(0.5, graph.chart_radius)
+    wr = graph.working_radius
     out = []
     budget = 500 * max(n, 1)
     while len(out) < n and budget > 0:
@@ -48,7 +52,7 @@ def sample_domain_points(graph: BoundaryGraph, r: float, n: int,
         x = rng.uniform(-r, r, size=(m, dim))
         x = x[np.linalg.norm(x, axis=-1) < r]
         gap = x[:, -1] - np.atleast_1d(graph.gamma(x[:, :-1]))
-        keep = (gap > max(d_min, 1e-6 * r)) & (gap < 0.9 * wr) \
+        keep = (gap > 1e-6 * r) & (gap < 0.9 * wr) \
             & (np.linalg.norm(x[:, :-1], axis=-1) + 1.5 * gap < wr * 0.999)
         out.extend(x[keep])
     if len(out) < n:
@@ -89,13 +93,13 @@ def _pucci_of_power(b: Barrier, d, grad, hess):
     return op(b.E, D2)
 
 
-def barrier_hessian_value(b: Barrier, x, check: bool = False):
+def barrier_hessian_value(b: Barrier, x):
     """M-(D^2 d^(1+eps)) at x for sub barriers, M+(D^2 d^(1-eps)) for super.
 
     Accepts a single point or a batch; propagates regdist errors.
     """
     x = np.asarray(x, dtype=float)
-    vals = _pucci_of_power(b, *b.field.eval_all(np.atleast_2d(x), check=check))
+    vals = _pucci_of_power(b, *b.field.eval_all(np.atleast_2d(x)))
     return float(vals[0]) if x.ndim == 1 else vals
 
 
@@ -119,14 +123,14 @@ class BarrierReport:
         }
 
 
-def _sign_test(b: Barrier, samples, d, grad, hess, tol: float) -> BarrierReport:
+def _sign_test(b: Barrier, samples, d, grad, hess) -> BarrierReport:
     """The barrier sign condition at samples, given d, grad d and D^2 d there."""
     vals = _pucci_of_power(b, d, grad, hess)
     scale = d ** (b.exponent - 2.0)
     signed = vals / scale if b.sign == "sub" else -vals / scale
     i = int(np.argmin(signed))
     return BarrierReport(
-        passed=bool(signed[i] >= -tol),
+        passed=bool(signed[i] >= -1e-8),
         min_value=float(signed[i]),
         argmin=samples[i],
         eps=b.eps,
@@ -135,25 +139,24 @@ def _sign_test(b: Barrier, samples, d, grad, hess, tol: float) -> BarrierReport:
     )
 
 
-def verify_barrier(b: Barrier, samples: np.ndarray, tol: float = 1e-8,
-                   check: bool = False) -> BarrierReport:
+def verify_barrier(b: Barrier, samples: np.ndarray) -> BarrierReport:
     """Check the barrier sign condition at every sample point.
 
-    A sub barrier passes iff M-(D^2 d^(1+eps)) >= -tol * d^(eps-1)
-    pointwise; a super barrier iff M+(D^2 d^(1-eps)) <= tol * d^(-eps-1).
+    A sub barrier passes iff M-(D^2 d^(1+eps)) >= -1e-8 * d^(eps-1)
+    pointwise; a super barrier iff M+(D^2 d^(1-eps)) <= 1e-8 * d^(-eps-1).
     Failures are reported, not raised.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    return _sign_test(b, samples, *b.field.eval_all(samples, check=check), tol)
+    return _sign_test(b, samples, *b.field.eval_all(samples))
 
 
 def minimal_passing_epsilon(field: RegularizedDistanceField, E: EllipticityPair,
-                            r: float, samples: np.ndarray, sign: str = "sub",
-                            eps_hi: float = 0.45, tol_rel: float = 1e-3) -> float:
-    """Smallest eps for which the barrier check passes on the given samples.
+                            r: float, samples: np.ndarray, sign: str = "sub") -> float:
+    """Smallest eps in [1e-6, EPS_CAP] for which the barrier check passes on
+    the given samples, to 1e-3 relative.
 
     Bisection; the per-point value is monotone in eps for d <= 1, so the
-    passing set is an interval reaching eps_hi.  d, grad d and D^2 d do not
+    passing set is an interval reaching EPS_CAP.  d, grad d and D^2 d do not
     depend on eps: the samples are inverted once, and each step runs only
     the sign test of verify_barrier on them.
     """
@@ -162,14 +165,14 @@ def minimal_passing_epsilon(field: RegularizedDistanceField, E: EllipticityPair,
 
     def passes(eps):
         b = Barrier(field=field, eps=eps, sign=sign, E=E, r=r)
-        return _sign_test(b, samples, *dgh, tol=1e-8).passed
+        return _sign_test(b, samples, *dgh).passed
 
-    if not passes(eps_hi):
-        raise DomainError(f"barrier fails even at eps = {eps_hi}; domain too rough")
-    lo, hi = 1e-6, eps_hi
+    if not passes(EPS_CAP):
+        raise DomainError(f"barrier fails even at eps = {EPS_CAP}; domain too rough")
+    lo, hi = 1e-6, EPS_CAP
     if passes(lo):
         return lo
-    while hi - lo > tol_rel * hi:
+    while hi - lo > 1e-3 * hi:
         mid = 0.5 * (lo + hi)
         if passes(mid):
             hi = mid
@@ -228,6 +231,9 @@ def check_special_solution_sandwich(phi, field: RegularizedDistanceField,
     gap = nodes[:, -1] - np.atleast_1d(field.graph.gamma(nodes[:, :-1]))
     inner = (gap >= 2 * h) & (np.linalg.norm(nodes, axis=-1) <= r - 2 * h) \
         & (np.linalg.norm(nodes[:, :-1], axis=-1) + 1.5 * gap < field.working_radius)
+    if not inner.any():
+        raise DomainError(f"no grid node lies 2h inside both the graph and B_r "
+                          f"within the chart: r = {r:g}, h = {h:g}")
     nodes_in = nodes[inner]
     u = vals[inner]
     d = field.eval_d(nodes_in, certify=False)

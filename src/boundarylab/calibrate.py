@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .barriers import minimal_passing_epsilon, sample_domain_points
+from .barriers import EPS_CAP, minimal_passing_epsilon, sample_domain_points
 from .errors import ConfigError
 from .geometry import BoundaryGraph
 from .pucci import EllipticityPair
@@ -28,9 +28,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-# eps < 1/2 is structural for the barrier exponents; leave head-room
-EPS_CAP = 0.45
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,8 @@ class BoundaryGraph:
     def __init__(self, family: str, dim: int = 2, chart_radius: float = 0.5, **params):
         if dim not in (2, 3):
             raise DomainError(f"dim must be 2 or 3, got {dim}")
+        if not float(chart_radius) > 0:
+            raise DomainError(f"chart radius must be positive, got {chart_radius}")
         self.family = family
         self.dim = dim
         self.chart_radius = float(chart_radius)
@@ -193,6 +195,11 @@ class BoundaryGraph:
         return out
 
     @property
+    def working_radius(self) -> float:
+        """min(1/2, chart radius): the chart of the regularized distance."""
+        return min(0.5, self.chart_radius)
+
+    @property
     def radial_kink(self) -> bool:
         """Whether Gamma has a derivative singularity at the origin."""
         return self.family in ("cone", "c1model")
@@ -227,12 +234,13 @@ class BoundaryGraph:
             m = 2 * m - 1
         return prev
 
-    def seminorm_at(self, xp, scale, m: int = 129):
+    def seminorm_at(self, xp, scale):
         """sup of |grad Gamma| over B'_scale(x'), sampled; clipped to the chart.
 
-        One point x' with a scalar scale gives a float; a (k, n-1) batch
-        with k scales (or one) gives k values, sampled in blocks of about
-        _SEMINORM_NODES nodes.
+        Each ball takes the m = 129 sample of _sample_ball.  One point x'
+        with a scalar scale gives a float; a (k, n-1) batch with k scales
+        (or one) gives k values, sampled in blocks of about _SEMINORM_NODES
+        nodes.
         """
         xp = self._as_xp(xp)
         single = xp.ndim == 1
@@ -240,7 +248,7 @@ class BoundaryGraph:
         scale = np.broadcast_to(np.asarray(scale, dtype=float), xp.shape[:1])
         if np.any(scale <= 0):
             raise DomainError(f"scale must be positive, got {scale.min()}")
-        unit = _unit_ball(self.dim - 1, m)
+        unit = _unit_ball(self.dim - 1, 129)
         step = max(1, _SEMINORM_NODES // len(unit))
         out = np.empty(len(xp))
         for a in range(0, len(xp), step):
@@ -284,27 +292,28 @@ class C1Report:
 
 
 def check_c1_conditions(graph: BoundaryGraph, omega: Modulus, side: str,
-                        r: float, n_dyadic: int = 10, n_dir: int = 257) -> C1Report:
-    """Sample the cone x_n = +-|x'| omega(|x'|) at dyadic radii.
+                        r: float) -> C1Report:
+    """Sample the cone x_n = +-|x'| omega(|x'|) at 10 dyadic radii r 2^-j.
 
     Interior side: the cone must sit inside Omega-bar, i.e.
     |x'| omega(|x'|) >= Gamma(x').  Exterior side: Omega must avoid the
     reflected cone, i.e. Gamma(x') >= -|x'| omega(|x'|).  The margin is the
     worst sampled slack; margin >= 0 means the condition holds on samples.
+    In 3-D each radius is sampled at 257 equispaced directions.
     """
     if side not in ("interior", "exterior"):
         raise DomainError(f"side must be 'interior' or 'exterior', got {side!r}")
     if r <= 0 or r >= omega.t0:
         raise DomainError(f"radius {r} must lie in (0, t0={omega.t0})")
-    radii = r * 2.0 ** (-np.arange(n_dyadic, dtype=float))
+    radii = r * 2.0 ** (-np.arange(10, dtype=float))
     worst = np.inf
     argmin = None
-    per_radius = np.empty(n_dyadic)
+    per_radius = np.empty(len(radii))
     for j, rho in enumerate(radii):
         if graph.dim == 2:
             xp = np.array([[-rho], [rho]])
         else:
-            th = np.linspace(0.0, 2 * np.pi, n_dir, endpoint=False)
+            th = np.linspace(0.0, 2 * np.pi, 257, endpoint=False)
             xp = rho * np.stack([np.cos(th), np.sin(th)], axis=-1)
         cone_height = rho * float(omega(rho))
         g = np.atleast_1d(graph.gamma(xp))

@@ -65,18 +65,14 @@ class GrowthReport:
         return out
 
 
-def fit_log_slope(radii, values, k_lo: int = 1, k_hi: Optional[int] = None):
+def fit_log_slope(radii, values):
     """Least-squares slope of log(values) against log(radii).
 
-    Drops the first k_lo and the last entry by default (cascade edges are
-    contaminated by the outer data and the finest grid).
+    Drops the first and the last entry (cascade edges are contaminated by
+    the outer data and the finest grid).
     """
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if k_hi is None:
-        k_hi = len(radii) - 1
-    x = np.log(radii[k_lo:k_hi])
-    y = np.log(values[k_lo:k_hi])
+    x = np.log(np.asarray(radii, dtype=float)[1:-1])
+    y = np.log(np.asarray(values, dtype=float)[1:-1])
     if len(x) < 2:
         raise DomainError("need at least two interior levels for a slope fit")
     A = np.column_stack([x, np.ones_like(x)])
@@ -90,18 +86,17 @@ def fit_log_slope(radii, values, k_lo: int = 1, k_hi: Optional[int] = None):
 
 def _run_cascade(graph: BoundaryGraph, operator, k_max: int, n_grid: int,
                  r0: float, outer_data: Callable, graph_data: Callable,
-                 rhs: Optional[Callable] = None, stencil: str = "standard5",
-                 k_min: int = 1):
-    """Sequential dyadic solve; returns per-level (R, r, sol) summaries.
+                 rhs: Optional[Callable] = None, stencil: str = "standard5"):
+    """Sequential dyadic solve of levels 1..k_max; returns per-level summaries.
 
-    On a dilation-invariant graph level k_min is discretized once and every
+    On a dilation-invariant graph level 1 is discretized once and every
     later level solves its dilation, bitwise the level's own assembly.
     """
     if rhs is None:
         rhs = lambda p: np.zeros(len(p))
     radii, qs, ms, residuals = [], [], [], []
     prev_sol = base = None
-    for k in range(k_min, k_max + 1):
+    for k in range(1, k_max + 1):
         R = 2.0 ** (-k + 1) * r0
         h = 2 * R / n_grid
 
@@ -142,7 +137,7 @@ def _run_cascade(graph: BoundaryGraph, operator, k_max: int, n_grid: int,
         ms.append(sup_u / r_k)
         residuals.append(sol.residual)
         prev_sol = sol
-    return (np.arange(k_min, k_max + 1), np.asarray(radii), np.asarray(qs),
+    return (np.arange(1, k_max + 1), np.asarray(radii), np.asarray(qs),
             np.asarray(ms), np.asarray(residuals))
 
 
@@ -193,8 +188,7 @@ def measure_growth(graph: BoundaryGraph, operator=None, k_max: int = 7,
 
 def measure_boundary_modulus(graph: BoundaryGraph, operator=None, k_max: int = 7,
                              n_grid: int = 256, r0: float = 0.5,
-                             g: Optional[Callable] = None,
-                             grad_g0: Optional[np.ndarray] = None,
+                             g: Optional[Callable] = None, *, grad_g0,
                              outer_data: Optional[Callable] = None,
                              rhs=None, stencil: str = "standard5") -> GrowthReport:
     """Sup quotients of v = u - g(0) - grad g(0) . x' through the cascade.
@@ -202,19 +196,14 @@ def measure_boundary_modulus(graph: BoundaryGraph, operator=None, k_max: int = 7
     The solution takes boundary data g on the graph part (and on the
     outermost circle at the first level); the affine part of g at the
     origin is subtracted before measuring, so smooth data with nonzero
-    gradient still yields bounded m_k.
+    gradient still yields bounded m_k.  grad_g0 is the exact tangential
+    gradient of g at the origin, of length n - 1.
     """
     if operator is None:
         operator = LaplaceOp()
     if g is None:
         g = lambda p: np.zeros(len(p))
     g0 = float(np.atleast_1d(g(np.zeros((1, 2))))[0])
-    if grad_g0 is None:
-        # tangential gradient of the data at the origin by central difference
-        h0 = 1e-6
-        gp = float(np.atleast_1d(g(np.array([[h0, 0.0]])))[0])
-        gm = float(np.atleast_1d(g(np.array([[-h0, 0.0]])))[0])
-        grad_g0 = np.array([(gp - gm) / (2 * h0)])
 
     def affine(p):
         return g0 + p[:, :-1] @ grad_g0
@@ -233,22 +222,20 @@ def measure_boundary_modulus(graph: BoundaryGraph, operator=None, k_max: int = 7
 
 
 def diagnostic_sequences(graph: BoundaryGraph, C0_hat: float, A_hat: float,
-                         k_max: int, c0: float = 1.0,
-                         omega_f: Optional[Modulus] = None,
-                         omega_g: Optional[Modulus] = None,
-                         C_hat: float = 4.0, k_min: int = 1):
-    """The dyadic recursion sequences (eps_k, c_k, d_k).
+                         k_max: int, omega_f: Optional[Modulus] = None,
+                         omega_g: Optional[Modulus] = None, C_hat: float = 4.0):
+    """The dyadic recursion sequences (eps_k, c_k, d_k) for k = 1..k_max.
 
-    eps_k = C0_hat * seminorm(2^-k); c_k = (1 - A_hat eps_{k-1}) c_{k-1};
+    eps_k = C0_hat * seminorm(2^-k); c_1 = 1, c_k = (1 - A_hat eps_{k-1}) c_{k-1};
     d_k = omega_g(2^{-k-1}) + C_hat omega_f(2^{-k-1}).
     """
-    ks = np.arange(k_min, k_max + 1)
+    ks = np.arange(1, k_max + 1)
     eps = np.empty(len(ks))
     for i, k in enumerate(ks):
         r = min(2.0 ** (-float(k)), graph.chart_radius)
         eps[i] = C0_hat * graph.local_lip_seminorm(r)
     c = np.empty(len(ks))
-    c[0] = c0
+    c[0] = 1.0
     for i in range(1, len(ks)):
         factor = 1.0 - A_hat * eps[i - 1]
         if factor <= 0:

@@ -29,7 +29,8 @@ __all__ = [
     "make_composite",
 ]
 
-DEFAULT_RTOL = 1e-10
+# relative tolerance of the adaptive quadrature in dini_integral
+DINI_RTOL = 1e-10
 
 
 class Modulus:
@@ -44,7 +45,7 @@ class Modulus:
         t0: float,
         func: Callable[[np.ndarray], np.ndarray],
         *,
-        deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        deriv: Callable[[np.ndarray], np.ndarray],
         dini_primitive: Optional[Callable[[float], float]] = None,
         params: Optional[dict] = None,
         vanishes_at_zero: bool = True,
@@ -64,14 +65,8 @@ class Modulus:
         return eval_modulus(self, t)
 
     def derivative(self, t):
-        """omega'(t) where available analytically, else a central difference."""
-        t = np.asarray(t, dtype=float)
-        if self._deriv is not None:
-            return self._deriv(t)
-        h = 1e-7 * max(self.t0, 1.0)
-        lo = np.maximum(t - h, 0.0)
-        hi = np.minimum(t + h, self.t0 * (1 - 1e-12))
-        return (self._func(hi) - self._func(lo)) / (hi - lo)
+        """omega'(t), from the closed form deriv that each kind supplies."""
+        return self._deriv(np.asarray(t, dtype=float))
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -189,13 +184,13 @@ def table(ts: Sequence[float], values: Sequence[float], t0: Optional[float] = No
     )
 
 
-def dini_integral(omega: Modulus, a: float, b: float, rtol: float = DEFAULT_RTOL) -> float:
+def dini_integral(omega: Modulus, a: float, b: float) -> float:
     """Integral of omega(s)/s over [a, b], 0 < a <= b < t0.
 
     a = 0 is allowed when the modulus vanishes at zero and the integral
     converges (the Dini condition); divergence raises ConvergenceError.
     Uses the closed-form antiderivative when the modulus carries one,
-    otherwise adaptive (Gauss-Kronrod) quadrature to relative tolerance rtol.
+    otherwise adaptive (Gauss-Kronrod) quadrature to relative tolerance DINI_RTOL.
     """
     if not (0 <= a <= b):
         raise DomainError(f"need 0 <= a <= b, got a={a}, b={b}")
@@ -215,7 +210,7 @@ def dini_integral(omega: Modulus, a: float, b: float, rtol: float = DEFAULT_RTOL
     if omega.dini_primitive is not None:
         # closed-form primitives with a finite limit at zero
         p0 = omega.dini_primitive(1e-300)
-        if math.isfinite(p0) and abs(p0) < rtol:
+        if math.isfinite(p0) and abs(p0) < DINI_RTOL:
             return omega.dini_primitive(b) - 0.0
     # integrate in u = log s: smooths the 1/s factor near the left endpoint
     val, err = integrate.quad(
@@ -223,10 +218,10 @@ def dini_integral(omega: Modulus, a: float, b: float, rtol: float = DEFAULT_RTOL
         math.log(a) if a > 0 else -np.inf,
         math.log(b),
         epsabs=1e-15,
-        epsrel=rtol,
+        epsrel=DINI_RTOL,
         limit=200,
     )
-    if err > 10 * rtol * max(abs(val), 1e-300) and err > 1e-14:
+    if err > 10 * DINI_RTOL * max(abs(val), 1e-300) and err > 1e-14:
         raise ConvergenceError(
             f"dini_integral quadrature error estimate {err:g} exceeds tolerance for {omega}"
         )
@@ -244,7 +239,7 @@ class CompositeModulus:
     """
 
     def __init__(self, a: float, b: float, c: float, omega1: Modulus, omega2: Modulus,
-                 t0: float, rtol: float = DEFAULT_RTOL):
+                 t0: float):
         self.a = a
         self.b = b
         self.c = c
@@ -254,7 +249,6 @@ class CompositeModulus:
         self.kind = "composite"
         self.vanishes_at_zero = True
         self.dini_primitive = None    # Dini integrals of w go through quadrature
-        self._rtol = rtol
 
     def __call__(self, t):
         scalar = np.ndim(t) == 0
@@ -267,8 +261,8 @@ class CompositeModulus:
         for i, ti in enumerate(arr):
             if ti == 0.0:
                 continue
-            i1 = dini_integral(self.omega1, ti, self.b, self._rtol)
-            i2 = dini_integral(self.omega2, ti, self.b, self._rtol)
+            i1 = dini_integral(self.omega1, ti, self.b)
+            i2 = dini_integral(self.omega2, ti, self.b)
             out[i] = ti * (self.a + i1) * math.exp(self.c * i2)
         return float(out[0]) if scalar else out
 
@@ -277,8 +271,8 @@ class CompositeModulus:
                 f"t0={self.t0})")
 
 
-def make_composite(a: float, b: float, c: float, omega1: Modulus, omega2: Modulus,
-                   rtol: float = DEFAULT_RTOL) -> CompositeModulus:
+def make_composite(a: float, b: float, c: float, omega1: Modulus,
+                   omega2: Modulus) -> CompositeModulus:
     """Build the composite modulus, certifying its monotonicity radius.
 
     Its t0 (the paper's tilde t0) is the largest t in (0, b) with
@@ -313,4 +307,4 @@ def make_composite(a: float, b: float, c: float, omega1: Modulus, omega2: Modulu
             else:
                 hi = mid
         tilde_t0 = lo
-    return CompositeModulus(a, b, c, omega1, omega2, tilde_t0, rtol)
+    return CompositeModulus(a, b, c, omega1, omega2, tilde_t0)

@@ -18,7 +18,7 @@ One node rule holds all that depends on the dimension: two Gauss-Legendre
 panels split at the kink preimage for n = 2, a polar rule on the unit disk
 centred there for n = 3.  One moment kernel serves both, and each moment is
 a batched weighted-kernel matrix product over a block of at most
-_QUAD_NODES nodes (one 3-D point or 64 2-D points at the default order).
+_QUAD_NODES nodes (one 3-D point or 64 2-D points at order QUAD_ORDER).
 The rule and its weighted kernels depend only on the centre and the order;
 the rule centred at 0 (graphs without a radial kink, and 3-D points whose
 kink preimage lies outside the disk) is built once per order and shared,
@@ -46,7 +46,10 @@ __all__ = ["Mollifier", "RegularizedDistanceField", "DistanceBoundsReport",
 
 # chart guard; graphs steeper than this break the p-inversion margin
 MAX_LIPSCHITZ = 0.25
-# quadrature nodes per block of points: one 3-D point at the default order
+# Gauss-Legendre order of the rules: p is evaluated at twice this order,
+# and the order-doubling certificate compares it with this order
+QUAD_ORDER = 32
+# quadrature nodes per block of points: one 3-D point at QUAD_ORDER
 # (2 * 64^2 on the doubled rule), 64 points in 2-D
 _QUAD_NODES = 8192
 # distance-bound checks: seminorms below S_FLOOR count as flat, and flat
@@ -83,16 +86,16 @@ def _bump(rho):
 class Mollifier:
     """Radial C^infty bump on the unit ball of R^(n-1), normalized to mass 1.
 
-    The normalization integral is computed once by quadrature; the stored
-    certificate is the disagreement between two refinement levels.
+    The normalization integral is computed once by quadrature at orders 200
+    and 400; the stored certificate is the disagreement between the two.
     """
 
-    def __init__(self, dim_surface: int, order: int = 200):
+    def __init__(self, dim_surface: int):
         if dim_surface not in (1, 2):
             raise DomainError(f"mollifier supports surface dimension 1 or 2, got {dim_surface}")
         self.dim_surface = dim_surface
-        coarse = self._mass(order)
-        fine = self._mass(2 * order)
+        coarse = self._mass(200)
+        fine = self._mass(400)
         self.normalization = fine
         self.norm_certificate = abs(fine - coarse)
         if self.norm_certificate > 1e-10:
@@ -182,26 +185,20 @@ def _centred_rule(dim: int, order: int):
 class RegularizedDistanceField:
     """Evaluable regularized distance d with gradient and Hessian.
 
+    Works on the graph's working radius, min(1/2, chart radius), with rules
+    of order QUAD_ORDER, on graphs with L_global <= MAX_LIPSCHITZ.
     Immutable after construction; evaluations are pure and reentrant.
     """
 
-    def __init__(self, graph: BoundaryGraph, order: int = 32,
-                 working_radius: float | None = None,
-                 max_lipschitz: float = MAX_LIPSCHITZ):
-        if graph.L_global > max_lipschitz:
+    def __init__(self, graph: BoundaryGraph):
+        if graph.L_global > MAX_LIPSCHITZ:
             raise DomainError(
                 f"graph Lipschitz constant {graph.L_global:.4g} exceeds the chart "
-                f"guard {max_lipschitz}; the vertical inversion is not certified"
+                f"guard {MAX_LIPSCHITZ}; the vertical inversion is not certified"
             )
         self.graph = graph
-        self.order = int(order)
         self.mollifier = _mollifier(graph.dim - 1)
-        wr = min(0.5, graph.chart_radius) if working_radius is None else working_radius
-        if not 0 < wr <= 0.5:
-            raise DomainError(f"working radius must lie in (0, 1/2], got {wr}")
-        if wr > graph.chart_radius:
-            raise DomainError("working radius exceeds the graph chart radius")
-        self.working_radius = wr
+        self.working_radius = graph.working_radius
 
     # -- p and its derivatives ---------------------------------------------
 
@@ -266,8 +263,8 @@ class RegularizedDistanceField:
             "pss": (Wk2 @ tdg)[:, 0, 0] / s,
         }
 
-    def _p_derivs(self, xp, s, order=None, certify=True):
-        order = self.order if order is None else order
+    def _p_derivs(self, xp, s, certify=True):
+        """The derivatives of p at order 2 QUAD_ORDER; certify checks p at QUAD_ORDER."""
 
         def blocked(q):
             # the rules hold 2 q^(n-1) nodes per point; an empty batch
@@ -277,26 +274,26 @@ class RegularizedDistanceField:
                      for a in range(0, max(len(s), 1), step)]
             return {key: np.concatenate([b[key] for b in parts]) for key in parts[0]}
 
-        fine = blocked(2 * order)
+        fine = blocked(2 * QUAD_ORDER)
         if certify:
-            coarse = blocked(order)
+            coarse = blocked(QUAD_ORDER)
             scale = np.maximum(np.abs(fine["p"]), 1e-12)
             if np.any(np.abs(fine["p"] - coarse["p"]) > 1e-6 * scale):
                 raise QuadratureError(
                     "order-doubling changed p by more than 1e-6 relative; "
-                    "increase the quadrature order for this boundary family"
+                    "QUAD_ORDER is too low for this boundary family"
                 )
         return fine
 
     # -- public evaluation --------------------------------------------------
 
-    def eval_p(self, x, certify=True):
-        """p(x', x_n) for x_n > 0 inside the chart."""
+    def eval_p(self, x):
+        """p(x', x_n) for x_n > 0 inside the chart, order-doubling certified."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 1
         pts = np.atleast_2d(x)
         xp, s = self._check_chart(pts[:, :-1], pts[:, -1])
-        p = self._p_derivs(xp, s, certify=certify)["p"]
+        p = self._p_derivs(xp, s)["p"]
         return float(p[0]) if scalar else p
 
     def _solve_d(self, xp, yn, certify=True):
@@ -387,7 +384,13 @@ class RegularizedDistanceField:
         d, _ = self._solve_d(pts[:, :-1], pts[:, -1], certify=certify)
         return float(d[0]) if scalar else d
 
-    def _grad_hess(self, pts, check):
+    def eval_all(self, y, check=False):
+        """(d, grad d, hess d) for a batch of points, ordered by input index.
+
+        A single point is a batch of one.  check cross-checks grad d and
+        D^2 d against central differences of d (_fd_check).
+        """
+        pts = np.atleast_2d(np.asarray(y, dtype=float))
         xp, yn = pts[:, :-1], pts[:, -1]
         d, der = self._solve_d(xp, yn, certify=False)
         q = der["ps"]
@@ -454,22 +457,6 @@ class RegularizedDistanceField:
                 f"Hessian cross-check failed at {pts[i]}: |diff| = "
                 f"{diff[i]:g} vs scale {scale[i]:g}"
             )
-
-    def eval_grad_d(self, y, check=True):
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 1
-        _, grad, _ = self._grad_hess(np.atleast_2d(y), check)
-        return grad[0] if scalar else grad
-
-    def eval_hess_d(self, y, check=True):
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 1
-        _, _, hess = self._grad_hess(np.atleast_2d(y), check)
-        return hess[0] if scalar else hess
-
-    def eval_all(self, y, check=False):
-        """(d, grad d, hess d) for a batch of points, ordered by input index."""
-        return self._grad_hess(np.atleast_2d(np.asarray(y, dtype=float)), check)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 2-D only.  The standard stencil uses the 5-point Laplacian with
 Shortley-Weller shortened arms where the grid meets the graph boundary or
-the circle; the wide stencil adds rotated lattice directions so that
-anisotropic and Pucci (Bellman) operators admit a monotone decomposition.
+the circle; the wide stencil adds the six rotated lattice directions
+(1, +-1), (2, 1), (-1, 2), (1, 2) and (-2, 1), so that anisotropic and Pucci
+(Bellman) operators admit a monotone decomposition.
 Every operator is a Bellman problem inf or sup over a set of policies,
 each a coefficient matrix A with the linear operator Tr(A D^2 u).  The
 Pucci operators take the extremal matrices a v v^T + b w w^T, a, b in
@@ -59,21 +60,21 @@ class PucciOp:
     kind: str = "pucci"
 
 
-# lattice directions; the first four serve width 2, all eight width 4
+# lattice directions; the first two serve the 5-point stencil, all eight
+# the wide stencil
 _DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 2), (1, 2), (-2, 1)]
 # orthogonal frames among the directions, as index pairs into _DIRECTIONS
 _FRAMES = [(0, 1), (2, 3), (4, 5), (6, 7)]
+# policy iteration stops with a ConvergenceError after this many rounds
+_MAX_POLICY_ROUNDS = 200
 
 
-def _direction_count(stencil: str, width: int) -> int:
+def _direction_count(stencil: str) -> int:
+    """Lattice directions of a stencil: 2 for "standard5", 8 for "wide"."""
     if stencil == "standard5":
         return 2
     if stencil == "wide":
-        if width == 2:
-            return 4
-        if width == 4:
-            return 8
-        raise DomainError(f"wide stencil width must be 2 or 4, got {width}")
+        return len(_DIRECTIONS)
     raise DomainError(f"unknown stencil {stencil!r}")
 
 
@@ -84,12 +85,12 @@ class GridProblem:
     return (m,) values, or a scalar for constant data.  rhs is evaluated at
     the interior nodes.  dirichlet is evaluated at the exact cut
     intersection points, once per assembly or dilation, on a single
-    (n_cut, 2) array.  A FixedOp field is vectorized too.
+    (n_cut, 2) array.  A FixedOp field is vectorized too.  stencil is
+    "standard5" (2 lattice directions) or "wide" (all 8 _DIRECTIONS).
     """
 
     def __init__(self, graph: BoundaryGraph, r: float, h: float, operator,
-                 rhs: Callable, dirichlet: Callable,
-                 stencil: str = "standard5", width: int = 4):
+                 rhs: Callable, dirichlet: Callable, stencil: str = "standard5"):
         if graph.dim != 2:
             raise DomainError("the grid solver is 2-D only")
         if h > r / 16 * (1 + 1e-12):
@@ -103,8 +104,7 @@ class GridProblem:
         self.rhs = rhs
         self.dirichlet = dirichlet
         self.stencil = stencil
-        self.width = width
-        self.n_dir = _direction_count(stencil, width)
+        self.n_dir = _direction_count(stencil)
 
 
 def _values_at(fn: Callable, pts: np.ndarray, name: str) -> np.ndarray:
@@ -265,12 +265,11 @@ def _psi(graph: BoundaryGraph, X0: np.ndarray, W: np.ndarray, t: np.ndarray) -> 
     return X0[:, 1:] + t * W[:, 1:] - graph.gamma((X0[:, :1] + t * W[:, :1])[..., None])
 
 
-def _cut_fractions(graph: BoundaryGraph, r: float, X0: np.ndarray, W: np.ndarray,
-                   samples: int = 64) -> np.ndarray:
+def _cut_fractions(graph: BoundaryGraph, r: float, X0: np.ndarray, W: np.ndarray) -> np.ndarray:
     """First exit s in (0, 1] of each segment X0 + s W from Omega cap B_r.
 
     Each X0 must lie in Omega.  The circle root is closed-form.  The graph
-    root is bracketed by the first of samples + 1 equispaced s with
+    root is bracketed by the first of 65 equispaced s with
     y - Gamma(x) <= 0 (an exact zero is taken as is), scanned _SCAN_ROWS
     segments at a time, and bisected to a width of at most 1e-14.  A
     segment with neither root keeps s = 1: the grid can class the far node
@@ -285,7 +284,7 @@ def _cut_fractions(graph: BoundaryGraph, r: float, X0: np.ndarray, W: np.ndarray
     s = np.where((disc >= 0) & (s_ball > 0) & (s_ball <= 1 + 1e-12),
                  np.minimum(s_ball, 1.0), np.inf)
 
-    ss = np.linspace(0.0, 1.0, samples + 1)
+    ss = np.linspace(0.0, 1.0, 65)
     first = np.full(len(X0), -1)      # first sample at or below the graph; -1 if none
     exact = np.zeros(len(X0), dtype=bool)
     for k0 in range(0, len(X0), _SCAN_ROWS):
@@ -420,11 +419,12 @@ class GridSolution:
         self._ids = system.ids
         self._xs = system.xs
 
-    def interpolate(self, pts: np.ndarray, fill=0.0) -> np.ndarray:
+    def interpolate(self, pts: np.ndarray, fill: Callable) -> np.ndarray:
         """Bilinear interpolation from the four surrounding grid nodes.
 
-        Non-interior corners take fill: a scalar, or a callable evaluated
-        once on the distinct non-interior corners of the touched cells.
+        Non-interior corners take the values of fill, a vectorized callable
+        evaluated once on the distinct non-interior corners of the touched
+        cells.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         xs, h, n = self._xs, self.h, len(self._xs)
@@ -441,9 +441,7 @@ class GridSolution:
         inner = ids >= 0
         c = np.empty(ids.shape)
         c[inner] = self.values[ids[inner]]
-        if not callable(fill):
-            c[~inner] = fill
-        elif not inner.all():
+        if not inner.all():
             flat, back = np.unique(ci[~inner] * n + cj[~inner], return_inverse=True)
             c[~inner] = np.asarray(fill(xs[np.stack(np.divmod(flat, n), axis=-1)]))[back]
         return ((1 - tx) * (1 - ty) * c[:, 0] + tx * (1 - ty) * c[:, 1]
@@ -475,8 +473,7 @@ def _linear_solve(A, lu, c, f, tol_units):
     return u, float(np.max(np.abs(A @ u - rhs) / diag))
 
 
-def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None,
-          max_policy_rounds: int = 200) -> GridSolution:
+def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None) -> GridSolution:
     """Solve the discrete problem by policy iteration; deterministic given the problem.
 
     Each round solves the frozen-policy linear system (sparse LU with
@@ -496,7 +493,7 @@ def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None,
     per_node = np.broadcast_to(alphas, (len(alphas), sys_.m, alphas.shape[2]))
     rows = np.arange(sys_.m)
     policy = np.zeros(sys_.m, dtype=int)
-    for it in range(1, max_policy_rounds + 1):
+    for it in range(1, _MAX_POLICY_ROUNDS + 1):
         # an uncached factor is freed before the next round builds its own
         u, res = _linear_solve(*sys_.frozen_matrix(per_node[policy, rows]), f, tol)
         # every policy's operator value at every node, (m, npol); optimize
@@ -514,7 +511,7 @@ def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None,
                 raise ConvergenceError(f"solve residual {res:g} exceeds {tol:g}")
             return GridSolution(problem, sys_, u, res, it, policy)
         policy = new_policy
-    raise ConvergenceError(f"policy iteration did not settle in {max_policy_rounds} rounds")
+    raise ConvergenceError(f"policy iteration did not settle in {_MAX_POLICY_ROUNDS} rounds")
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,17 @@ def test_sandwich_chart_mismatch():
         check_special_solution_sandwich(phi, f2, 0.2, 0.25)
 
 
+def test_sandwich_without_checked_nodes_names_r_and_h():
+    # every node of a 0.25/16 grid lies farther than r - 2h < 0 from the origin
+    g, f = _field("cone", L=0.1)
+    prob = GridProblem(g, 0.25, 0.25 / 16, LaplaceOp(),
+                       rhs=lambda p: np.zeros(len(p)),
+                       dirichlet=lambda p: np.zeros(len(np.atleast_2d(p))))
+    phi = solve(prob)
+    with pytest.raises(DomainError, match=r"r = 0\.03, h = 0\.015625"):
+        check_special_solution_sandwich(phi, f, 0.2, 0.03)
+
+
 def test_verify_barrier_inverts_once(monkeypatch):
     # d, grad d and D^2 d all come from one vertical inversion per check
     g = BoundaryGraph("cone", dim=3, L=0.1)
@@ -195,7 +206,7 @@ def test_minimal_epsilon_inverts_the_samples_once(monkeypatch):
     monkeypatch.setattr(RegularizedDistanceField, "eval_all", counted)
     eps = minimal_passing_epsilon(f, E_LAP, 0.25, pts, "sub")
     assert calls == [100]
-    # the bisection stops within tol_rel = 1e-3 of a failing eps, and its
+    # the bisection stops within 1e-3 relative of a failing eps, and its
     # sign test is verify_barrier's
     assert verify_barrier(Barrier(field=f, eps=eps, sign="sub", E=E_LAP, r=0.25), pts).passed
     below = Barrier(field=f, eps=eps * (1 - 1e-3), sign="sub", E=E_LAP, r=0.25)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from boundarylab import BoundaryGraph, measure_boundary_modulus
+from boundarylab import BoundaryGraph, DomainError, measure_boundary_modulus
 from boundarylab.calibrate import (
     CalibrationConstants, load_calibration, run_calibration, save_calibration,
 )
@@ -211,6 +211,28 @@ def test_cli_exit_code_2_on_bad_config(tmp_path):
                                           "domain": {"family": "zero"}})
     assert main(["regdist-check", "--config", str(unknown),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("regdist-check", {}),
+    ("barrier-check", {"ellipticity": {"lam": 1.0, "Lam": 1.0}}),
+])
+def test_cli_exit_code_2_on_zero_points(tmp_path, command, extra):
+    # an empty sample is bad input (exit 2), not a failed check (exit 1)
+    cfg = _write(tmp_path, "z.json", {
+        "schema_version": 1, "n_points": 0,
+        "domain": {"family": "cone", "L": 0.1}, **extra})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_nonpositive_chart_radius_is_rejected(tmp_path):
+    with pytest.raises(DomainError, match="chart radius"):
+        BoundaryGraph("cone", L=0.1, chart_radius=0)
+    domain = {"family": "cone", "L": 0.1, "chart_radius": -0.3}
+    with pytest.raises(DomainError, match="chart radius"):
+        graph_from_config(domain)
+    cfg = _write(tmp_path, "c.json", {"schema_version": 1, "domain": domain})
+    assert main(["regdist-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_cli_regdist_check(tmp_path):

@@ -94,7 +94,7 @@ def test_boundary_modulus_linear_data_subtracted_exactly():
     g = BoundaryGraph("zero")
     rep = measure_boundary_modulus(
         g, k_max=4, n_grid=32,
-        g=lambda p: np.atleast_2d(p)[:, 0],
+        g=lambda p: np.atleast_2d(p)[:, 0], grad_g0=[1.0],
         outer_data=lambda p: np.atleast_2d(p)[:, 0])
     # v = u - x1 = 0: sup quotients vanish
     assert np.all(np.abs(rep.m) < 1e-10)
@@ -191,7 +191,7 @@ def test_boundary_modulus_cone_slope_bound():
     cal = load_calibration()
     L = 0.2
     g = BoundaryGraph("cone", L=L)
-    rep = measure_boundary_modulus(g, k_max=6, n_grid=64)
+    rep = measure_boundary_modulus(g, k_max=6, n_grid=64, grad_g0=[0.0])
     slope, _ = fit_log_slope(rep.radii, rep.m)
     assert slope >= -cal.C_envelope * L
 

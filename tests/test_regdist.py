@@ -40,8 +40,9 @@ def test_d_flat_and_linear_exact():
     y = np.array([[0.05, 0.3], [-0.1, 0.2]])
     gap = y[:, 1] - 0.2 * y[:, 0]
     assert np.abs(fl.eval_d(y) - gap).max() < 1e-10
-    np.testing.assert_allclose(fl.eval_grad_d(y[0]), [-0.2, 1.0], atol=1e-9)
-    assert np.abs(fl.eval_hess_d(y[0])).max() < 1e-8
+    _, grad, hess = fl.eval_all(y[0], check=True)
+    np.testing.assert_allclose(grad[0], [-0.2, 1.0], atol=1e-9)
+    assert np.abs(hess[0]).max() < 1e-8
 
 
 def test_inverse_consistency():
@@ -59,8 +60,8 @@ def test_grad_hess_fd_crosscheck_runs():
     g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
     f = RegularizedDistanceField(g)
     y = np.array([0.0, 0.1])
-    grad = f.eval_grad_d(y, check=True)
-    hess = f.eval_hess_d(y, check=True)
+    _, grad, hess = f.eval_all(y, check=True)
+    grad, hess = grad[0], hess[0]
     assert grad.shape == (2,)
     assert np.allclose(hess, hess.T)
 
@@ -130,7 +131,7 @@ def test_c1model_hessian_vanishes_at_boundary():
     for h in heights:
         y = np.array([0.0, h])
         d = f.eval_d(y)
-        H = f.eval_hess_d(y, check=False)
+        H = f.eval_all(y)[2][0]
         vals.append(d * np.abs(np.linalg.eigvalsh(H)).max())
     assert vals[-1] < 0.25 * vals[0]
 
@@ -155,9 +156,9 @@ def test_3d_cone():
     d = f.eval_d(y)
     gap = 0.1 - 0.1 * np.hypot(0.02, 0.03)
     assert 0.8 * gap < d < 1.2 * gap
-    grad = f.eval_grad_d(y)
+    _, grad, H = f.eval_all(y, check=True)
+    grad, H = grad[0], H[0]
     assert np.linalg.norm(grad) == pytest.approx(1.0, abs=0.3)
-    H = f.eval_hess_d(y)
     assert np.allclose(H, H.T)
 
 
@@ -279,7 +280,7 @@ def test_batch_agrees_with_point_by_point(graph, n):
         assert inside.any() and not inside.all()
     elif n > 8:
         # 2 * 64 nodes per point on the doubled rule: the batch spans three blocks
-        assert n > 2 * (_QUAD_NODES // (4 * f.order))
+        assert n > 2 * (_QUAD_NODES // (4 * regdist.QUAD_ORDER))
     for i in range(len(pts)):
         di, gi, hi = f.eval_all(pts[i])
         assert abs(di[0] - d[i]) <= 1e-15 * d[i]

@@ -59,7 +59,7 @@ def _cut_fraction_reference(graph, r, x, w, samples=64):
 def _cut_segments(graph, r, n):
     """Every node-to-outside segment along the eight wide-stencil directions."""
     sys_ = discretize(GridProblem(graph, r, 2 * r / n, LaplaceOp(), ZERO, ZERO,
-                                  stencil="wide", width=4))
+                                  stencil="wide"))
     h = sys_.problem.h
     ii, jj = np.nonzero(sys_.ids >= 0)
     X0, W = [], []
