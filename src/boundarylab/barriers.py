@@ -8,7 +8,7 @@ M+(D^2 d^(1-eps)) <= 0, once eps dominates the local Lipschitz seminorm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .errors import DomainError
 from .geometry import BoundaryGraph
 from .pucci import EllipticityPair, pucci_minus, pucci_plus
 from .regdist import RegularizedDistanceField
+from .report import Report
 
 __all__ = [
     "Barrier",
@@ -104,23 +105,13 @@ def barrier_hessian_value(b: Barrier, x):
 
 
 @dataclass(frozen=True)
-class BarrierReport:
-    passed: bool
+class BarrierReport(Report):
+    passed: bool = field(metadata={"json": "pass"})
     min_value: float              # worst signed margin, in units of d^(q-2)
     argmin: np.ndarray
-    eps: float
+    eps: float = field(metadata={"json": "epsilon"})
     sign: str
     n_samples: int
-
-    def to_dict(self):
-        return {
-            "pass": self.passed,
-            "min_value": self.min_value,
-            "argmin": list(map(float, self.argmin)),
-            "epsilon": self.eps,
-            "sign": self.sign,
-            "n_samples": self.n_samples,
-        }
 
 
 def _sign_test(b: Barrier, samples, d, grad, hess) -> BarrierReport:
@@ -182,7 +173,7 @@ def minimal_passing_epsilon(field: RegularizedDistanceField, E: EllipticityPair,
 
 
 @dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(Report):
     lower_ok: bool
     upper_ok: bool
     closeness_ok: bool
@@ -197,29 +188,14 @@ class SandwichReport:
     def passed(self) -> bool:
         return self.lower_ok and self.upper_ok and self.closeness_ok
 
-    def to_dict(self):
-        return {
-            "pass": self.passed,
-            "lower_ok": self.lower_ok,
-            "upper_ok": self.upper_ok,
-            "closeness_ok": self.closeness_ok,
-            "worst_lower": self.worst_lower,
-            "worst_upper": self.worst_upper,
-            "max_deviation": self.max_deviation,
-            "deviation_bound": self.deviation_bound,
-            "n_nodes": self.n_nodes,
-            "slack": self.slack,
-        }
-
 
 def check_special_solution_sandwich(phi, field: RegularizedDistanceField,
-                                    eps: float, r: float,
-                                    K_hat: float = 8.0, C_h: float = 5.0) -> SandwichReport:
+                                    eps: float, r: float, K_hat: float = 8.0) -> SandwichReport:
     """Verify (2r)^(-eps) d^(1+eps) <= phi <= (2r)^eps d^(1-eps) on grid nodes.
 
     phi is a GridSolution with boundary data d on the cut boundary; nodes
     closer than 2h to the boundary are skipped (the Hessian of d^q
-    degenerates there) and each inequality gets discretization slack C_h*h.
+    degenerates there) and each inequality gets discretization slack 5h.
     """
     if phi.problem.graph is not field.graph:
         ga, gb = phi.problem.graph, field.graph
@@ -238,7 +214,7 @@ def check_special_solution_sandwich(phi, field: RegularizedDistanceField,
     u = vals[inner]
     d = field.eval_d(nodes_in, certify=False)
 
-    slack = C_h * h
+    slack = 5.0 * h
     lower = u - (2 * r) ** (-eps) * d ** (1 + eps) + slack
     upper = (2 * r) ** eps * d ** (1 - eps) + slack - u
     dev = np.abs(u - d)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import BoundaryGraph
-from .modulus import CompositeModulus, Modulus, constant, log_modulus, make_composite, power, table
+from .modulus import constant, log_modulus, make_composite, power, table
 from .pucci import EllipticityPair
 from .solver import FixedOp, LaplaceOp, PucciOp
 

@@ -10,7 +10,7 @@ m_k = ||u||_{L_inf(B_{r_k})}/r_k are recorded at r_k = R_k/2 = 2^(-k) r0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .errors import BoundaryLabError, ConvergenceError, DomainError
 from .geometry import BoundaryGraph
 from .modulus import Modulus, dini_integral
+from .report import Report
 from .solver import GridProblem, LaplaceOp, discretize, solve
 
 __all__ = [
@@ -28,11 +29,11 @@ __all__ = [
 
 
 @dataclass
-class GrowthReport:
+class GrowthReport(Report):
     """Per-level cascade measurements plus fitted growth diagnostics."""
 
-    ks: np.ndarray                # level indices
-    radii: np.ndarray             # sampling radii r_k, strictly decreasing
+    ks: np.ndarray = field(metadata={"json": "k"})      # level indices
+    radii: np.ndarray = field(metadata={"json": "r"})   # sampling radii r_k, strictly decreasing
     q: np.ndarray                 # normal quotients u(r_k e_n)/r_k
     m: np.ndarray                 # sup quotients ||u||_inf(B_{r_k})/r_k
     exponent: float               # fitted slope of log q_k vs log r_k
@@ -47,22 +48,6 @@ class GrowthReport:
     def __post_init__(self):
         if np.any(np.diff(self.radii) >= 0):
             raise DomainError("cascade radii must be strictly decreasing")
-
-    def to_dict(self):
-        out = {
-            "k": self.ks.tolist(),
-            "r": self.radii.tolist(),
-            "q": self.q.tolist(),
-            "m": self.m.tolist(),
-            "exponent": self.exponent,
-            "exponent_r2": self.exponent_r2,
-            "residuals": self.residuals.tolist(),
-        }
-        for name in ("env_lower", "env_upper", "eps_seq", "c_seq", "d_seq"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = np.asarray(v).tolist()
-        return out
 
 
 def fit_log_slope(radii, values):
@@ -146,21 +131,21 @@ def envelope_lower(omega: Modulus, rho: float, r: float, C_hat: float) -> float:
     return (1.0 / C_hat) * np.exp(-C_hat * dini_integral(omega, rho, 2 * r))
 
 
-def envelope_upper(omega: Modulus, rho: float, r: float, C_hat: float,
-                   forcing: float = 0.0) -> float:
-    """C exp(C int_rho^{2r} omega ds/s) plus optional forcing integrals."""
-    return C_hat * np.exp(C_hat * dini_integral(omega, rho, 2 * r)) + forcing
+def envelope_upper(omega: Modulus, rho: float, r: float, C_hat: float) -> float:
+    """C exp(C int_rho^{2r} omega ds/s)."""
+    return C_hat * np.exp(C_hat * dini_integral(omega, rho, 2 * r))
 
 
 def measure_growth(graph: BoundaryGraph, operator=None, k_max: int = 7,
                    n_grid: int = 256, r0: float = 0.5,
-                   outer_data=None, graph_data=None, rhs=None,
+                   outer_data=None, graph_data=None,
                    omega: Optional[Modulus] = None, C_hat: float = 4.0,
                    stencil: str = "standard5") -> GrowthReport:
     """Dyadic growth of a nonnegative solution vanishing on the graph.
 
-    Default data: u = 1 on the outermost circle, 0 on the graph part;
-    envelopes are attached when a boundary modulus omega is supplied.
+    Default data: u = 1 on the outermost circle, 0 on the graph part, and
+    zero forcing; envelopes are attached when a boundary modulus omega is
+    supplied.
     """
     if operator is None:
         operator = LaplaceOp()
@@ -169,7 +154,7 @@ def measure_growth(graph: BoundaryGraph, operator=None, k_max: int = 7,
     if graph_data is None:
         graph_data = lambda p: np.zeros(len(p))
     ks, radii, q, m, res = _run_cascade(graph, operator, k_max, n_grid, r0,
-                                        outer_data, graph_data, rhs, stencil)
+                                        outer_data, graph_data, stencil=stencil)
     if np.any(q <= 0):
         raise ConvergenceError("nonpositive normal quotient in a cascade "
                                "expected to produce a positive solution")
@@ -187,17 +172,17 @@ def measure_growth(graph: BoundaryGraph, operator=None, k_max: int = 7,
 
 
 def measure_boundary_modulus(graph: BoundaryGraph, operator=None, k_max: int = 7,
-                             n_grid: int = 256, r0: float = 0.5,
-                             g: Optional[Callable] = None, *, grad_g0,
-                             outer_data: Optional[Callable] = None,
-                             rhs=None, stencil: str = "standard5") -> GrowthReport:
+                             n_grid: int = 256, g: Optional[Callable] = None, *,
+                             grad_g0, outer_data: Optional[Callable] = None,
+                             stencil: str = "standard5") -> GrowthReport:
     """Sup quotients of v = u - g(0) - grad g(0) . x' through the cascade.
 
-    The solution takes boundary data g on the graph part (and on the
-    outermost circle at the first level); the affine part of g at the
-    origin is subtracted before measuring, so smooth data with nonzero
-    gradient still yields bounded m_k.  grad_g0 is the exact tangential
-    gradient of g at the origin, of length n - 1.
+    The cascade starts on B_{1/2} with zero forcing.  The solution takes
+    boundary data g on the graph part (and on the outermost circle at the
+    first level); the affine part of g at the origin is subtracted before
+    measuring, so smooth data with nonzero gradient still yields bounded
+    m_k.  grad_g0 is the exact tangential gradient of g at the origin, of
+    length n - 1.
     """
     if operator is None:
         operator = LaplaceOp()
@@ -209,13 +194,13 @@ def measure_boundary_modulus(graph: BoundaryGraph, operator=None, k_max: int = 7
         return g0 + p[:, :-1] @ grad_g0
 
     outer = outer_data if outer_data is not None else (lambda p: np.ones(len(p)))
-    # solve directly for v = u - affine: for linear operators with the same
-    # rhs this is the cascade with affinely shifted boundary data
+    # solve directly for v = u - affine: for linear operators this is the
+    # cascade with affinely shifted boundary data
     ks, radii, qv, mv, res = _run_cascade(
-        graph, operator, k_max, n_grid, r0,
+        graph, operator, k_max, n_grid, 0.5,
         outer_data=lambda p: np.atleast_1d(outer(p)) - affine(np.atleast_2d(p)),
         graph_data=lambda p: np.atleast_1d(g(p)) - affine(np.atleast_2d(p)),
-        rhs=rhs, stencil=stencil)
+        stencil=stencil)
     slope, r2 = fit_log_slope(radii, np.maximum(np.abs(mv), 1e-300))
     return GrowthReport(ks=ks, radii=radii, q=qv, m=mv, exponent=slope,
                         exponent_r2=r2, residuals=res)

@@ -32,7 +32,7 @@ further quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +40,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, MonotonicityError, QuadratureError
 from .geometry import BoundaryGraph, _radius
 from .pucci import sym_eigvals
+from .report import Report
 
 __all__ = ["Mollifier", "RegularizedDistanceField", "DistanceBoundsReport",
            "check_distance_bounds"]
@@ -460,7 +461,7 @@ class RegularizedDistanceField:
 
 
 @dataclass(frozen=True)
-class DistanceBoundsReport:
+class DistanceBoundsReport(Report):
     """Worst-case margins of the three pointwise distance bounds on samples.
 
     ratio_dev   = max |d/(y_n - Gamma) - 1| / S        (want <= C_hat)
@@ -480,23 +481,12 @@ class DistanceBoundsReport:
     flat_exact: bool
     C_hat: float
     n_samples: int
-    columns: np.ndarray
+    columns: np.ndarray = field(metadata={"json": None})
 
     @property
     def passed(self) -> bool:
         worst = max(self.ratio_dev, self.grad_dev, self.hess_scale)
         return self.flat_exact and worst <= self.C_hat
-
-    def to_dict(self):
-        return {
-            "pass": self.passed,
-            "ratio_dev": self.ratio_dev,
-            "grad_dev": self.grad_dev,
-            "hess_scale": self.hess_scale,
-            "flat_exact": self.flat_exact,
-            "C_hat": self.C_hat,
-            "n_samples": self.n_samples,
-        }
 
 
 def check_distance_bounds(field: RegularizedDistanceField, pts, C_hat: float) -> DistanceBoundsReport:

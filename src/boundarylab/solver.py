@@ -18,7 +18,7 @@ problem on B_{2^j r} bit for bit (`_DiscreteSystem.dilated`).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ from scipy.sparse.linalg import splu
 from .errors import ConvergenceError, DomainError, MonotonicityError
 from .geometry import BoundaryGraph
 from .pucci import EllipticityPair, sym_eigvals
+from .report import Report
 
 __all__ = [
     "LaplaceOp", "FixedOp", "PucciOp", "GridProblem", "GridSolution",
@@ -319,21 +320,16 @@ def _decompose_spd(A: np.ndarray, dirs: list) -> np.ndarray:
     """
     a11, a22, a12 = A[0, 0], A[1, 1], A[0, 1]
     alpha = np.zeros(len(dirs))
-    if abs(a12) <= min(a11, a22) + 1e-14:
-        if a12 >= 0:
-            need = (1, 1) in dirs or a12 == 0
-            if need:
-                alpha[dirs.index((1, 0))] = a11 - a12
-                alpha[dirs.index((0, 1))] = a22 - a12
-                if a12 > 0:
-                    alpha[dirs.index((1, 1))] = 2 * a12
-                return alpha
-        else:
-            if (1, -1) in dirs:
-                alpha[dirs.index((1, 0))] = a11 + a12
-                alpha[dirs.index((0, 1))] = a22 + a12
-                alpha[dirs.index((1, -1))] = -2 * a12
-                return alpha
+    diag = (1, 1) if a12 > 0 else (1, -1)
+    # b = |a12|, except that a12 = -0.0 stays -0.0: a11 - b is then bitwise
+    # a11 - a12 for a12 >= 0 and a11 + a12 for a12 < 0
+    b = -a12 if a12 < 0 else a12
+    if b <= min(a11, a22) + 1e-14 and (b == 0 or diag in dirs):
+        alpha[dirs.index((1, 0))] = a11 - b
+        alpha[dirs.index((0, 1))] = a22 - b
+        if b > 0:
+            alpha[dirs.index(diag)] = 2 * b
+        return alpha
     # wide fallback
     B = np.empty((3, len(dirs)))
     for m, v in enumerate(dirs):
@@ -389,7 +385,7 @@ def _operator_weights(problem: GridProblem, nodes: np.ndarray):
             for a in (lam, Lam):
                 for b in (lam, Lam):
                     A = a * np.outer(v, v) + b * np.outer(u, u)
-                    if not any(np.allclose(A, M, atol=1e-14) for M in pols):
+                    if not any(np.allclose(A, M, rtol=0, atol=1e-14 * Lam) for M in pols):
                         pols.append(A)
         mats = np.stack(pols)[:, None]
         sense = "min" if op.sign == "minus" else "max"
@@ -515,23 +511,14 @@ def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None) -> Gri
 
 
 @dataclass(frozen=True)
-class ABPReport:
+class ABPReport(Report):
     max_interior: float
     max_boundary: float
     forcing_norm: float           # discrete L^n norm of f^-
     diameter: float
-    bound_constant: float         # empirical (max_u - max_g)/(diam * ||f^-||)
+    # empirical (max_u - max_g)/(diam * ||f^-||)
+    bound_constant: float = field(metadata={"json": "empirical_C"})
     max_principle_exact: bool     # for f == 0: max attained on the boundary
-
-    def to_dict(self):
-        return {
-            "max_interior": self.max_interior,
-            "max_boundary": self.max_boundary,
-            "forcing_norm": self.forcing_norm,
-            "diameter": self.diameter,
-            "empirical_C": self.bound_constant,
-            "max_principle_exact": self.max_principle_exact,
-        }
 
 
 def abp_check(solution: GridSolution) -> ABPReport:

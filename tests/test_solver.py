@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, nnls
 
 from boundarylab import (
     BoundaryGraph, DomainError, EllipticityPair, FixedOp, GridProblem,
     LaplaceOp, MonotonicityError, PucciOp, abp_check, discretize, power, solve,
 )
-from boundarylab.solver import _DIRECTIONS, _cut_fractions, _decompose_spd
+from boundarylab.solver import _DIRECTIONS, _cut_fractions, _decompose_spd, _operator_weights
 
 R = 0.5
 ZERO = lambda p: np.zeros(len(np.atleast_2d(p)))
@@ -203,6 +203,74 @@ def test_fixed_field_decomposes_each_distinct_matrix_once(monkeypatch):
     expect = np.stack([_decompose_spd(A1 if x[0] < 0 else A2, _DIRECTIONS)
                        for x in sys_.nodes])
     np.testing.assert_array_equal(sys_.alphas, expect[None])
+
+
+def _decompose_spd_reference(A, dirs):
+    """The closed-form split as two mirrored branches, then the nnls fallback."""
+    a11, a22, a12 = A[0, 0], A[1, 1], A[0, 1]
+    alpha = np.zeros(len(dirs))
+    if abs(a12) <= min(a11, a22) + 1e-14:
+        if a12 >= 0:
+            if (1, 1) in dirs or a12 == 0:
+                alpha[dirs.index((1, 0))] = a11 - a12
+                alpha[dirs.index((0, 1))] = a22 - a12
+                if a12 > 0:
+                    alpha[dirs.index((1, 1))] = 2 * a12
+                return alpha
+        elif (1, -1) in dirs:
+            alpha[dirs.index((1, 0))] = a11 + a12
+            alpha[dirs.index((0, 1))] = a22 + a12
+            alpha[dirs.index((1, -1))] = -2 * a12
+            return alpha
+    B = np.empty((3, len(dirs)))
+    for m, v in enumerate(dirs):
+        vv = np.asarray(v, dtype=float)
+        vv /= np.linalg.norm(vv)
+        B[:, m] = [vv[0] ** 2, vv[1] ** 2, vv[0] * vv[1]]
+    target = np.array([a11, a22, a12])
+    sol, res = nnls(B, target)
+    if res > 1e-10 * max(np.linalg.norm(target), 1.0):
+        raise MonotonicityError("no nonnegative decomposition")
+    return sol
+
+
+@pytest.mark.parametrize("n_dir", [2, 8])
+def test_decompose_spd_matches_the_two_branch_split_bitwise(n_dir):
+    dirs = _DIRECTIONS[:n_dir]
+    diag = [-0.0, 0.0, 1e-15, 0.3, 1.0, 2.5]
+    off = [-3.0, -1.0, -0.3, -1e-15, -0.0, 0.0, 1e-15, 0.3, 1.0, 3.0]
+
+    def outcome(fn, A):
+        try:
+            return fn(A, dirs).tobytes()
+        except MonotonicityError:
+            return "no decomposition"
+
+    for a11 in diag:
+        for a22 in diag:
+            for a12 in off:
+                A = np.array([[a11, a12], [a12, a22]])
+                assert outcome(_decompose_spd, A) == outcome(_decompose_spd_reference, A), A
+
+
+@pytest.mark.parametrize("E, stencil, count", [
+    ((1.0, 1.0 + 1e-6), "wide", 10),
+    ((1.0, 1.0 + 1e-6), "standard5", 4),
+    ((1.0, 2.0), "wide", 10),
+    ((1.0, 1.0), "wide", 1),
+    ((100.0, 100.0), "wide", 1),
+])
+def test_pucci_policy_count(E, stencil, count):
+    # lam I, Lam I and the two mixed matrices of each orthogonal frame;
+    # lam = Lam leaves the one policy lam I
+    prob = GridProblem(BoundaryGraph("zero"), R, R / 16,
+                       PucciOp(EllipticityPair(*E), "minus"), ZERO, ZERO, stencil=stencil)
+    alphas, _ = _operator_weights(prob, np.zeros((1, 2)))
+    assert alphas.shape[0] == count
+    if E[0] == E[1]:
+        want = np.zeros(alphas.shape[-1])
+        want[:2] = E[0]
+        np.testing.assert_array_equal(alphas[0, 0], want)
 
 
 def test_pucci_collapses_to_laplacian():
