@@ -46,7 +46,7 @@ def sample_domain_points(graph: BoundaryGraph, r: float, n: int,
     dim = graph.dim
     wr = graph.working_radius
     out = []
-    budget = 500 * max(n, 1)
+    budget = 500 * n
     while len(out) < n and budget > 0:
         m = 4 * (n - len(out))
         budget -= m
@@ -199,7 +199,9 @@ def check_special_solution_sandwich(phi, field: RegularizedDistanceField,
     """
     if phi.problem.graph is not field.graph:
         ga, gb = phi.problem.graph, field.graph
-        if ga.family != gb.family or ga.params != gb.params or ga.dim != gb.dim:
+        # parameters may be arrays (a table's abscissae), so compare each exactly
+        if (ga.family != gb.family or ga.dim != gb.dim or ga.params.keys() != gb.params.keys()
+                or not all(np.array_equal(v, gb.params[k]) for k, v in ga.params.items())):
             raise DomainError("solution and distance field use different charts")
     h = phi.h
     nodes = phi.nodes

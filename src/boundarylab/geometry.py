@@ -93,8 +93,6 @@ class BoundaryGraph:
         self.dim = dim
         self.chart_radius = float(chart_radius)
         self.params = params
-        self._interp = None
-        self._dinterp = None
 
         if family == "zero":
             pass
@@ -137,7 +135,6 @@ class BoundaryGraph:
             off = float(interp(0.0))
             self._interp = PchipInterpolator(ts, vals - off)
             self._dinterp = self._interp.derivative()
-            self._t_range = (float(ts[0]), float(ts[-1]))
         else:
             raise DomainError(f"unknown boundary family {family!r}")
 

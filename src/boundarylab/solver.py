@@ -39,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LaplaceOp:
-    kind: str = "laplace"
+    """The Laplacian, Tr(D^2 u)."""
 
 
 @dataclass(frozen=True)
@@ -51,32 +51,25 @@ class FixedOp:
     """
     A: Callable[[np.ndarray], np.ndarray]
     E: Optional[EllipticityPair] = None
-    kind: str = "fixed"
 
 
 @dataclass(frozen=True)
 class PucciOp:
     E: EllipticityPair
     sign: str    # "minus" or "plus"
-    kind: str = "pucci"
+
+    def __post_init__(self):
+        if self.sign not in ("minus", "plus"):
+            raise DomainError(f"sign must be 'minus' or 'plus', got {self.sign!r}")
 
 
-# lattice directions; the first two serve the 5-point stencil, all eight
-# the wide stencil
+# lattice directions in orthogonal pairs (0, 1), (2, 3), (4, 5), (6, 7); the
+# first pair serves the 5-point stencil, all eight the wide stencil
 _DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 2), (1, 2), (-2, 1)]
-# orthogonal frames among the directions, as index pairs into _DIRECTIONS
-_FRAMES = [(0, 1), (2, 3), (4, 5), (6, 7)]
+# lattice directions of each stencil
+_STENCILS = {"standard5": 2, "wide": 8}
 # policy iteration stops with a ConvergenceError after this many rounds
 _MAX_POLICY_ROUNDS = 200
-
-
-def _direction_count(stencil: str) -> int:
-    """Lattice directions of a stencil: 2 for "standard5", 8 for "wide"."""
-    if stencil == "standard5":
-        return 2
-    if stencil == "wide":
-        return len(_DIRECTIONS)
-    raise DomainError(f"unknown stencil {stencil!r}")
 
 
 class GridProblem:
@@ -105,7 +98,9 @@ class GridProblem:
         self.rhs = rhs
         self.dirichlet = dirichlet
         self.stencil = stencil
-        self.n_dir = _direction_count(stencil)
+        if stencil not in _STENCILS:
+            raise DomainError(f"unknown stencil {stencil!r}")
+        self.n_dir = _STENCILS[stencil]
 
 
 def _values_at(fn: Callable, pts: np.ndarray, name: str) -> np.ndarray:
@@ -375,18 +370,15 @@ def _operator_weights(problem: GridProblem, nodes: np.ndarray):
                 )
         mats = A[None]
     elif isinstance(op, PucciOp):
+        # lam I, then the two mixed extremal matrices of each orthogonal
+        # pair (v, w), with Lam I after the first pair; lam = Lam leaves lam I
         lam, Lam = op.E.lam, op.E.Lam
-        pols = []
-        n_frames = 1 if op.E.is_laplacian else len(dirs) // 2
-        for fi in range(n_frames):
-            vi, wi = _FRAMES[fi]
-            v = np.asarray(dirs[vi], dtype=float); v /= np.linalg.norm(v)
-            u = np.asarray(dirs[wi], dtype=float); u /= np.linalg.norm(u)
-            for a in (lam, Lam):
-                for b in (lam, Lam):
-                    A = a * np.outer(v, v) + b * np.outer(u, u)
-                    if not any(np.allclose(A, M, rtol=0, atol=1e-14 * Lam) for M in pols):
-                        pols.append(A)
+        pols = [lam * np.eye(2)]
+        if not op.E.is_laplacian:
+            units = [np.asarray(d, dtype=float) / np.linalg.norm(d) for d in dirs]
+            pols += [a * np.outer(v, v) + b * np.outer(w, w)
+                     for v, w in zip(units[::2], units[1::2]) for a, b in ((lam, Lam), (Lam, lam))]
+            pols.insert(3, Lam * np.eye(2))
         mats = np.stack(pols)[:, None]
         sense = "min" if op.sign == "minus" else "max"
     else:

@@ -161,6 +161,25 @@ def test_sandwich_chart_mismatch():
         check_special_solution_sandwich(phi, f2, 0.2, 0.25)
 
 
+def test_sandwich_compares_table_charts_by_value():
+    # two table graphs built from equal but distinct arrays are one chart
+    ts = np.linspace(-1.0, 1.0, 41)
+
+    def table(values):
+        return BoundaryGraph("table", ts=ts.copy(), values=values)
+
+    g = table(0.1 * np.abs(ts))
+    prob = GridProblem(g, 0.25, 0.25 / 48, LaplaceOp(),
+                       rhs=lambda p: np.zeros(len(p)),
+                       dirichlet=lambda p: np.zeros(len(np.atleast_2d(p))))
+    phi = solve(prob)
+    same = RegularizedDistanceField(table(0.1 * np.abs(ts)))
+    assert check_special_solution_sandwich(phi, same, 0.2, 0.25).n_nodes > 0
+    other = RegularizedDistanceField(table(0.15 * np.abs(ts)))
+    with pytest.raises(DomainError, match="different charts"):
+        check_special_solution_sandwich(phi, other, 0.2, 0.25)
+
+
 def test_sandwich_without_checked_nodes_names_r_and_h():
     # every node of a 0.25/16 grid lies farther than r - 2h < 0 from the origin
     g, f = _field("cone", L=0.1)

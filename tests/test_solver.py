@@ -23,6 +23,8 @@ def test_grid_geometry_checks():
         GridProblem(g, 0.5, 0.1, LaplaceOp(), ZERO, ZERO)  # h > r/16
     with pytest.raises(DomainError):
         GridProblem(BoundaryGraph("zero", dim=3), 0.5, 0.01, LaplaceOp(), ZERO, ZERO)
+    with pytest.raises(DomainError, match="unknown stencil 'wide9'"):
+        GridProblem(g, 0.5, 0.01, LaplaceOp(), ZERO, ZERO, stencil="wide9")
 
 
 def test_linear_exactness_with_cut_cells():
@@ -259,10 +261,12 @@ def test_decompose_spd_matches_the_two_branch_split_bitwise(n_dir):
     ((1.0, 2.0), "wide", 10),
     ((1.0, 1.0), "wide", 1),
     ((100.0, 100.0), "wide", 1),
+    ((1.0, 1.0 + 1e-15), "wide", 10),
+    ((1.0, 1.0 + 1e-15), "standard5", 4),
 ])
 def test_pucci_policy_count(E, stencil, count):
-    # lam I, Lam I and the two mixed matrices of each orthogonal frame;
-    # lam = Lam leaves the one policy lam I
+    # lam I, Lam I and the two mixed matrices of each orthogonal direction
+    # pair, even when they differ only by rounding; lam = Lam leaves lam I
     prob = GridProblem(BoundaryGraph("zero"), R, R / 16,
                        PucciOp(EllipticityPair(*E), "minus"), ZERO, ZERO, stencil=stencil)
     alphas, _ = _operator_weights(prob, np.zeros((1, 2)))
@@ -271,6 +275,70 @@ def test_pucci_policy_count(E, stencil, count):
         want = np.zeros(alphas.shape[-1])
         want[:2] = E[0]
         np.testing.assert_array_equal(alphas[0, 0], want)
+
+
+def _pucci_weights_reference(E, sign, n_dir):
+    """Reference weights: a loop over orthogonal frames that merges the
+    matrices agreeing to 1e-14 Lam in every entry."""
+    dirs = _DIRECTIONS[:n_dir]
+    frames = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    lam, Lam = E.lam, E.Lam
+    pols = []
+    n_frames = 1 if E.is_laplacian else len(dirs) // 2
+    for fi in range(n_frames):
+        vi, wi = frames[fi]
+        v = np.asarray(dirs[vi], dtype=float); v /= np.linalg.norm(v)
+        u = np.asarray(dirs[wi], dtype=float); u /= np.linalg.norm(u)
+        for a in (lam, Lam):
+            for b in (lam, Lam):
+                A = a * np.outer(v, v) + b * np.outer(u, u)
+                if not any(np.allclose(A, M, rtol=0, atol=1e-14 * Lam) for M in pols):
+                    pols.append(A)
+    mats = np.stack(pols)[:, None]
+    distinct, inverse = np.unique(mats.reshape(-1, 4), axis=0, return_inverse=True)
+    alphas = np.stack([_decompose_spd(a.reshape(2, 2), dirs) for a in distinct])
+    return (alphas[inverse.ravel()].reshape(mats.shape[:2] + (len(dirs),)),
+            "min" if sign == "minus" else "max")
+
+
+@pytest.mark.parametrize("stencil", ["standard5", "wide"])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_pucci_weights_match_the_frame_loop_bitwise(stencil, sign):
+    # lam = Lam, and ratios at which the reference merge keeps the mixed
+    # matrices apart (Lam / lam - 1 >= 1e-12)
+    Es = [(1.0, 1.0), (100.0, 100.0), (1.0, 1.0 + 1e-12), (1.0, 1.0 + 1e-6),
+          (0.3, 7.0), (2.0, 3.0), (1.0, 2.0), (1.0, 8.0)]
+    for lam, Lam in Es:
+        E = EllipticityPair(lam, Lam)
+        prob = GridProblem(BoundaryGraph("zero"), R, R / 16, PucciOp(E, sign),
+                           ZERO, ZERO, stencil=stencil)
+        alphas, sense = _operator_weights(prob, np.zeros((1, 2)))
+        ref, ref_sense = _pucci_weights_reference(E, sign, prob.n_dir)
+        assert sense == ref_sense
+        assert alphas.shape == ref.shape, (lam, Lam)
+        assert alphas.tobytes() == ref.tobytes(), (lam, Lam)
+
+
+@pytest.mark.parametrize("stencil", ["standard5", "wide"])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_pucci_at_a_rounding_ratio_solves_as_the_laplacian(stencil, sign):
+    # E = (1, 1 + 1e-15) keeps every distinct extremal matrix; they agree
+    # to rounding, so the solve is bitwise the one of E = (1, 1)
+    g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
+    f = lambda p: -np.ones(len(np.atleast_2d(p)))
+    sols = [solve(GridProblem(g, R, 2 * R / 64, PucciOp(EllipticityPair(*E), sign), f, ZERO,
+                              stencil=stencil))
+            for E in ((1.0, 1.0), (1.0, 1.0 + 1e-15))]
+    assert sols[0].values.tobytes() == sols[1].values.tobytes()
+    assert sols[0].residual == sols[1].residual
+
+
+def test_pucci_sign_is_checked():
+    E = EllipticityPair(1.0, 2.0)
+    for sign in ("minus", "plus"):
+        assert PucciOp(E, sign).sign == sign
+    with pytest.raises(DomainError, match="minus-typo"):
+        PucciOp(E, "minus-typo")
 
 
 def test_pucci_collapses_to_laplacian():
