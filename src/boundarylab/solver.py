@@ -11,6 +11,12 @@ Pucci operators take the extremal matrices a v v^T + b w w^T, a, b in
 {lambda, Lambda}; a linear operator (Laplace or a fixed field A(x)) is the
 one-policy case.  All are solved by one policy iteration, with a fixed
 tie-break for determinism; one policy settles in one round.
+Every frozen-policy matrix is a nonsingular M-matrix, and so is each of
+its principal submatrices, so it has an LU factorization with positive
+pivots in any symmetric ordering: it is factored on a minimum-degree
+ordering of A^T + A, which fills in less than a column ordering, with every
+pivot kept on the diagonal and no pivot search.  The residual certificate,
+relative to the problem's own data, guards that factor.
 On a dilation-invariant graph an assembled system is rescaled onto the
 problem on B_{2^j r} bit for bit (`_DiscreteSystem.dilated`).
 """
@@ -227,8 +233,11 @@ class _DiscreteSystem:
     def frozen_matrix(self, alpha: np.ndarray):
         """sum_d alpha[:, d] D_d, its LU factors, and sum_d alpha[:, d] c_d.
 
-        One policy with one shared weight row gives the same matrix on every
-        call and every dilation; it is factored once.
+        alpha >= 0 makes the matrix a nonsingular M-matrix, whose principal
+        submatrices are M-matrices too: SuperLU factors it in symmetric mode,
+        on a minimum-degree ordering of A^T + A with diagonal pivots, which
+        therefore stay positive.  One policy with one shared weight row gives
+        the same matrix on every call and every dilation; it is factored once.
         """
         used = [d for d in range(len(self.D)) if np.any(alpha[:, d])]
         c = np.zeros(self.m)
@@ -241,7 +250,8 @@ class _DiscreteSystem:
             term = sparse.diags(alpha[:, d]) @ self.D[d]
             A = term if A is None else A + term
         A = A.tocsc()
-        lu = splu(A)
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
         if self.alphas.shape[:2] == (1, 1):
             self._factor += [A, lu]
         return A, lu, c
@@ -448,33 +458,40 @@ def discretize(problem: GridProblem) -> _DiscreteSystem:
 
 
 def _linear_solve(A, lu, c, f, tol_units):
-    """Solve A u = f - c with the LU factors lu of A."""
+    """Solve A u = f - c with the LU factors lu of A; u and its residual.
+
+    Up to three steps of iterative refinement; the residual is in node units
+    (over the diagonal scale), checked once per step, the last one returned.
+    """
     rhs = f - c
     u = lu.solve(rhs)
-    # iterative refinement in node units (residual over the diagonal scale)
     diag = np.abs(A.diagonal())
-    for _ in range(3):
+    for step in range(4):
         res = A @ u - rhs
-        if np.max(np.abs(res) / diag) <= tol_units:
-            break
+        err = float(np.max(np.abs(res) / diag))
+        if err <= tol_units or step == 3:
+            return u, err
         u = u - lu.solve(res)
-    return u, float(np.max(np.abs(A @ u - rhs) / diag))
 
 
 def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None) -> GridSolution:
     """Solve the discrete problem by policy iteration; deterministic given the problem.
 
-    Each round solves the frozen-policy linear system (sparse LU with
-    iterative refinement), then selects the optimal policy per node; the
-    loop stops once the policy is stationary, so a linear operator, whose
-    single policy is optimal everywhere, takes one round.  system, if
-    given, must be discretize(problem) or a system dilated onto problem.
+    Each round solves the frozen-policy linear system (a sparse LU with
+    diagonal pivots, see _DiscreteSystem.frozen_matrix, and iterative
+    refinement), then selects the optimal policy per node; the loop stops
+    once the policy is stationary, so a linear operator, whose single
+    policy is optimal everywhere, takes one round.  The final residual must
+    be at most 1e-10 (max|g| + r^2 max|f|), the scale of u itself, with no
+    absolute floor: zero data give u = 0 and residual 0.  system, if given,
+    must be discretize(problem) or a system dilated onto problem.
     """
     sys_ = discretize(problem) if system is None else system
+    f_problem = _values_at(problem.rhs, sys_.nodes, "rhs")
     # the linear solves run in the system's units: rhs / unit is exact
-    f = _values_at(problem.rhs, sys_.nodes, "rhs") / sys_.unit
+    f = f_problem / sys_.unit
     g_scale = float(np.abs(sys_.boundary_values).max()) if sys_.boundary_values.size else 0.0
-    tol = 1e-10 * g_scale + 1e-10
+    tol = 1e-10 * (g_scale + problem.r**2 * float(np.abs(f_problem).max()))
 
     alphas = sys_.alphas
     # a read-only view: constant coefficients keep their one shared row

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from boundarylab import (
-    BoundaryGraph, DomainError, EllipticityPair, FixedOp, GridProblem, LaplaceOp,
-    PucciOp, constant, harness, load_calibration, log_modulus,
+    BoundaryGraph, ConvergenceError, DomainError, EllipticityPair, FixedOp, GridProblem,
+    LaplaceOp, PucciOp, constant, harness, load_calibration, log_modulus,
     measure_boundary_modulus, measure_growth, power, solver,
 )
 from boundarylab.harness import (
@@ -175,6 +175,35 @@ def test_deep_cone_cascade_keeps_every_node(monkeypatch):
     rep = measure_growth(BoundaryGraph("cone", L=0.2), k_max=30, n_grid=64)
     assert rep.radii[-1] == 0.5 * 2.0 ** -30
     assert len(nodes) == 30 and len(set(nodes)) == 1
+
+
+def test_residual_certificate_rejects_a_perturbed_deep_level(monkeypatch):
+    # the solve tolerance scales with the level's own data: a level-30 solution
+    # off by 1e-6 of max|u| must fail it (an absolute 1e-10 floor let it pass)
+    real_solve = solver.solve
+    levels = []
+
+    def recorded(prob, system=None):
+        sol = real_solve(prob, system=system)
+        levels.append((prob, float(np.abs(sol.values).max())))
+        return sol
+
+    monkeypatch.setattr(harness, "solve", recorded)
+    measure_growth(BoundaryGraph("cone", L=0.2), k_max=30, n_grid=64)
+    prob, u_max = levels[-1]
+    real_splu = solver.splu
+
+    class Perturbed:
+        # every solve is off by the same 1e-6 max|u|, which refinement cannot remove
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return self.lu.solve(b) + 1e-6 * u_max
+
+    monkeypatch.setattr(solver, "splu", lambda A, **kw: Perturbed(real_splu(A, **kw)))
+    with pytest.raises(ConvergenceError, match="solve residual"):
+        real_solve(prob)
 
 
 def test_deep_cone_cascade_meets_the_sector_exponent():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from scipy.optimize import brentq, nnls
+from scipy.sparse.linalg import splu
 
 from boundarylab import (
     BoundaryGraph, DomainError, EllipticityPair, FixedOp, GridProblem,
-    LaplaceOp, MonotonicityError, PucciOp, abp_check, discretize, power, solve,
+    LaplaceOp, MonotonicityError, PucciOp, abp_check, discretize, power, solve, solver,
 )
 from boundarylab.solver import _DIRECTIONS, _cut_fractions, _decompose_spd, _operator_weights
 
@@ -331,6 +332,71 @@ def test_pucci_at_a_rounding_ratio_solves_as_the_laplacian(stencil, sign):
             for E in ((1.0, 1.0), (1.0, 1.0 + 1e-15))]
     assert sols[0].values.tobytes() == sols[1].values.tobytes()
     assert sols[0].residual == sols[1].residual
+
+
+_SIN = BoundaryGraph("sinusoid", A=0.05, k=4.0)
+_E12 = EllipticityPair(1.0, 2.0)
+
+
+def _varying_field(x):
+    # off-diagonal up to 0.9 against a11 >= 1: the diagonal directions carry weight
+    A = np.empty((len(x), 2, 2))
+    A[:, 0, 0] = 1.0 + 0.5 * x[:, 0] ** 2
+    A[:, 0, 1] = A[:, 1, 0] = 0.9 * np.cos(3.0 * x[:, 1])
+    A[:, 1, 1] = 1.5
+    return A
+
+
+# (graph, operator, stencil, rhs, dirichlet) of every kind of frozen matrix:
+# a Laplace cone cascade level, a FixedOp field, Pucci M- and M+ rounds
+FACTOR_CASES = {
+    "laplace-cone": (BoundaryGraph("cone", L=0.2), LaplaceOp(), "standard5", ZERO,
+                     lambda p: 1.0 + 0.4 * p[:, 0] - 0.3 * p[:, 1] ** 2),
+    "fixed-wide": (_SIN, FixedOp(A=_varying_field), "wide", lambda p: -1.0 - p[:, 0],
+                   _harmonic),
+    **{f"pucci_{sign}-{stencil}": (_SIN, PucciOp(_E12, sign), stencil,
+                                   lambda p: -np.ones(len(p)), _harmonic)
+       for sign in ("minus", "plus") for stencil in ("standard5", "wide")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_CASES))
+def test_frozen_matrices_factor_with_diagonal_pivots(monkeypatch, case):
+    # every frozen-policy M-matrix is factored with its pivots on the
+    # diagonal, fills in less than scipy's default splu, and solves as it does
+    graph, operator, stencil, rhs, dirichlet = FACTOR_CASES[case]
+    prob = GridProblem(graph, R, 2 * R / 64, operator, rhs, dirichlet, stencil=stencil)
+    factors = []
+
+    def recorded(A, **kwargs):
+        lu = splu(A, **kwargs)
+        factors.append((A, lu))
+        return lu
+
+    monkeypatch.setattr(solver, "splu", recorded)
+    sol = solve(prob)
+    monkeypatch.setattr(solver, "splu", lambda A, **kwargs: splu(A))
+    default = solve(prob)
+    assert len(factors) == sol.iterations
+    u_smooth = dirichlet(sol.nodes)
+    for A, lu in factors:
+        ref = splu(A)
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+        assert lu.L.nnz + lu.U.nnz < ref.L.nnz + ref.U.nnz
+        u, u_ref = lu.solve(A @ u_smooth), ref.solve(A @ u_smooth)
+        assert np.abs(u - u_ref).max() <= 1e-13 * np.abs(u).max()
+    np.testing.assert_array_equal(sol.policy, default.policy)
+    assert sol.iterations == default.iterations
+    assert np.abs(sol.values - default.values).max() <= 1e-13 * np.abs(sol.values).max()
+
+
+@pytest.mark.parametrize("operator, stencil", [(LaplaceOp(), "standard5"),
+                                               (PucciOp(_E12, "minus"), "wide")])
+def test_zero_data_meet_the_scale_free_certificate(operator, stencil):
+    # the residual tolerance has no absolute floor: zero data give a zero
+    # tolerance, which u = 0 with residual 0 meets
+    sol = solve(GridProblem(_SIN, R, 2 * R / 32, operator, ZERO, ZERO, stencil=stencil))
+    assert not sol.values.any() and sol.residual == 0.0
 
 
 def test_pucci_sign_is_checked():
