@@ -8,7 +8,7 @@ from .errors import (
     InfeasibleError, MonotonicityError, QuadratureError,
 )
 from .modulus import (
-    CompositeModulus, Modulus, constant, dini_integral, log_modulus,
+    Modulus, constant, dini_integral, log_modulus,
     make_composite, power, table, zero,
 )
 from .geometry import BoundaryGraph, C1Report, check_c1_conditions

@@ -175,10 +175,10 @@ def _calibrate_abp() -> float:
     return rep.bound_constant
 
 
-def run_calibration(seed: int = 2026, include_3d: bool = True) -> CalibrationConstants:
+def run_calibration(seed: int = 2026) -> CalibrationConstants:
     """Measure every constant from scratch; deterministic given the seed."""
     C2 = _calibrate_regdist(2, seed)
-    C3 = _calibrate_regdist(3, seed + 1) if include_3d else C2
+    C3 = _calibrate_regdist(3, seed + 1)
     C0 = _calibrate_barrier(seed + 2)
     K = _calibrate_sandwich(seed + 3)
     Cenv = _calibrate_envelope()

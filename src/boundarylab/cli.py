@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,12 +89,9 @@ def _cmd_barrier_check(cfg, out: Path, cal, seed) -> int:
     pts = sample_domain_points(graph, r, n, rng)
     reports = {}
     ok = True
+    # exactly flat boundary: any positive exponent bump works
+    eps_used = eps if eps > 0 else 1e-3
     for sign in ("sub", "super"):
-        if eps <= 0:
-            # exactly flat boundary: any positive exponent bump works
-            eps_used = 1e-3
-        else:
-            eps_used = eps
         rep = verify_barrier(Barrier(field=field, eps=eps_used, sign=sign,
                                      E=E, r=r), pts)
         reports[sign] = rep.to_dict()
@@ -157,7 +155,7 @@ def _cmd_growth(cfg, out: Path, cal, seed) -> int:
                          outer_data=outer, omega=omega, C_hat=cal.C_envelope)
     ks, eps, c, d = diagnostic_sequences(graph, cal.C0_barrier, cal.A_recursion,
                                          k_max)
-    rep.eps_seq, rep.c_seq, rep.d_seq = eps, c, d
+    rep = replace(rep, eps_seq=eps, c_seq=c, d_seq=d)
     _growth_csv(out, rep)
     _write_json(out / "growth_report.json", rep.to_dict())
     if rep.env_lower is not None:
@@ -192,7 +190,7 @@ def _cmd_boundary_modulus(cfg, out: Path, cal, seed) -> int:
 
 
 def _cmd_calibrate(cfg, out: Path, cal, seed) -> int:
-    new = _calmod.run_calibration(seed=seed, include_3d=bool(cfg.get("include_3d", True)))
+    new = _calmod.run_calibration(seed=seed)
     _calmod.save_calibration(new, out / "calibration.json")
     return 0
 
@@ -205,7 +203,7 @@ _ALLOWED_KEYS = {
     "solve": {"domain", "operator", "r", "n", "rhs", "dirichlet", "stencil"},
     "growth": {"domain", "operator", "k_max", "n_grid", "omega", "outer_data"},
     "boundary-modulus": {"domain", "operator", "k_max", "n_grid", "g", "omega_tilde"},
-    "calibrate": {"include_3d"},
+    "calibrate": set(),
 }
 
 _COMMANDS = {

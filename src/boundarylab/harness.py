@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrowthReport(Report):
     """Per-level cascade measurements plus fitted growth diagnostics."""
 
@@ -81,6 +81,7 @@ def _run_cascade(graph: BoundaryGraph, operator, k_max: int, n_grid: int,
         rhs = lambda p: np.zeros(len(p))
     radii, qs, ms, residuals = [], [], [], []
     prev_sol = base = None
+    origin_gap = float(np.atleast_1d(graph.gamma(np.zeros((1, 1))))[0])
     for k in range(1, k_max + 1):
         R = 2.0 ** (-k + 1) * r0
         h = 2 * R / n_grid
@@ -112,7 +113,6 @@ def _run_cascade(graph: BoundaryGraph, operator, k_max: int, n_grid: int,
         except (BoundaryLabError, RuntimeError) as exc:
             raise ConvergenceError(f"cascade level {k} (R={R:g}) failed: {exc}") from exc
         r_k = R / 2.0
-        origin_gap = float(np.atleast_1d(graph.gamma(np.zeros((1, 1))))[0])
         u_probe = float(sol.interpolate(np.array([[0.0, origin_gap + r_k]]),
                                         fill=lambda q: np.atleast_1d(graph_data(q)))[0])
         in_ball = np.linalg.norm(sol.nodes, axis=-1) <= r_k

@@ -2,8 +2,8 @@
 
 A modulus is a nondecreasing function omega on [0, t0) with omega(0) = 0.
 The constant kind models the Lipschitz limit omega == L; it does not vanish
-at zero and is flagged accordingly so callers that need a true modulus can
-reject it.
+at zero, and its vanishes_at_zero flag, read off omega(0), lets callers
+that need a true modulus reject it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import ConvergenceError, DomainError, InfeasibleError
 
 __all__ = [
     "Modulus",
-    "CompositeModulus",
     "constant",
     "power",
     "log_modulus",
@@ -48,7 +47,6 @@ class Modulus:
         deriv: Callable[[np.ndarray], np.ndarray],
         dini_primitive: Optional[Callable[[float], float]] = None,
         params: Optional[dict] = None,
-        vanishes_at_zero: bool = True,
     ):
         if not t0 > 0:
             raise DomainError(f"t0 must be positive, got {t0}")
@@ -59,7 +57,7 @@ class Modulus:
         # antiderivative of omega(s)/s, where a closed form exists
         self.dini_primitive = dini_primitive
         self.params = dict(params or {})
-        self.vanishes_at_zero = vanishes_at_zero
+        self.vanishes_at_zero = bool(func(np.asarray(0.0)) == 0.0)
 
     def __call__(self, t):
         return eval_modulus(self, t)
@@ -95,7 +93,6 @@ def constant(L: float, t0: float = 1.0) -> Modulus:
         deriv=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         dini_primitive=(lambda s: L * math.log(s)),
         params={"L": L},
-        vanishes_at_zero=(L == 0.0),
     )
 
 
@@ -228,56 +225,22 @@ def dini_integral(omega: Modulus, a: float, b: float) -> float:
     return val
 
 
-class CompositeModulus:
-    """The composite modulus
-
-        w(t) = t * (a + I1(t, b)) * exp(c * I2(t, b)),
-
-    with I_i(t, b) the Dini integral of omega_i over [t, b].  Certified
-    strictly increasing on (0, t0), where t0 (the paper's tilde t0)
-    satisfies omega1(t0)/a + c*omega2(t0) <= 1/2.
-    """
-
-    def __init__(self, a: float, b: float, c: float, omega1: Modulus, omega2: Modulus,
-                 t0: float):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.omega1 = omega1
-        self.omega2 = omega2
-        self.t0 = t0
-        self.kind = "composite"
-        self.vanishes_at_zero = True
-        self.dini_primitive = None    # Dini integrals of w go through quadrature
-
-    def __call__(self, t):
-        scalar = np.ndim(t) == 0
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(arr < 0) or np.any(arr >= self.t0):
-            raise DomainError(
-                f"composite modulus defined on [0, {self.t0}), got t={t}"
-            )
-        out = np.zeros_like(arr)
-        for i, ti in enumerate(arr):
-            if ti == 0.0:
-                continue
-            i1 = dini_integral(self.omega1, ti, self.b)
-            i2 = dini_integral(self.omega2, ti, self.b)
-            out[i] = ti * (self.a + i1) * math.exp(self.c * i2)
-        return float(out[0]) if scalar else out
-
-    def __repr__(self):
-        return (f"CompositeModulus(a={self.a}, b={self.b}, c={self.c}, "
-                f"t0={self.t0})")
-
-
 def make_composite(a: float, b: float, c: float, omega1: Modulus,
-                   omega2: Modulus) -> CompositeModulus:
-    """Build the composite modulus, certifying its monotonicity radius.
+                   omega2: Modulus) -> Modulus:
+    """The paper's explicit modulus, as a Modulus of kind "composite":
 
-    Its t0 (the paper's tilde t0) is the largest t in (0, b) with
-    omega1(t)/a + c*omega2(t) <= 1/2, located by bisection to relative
-    precision 1e-6.
+        w(t) = t * (a + I1(t)) * exp(c * I2(t)),
+
+    with I_i(t) the Dini integral of omega_i over [t, b], and w(0) = 0.  Its
+    closed-form derivative is
+
+        w'(t) = exp(c * I2(t)) * ((a + I1(t)) * (1 - c*omega2(t)) - omega1(t)),
+
+    and w'(0) is its limit, +inf when omega1 or omega2 is not Dini.  w is
+    certified strictly increasing on (0, t0): its t0 (the paper's tilde t0)
+    is the largest t in (0, b) with omega1(t)/a + c*omega2(t) <= 1/2,
+    located by bisection to relative precision 1e-6.  Dini integrals of w
+    go through quadrature.
     """
     if a <= 0 or c <= 0:
         raise DomainError(f"need a, c > 0, got a={a}, c={c}")
@@ -307,4 +270,30 @@ def make_composite(a: float, b: float, c: float, omega1: Modulus,
             else:
                 hi = mid
         tilde_t0 = lo
-    return CompositeModulus(a, b, c, omega1, omega2, tilde_t0)
+
+    def dini(omega, t):
+        # from t = 0 dini_integral raises when omega is not Dini: I(t) -> +inf
+        try:
+            return dini_integral(omega, t, b)
+        except ConvergenceError:
+            if t > 0:
+                raise
+            return math.inf
+
+    def w(t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        for i, ti in np.ndenumerate(t):
+            if ti != 0.0:
+                out[i] = ti * (a + dini(omega1, ti)) * math.exp(c * dini(omega2, ti))
+        return out
+
+    def dw(t):
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape)
+        for i, ti in np.ndenumerate(t):
+            out[i] = math.exp(c * dini(omega2, ti)) * (
+                (a + dini(omega1, ti)) * (1.0 - c * float(omega2(ti))) - float(omega1(ti)))
+        return out
+
+    return Modulus("composite", tilde_t0, w, deriv=dw, params={"a": a, "b": b, "c": c})

@@ -15,7 +15,6 @@ from boundarylab import (
     sample_domain_points, solve, verify_barrier,
 )
 from boundarylab.calibrate import epsilon_for
-from boundarylab.harness import fit_log_slope
 from boundarylab.regdist import RegularizedDistanceField, check_distance_bounds
 
 CAL = load_calibration()

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from boundarylab import BoundaryGraph, DomainError, measure_boundary_modulus
-from boundarylab.calibrate import (
-    CalibrationConstants, load_calibration, run_calibration, save_calibration,
-)
+from boundarylab.calibrate import load_calibration, save_calibration
 from boundarylab import cli
 from boundarylab.cli import main
 from boundarylab.config import (
@@ -63,6 +61,11 @@ def test_graph_from_config():
     wide = graph_from_config({"family": "c1model", "sign": -1,
                               "omega": {"kind": "power", "alpha": 0.5, "scale": 0.2}})
     assert float(np.atleast_1d(wide.gamma(np.array([[0.1]])))[0]) < 0
+    composite = graph_from_config({"family": "c1model", "omega": {
+        "kind": "composite", "a": 0.05, "b": 0.4, "c": 1.0,
+        "omega1": {"kind": "power", "alpha": 1.0, "scale": 0.05},
+        "omega2": {"kind": "log", "c": 0.05}}})
+    assert float(np.atleast_1d(composite.gamma(np.array([[0.1]])))[0]) > 0
     with pytest.raises(ConfigError):
         graph_from_config({"family": "cone"})          # missing L
     with pytest.raises(ConfigError):
@@ -211,6 +214,13 @@ def test_cli_exit_code_2_on_bad_config(tmp_path):
                                           "domain": {"family": "zero"}})
     assert main(["regdist-check", "--config", str(unknown),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_calibrate_takes_no_keys(tmp_path, capsys):
+    # the 3-D regularized-distance constant is always measured
+    cfg = _write(tmp_path, "cal.json", {"schema_version": 1, "include_3d": False})
+    assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown keys for calibrate: ['include_3d']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, extra", [

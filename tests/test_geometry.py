@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from boundarylab import BoundaryGraph, DomainError, check_c1_conditions, power, zero
+from boundarylab import (
+    BoundaryGraph, DomainError, check_c1_conditions, log_modulus, make_composite, power,
+)
 from boundarylab.geometry import _radius, _sample_ball
 
 
@@ -155,6 +157,22 @@ def test_c1_conditions_interior_exterior():
     w_narrow = power(0.5, 0.1, 1.0)
     rep_bad = check_c1_conditions(g, w_narrow, "interior", 0.2)
     assert not rep_bad.holds
+
+
+@pytest.mark.parametrize("omega2", [power(1.0, 0.05), log_modulus(0.05)],
+                         ids=["power", "log"])
+def test_c1model_on_the_composite_modulus(omega2):
+    # the paper's explicit modulus bounds a C1 domain like any other modulus;
+    # with a log omega2 its derivative is infinite at the origin
+    w = make_composite(0.05, 0.4, 1.0, power(1.0, 0.05), omega2)
+    g = BoundaryGraph("c1model", omega=w)
+    assert 0.0 < g.L_global < 0.1
+    assert np.all(np.isfinite(g.grad_gamma(np.array([[0.0], [0.1]]))))
+    r = 0.5 * g.chart_radius
+    rep = check_c1_conditions(g, w, "interior", r)
+    assert rep.holds
+    assert rep.margin == pytest.approx(0.0, abs=1e-14)
+    assert check_c1_conditions(g, w, "exterior", r).holds
 
 
 def test_c1_conditions_flat_domain():

@@ -1,4 +1,4 @@
-"""Every import in the package source is used."""
+"""Every import in the package source and in the tests is used."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import boundarylab
 
 PACKAGE = Path(boundarylab.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(path: Path) -> list:
@@ -27,6 +28,7 @@ def _unused_imports(path: Path) -> list:
 def test_no_unused_imports():
     # __init__.py imports only to re-export
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    unused = [entry for p in modules for entry in _unused_imports(p)]
+    tests = sorted(TESTS.glob("*.py"))
+    assert modules and tests
+    unused = [entry for p in modules + tests for entry in _unused_imports(p)]
     assert not unused, unused

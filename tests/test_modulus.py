@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from boundarylab import (
-    CompositeModulus, DomainError, InfeasibleError, constant, dini_integral,
-    log_modulus, make_composite, power, table, zero,
+    DomainError, InfeasibleError, Modulus, constant, dini_integral, log_modulus,
+    make_composite, power, table, zero,
 )
 from boundarylab.errors import ConvergenceError
 
@@ -23,6 +23,18 @@ def test_constant_kind_flagged():
     assert w(0.05) == 0.3
     assert not w.vanishes_at_zero
     assert zero().vanishes_at_zero
+
+
+@pytest.mark.parametrize("omega, vanishes", [
+    (constant(0.3), False),
+    (zero(), True),
+    (power(0.5), True),
+    (log_modulus(), True),
+    (table([0.0, 0.5, 1.0], [0.0, 0.2, 0.3]), True),
+    (make_composite(1.0, 0.5, 1.0, power(1.0), power(1.0)), True),
+], ids=["constant", "zero", "power", "log", "table", "composite"])
+def test_vanishes_at_zero_is_omega_of_zero(omega, vanishes):
+    assert omega.vanishes_at_zero is vanishes
 
 
 def test_log_closed_form():
@@ -120,6 +132,26 @@ def test_composite_closed_form():
         assert w(t) == pytest.approx(t * (2 - t) * math.exp(1 - t), rel=1e-9)
     assert w(0.1) < w(0.2)
     assert w(0.0) == 0.0
+
+
+@pytest.mark.parametrize("omega2", [power(1.0, 0.4), log_modulus(0.2)], ids=["power", "log"])
+def test_composite_derivative_matches_central_differences(omega2):
+    w = make_composite(0.5, 0.3, 1.0, power(0.5, 0.3), omega2)
+    assert isinstance(w, Modulus)
+    ts = np.geomspace(1e-4, 0.9 * w.t0, 7)
+    h = 1e-5 * ts
+    fd = (w(ts + h) - w(ts - h)) / (2 * h)
+    np.testing.assert_allclose(w.derivative(ts), fd, rtol=1e-8)
+
+
+def test_composite_derivative_at_zero_is_its_limit():
+    # omega1 = omega2 = t, a = c = 1, b = 1/2: w'(0) = e^(1/2) (1 + 1/2)
+    w = make_composite(1.0, 0.5, 1.0, power(1.0), power(1.0))
+    assert float(w.derivative(0.0)) == pytest.approx(1.5 * math.exp(0.5), rel=1e-12)
+    assert float(w.derivative(1e-9)) == pytest.approx(float(w.derivative(0.0)), rel=1e-8)
+    # a log omega2 is not Dini: I2(t) -> inf, so w'(t) -> +inf
+    w_log = make_composite(0.5, 0.3, 1.0, power(0.5, 0.3), log_modulus(0.2))
+    assert np.all(w_log.derivative(np.zeros(3)) == math.inf)
 
 
 def test_composite_infeasible():

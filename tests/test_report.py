@@ -1,5 +1,7 @@
 """Report.to_dict against the hand-written encoder each report had before."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,8 +120,8 @@ def _abp():
 def _growth_with_every_sequence():
     g = BoundaryGraph("cone", L=0.2)
     rep = measure_growth(g, k_max=4, n_grid=32, omega=power(0.5))
-    _, rep.eps_seq, rep.c_seq, rep.d_seq = diagnostic_sequences(g, 2.0, 0.5, 4)
-    return rep
+    _, eps, c, d = diagnostic_sequences(g, 2.0, 0.5, 4)
+    return replace(rep, eps_seq=eps, c_seq=c, d_seq=d)
 
 
 def _growth_without_sequences():
