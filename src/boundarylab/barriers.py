@@ -190,7 +190,7 @@ class SandwichReport(Report):
 
 
 def check_special_solution_sandwich(phi, field: RegularizedDistanceField,
-                                    eps: float, r: float, K_hat: float = 8.0) -> SandwichReport:
+                                    eps: float, r: float, K_hat: float) -> SandwichReport:
     """Verify (2r)^(-eps) d^(1+eps) <= phi <= (2r)^eps d^(1-eps) on grid nodes.
 
     phi is a GridSolution with boundary data d on the cut boundary; nodes

@@ -143,18 +143,27 @@ def _growth_csv(out: Path, report, extra=None) -> None:
     _write_csv(out / "growth.csv", header, np.column_stack(cols))
 
 
-def _cmd_growth(cfg, out: Path, cal, seed) -> int:
+# the cascade record that growth and boundary-modulus share
+_CASCADE_KEYS = {"domain", "operator", "k_max", "n_grid"}
+
+
+def _cascade_from_config(cfg):
+    """The graph, the operator and the cascade keywords of a config."""
     graph = graph_from_config(cfg["domain"])
     op = operator_from_config(cfg.get("operator", {"kind": "laplace"}))
-    k_max = int(cfg.get("k_max", 7))
-    n_grid = int(cfg.get("n_grid", 128))
+    return graph, op, {"k_max": int(cfg.get("k_max", 7)),
+                       "n_grid": int(cfg.get("n_grid", 128))}
+
+
+def _cmd_growth(cfg, out: Path, cal, seed) -> int:
+    graph, op, cascade = _cascade_from_config(cfg)
     omega = modulus_from_config(cfg["omega"]) if "omega" in cfg else None
     outer = (data_from_config(cfg["outer_data"], "outer_data")
              if "outer_data" in cfg else None)
-    rep = measure_growth(graph, op, k_max=k_max, n_grid=n_grid,
-                         outer_data=outer, omega=omega, C_hat=cal.C_envelope)
+    rep = measure_growth(graph, op, outer_data=outer, omega=omega,
+                         C_hat=cal.C_envelope, **cascade)
     ks, eps, c, d = diagnostic_sequences(graph, cal.C0_barrier, cal.A_recursion,
-                                         k_max)
+                                         rep.radii)
     rep = replace(rep, eps_seq=eps, c_seq=c, d_seq=d)
     _growth_csv(out, rep)
     _write_json(out / "growth_report.json", rep.to_dict())
@@ -165,22 +174,18 @@ def _cmd_growth(cfg, out: Path, cal, seed) -> int:
 
 
 def _cmd_boundary_modulus(cfg, out: Path, cal, seed) -> int:
-    graph = graph_from_config(cfg["domain"])
-    op = operator_from_config(cfg.get("operator", {"kind": "laplace"}))
-    k_max = int(cfg.get("k_max", 7))
-    n_grid = int(cfg.get("n_grid", 128))
+    graph, op, cascade = _cascade_from_config(cfg)
     g_rec = cfg.get("g", {"name": "zero"})
     g = data_from_config(g_rec, "g")
     # the data's exact tangential gradient at the origin (zero unless linear)
     grad_g0 = (np.asarray(g_rec["coeffs"], dtype=float)[:-1] if g_rec["name"] == "linear"
                else np.zeros(graph.dim - 1))
-    rep = measure_boundary_modulus(graph, op, k_max=k_max, n_grid=n_grid, g=g,
-                                   grad_g0=grad_g0)
+    rep = measure_boundary_modulus(graph, op, g=g, grad_g0=grad_g0, **cascade)
     extra = None
     code = 0
     if "omega_tilde" in cfg:
         wt = modulus_from_config(cfg["omega_tilde"], "omega_tilde")
-        wt_vals = np.array([float(wt(min(r, wt.t0 * (1 - 1e-9)))) for r in rep.radii])
+        wt_vals = wt(rep.radii)
         ratio = rep.m * rep.radii / wt_vals
         extra = {"omega_tilde": wt_vals, "ratio": ratio}
         code = 0 if np.all(ratio <= cal.C_envelope) else 1
@@ -201,8 +206,8 @@ _ALLOWED_KEYS = {
     "regdist-check": {"domain", "n_points", "r"},
     "barrier-check": {"domain", "ellipticity", "r", "n_points"},
     "solve": {"domain", "operator", "r", "n", "rhs", "dirichlet", "stencil"},
-    "growth": {"domain", "operator", "k_max", "n_grid", "omega", "outer_data"},
-    "boundary-modulus": {"domain", "operator", "k_max", "n_grid", "g", "omega_tilde"},
+    "growth": _CASCADE_KEYS | {"omega", "outer_data"},
+    "boundary-modulus": _CASCADE_KEYS | {"g", "omega_tilde"},
     "calibrate": set(),
 }
 

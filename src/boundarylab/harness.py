@@ -1,11 +1,12 @@
 """Dyadic growth measurement: normal quotients, sup quotients, envelopes.
 
 Level k of the cascade solves the Dirichlet problem on Omega cap B_{R_k},
-R_k = 2^(-k+1) * r0, on a fixed N x N grid (so h_k halves with the scale),
+R_k = 2^(-k+1) * R_1, on a fixed N x N grid (so h_k halves with the scale),
 with data transferred from the level-(k-1) solution on the outer circle
-and the prescribed boundary data on the graph part.  After each level the
-normal quotient q_k = u(r_k e_n)/r_k and sup quotient
-m_k = ||u||_{L_inf(B_{r_k})}/r_k are recorded at r_k = R_k/2 = 2^(-k) r0.
+and the prescribed boundary data on the graph part.  R_1 is the graph's
+working radius, min(1/2, chart radius).  After each level the normal
+quotient q_k = u(r_k e_n)/r_k and sup quotient
+m_k = ||u||_{L_inf(B_{r_k})}/r_k are recorded at r_k = R_k/2 = 2^(-k) R_1.
 """
 
 from __future__ import annotations
@@ -69,10 +70,11 @@ def fit_log_slope(radii, values):
     return float(coef[0]), r2
 
 
-def _run_cascade(graph: BoundaryGraph, operator, k_max: int, n_grid: int,
-                 r0: float, outer_data: Callable, graph_data: Callable,
-                 rhs: Optional[Callable] = None, stencil: str = "standard5"):
-    """Sequential dyadic solve of levels 1..k_max; returns per-level summaries.
+def _run_cascade(graph: BoundaryGraph, operator, *, k_max: int, n_grid: int,
+                 stencil: str, outer_data: Callable, graph_data: Callable,
+                 rhs: Optional[Callable] = None):
+    """Sequential dyadic solve of levels 1..k_max from B_{R_1}, R_1 the
+    graph's working radius; returns per-level summaries.
 
     On a dilation-invariant graph level 1 is discretized once and every
     later level solves its dilation, bitwise the level's own assembly.
@@ -83,7 +85,7 @@ def _run_cascade(graph: BoundaryGraph, operator, k_max: int, n_grid: int,
     prev_sol = base = None
     origin_gap = float(np.atleast_1d(graph.gamma(np.zeros((1, 1))))[0])
     for k in range(1, k_max + 1):
-        R = 2.0 ** (-k + 1) * r0
+        R = 2.0 ** (-k + 1) * graph.working_radius
         h = 2 * R / n_grid
 
         def dirichlet(pts, _R=R, _prev=prev_sol):
@@ -136,25 +138,20 @@ def envelope_upper(omega: Modulus, rho: float, r: float, C_hat: float) -> float:
     return C_hat * np.exp(C_hat * dini_integral(omega, rho, 2 * r))
 
 
-def measure_growth(graph: BoundaryGraph, operator=None, k_max: int = 7,
-                   n_grid: int = 256, r0: float = 0.5,
-                   outer_data=None, graph_data=None,
-                   omega: Optional[Modulus] = None, C_hat: float = 4.0,
-                   stencil: str = "standard5") -> GrowthReport:
+def measure_growth(graph: BoundaryGraph, operator=LaplaceOp(), *, k_max: int,
+                   n_grid: int, outer_data=None, omega: Optional[Modulus] = None,
+                   C_hat: float = 4.0, stencil: str = "standard5") -> GrowthReport:
     """Dyadic growth of a nonnegative solution vanishing on the graph.
 
     Default data: u = 1 on the outermost circle, 0 on the graph part, and
     zero forcing; envelopes are attached when a boundary modulus omega is
     supplied.
     """
-    if operator is None:
-        operator = LaplaceOp()
     if outer_data is None:
         outer_data = lambda p: np.ones(len(p))
-    if graph_data is None:
-        graph_data = lambda p: np.zeros(len(p))
-    ks, radii, q, m, res = _run_cascade(graph, operator, k_max, n_grid, r0,
-                                        outer_data, graph_data, stencil=stencil)
+    ks, radii, q, m, res = _run_cascade(
+        graph, operator, k_max=k_max, n_grid=n_grid, stencil=stencil,
+        outer_data=outer_data, graph_data=lambda p: np.zeros(len(p)))
     if np.any(q <= 0):
         raise ConvergenceError("nonpositive normal quotient in a cascade "
                                "expected to produce a positive solution")
@@ -171,21 +168,19 @@ def measure_growth(graph: BoundaryGraph, operator=None, k_max: int = 7,
                         env_lower=env_lo, env_upper=env_hi)
 
 
-def measure_boundary_modulus(graph: BoundaryGraph, operator=None, k_max: int = 7,
-                             n_grid: int = 256, g: Optional[Callable] = None, *,
+def measure_boundary_modulus(graph: BoundaryGraph, operator=LaplaceOp(), *,
+                             k_max: int, n_grid: int, g: Optional[Callable] = None,
                              grad_g0, outer_data: Optional[Callable] = None,
                              stencil: str = "standard5") -> GrowthReport:
     """Sup quotients of v = u - g(0) - grad g(0) . x' through the cascade.
 
-    The cascade starts on B_{1/2} with zero forcing.  The solution takes
-    boundary data g on the graph part (and on the outermost circle at the
-    first level); the affine part of g at the origin is subtracted before
-    measuring, so smooth data with nonzero gradient still yields bounded
-    m_k.  grad_g0 is the exact tangential gradient of g at the origin, of
-    length n - 1.
+    The cascade starts on B_{R_1}, R_1 the graph's working radius, with
+    zero forcing.  The solution takes boundary data g on the graph part
+    (and on the outermost circle at the first level); the affine part of g
+    at the origin is subtracted before measuring, so smooth data with
+    nonzero gradient still yields bounded m_k.  grad_g0 is the exact
+    tangential gradient of g at the origin, of length n - 1.
     """
-    if operator is None:
-        operator = LaplaceOp()
     if g is None:
         g = lambda p: np.zeros(len(p))
     g0 = float(np.atleast_1d(g(np.zeros((1, 2))))[0])
@@ -197,28 +192,27 @@ def measure_boundary_modulus(graph: BoundaryGraph, operator=None, k_max: int = 7
     # solve directly for v = u - affine: for linear operators this is the
     # cascade with affinely shifted boundary data
     ks, radii, qv, mv, res = _run_cascade(
-        graph, operator, k_max, n_grid, 0.5,
+        graph, operator, k_max=k_max, n_grid=n_grid, stencil=stencil,
         outer_data=lambda p: np.atleast_1d(outer(p)) - affine(np.atleast_2d(p)),
-        graph_data=lambda p: np.atleast_1d(g(p)) - affine(np.atleast_2d(p)),
-        stencil=stencil)
+        graph_data=lambda p: np.atleast_1d(g(p)) - affine(np.atleast_2d(p)))
     slope, r2 = fit_log_slope(radii, np.maximum(np.abs(mv), 1e-300))
     return GrowthReport(ks=ks, radii=radii, q=qv, m=mv, exponent=slope,
                         exponent_r2=r2, residuals=res)
 
 
 def diagnostic_sequences(graph: BoundaryGraph, C0_hat: float, A_hat: float,
-                         k_max: int, omega_f: Optional[Modulus] = None,
+                         radii, omega_f: Optional[Modulus] = None,
                          omega_g: Optional[Modulus] = None, C_hat: float = 4.0):
-    """The dyadic recursion sequences (eps_k, c_k, d_k) for k = 1..k_max.
+    """The dyadic recursion sequences (eps_k, c_k, d_k) at a cascade's radii.
 
-    eps_k = C0_hat * seminorm(2^-k); c_1 = 1, c_k = (1 - A_hat eps_{k-1}) c_{k-1};
-    d_k = omega_g(2^{-k-1}) + C_hat omega_f(2^{-k-1}).
+    radii are the cascade's r_k = R_k / 2, k = 1..len(radii), so each
+    sequence lines up with the report row of its level:
+    eps_k = C0_hat * seminorm(R_k); c_1 = 1, c_k = (1 - A_hat eps_{k-1}) c_{k-1};
+    d_k = omega_g(r_k) + C_hat omega_f(r_k).
     """
-    ks = np.arange(1, k_max + 1)
-    eps = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        r = min(2.0 ** (-float(k)), graph.chart_radius)
-        eps[i] = C0_hat * graph.local_lip_seminorm(r)
+    radii = np.asarray(radii, dtype=float)
+    ks = np.arange(1, len(radii) + 1)
+    eps = np.array([C0_hat * graph.local_lip_seminorm(2.0 * r) for r in radii])
     c = np.empty(len(ks))
     c[0] = 1.0
     for i in range(1, len(ks)):
@@ -227,8 +221,7 @@ def diagnostic_sequences(graph: BoundaryGraph, C0_hat: float, A_hat: float,
             factor = 0.0
         c[i] = factor * c[i - 1]
     d = np.zeros(len(ks))
-    for i, k in enumerate(ks):
-        t = 2.0 ** (-float(k) - 1)
+    for i, t in enumerate(radii):
         if omega_g is not None:
             d[i] += float(omega_g(t))
         if omega_f is not None:

@@ -54,7 +54,8 @@ class Modulus:
         self.t0 = float(t0)
         self._func = func
         self._deriv = deriv
-        # antiderivative of omega(s)/s, where a closed form exists
+        # antiderivative of omega(s)/s, where a closed form exists, defined
+        # at s = 0 too: -inf there when the integral from 0 diverges
         self.dini_primitive = dini_primitive
         self.params = dict(params or {})
         self.vanishes_at_zero = bool(func(np.asarray(0.0)) == 0.0)
@@ -91,7 +92,8 @@ def constant(L: float, t0: float = 1.0) -> Modulus:
         t0,
         lambda t: np.full_like(np.asarray(t, dtype=float), L),
         deriv=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        dini_primitive=(lambda s: L * math.log(s)),
+        dini_primitive=(lambda s: L * math.log(s) if s > 0
+                        else -math.inf if L > 0 else 0.0),
         params={"L": L},
     )
 
@@ -142,7 +144,7 @@ def log_modulus(c: float = 1.0, t0: float = 0.5) -> Modulus:
         t0,
         f,
         deriv=df,
-        dini_primitive=(lambda s: -c * math.log(math.log(1.0 / s))),
+        dini_primitive=(lambda s: -c * math.log(math.log(1.0 / s)) if s > 0 else -math.inf),
         params={"c": c},
     )
 
@@ -184,8 +186,10 @@ def table(ts: Sequence[float], values: Sequence[float], t0: Optional[float] = No
 def dini_integral(omega: Modulus, a: float, b: float) -> float:
     """Integral of omega(s)/s over [a, b], 0 < a <= b < t0.
 
-    a = 0 is allowed when the modulus vanishes at zero and the integral
-    converges (the Dini condition); divergence raises ConvergenceError.
+    a = 0 is allowed when the integral converges (the Dini condition);
+    divergence raises ConvergenceError.  A closed-form primitive decides it
+    by its value at 0 (-inf when the integral diverges); a modulus without
+    one diverges when it does not vanish at zero.
     Uses the closed-form antiderivative when the modulus carries one,
     otherwise adaptive (Gauss-Kronrod) quadrature to relative tolerance DINI_RTOL.
     """
@@ -195,20 +199,15 @@ def dini_integral(omega: Modulus, a: float, b: float) -> float:
         raise DomainError(f"upper endpoint {b} outside (0, {omega.t0})")
     if a == b:
         return 0.0
-    if a == 0.0:
-        if not omega.vanishes_at_zero:
-            raise ConvergenceError(
-                f"dini integral from 0 diverges for non-vanishing modulus {omega}"
-            )
-        if omega.kind == "log":
-            raise ConvergenceError(f"dini integral from 0 diverges for {omega}")
-    if omega.dini_primitive is not None and a > 0.0:
-        return omega.dini_primitive(b) - omega.dini_primitive(a)
     if omega.dini_primitive is not None:
-        # closed-form primitives with a finite limit at zero
-        p0 = omega.dini_primitive(1e-300)
-        if math.isfinite(p0) and abs(p0) < DINI_RTOL:
-            return omega.dini_primitive(b) - 0.0
+        lo = omega.dini_primitive(a)
+        if lo == -math.inf:
+            raise ConvergenceError(f"dini integral from 0 diverges for {omega}")
+        return omega.dini_primitive(b) - lo
+    if a == 0.0 and not omega.vanishes_at_zero:
+        raise ConvergenceError(
+            f"dini integral from 0 diverges for non-vanishing modulus {omega}"
+        )
     # integrate in u = log s: smooths the 1/s factor near the left endpoint
     val, err = integrate.quad(
         lambda u: float(omega(math.exp(u))),

@@ -155,8 +155,8 @@ def test_criterion_5_dini_envelopes_and_drift():
 def test_criterion_6_log_lipschitz_regime():
     b = 0.4
     om = log_modulus(1.0, 0.5)
-    g = BoundaryGraph("c1model", omega=om, sign=-1)
-    rep = measure_growth(g, k_max=7, n_grid=128, r0=b / 2)
+    g = BoundaryGraph("c1model", omega=om, sign=-1, chart_radius=b / 2)
+    rep = measure_growth(g, k_max=7, n_grid=128)
 
     def omega_tilde(t):
         # t * exp(int_t^b omega(s)/s ds) with the closed-form primitive

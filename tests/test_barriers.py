@@ -158,7 +158,7 @@ def test_sandwich_chart_mismatch():
                        dirichlet=lambda p: np.zeros(len(np.atleast_2d(p))))
     phi = solve(prob)
     with pytest.raises(DomainError):
-        check_special_solution_sandwich(phi, f2, 0.2, 0.25)
+        check_special_solution_sandwich(phi, f2, 0.2, 0.25, K_hat=8.0)
 
 
 def test_sandwich_compares_table_charts_by_value():
@@ -174,10 +174,10 @@ def test_sandwich_compares_table_charts_by_value():
                        dirichlet=lambda p: np.zeros(len(np.atleast_2d(p))))
     phi = solve(prob)
     same = RegularizedDistanceField(table(0.1 * np.abs(ts)))
-    assert check_special_solution_sandwich(phi, same, 0.2, 0.25).n_nodes > 0
+    assert check_special_solution_sandwich(phi, same, 0.2, 0.25, K_hat=8.0).n_nodes > 0
     other = RegularizedDistanceField(table(0.15 * np.abs(ts)))
     with pytest.raises(DomainError, match="different charts"):
-        check_special_solution_sandwich(phi, other, 0.2, 0.25)
+        check_special_solution_sandwich(phi, other, 0.2, 0.25, K_hat=8.0)
 
 
 def test_sandwich_without_checked_nodes_names_r_and_h():
@@ -188,7 +188,7 @@ def test_sandwich_without_checked_nodes_names_r_and_h():
                        dirichlet=lambda p: np.zeros(len(np.atleast_2d(p))))
     phi = solve(prob)
     with pytest.raises(DomainError, match=r"r = 0\.03, h = 0\.015625"):
-        check_special_solution_sandwich(phi, f, 0.2, 0.03)
+        check_special_solution_sandwich(phi, f, 0.2, 0.03, K_hat=8.0)
 
 
 def test_verify_barrier_inverts_once(monkeypatch):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from boundarylab import BoundaryGraph, DomainError, measure_boundary_modulus
+from boundarylab import BoundaryGraph, DomainError, measure_boundary_modulus, power
 from boundarylab.calibrate import load_calibration, save_calibration
 from boundarylab import cli
 from boundarylab.cli import main
@@ -189,6 +189,55 @@ def test_cli_boundary_modulus_uses_the_exact_data_gradient(tmp_path):
     want = measure_boundary_modulus(BoundaryGraph("zero"), k_max=4, n_grid=32, g=g,
                                     grad_g0=np.array([a]))
     assert rep["m"] == want.m.tolist()
+
+
+@pytest.mark.parametrize("command", ["growth", "boundary-modulus"])
+def test_cli_cascade_starts_on_the_chart_of_a_log_modulus_domain(tmp_path, command):
+    # omega = 0.2 / log(1/t) lives on [0, 1/2), so the chart radius is 1/4
+    cfg = _write(tmp_path, "c.json", {
+        "schema_version": 1, "k_max": 4, "n_grid": 32,
+        "domain": {"family": "c1model", "omega": {"kind": "log", "c": 0.2}}})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "growth.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[1]) == 0.125
+
+
+def test_cli_growth_sequences_line_up_with_a_chart_below_one_half(tmp_path):
+    # the cascade starts on the chart radius 1/4, so eps_k is read at R_k = 2 r_k
+    cfg = _write(tmp_path, "c.json", {
+        "schema_version": 1, "k_max": 4, "n_grid": 32,
+        "domain": {"family": "c1model", "omega": {"kind": "log", "c": 0.2}}})
+    out = tmp_path / "out"
+    assert main(["growth", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "growth_report.json").read_text())
+    graph = graph_from_config({"family": "c1model", "omega": {"kind": "log", "c": 0.2}})
+    C0 = load_calibration().C0_barrier
+    assert rep["r"][0] == graph.working_radius / 2
+    assert rep["eps_seq"] == [C0 * graph.local_lip_seminorm(2 * r) for r in rep["r"]]
+
+
+def test_cli_boundary_modulus_evaluates_omega_tilde_at_each_radius(tmp_path):
+    cfg = _write(tmp_path, "wt.json", {
+        "schema_version": 1, "k_max": 4, "n_grid": 32, "domain": {"family": "zero"},
+        "omega_tilde": {"kind": "power", "alpha": 0.5}})
+    out = tmp_path / "out"
+    assert main(["boundary-modulus", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "growth.csv").read_text().splitlines()
+    assert rows[0] == "k,r,q,m,omega_tilde,ratio"
+    _, r, _, m, wt, ratio = np.loadtxt(rows[1:], delimiter=",").T
+    np.testing.assert_array_equal(wt, power(0.5)(r))
+    np.testing.assert_array_equal(ratio, m * r / wt)
+
+
+def test_cli_boundary_modulus_rejects_a_radius_outside_omega_tilde(tmp_path, capsys):
+    # r_1 = 1/4 lies outside [0, 0.2), where omega_tilde has no value
+    cfg = _write(tmp_path, "wt.json", {
+        "schema_version": 1, "k_max": 4, "n_grid": 32, "domain": {"family": "zero"},
+        "omega_tilde": {"kind": "power", "alpha": 0.5, "t0": 0.2}})
+    assert main(["boundary-modulus", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "modulus of kind 'power' is defined on [0, 0.2)" in capsys.readouterr().err
 
 
 def test_cli_barrier_check_pass(tmp_path):

@@ -1,4 +1,5 @@
-"""Every import in the package source and in the tests is used."""
+"""Every import in the package source and in the tests is used, and the
+package's parameters with a default do not grow in number."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,18 @@ def test_no_unused_imports():
     assert modules and tests
     unused = [entry for p in modules + tests for entry in _unused_imports(p)]
     assert not unused, unused
+
+
+# parameters with a default, over every def and lambda of the package; raise
+# this only in the change that adds a default, where review sees it
+MAX_PARAMETER_DEFAULTS = 46
+
+
+def test_parameter_defaults_do_not_grow():
+    count = 0
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    assert count <= MAX_PARAMETER_DEFAULTS, count

@@ -107,7 +107,7 @@ def _sandwich():
 
     phi = solve(GridProblem(g, 0.25, 0.25 / 24, LaplaceOp(),
                             rhs=lambda p: np.zeros(len(p)), dirichlet=bdata))
-    return check_special_solution_sandwich(phi, f, 0.2, 0.25)
+    return check_special_solution_sandwich(phi, f, 0.2, 0.25, K_hat=8.0)
 
 
 def _abp():
@@ -120,7 +120,7 @@ def _abp():
 def _growth_with_every_sequence():
     g = BoundaryGraph("cone", L=0.2)
     rep = measure_growth(g, k_max=4, n_grid=32, omega=power(0.5))
-    _, eps, c, d = diagnostic_sequences(g, 2.0, 0.5, 4)
+    _, eps, c, d = diagnostic_sequences(g, 2.0, 0.5, rep.radii)
     return replace(rep, eps_seq=eps, c_seq=c, d_seq=d)
 
 
