@@ -108,9 +108,13 @@ def _cmd_solve(cfg, out: Path, cal, seed) -> int:
     n = int(cfg.get("n", 64))
     rhs = data_from_config(cfg.get("rhs", {"name": "zero"}), "rhs")
     g = data_from_config(cfg.get("dirichlet", {"name": "zero"}), "dirichlet")
-    stencil = cfg.get("stencil", "standard5")
-    prob = GridProblem(graph, r, 2 * r / n, op, rhs=rhs, dirichlet=g,
-                       stencil=stencil)
+    # schema-1 configs may carry "stencil": "wide", which selects nothing, as the
+    # lattice directions follow from the operator; another value would name a
+    # scheme that does not run, so it is refused
+    if cfg.get("stencil", "wide") != "wide":
+        raise ConfigError(f"solve key 'stencil' accepts only 'wide', got {cfg['stencil']!r}: "
+                          "the lattice directions now follow from the operator")
+    prob = GridProblem(graph, r, 2 * r / n, op, rhs=rhs, dirichlet=g)
     sol = solve(prob)
     _write_csv(out / "solution.csv", ["x1", "x2", "u"],
                np.column_stack([sol.nodes, sol.values]))

@@ -71,7 +71,7 @@ def fit_log_slope(radii, values):
 
 
 def _run_cascade(graph: BoundaryGraph, operator, *, k_max: int, n_grid: int,
-                 stencil: str, outer_data: Callable, graph_data: Callable,
+                 outer_data: Callable, graph_data: Callable,
                  rhs: Optional[Callable] = None):
     """Sequential dyadic solve of levels 1..k_max from B_{R_1}, R_1 the
     graph's working radius; returns per-level summaries.
@@ -102,8 +102,7 @@ def _run_cascade(graph: BoundaryGraph, operator, *, k_max: int, n_grid: int,
             out[~on_circle] = np.atleast_1d(graph_data(pts[~on_circle]))
             return out
 
-        prob = GridProblem(graph, R, h, operator, rhs=rhs, dirichlet=dirichlet,
-                           stencil=stencil)
+        prob = GridProblem(graph, R, h, operator, rhs=rhs, dirichlet=dirichlet)
         try:
             if not graph.dilation_invariant:
                 system = None
@@ -140,7 +139,7 @@ def envelope_upper(omega: Modulus, rho: float, r: float, C_hat: float) -> float:
 
 def measure_growth(graph: BoundaryGraph, operator=LaplaceOp(), *, k_max: int,
                    n_grid: int, outer_data=None, omega: Optional[Modulus] = None,
-                   C_hat: float = 4.0, stencil: str = "standard5") -> GrowthReport:
+                   C_hat: float = 4.0) -> GrowthReport:
     """Dyadic growth of a nonnegative solution vanishing on the graph.
 
     Default data: u = 1 on the outermost circle, 0 on the graph part, and
@@ -150,7 +149,7 @@ def measure_growth(graph: BoundaryGraph, operator=LaplaceOp(), *, k_max: int,
     if outer_data is None:
         outer_data = lambda p: np.ones(len(p))
     ks, radii, q, m, res = _run_cascade(
-        graph, operator, k_max=k_max, n_grid=n_grid, stencil=stencil,
+        graph, operator, k_max=k_max, n_grid=n_grid,
         outer_data=outer_data, graph_data=lambda p: np.zeros(len(p)))
     if np.any(q <= 0):
         raise ConvergenceError("nonpositive normal quotient in a cascade "
@@ -170,8 +169,7 @@ def measure_growth(graph: BoundaryGraph, operator=LaplaceOp(), *, k_max: int,
 
 def measure_boundary_modulus(graph: BoundaryGraph, operator=LaplaceOp(), *,
                              k_max: int, n_grid: int, g: Optional[Callable] = None,
-                             grad_g0, outer_data: Optional[Callable] = None,
-                             stencil: str = "standard5") -> GrowthReport:
+                             grad_g0, outer_data: Optional[Callable] = None) -> GrowthReport:
     """Sup quotients of v = u - g(0) - grad g(0) . x' through the cascade.
 
     The cascade starts on B_{R_1}, R_1 the graph's working radius, with
@@ -192,7 +190,7 @@ def measure_boundary_modulus(graph: BoundaryGraph, operator=LaplaceOp(), *,
     # solve directly for v = u - affine: for linear operators this is the
     # cascade with affinely shifted boundary data
     ks, radii, qv, mv, res = _run_cascade(
-        graph, operator, k_max=k_max, n_grid=n_grid, stencil=stencil,
+        graph, operator, k_max=k_max, n_grid=n_grid,
         outer_data=lambda p: np.atleast_1d(outer(p)) - affine(np.atleast_2d(p)),
         graph_data=lambda p: np.atleast_1d(g(p)) - affine(np.atleast_2d(p)))
     slope, r2 = fit_log_slope(radii, np.maximum(np.abs(mv), 1e-300))

@@ -1,16 +1,19 @@
 """Monotone finite-difference solver on Omega cap B_r with Dirichlet data.
 
-2-D only.  The standard stencil uses the 5-point Laplacian with
+2-D only.  Second differences run along the eight lattice directions
+(1, 0), (0, 1), (1, +-1), (2, 1), (-1, 2), (1, 2) and (-2, 1), with
 Shortley-Weller shortened arms where the grid meets the graph boundary or
-the circle; the wide stencil adds the six rotated lattice directions
-(1, +-1), (2, 1), (-1, 2), (1, 2) and (-2, 1), so that anisotropic and Pucci
-(Bellman) operators admit a monotone decomposition.
+the circle.
 Every operator is a Bellman problem inf or sup over a set of policies,
 each a coefficient matrix A with the linear operator Tr(A D^2 u).  The
 Pucci operators take the extremal matrices a v v^T + b w w^T, a, b in
-{lambda, Lambda}; a linear operator (Laplace or a fixed field A(x)) is the
-one-policy case.  All are solved by one policy iteration, with a fixed
-tie-break for determinism; one policy settles in one round.
+{lambda, Lambda}, of the four orthogonal lattice frames (v, w); a linear
+operator (Laplace or a fixed field A(x)) is the one-policy case.  Each
+policy is split once into nonnegative weights over the eight directions,
+and only the directions that some policy weights are assembled: the
+5-point stencil for the Laplacian and diagonal coefficients, more for
+anisotropic and Pucci operators.  All are solved by one policy iteration,
+with a fixed tie-break for determinism; one policy settles in one round.
 Every frozen-policy matrix is a nonsingular M-matrix, and so is each of
 its principal submatrices, so it has an LU factorization with positive
 pivots in any symmetric ordering: it is factored on a minimum-degree
@@ -69,11 +72,10 @@ class PucciOp:
             raise DomainError(f"sign must be 'minus' or 'plus', got {self.sign!r}")
 
 
-# lattice directions in orthogonal pairs (0, 1), (2, 3), (4, 5), (6, 7); the
-# first pair serves the 5-point stencil, all eight the wide stencil
+# lattice directions in orthogonal pairs (0, 1), (2, 3), (4, 5), (6, 7)
 _DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 2), (1, 2), (-2, 1)]
-# lattice directions of each stencil
-_STENCILS = {"standard5": 2, "wide": 8}
+# their unit vectors
+_UNITS = [np.asarray(d, dtype=float) / np.linalg.norm(d) for d in _DIRECTIONS]
 # policy iteration stops with a ConvergenceError after this many rounds
 _MAX_POLICY_ROUNDS = 200
 
@@ -85,12 +87,12 @@ class GridProblem:
     return (m,) values, or a scalar for constant data.  rhs is evaluated at
     the interior nodes.  dirichlet is evaluated at the exact cut
     intersection points, once per assembly or dilation, on a single
-    (n_cut, 2) array.  A FixedOp field is vectorized too.  stencil is
-    "standard5" (2 lattice directions) or "wide" (all 8 _DIRECTIONS).
+    (n_cut, 2) array.  A FixedOp field is vectorized too.  The lattice
+    directions of the scheme follow from the operator.
     """
 
     def __init__(self, graph: BoundaryGraph, r: float, h: float, operator,
-                 rhs: Callable, dirichlet: Callable, stencil: str = "standard5"):
+                 rhs: Callable, dirichlet: Callable):
         if graph.dim != 2:
             raise DomainError("the grid solver is 2-D only")
         if h > r / 16 * (1 + 1e-12):
@@ -103,10 +105,6 @@ class GridProblem:
         self.operator = operator
         self.rhs = rhs
         self.dirichlet = dirichlet
-        self.stencil = stencil
-        if stencil not in _STENCILS:
-            raise DomainError(f"unknown stencil {stencil!r}")
-        self.n_dir = _STENCILS[stencil]
 
 
 def _values_at(fn: Callable, pts: np.ndarray, name: str) -> np.ndarray:
@@ -142,8 +140,13 @@ class _DiscreteSystem:
         self.shape = X.shape
         self.xs = xs
 
+        alphas, self.sense = _operator_weights(problem.operator, self.nodes)
+        # assemble the directions that some policy weights; a per-node field
+        # keeps all eight, since its weights move with the nodes under dilation
+        support = alphas.any(axis=(0, 1)) | (alphas.shape[1] > 1)
+        self._set_weights(alphas[..., support])
         # steps[d, k] is the lattice step along direction d with sign (+1, -1)[k]
-        dirs = np.array(_DIRECTIONS[: problem.n_dir])
+        dirs = np.array(_DIRECTIONS)[support]
         steps = dirs[:, None, :] * np.array([1, -1])[None, :, None]
         # neighbour ids, (n_dir, m, 2); -1 outside the domain or off the grid
         pad = int(np.abs(steps).max())
@@ -182,7 +185,6 @@ class _DiscreteSystem:
         self.unit = 1.0
         self._factor = []      # [A, LU] of the one shared frozen matrix, once built
         self._set_data(problem)
-        self._set_operator(problem)
 
     def _set_data(self, problem: GridProblem) -> None:
         """Evaluate problem's Dirichlet data at the cut points, and c from it."""
@@ -194,15 +196,15 @@ class _DiscreteSystem:
         self.c = np.bincount(self._cut_rows, self._cut_weights * self.boundary_values,
                              minlength=n_dir * self.m).reshape(n_dir, self.m)
 
-    def _set_operator(self, problem: GridProblem) -> None:
-        self.alphas, self.sense = _operator_weights(problem, self.nodes)
+    def _set_weights(self, alphas: np.ndarray) -> None:
+        self.alphas = alphas
         # nonnegative direction weights for every policy make every
         # frozen-policy matrix monotone (an M-matrix)
-        min_alpha = float(self.alphas.min())
+        min_alpha = float(alphas.min())
         if min_alpha < -1e-12:
             raise MonotonicityError(
-                f"negative direction weight {min_alpha:g}: stencil too narrow "
-                "for this operator's anisotropy"
+                f"negative direction weight {min_alpha:g}: the operator is not "
+                "monotone on the lattice directions"
             )
         self.certificate = {"min_direction_weight": max(min_alpha, 0.0), "monotone": True}
 
@@ -216,9 +218,9 @@ class _DiscreteSystem:
         old = self.problem
         s = problem.r / old.r
         if not (problem.graph is old.graph and old.graph.dilation_invariant
-                and problem.n == old.n and problem.n_dir == old.n_dir
-                and problem.operator == old.operator and np.frexp(s)[0] == 0.5):
-            raise DomainError("dilated needs the same grid, stencil and operator on a "
+                and problem.n == old.n and problem.operator == old.operator
+                and np.frexp(s)[0] == 0.5):
+            raise DomainError("dilated needs the same grid and operator on a "
                               "dilation-invariant graph, with r scaled by a power of two")
         new = copy.copy(self)
         new.nodes = self.nodes * s
@@ -227,7 +229,7 @@ class _DiscreteSystem:
         new.unit = self.unit / (s * s)
         new._set_data(problem)
         if self.alphas.shape[1] > 1:
-            new._set_operator(problem)
+            new._set_weights(_operator_weights(problem.operator, new.nodes)[0])
         return new
 
     def frozen_matrix(self, alpha: np.ndarray):
@@ -257,7 +259,7 @@ class _DiscreteSystem:
         return A, lu, c
 
     def direction_values(self, u: np.ndarray) -> np.ndarray:
-        """The problem's D_d u + c_d for every direction d, as an (m, n_dir) array."""
+        """The problem's D_d u + c_d for every assembled direction d, as an (m, n_dir) array."""
         return np.stack([self.unit * (D @ u + c) for D, c in zip(self.D, self.c)], axis=1)
 
 
@@ -317,49 +319,41 @@ def _cut_fractions(graph: BoundaryGraph, r: float, X0: np.ndarray, W: np.ndarray
     return np.maximum(s, 1e-10)
 
 
-def _decompose_spd(A: np.ndarray, dirs: list) -> np.ndarray:
-    """Nonnegative weights alpha with sum alpha_m vhat_m vhat_m^T = A.
+def _decompose_spd(A: np.ndarray) -> np.ndarray:
+    """Nonnegative weights alpha over _DIRECTIONS with sum alpha_m vhat_m vhat_m^T = A.
 
     Closed-form axis + diagonal split when |a12| <= min(a11, a22);
-    otherwise nonnegative least squares over the available directions.
+    otherwise nonnegative least squares over all eight directions.
     """
     a11, a22, a12 = A[0, 0], A[1, 1], A[0, 1]
-    alpha = np.zeros(len(dirs))
-    diag = (1, 1) if a12 > 0 else (1, -1)
+    alpha = np.zeros(len(_DIRECTIONS))
     # b = |a12|, except that a12 = -0.0 stays -0.0: a11 - b is then bitwise
     # a11 - a12 for a12 >= 0 and a11 + a12 for a12 < 0
     b = -a12 if a12 < 0 else a12
-    if b <= min(a11, a22) + 1e-14 and (b == 0 or diag in dirs):
-        alpha[dirs.index((1, 0))] = a11 - b
-        alpha[dirs.index((0, 1))] = a22 - b
+    if b <= min(a11, a22) + 1e-14:
+        alpha[_DIRECTIONS.index((1, 0))] = a11 - b
+        alpha[_DIRECTIONS.index((0, 1))] = a22 - b
         if b > 0:
-            alpha[dirs.index(diag)] = 2 * b
+            alpha[_DIRECTIONS.index((1, 1) if a12 > 0 else (1, -1))] = 2 * b
         return alpha
-    # wide fallback
-    B = np.empty((3, len(dirs)))
-    for m, v in enumerate(dirs):
-        vv = np.asarray(v, dtype=float)
-        vv /= np.linalg.norm(vv)
-        B[:, m] = [vv[0] ** 2, vv[1] ** 2, vv[0] * vv[1]]
+    B = np.array([[v[0] ** 2, v[1] ** 2, v[0] * v[1]] for v in _UNITS]).T
     target = np.array([a11, a22, a12])
     sol, res = nnls(B, target)
     if res > 1e-10 * max(np.linalg.norm(target), 1.0):
         raise MonotonicityError(
             f"coefficient matrix {A.tolist()} admits no nonnegative "
-            "decomposition over the stencil directions; widen the stencil"
+            "decomposition over the eight lattice directions"
         )
     return sol
 
 
-def _operator_weights(problem: GridProblem, nodes: np.ndarray):
+def _operator_weights(op, nodes: np.ndarray):
     """Direction weights of every policy and the Bellman sense ("min"/"max").
 
-    The weights have shape (n_policies, m or 1, n_dir): one row per node
-    for a coefficient field, one shared row for constant coefficients.
-    Each distinct coefficient matrix is decomposed once.
+    The weights over _DIRECTIONS have shape (n_policies, m or 1, 8): one row
+    per node for a coefficient field, one shared row for constant
+    coefficients.  Each distinct coefficient matrix is decomposed once.
     """
-    dirs = _DIRECTIONS[: problem.n_dir]
-    op = problem.operator
     sense = "min"
     if isinstance(op, LaplaceOp):
         mats = np.eye(2)[None, None]
@@ -381,21 +375,21 @@ def _operator_weights(problem: GridProblem, nodes: np.ndarray):
         mats = A[None]
     elif isinstance(op, PucciOp):
         # lam I, then the two mixed extremal matrices of each orthogonal
-        # pair (v, w), with Lam I after the first pair; lam = Lam leaves lam I
+        # frame (v, w), with Lam I after the first; lam = Lam leaves lam I
         lam, Lam = op.E.lam, op.E.Lam
         pols = [lam * np.eye(2)]
         if not op.E.is_laplacian:
-            units = [np.asarray(d, dtype=float) / np.linalg.norm(d) for d in dirs]
             pols += [a * np.outer(v, v) + b * np.outer(w, w)
-                     for v, w in zip(units[::2], units[1::2]) for a, b in ((lam, Lam), (Lam, lam))]
+                     for v, w in zip(_UNITS[::2], _UNITS[1::2])
+                     for a, b in ((lam, Lam), (Lam, lam))]
             pols.insert(3, Lam * np.eye(2))
         mats = np.stack(pols)[:, None]
         sense = "min" if op.sign == "minus" else "max"
     else:
         raise DomainError(f"unknown operator {op!r}")
     distinct, inverse = np.unique(mats.reshape(-1, 4), axis=0, return_inverse=True)
-    alphas = np.stack([_decompose_spd(a.reshape(2, 2), dirs) for a in distinct])
-    return alphas[inverse.ravel()].reshape(mats.shape[:2] + (len(dirs),)), sense
+    alphas = np.stack([_decompose_spd(a.reshape(2, 2)) for a in distinct])
+    return alphas[inverse.ravel()].reshape(mats.shape[:2] + (len(_DIRECTIONS),)), sense
 
 
 class GridSolution:

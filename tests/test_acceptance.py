@@ -102,13 +102,13 @@ def test_criterion_3_solver_convergence_orders():
     assert order_sup >= 1.0, (sup_err, order_sup)
     assert order_int >= 1.9, (int_err, order_int)
 
-    # anisotropic constant coefficients, manufactured solution, wide stencil
+    # anisotropic constant coefficients, manufactured solution
     A = np.array([[1.0, 0.3], [0.3, 1.0]])
     op = FixedOp(A=lambda x: A)
     f = lambda p: 2 * A[0, 1] * np.exp(np.atleast_2d(p)[:, 0]) * np.cos(np.atleast_2d(p)[:, 1])
     an_err = []
     for h in hs:
-        sol = solve(GridProblem(g, r, h, op, f, harm, stencil="wide"))
+        sol = solve(GridProblem(g, r, h, op, f, harm))
         an_err.append(np.abs(sol.values - harm(sol.nodes)).max())
     order_an = np.polyfit(np.log(hs), np.log(an_err), 1)[0]
     assert order_an >= 1.0, (an_err, order_an)
@@ -118,7 +118,7 @@ def test_criterion_3_solver_convergence_orders():
     fr = lambda p: -np.ones(len(np.atleast_2d(p)))
     s_lap = solve(GridProblem(g, r, 1 / 64, LaplaceOp(), lambda p: fr(p) / lam, ZERO))
     s_puc = solve(GridProblem(g, r, 1 / 64, PucciOp(EllipticityPair(lam, lam), "minus"),
-                              fr, ZERO, stencil="wide"))
+                              fr, ZERO))
     puc_dev = np.abs(s_puc.values - s_lap.values).max()
     assert puc_dev <= 1e-10
     print(f"criterion 3 (orders: sup {order_sup:.2f} >= 1.0, interior "

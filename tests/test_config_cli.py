@@ -5,7 +5,7 @@ import pytest
 
 from boundarylab import BoundaryGraph, DomainError, measure_boundary_modulus, power
 from boundarylab.calibrate import load_calibration, save_calibration
-from boundarylab import cli
+from boundarylab import cli, harness
 from boundarylab.cli import main
 from boundarylab.config import (
     ConfigError, data_from_config, ellipticity_from_config, graph_from_config,
@@ -161,6 +161,51 @@ def test_cli_solve_and_determinism(tmp_path):
     rep = json.loads((out1 / "solve_report.json").read_text())
     assert rep["certificate"]["monotone"]
     assert rep["abp"]["max_principle_exact"]
+
+
+@pytest.mark.parametrize("operator", [{"kind": "laplace"},
+                                      {"kind": "pucci_minus", "ellipticity": {"lam": 1, "Lam": 2}}])
+def test_cli_solve_stencil_key_selects_nothing(tmp_path, capsys, operator):
+    # the lattice directions follow from the operator: a schema-1 config's
+    # "stencil": "wide" changes no output byte, and any other value, which
+    # would run another scheme, is refused
+    base = {"schema_version": 1, "n": 32, "operator": operator,
+            "domain": {"family": "sinusoid", "A": 0.05, "k": 4.0},
+            "rhs": {"name": "constant", "value": -1},
+            "dirichlet": {"name": "linear", "coeffs": [0.3, 0.5], "offset": 0.1}}
+    outs = []
+    for name, extra in (("plain", {}), ("wide", {"stencil": "wide"})):
+        cfg = _write(tmp_path, f"{name}.json", {**base, **extra})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        outs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert outs[0] == outs[1] and len(outs[0]) == 2
+    for value in ("standard5", "wide9"):
+        cfg = _write(tmp_path, "bad.json", {**base, "stencil": value})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: solve key 'stencil'")
+        assert repr(value) in err and "follow from the operator" in err
+
+
+def test_cli_pucci_growth_runs_the_full_policy_set(tmp_path, monkeypatch):
+    # a Pucci cascade picks policies beyond the axis frame's four (lam I, the
+    # two axis-aligned mixed matrices and Lam I, indices 0 to 3)
+    policies = []
+    real_solve = harness.solve
+
+    def recorded(prob, system=None):
+        sol = real_solve(prob, system=system)
+        policies.append(sol.policy)
+        return sol
+
+    monkeypatch.setattr(harness, "solve", recorded)
+    cfg = _write(tmp_path, "g.json", {
+        "schema_version": 1, "k_max": 4, "n_grid": 32,
+        "domain": {"family": "cone", "L": 0.2},
+        "operator": {"kind": "pucci_minus", "ellipticity": {"lam": 1, "Lam": 2}}})
+    assert main(["growth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(policies) == 4
+    assert all(p.max() >= 4 for p in policies)
 
 
 def test_cli_growth_flat(tmp_path):

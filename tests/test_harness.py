@@ -12,10 +12,25 @@ from boundarylab.harness import (
 )
 
 DILATION_GRAPHS = {"cone": {"L": 0.2}, "zero": {}, "linear": {"a": 0.15}}
+
+
+def _rotating_field(x):
+    # a per-node field: each level recomputes its weights on the dilated nodes
+    t = np.arctan2(x[:, 1], x[:, 0])
+    A = np.empty((len(x), 2, 2))
+    A[:, 0, 0] = 1.5 + 0.5 * np.cos(2 * t)
+    A[:, 1, 1] = 1.5 - 0.5 * np.cos(2 * t)
+    A[:, 0, 1] = A[:, 1, 0] = 0.5 * np.sin(2 * t)
+    return A
+
+
+# each operator with the number of lattice directions it assembles: the
+# 5-point stencil for the Laplacian, more for the others
 CASCADE_OPERATORS = {
-    "laplace-standard5": (LaplaceOp(), "standard5"),
-    "fixed-wide": (FixedOp(A=lambda x: np.array([[1.0, 0.3], [0.3, 1.5]])), "wide"),
-    "pucci_minus-wide": (PucciOp(EllipticityPair(1.0, 2.0), "minus"), "wide"),
+    "laplace-standard5": (LaplaceOp(), 2),
+    "fixed-wide": (FixedOp(A=lambda x: np.array([[1.0, 0.3], [0.3, 1.5]])), 3),
+    "pucci_minus-wide": (PucciOp(EllipticityPair(1.0, 2.0), "minus"), 4),
+    "field-wide": (FixedOp(A=_rotating_field), 8),
 }
 
 
@@ -123,7 +138,7 @@ def test_boundary_modulus_exact_gradient_leaves_no_floor(a, off):
 def test_cascade_levels_equal_their_own_assembly(monkeypatch, family, op_name):
     # a dilation-invariant cascade solves every later level on the dilated first
     # level; each must be bitwise the level's own assembly and solve
-    operator, stencil = CASCADE_OPERATORS[op_name]
+    operator, n_dir = CASCADE_OPERATORS[op_name]
     graph = BoundaryGraph(family, **DILATION_GRAPHS[family])
     real_solve = solver.solve
     units = []
@@ -131,17 +146,18 @@ def test_cascade_levels_equal_their_own_assembly(monkeypatch, family, op_name):
     def checked(prob, system=None):
         sol = real_solve(prob, system=system)
         fresh = real_solve(GridProblem(prob.graph, prob.r, prob.h, prob.operator,
-                                       prob.rhs, prob.dirichlet, stencil=prob.stencil))
+                                       prob.rhs, prob.dirichlet))
         np.testing.assert_array_equal(sol.nodes, fresh.nodes)
         np.testing.assert_array_equal(sol.values, fresh.values)
         np.testing.assert_array_equal(sol.policy, fresh.policy)
         assert sol.residual == fresh.residual
         assert sol.iterations == fresh.iterations
+        assert len(system.D) == n_dir
         units.append(system.unit)
         return sol
 
     monkeypatch.setattr(harness, "solve", checked)
-    _run_cascade(graph, operator, k_max=5, n_grid=32, stencil=stencil,
+    _run_cascade(graph, operator, k_max=5, n_grid=32,
                  outer_data=lambda p: 1.0 + 0.4 * p[:, 0] - 0.3 * p[:, 1] ** 2,
                  graph_data=lambda p: 0.1 + np.sin(5.0 * p[:, 0]),
                  rhs=lambda p: -1.0 - p[:, 0])

@@ -18,14 +18,21 @@ def _harmonic(p):
     return np.exp(p[:, 0]) * np.sin(p[:, 1])
 
 
+def _stencil(system):
+    """The stencil a system assembled: the 5-point one, or a wider one."""
+    return "standard5" if len(system.D) == 2 else "wide"
+
+
+def _identity_field(x):
+    return np.tile(np.eye(2), (len(x), 1, 1))
+
+
 def test_grid_geometry_checks():
     g = BoundaryGraph("zero")
     with pytest.raises(DomainError):
         GridProblem(g, 0.5, 0.1, LaplaceOp(), ZERO, ZERO)  # h > r/16
     with pytest.raises(DomainError):
         GridProblem(BoundaryGraph("zero", dim=3), 0.5, 0.01, LaplaceOp(), ZERO, ZERO)
-    with pytest.raises(DomainError, match="unknown stencil 'wide9'"):
-        GridProblem(g, 0.5, 0.01, LaplaceOp(), ZERO, ZERO, stencil="wide9")
 
 
 def test_linear_exactness_with_cut_cells():
@@ -60,9 +67,8 @@ def _cut_fraction_reference(graph, r, x, w, samples=64):
 
 
 def _cut_segments(graph, r, n):
-    """Every node-to-outside segment along the eight wide-stencil directions."""
-    sys_ = discretize(GridProblem(graph, r, 2 * r / n, LaplaceOp(), ZERO, ZERO,
-                                  stencil="wide"))
+    """Every node-to-outside segment along the eight lattice directions."""
+    sys_ = discretize(GridProblem(graph, r, 2 * r / n, LaplaceOp(), ZERO, ZERO))
     h = sys_.problem.h
     ii, jj = np.nonzero(sys_.ids >= 0)
     X0, W = [], []
@@ -106,8 +112,7 @@ def test_dirichlet_called_once_per_discretize():
         return p[:, 1]
 
     sys_ = discretize(GridProblem(BoundaryGraph("cone", L=0.2), R, 2 * R / 32,
-                                  PucciOp(EllipticityPair(1.0, 2.0), "minus"), ZERO, data,
-                                  stencil="wide"))
+                                  PucciOp(EllipticityPair(1.0, 2.0), "minus"), ZERO, data))
     assert calls == [(len(sys_.boundary_points), 2)]
     # a scalar return is broadcast; any other shape is rejected
     sys_ = discretize(GridProblem(BoundaryGraph("zero"), R, 2 * R / 32, LaplaceOp(), ZERO,
@@ -136,16 +141,45 @@ def test_monotonicity_certificate():
 
 
 def test_fixed_offdiagonal_needs_wide_stencil():
+    # a12 != 0 puts weight on the diagonal (1, 1), outside the 5-point
+    # stencil: the system assembles it, and the scheme is exact on quadratics
     g = BoundaryGraph("zero")
     A = np.array([[1.0, 0.4], [0.4, 1.0]])
-    op = FixedOp(A=lambda x: A)
-    with pytest.raises(MonotonicityError):
-        solve(GridProblem(g, R, 2 * R / 32, op, ZERO, ZERO, stencil="standard5"))
-    # wide stencil accepts the same operator
-    u = lambda p: np.atleast_2d(p)[:, 0] ** 2 - np.atleast_2d(p)[:, 1] ** 2
-    f = lambda p: np.full(len(np.atleast_2d(p)), 2.0 * A[0, 0] - 2.0 * A[1, 1])
-    sol = solve(GridProblem(g, R, 2 * R / 32, op, f, u, stencil="wide"))
-    assert np.abs(sol.values - u(sol.nodes)).max() < 1e-9
+    prob = GridProblem(g, R, 2 * R / 32, FixedOp(A=lambda x: A),
+                       lambda p: np.full(len(p), 2.0 * (A[0, 0] - A[1, 1] + A[0, 1])),
+                       lambda p: p[:, 0] ** 2 - p[:, 1] ** 2 + p[:, 0] * p[:, 1])
+    sys_ = discretize(prob)
+    assert len(sys_.D) == 3
+    sol = solve(prob, sys_)
+    assert np.abs(sol.values - prob.dirichlet(sol.nodes)).max() < 1e-9
+    # an indefinite matrix has no nonnegative split over the eight directions
+    indefinite = np.array([[1.0, 1.2], [1.2, 1.0]])
+    with pytest.raises(MonotonicityError, match="eight lattice directions"):
+        discretize(GridProblem(g, R, 2 * R / 32, FixedOp(A=lambda x: indefinite), ZERO, ZERO))
+
+
+@pytest.mark.parametrize("operator, n_dir", [
+    (LaplaceOp(), 2),
+    (FixedOp(A=lambda x: np.diag([1.5, 1.0])), 2),
+    (FixedOp(A=lambda x: np.array([[1.0, 0.3], [0.3, 1.5]])), 3),
+    (PucciOp(EllipticityPair(1.0, 2.0), "minus"), 4),
+    (PucciOp(EllipticityPair(1.0, 8.0), "minus"), 8),
+    (FixedOp(A=_identity_field), 8),
+])
+def test_assembled_directions_follow_the_operator(operator, n_dir):
+    # only the directions some policy weights are assembled, cut and
+    # evaluated; a per-node field keeps all eight
+    sys_ = discretize(GridProblem(_SIN, R, 2 * R / 32, operator, ZERO, ZERO))
+    assert len(sys_.D) == len(sys_.c) == sys_.alphas.shape[-1] == n_dir
+    assert sys_.direction_values(np.zeros(sys_.m)).shape == (sys_.m, n_dir)
+    if n_dir < 8:
+        assert sys_.alphas.any(axis=(0, 1)).all()
+    # the cut points are those of the assembled directions, which lead
+    # _DIRECTIONS here: a prefix of the cut points of all eight
+    full = discretize(GridProblem(_SIN, R, 2 * R / 32, FixedOp(A=_identity_field), ZERO, ZERO))
+    np.testing.assert_array_equal(sys_.boundary_points,
+                                  full.boundary_points[: len(sys_.boundary_points)])
+    assert (len(sys_.boundary_points) < len(full.boundary_points)) == (n_dir < 8)
 
 
 def test_fixed_eigenvalue_range_enforced():
@@ -153,7 +187,7 @@ def test_fixed_eigenvalue_range_enforced():
     A = np.diag([0.5, 3.0])
     op = FixedOp(A=lambda x: A, E=EllipticityPair(1.0, 2.0))
     with pytest.raises(DomainError):
-        solve(GridProblem(g, R, 2 * R / 32, op, ZERO, ZERO, stencil="wide"))
+        solve(GridProblem(g, R, 2 * R / 32, op, ZERO, ZERO))
 
 
 def test_fixed_eigenvalue_range_enforced_at_one_node():
@@ -169,18 +203,24 @@ def test_fixed_eigenvalue_range_enforced_at_one_node():
 
     with pytest.raises(DomainError, match=r"A\(\[0\.25 +0\.125\]\)"):
         solve(GridProblem(g, R, 2 * R / 32, FixedOp(A=A, E=EllipticityPair(1.0, 2.0)),
-                          ZERO, ZERO, stencil="wide"))
+                          ZERO, ZERO))
     # without the range check the same field is admissible
-    solve(GridProblem(g, R, 2 * R / 32, FixedOp(A=A), ZERO, ZERO, stencil="wide"))
+    solve(GridProblem(g, R, 2 * R / 32, FixedOp(A=A), ZERO, ZERO))
 
 
 @pytest.mark.parametrize("stencil", ["standard5", "wide"])
 def test_identity_field_is_the_laplacian(stencil):
-    # a linear operator is the one-policy case of policy iteration
+    # a linear operator is the one-policy case of policy iteration; the
+    # identity as one shared matrix assembles the 5-point stencil, as a
+    # per-node field all eight directions, and either solves as the Laplacian
     g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
     f = lambda p: -1.0 + np.atleast_2d(p)[:, 0]
-    sols = [solve(GridProblem(g, R, 2 * R / 48, op, f, _harmonic, stencil=stencil))
-            for op in (LaplaceOp(), FixedOp(A=lambda x: np.eye(2)))]
+    field = {"standard5": lambda x: np.eye(2), "wide": _identity_field}[stencil]
+    probs = [GridProblem(g, R, 2 * R / 48, op, f, _harmonic)
+             for op in (LaplaceOp(), FixedOp(A=field))]
+    systems = [discretize(prob) for prob in probs]
+    assert [_stencil(s) for s in systems] == ["standard5", stencil]
+    sols = [solve(prob, s) for prob, s in zip(probs, systems)]
     np.testing.assert_array_equal(sols[1].values, sols[0].values)
     for sol in sols:
         assert sol.iterations == 1
@@ -194,17 +234,16 @@ def test_fixed_field_decomposes_each_distinct_matrix_once(monkeypatch):
     field = lambda x: np.where((x[:, 0] < 0)[:, None, None], A1, A2)
     calls = []
 
-    def counted(A, dirs):
+    def counted(A):
         calls.append(A)
-        return _decompose_spd(A, dirs)
+        return _decompose_spd(A)
 
     monkeypatch.setattr("boundarylab.solver._decompose_spd", counted)
     sys_ = discretize(GridProblem(BoundaryGraph("zero"), R, 2 * R / 32, FixedOp(A=field),
-                                  ZERO, ZERO, stencil="wide"))
+                                  ZERO, ZERO))
     assert len(calls) == 2
-    # each node carries the weights of its own matrix
-    expect = np.stack([_decompose_spd(A1 if x[0] < 0 else A2, _DIRECTIONS)
-                       for x in sys_.nodes])
+    # each node carries the weights of its own matrix, over all eight directions
+    expect = np.stack([_decompose_spd(A1 if x[0] < 0 else A2) for x in sys_.nodes])
     np.testing.assert_array_equal(sys_.alphas, expect[None])
 
 
@@ -239,21 +278,26 @@ def _decompose_spd_reference(A, dirs):
 
 @pytest.mark.parametrize("n_dir", [2, 8])
 def test_decompose_spd_matches_the_two_branch_split_bitwise(n_dir):
+    # the split is over all eight directions; with n_dir = 2 it is checked on
+    # the matrices the axis pair (the 5-point stencil) splits, a12 = +-0,
+    # which keep that split with no weight elsewhere
     dirs = _DIRECTIONS[:n_dir]
     diag = [-0.0, 0.0, 1e-15, 0.3, 1.0, 2.5]
     off = [-3.0, -1.0, -0.3, -1e-15, -0.0, 0.0, 1e-15, 0.3, 1.0, 3.0]
 
     def outcome(fn, A):
         try:
-            return fn(A, dirs).tobytes()
+            alpha = fn(A)
         except MonotonicityError:
             return "no decomposition"
+        return np.pad(alpha, (0, len(_DIRECTIONS) - len(alpha))).tobytes()
 
     for a11 in diag:
         for a22 in diag:
-            for a12 in off:
+            for a12 in off if n_dir == 8 else [-0.0, 0.0]:
                 A = np.array([[a11, a12], [a12, a22]])
-                assert outcome(_decompose_spd, A) == outcome(_decompose_spd_reference, A), A
+                ref = outcome(lambda A: _decompose_spd_reference(A, dirs), A)
+                assert outcome(_decompose_spd, A) == ref, A
 
 
 @pytest.mark.parametrize("E, stencil, count", [
@@ -267,10 +311,11 @@ def test_decompose_spd_matches_the_two_branch_split_bitwise(n_dir):
 ])
 def test_pucci_policy_count(E, stencil, count):
     # lam I, Lam I and the two mixed matrices of each orthogonal direction
-    # pair, even when they differ only by rounding; lam = Lam leaves lam I
-    prob = GridProblem(BoundaryGraph("zero"), R, R / 16,
-                       PucciOp(EllipticityPair(*E), "minus"), ZERO, ZERO, stencil=stencil)
-    alphas, _ = _operator_weights(prob, np.zeros((1, 2)))
+    # pair, even when they differ only by rounding; lam = Lam leaves lam I.
+    # Only the four of the axis pair weigh no direction beyond the 5-point stencil
+    alphas, _ = _operator_weights(PucciOp(EllipticityPair(*E), "minus"), np.zeros((1, 2)))
+    if stencil == "standard5":
+        alphas = alphas[~alphas[:, 0, 2:].any(axis=1)]
     assert alphas.shape[0] == count
     if E[0] == E[1]:
         want = np.zeros(alphas.shape[-1])
@@ -297,7 +342,7 @@ def _pucci_weights_reference(E, sign, n_dir):
                     pols.append(A)
     mats = np.stack(pols)[:, None]
     distinct, inverse = np.unique(mats.reshape(-1, 4), axis=0, return_inverse=True)
-    alphas = np.stack([_decompose_spd(a.reshape(2, 2), dirs) for a in distinct])
+    alphas = np.stack([_decompose_spd_reference(a.reshape(2, 2), dirs) for a in distinct])
     return (alphas[inverse.ravel()].reshape(mats.shape[:2] + (len(dirs),)),
             "min" if sign == "minus" else "max")
 
@@ -306,32 +351,41 @@ def _pucci_weights_reference(E, sign, n_dir):
 @pytest.mark.parametrize("sign", ["minus", "plus"])
 def test_pucci_weights_match_the_frame_loop_bitwise(stencil, sign):
     # lam = Lam, and ratios at which the reference merge keeps the mixed
-    # matrices apart (Lam / lam - 1 >= 1e-12)
+    # matrices apart (Lam / lam - 1 >= 1e-12).  The reference over the axis
+    # pair (the 5-point stencil) builds the axis frame alone: its policies
+    # lead the set, with no weight beyond the axes
     Es = [(1.0, 1.0), (100.0, 100.0), (1.0, 1.0 + 1e-12), (1.0, 1.0 + 1e-6),
           (0.3, 7.0), (2.0, 3.0), (1.0, 2.0), (1.0, 8.0)]
+    n_dir = {"standard5": 2, "wide": 8}[stencil]
     for lam, Lam in Es:
         E = EllipticityPair(lam, Lam)
-        prob = GridProblem(BoundaryGraph("zero"), R, R / 16, PucciOp(E, sign),
-                           ZERO, ZERO, stencil=stencil)
-        alphas, sense = _operator_weights(prob, np.zeros((1, 2)))
-        ref, ref_sense = _pucci_weights_reference(E, sign, prob.n_dir)
+        alphas, sense = _operator_weights(PucciOp(E, sign), np.zeros((1, 2)))
+        ref, ref_sense = _pucci_weights_reference(E, sign, n_dir)
         assert sense == ref_sense
-        assert alphas.shape == ref.shape, (lam, Lam)
-        assert alphas.tobytes() == ref.tobytes(), (lam, Lam)
+        head = alphas[: len(ref)]
+        assert head[..., :n_dir].shape == ref.shape, (lam, Lam)
+        assert head[..., :n_dir].tobytes() == ref.tobytes(), (lam, Lam)
+        assert not head[..., n_dir:].any()
+        if stencil == "wide":
+            assert len(alphas) == len(ref)
 
 
 @pytest.mark.parametrize("stencil", ["standard5", "wide"])
 @pytest.mark.parametrize("sign", ["minus", "plus"])
 def test_pucci_at_a_rounding_ratio_solves_as_the_laplacian(stencil, sign):
     # E = (1, 1 + 1e-15) keeps every distinct extremal matrix; they agree
-    # to rounding, so the solve is bitwise the one of E = (1, 1)
+    # to rounding, so the solve is bitwise the one of E = (1, 1), which is the
+    # Laplacian's, assembled on the 5-point stencil or, as a per-node
+    # identity field, on all eight directions
     g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
     f = lambda p: -np.ones(len(np.atleast_2d(p)))
-    sols = [solve(GridProblem(g, R, 2 * R / 64, PucciOp(EllipticityPair(*E), sign), f, ZERO,
-                              stencil=stencil))
-            for E in ((1.0, 1.0), (1.0, 1.0 + 1e-15))]
-    assert sols[0].values.tobytes() == sols[1].values.tobytes()
-    assert sols[0].residual == sols[1].residual
+    laplacian = LaplaceOp() if stencil == "standard5" else FixedOp(A=_identity_field)
+    sols = [solve(GridProblem(g, R, 2 * R / 64, op, f, ZERO))
+            for op in (laplacian, PucciOp(EllipticityPair(1.0, 1.0), sign),
+                       PucciOp(EllipticityPair(1.0, 1.0 + 1e-15), sign))]
+    for sol in sols[1:]:
+        assert sol.values.tobytes() == sols[0].values.tobytes()
+        assert sol.residual == sols[0].residual
 
 
 _SIN = BoundaryGraph("sinusoid", A=0.05, k=4.0)
@@ -347,16 +401,16 @@ def _varying_field(x):
     return A
 
 
-# (graph, operator, stencil, rhs, dirichlet) of every kind of frozen matrix:
-# a Laplace cone cascade level, a FixedOp field, Pucci M- and M+ rounds
+# (graph, operator, rhs, dirichlet) of every kind of frozen matrix: a
+# Laplace cone cascade level, a FixedOp field, Pucci M- and M+ rounds on the
+# axes and diagonals (E = (1, 2)) and on all eight directions (E = (1, 8))
 FACTOR_CASES = {
-    "laplace-cone": (BoundaryGraph("cone", L=0.2), LaplaceOp(), "standard5", ZERO,
+    "laplace-cone": (BoundaryGraph("cone", L=0.2), LaplaceOp(), ZERO,
                      lambda p: 1.0 + 0.4 * p[:, 0] - 0.3 * p[:, 1] ** 2),
-    "fixed-wide": (_SIN, FixedOp(A=_varying_field), "wide", lambda p: -1.0 - p[:, 0],
-                   _harmonic),
-    **{f"pucci_{sign}-{stencil}": (_SIN, PucciOp(_E12, sign), stencil,
-                                   lambda p: -np.ones(len(p)), _harmonic)
-       for sign in ("minus", "plus") for stencil in ("standard5", "wide")},
+    "fixed-wide": (_SIN, FixedOp(A=_varying_field), lambda p: -1.0 - p[:, 0], _harmonic),
+    **{f"pucci_{sign}-{name}": (_SIN, PucciOp(E, sign), lambda p: -np.ones(len(p)), _harmonic)
+       for sign in ("minus", "plus")
+       for name, E in (("wide", _E12), ("E18", EllipticityPair(1.0, 8.0)))},
 }
 
 
@@ -364,8 +418,8 @@ FACTOR_CASES = {
 def test_frozen_matrices_factor_with_diagonal_pivots(monkeypatch, case):
     # every frozen-policy M-matrix is factored with its pivots on the
     # diagonal, fills in less than scipy's default splu, and solves as it does
-    graph, operator, stencil, rhs, dirichlet = FACTOR_CASES[case]
-    prob = GridProblem(graph, R, 2 * R / 64, operator, rhs, dirichlet, stencil=stencil)
+    graph, operator, rhs, dirichlet = FACTOR_CASES[case]
+    prob = GridProblem(graph, R, 2 * R / 64, operator, rhs, dirichlet)
     factors = []
 
     def recorded(A, **kwargs):
@@ -395,7 +449,10 @@ def test_frozen_matrices_factor_with_diagonal_pivots(monkeypatch, case):
 def test_zero_data_meet_the_scale_free_certificate(operator, stencil):
     # the residual tolerance has no absolute floor: zero data give a zero
     # tolerance, which u = 0 with residual 0 meets
-    sol = solve(GridProblem(_SIN, R, 2 * R / 32, operator, ZERO, ZERO, stencil=stencil))
+    prob = GridProblem(_SIN, R, 2 * R / 32, operator, ZERO, ZERO)
+    sys_ = discretize(prob)
+    assert _stencil(sys_) == stencil
+    sol = solve(prob, sys_)
     assert not sol.values.any() and sol.residual == 0.0
 
 
@@ -415,7 +472,7 @@ def test_pucci_collapses_to_laplacian():
                                 lambda p: f(p) / lam, ZERO))
     for sign in ("minus", "plus"):
         op = PucciOp(EllipticityPair(lam, lam), sign)
-        sol_p = solve(GridProblem(g, R, 2 * R / 64, op, f, ZERO, stencil="wide"))
+        sol_p = solve(GridProblem(g, R, 2 * R / 64, op, f, ZERO))
         assert np.abs(sol_p.values - sol_lap.values).max() <= 1e-10
 
 
@@ -423,8 +480,8 @@ def test_pucci_ordering_and_iteration():
     g = BoundaryGraph("zero")
     E = EllipticityPair(1.0, 2.0)
     f = lambda p: -np.ones(len(np.atleast_2d(p)))
-    lo = solve(GridProblem(g, R, 2 * R / 48, PucciOp(E, "minus"), f, ZERO, stencil="wide"))
-    hi = solve(GridProblem(g, R, 2 * R / 48, PucciOp(E, "plus"), f, ZERO, stencil="wide"))
+    lo = solve(GridProblem(g, R, 2 * R / 48, PucciOp(E, "minus"), f, ZERO))
+    hi = solve(GridProblem(g, R, 2 * R / 48, PucciOp(E, "plus"), f, ZERO))
     # for concave solutions (f = -1) the M+ equation needs curvature -1/lam,
     # the M- equation only -1/Lam, so the plus solution dominates
     assert np.all(hi.values >= lo.values - 1e-12)
@@ -444,8 +501,8 @@ def test_determinism():
     g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
     E = EllipticityPair(1.0, 3.0)
     f = lambda p: -np.ones(len(np.atleast_2d(p)))
-    a = solve(GridProblem(g, R, 2 * R / 32, PucciOp(E, "minus"), f, ZERO, stencil="wide"))
-    b = solve(GridProblem(g, R, 2 * R / 32, PucciOp(E, "minus"), f, ZERO, stencil="wide"))
+    a = solve(GridProblem(g, R, 2 * R / 32, PucciOp(E, "minus"), f, ZERO))
+    b = solve(GridProblem(g, R, 2 * R / 32, PucciOp(E, "minus"), f, ZERO))
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.policy, b.policy)
 
@@ -472,7 +529,7 @@ def test_dilated_system_is_the_assembly_of_the_dilated_problem():
     data = lambda p: 1.0 + np.sin(5.0 * p[:, 0]) + p[:, 1]
 
     def prob(r, graph=g, n=32):
-        return GridProblem(graph, r, 2 * r / n, op, ZERO, data, stencil="wide")
+        return GridProblem(graph, r, 2 * r / n, op, ZERO, data)
 
     base = discretize(prob(R))
     small = prob(R / 8)
