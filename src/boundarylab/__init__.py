@@ -17,7 +17,7 @@ from .pucci import EllipticityPair, pucci_minus, pucci_plus, sym_eigvals
 from .barriers import (
     Barrier, BarrierReport, SandwichReport, barrier_hessian_value,
     check_special_solution_sandwich, minimal_passing_epsilon,
-    sample_domain_points, verify_barrier,
+    sample_domain_points, special_solution, verify_barrier,
 )
 from .solver import (
     ABPReport, FixedOp, GridProblem, GridSolution, LaplaceOp, PucciOp,

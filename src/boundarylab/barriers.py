@@ -17,6 +17,7 @@ from .geometry import BoundaryGraph
 from .pucci import EllipticityPair, pucci_minus, pucci_plus
 from .regdist import RegularizedDistanceField
 from .report import Report
+from .solver import GridProblem, GridSolution, LaplaceOp, solve
 
 __all__ = [
     "Barrier",
@@ -25,6 +26,7 @@ __all__ = [
     "barrier_hessian_value",
     "verify_barrier",
     "check_special_solution_sandwich",
+    "special_solution",
     "sample_domain_points",
     "minimal_passing_epsilon",
 ]
@@ -189,31 +191,40 @@ class SandwichReport(Report):
         return self.lower_ok and self.upper_ok and self.closeness_ok
 
 
-def check_special_solution_sandwich(phi, field: RegularizedDistanceField,
-                                    eps: float, r: float, K_hat: float) -> SandwichReport:
-    """Verify (2r)^(-eps) d^(1+eps) <= phi <= (2r)^eps d^(1-eps) on grid nodes.
+def special_solution(field: RegularizedDistanceField, r: float, n: int) -> GridSolution:
+    """phi_r: the Laplace solution on Omega cap B_r, h = 2r/n, with zero forcing
+    and data d on the cut boundary (0 on the graph part, where d vanishes)."""
+    graph = field.graph
 
-    phi is a GridSolution with boundary data d on the cut boundary; nodes
-    closer than 2h to the boundary are skipped (the Hessian of d^q
-    degenerates there) and each inequality gets discretization slack 5h.
+    def data(pts):
+        out = np.zeros(len(pts))
+        pos = pts[:, -1] - np.atleast_1d(graph.gamma(pts[:, :-1])) > 1e-9
+        if pos.any():
+            out[pos] = field.eval_d(pts[pos], certify=False)
+        return out
+
+    return solve(GridProblem(graph, r, 2 * r / n, LaplaceOp(),
+                             rhs=lambda p: np.zeros(len(p)), dirichlet=data))
+
+
+def check_special_solution_sandwich(field: RegularizedDistanceField, eps: float, r: float,
+                                    K_hat: float, n: int) -> SandwichReport:
+    """Verify (2r)^(-eps) d^(1+eps) <= phi_r <= (2r)^eps d^(1-eps) on grid nodes.
+
+    phi_r is special_solution(field, r, n); nodes closer than 2h to the
+    boundary are skipped (the Hessian of d^q degenerates there) and each
+    inequality gets discretization slack 5h.
     """
-    if phi.problem.graph is not field.graph:
-        ga, gb = phi.problem.graph, field.graph
-        # parameters may be arrays (a table's abscissae), so compare each exactly
-        if (ga.family != gb.family or ga.dim != gb.dim or ga.params.keys() != gb.params.keys()
-                or not all(np.array_equal(v, gb.params[k]) for k, v in ga.params.items())):
-            raise DomainError("solution and distance field use different charts")
+    phi = special_solution(field, r, n)
     h = phi.h
     nodes = phi.nodes
-    vals = phi.values
     gap = nodes[:, -1] - np.atleast_1d(field.graph.gamma(nodes[:, :-1]))
+    # never empty: h <= r/16 and L <= 1/4 leave a node next to the axis 2h to
+    # 3h above the graph, and past the chart special_solution fails in eval_d
     inner = (gap >= 2 * h) & (np.linalg.norm(nodes, axis=-1) <= r - 2 * h) \
         & (np.linalg.norm(nodes[:, :-1], axis=-1) + 1.5 * gap < field.working_radius)
-    if not inner.any():
-        raise DomainError(f"no grid node lies 2h inside both the graph and B_r "
-                          f"within the chart: r = {r:g}, h = {h:g}")
     nodes_in = nodes[inner]
-    u = vals[inner]
+    u = phi.values[inner]
     d = field.eval_d(nodes_in, certify=False)
 
     slack = 5.0 * h

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .barriers import EPS_CAP, minimal_passing_epsilon, sample_domain_points
+from .barriers import EPS_CAP, minimal_passing_epsilon, sample_domain_points, special_solution
 from .errors import ConfigError
 from .geometry import BoundaryGraph
 from .pucci import EllipticityPair
 from .regdist import RegularizedDistanceField, check_distance_bounds
+from .solver import GridProblem, LaplaceOp, abp_check, solve
 
 __all__ = [
     "CalibrationConstants", "load_calibration", "save_calibration",
@@ -108,32 +109,15 @@ def _calibrate_barrier(seed: int) -> float:
     return 1.5 * slope
 
 
-def _calibrate_sandwich(seed: int) -> float:
-    """max ||phi - d|| / (r * seminorm) over cone slopes, x2 safety.
-
-    phi is the grid solution of the Laplace problem with data d on the cut
-    boundary of Omega cap B_r (the special-solution construction).
-    """
-    from .solver import GridProblem, LaplaceOp, solve  # local: avoid cycle
-
+def _calibrate_sandwich() -> float:
+    """max ||phi_r - d|| / (r * seminorm) over cone slopes, x2 safety, with
+    phi_r the special solution on a 96-cell grid."""
     worst = 0.0
     r = 0.25
     for L in (0.05, 0.1):
         g = BoundaryGraph("cone", L=L)
         f = RegularizedDistanceField(g)
-
-        def bdata(pts, _f=f, _g=g):
-            pts = np.atleast_2d(pts)
-            out = np.zeros(len(pts))
-            gap = pts[:, 1] - np.atleast_1d(_g.gamma(pts[:, :1]))
-            pos = gap > 1e-9
-            if pos.any():
-                out[pos] = _f.eval_d(pts[pos], certify=False)
-            return out
-
-        prob = GridProblem(g, r, 2 * r / 96, LaplaceOp(),
-                           rhs=lambda p: np.zeros(len(p)), dirichlet=bdata)
-        sol = solve(prob)
+        sol = special_solution(f, r, 96)
         gap = sol.nodes[:, 1] - np.atleast_1d(g.gamma(sol.nodes[:, :1]))
         ok = gap > 2 * sol.h
         d = f.eval_d(sol.nodes[ok], certify=False)
@@ -164,8 +148,6 @@ def _calibrate_recursion(C0: float) -> float:
 
 def _calibrate_abp() -> float:
     """Empirical constant in max u <= C diam ||f^-||_n for the model problem."""
-    from .solver import GridProblem, LaplaceOp, abp_check, solve
-
     g = BoundaryGraph("zero")
     r = 0.5
     prob = GridProblem(g, r, 2 * r / 128, LaplaceOp(),
@@ -180,7 +162,7 @@ def run_calibration(seed: int = 2026) -> CalibrationConstants:
     C2 = _calibrate_regdist(2, seed)
     C3 = _calibrate_regdist(3, seed + 1)
     C0 = _calibrate_barrier(seed + 2)
-    K = _calibrate_sandwich(seed + 3)
+    K = _calibrate_sandwich()
     Cenv = _calibrate_envelope()
     A = _calibrate_recursion(C0)
     Cabp = _calibrate_abp()

@@ -135,8 +135,7 @@ def _growth_csv(out: Path, report, extra=None) -> None:
     cols = [report.ks, report.radii, report.q, report.m]
     for name, col in (("env_lower", report.env_lower),
                       ("env_upper", report.env_upper),
-                      ("eps_k", report.eps_seq), ("c_k", report.c_seq),
-                      ("d_k", report.d_seq)):
+                      ("eps_k", report.eps_seq), ("c_k", report.c_seq)):
         if col is not None:
             header.append(name)
             cols.append(col)
@@ -166,9 +165,8 @@ def _cmd_growth(cfg, out: Path, cal, seed) -> int:
              if "outer_data" in cfg else None)
     rep = measure_growth(graph, op, outer_data=outer, omega=omega,
                          C_hat=cal.C_envelope, **cascade)
-    ks, eps, c, d = diagnostic_sequences(graph, cal.C0_barrier, cal.A_recursion,
-                                         rep.radii)
-    rep = replace(rep, eps_seq=eps, c_seq=c, d_seq=d)
+    eps, c = diagnostic_sequences(graph, cal.C0_barrier, cal.A_recursion, rep.radii)
+    rep = replace(rep, eps_seq=eps, c_seq=c)
     _growth_csv(out, rep)
     _write_json(out / "growth_report.json", rep.to_dict())
     if rep.env_lower is not None:

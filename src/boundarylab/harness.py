@@ -44,7 +44,6 @@ class GrowthReport(Report):
     env_upper: Optional[np.ndarray] = None
     eps_seq: Optional[np.ndarray] = None
     c_seq: Optional[np.ndarray] = None
-    d_seq: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if np.any(np.diff(self.radii) >= 0):
@@ -71,16 +70,13 @@ def fit_log_slope(radii, values):
 
 
 def _run_cascade(graph: BoundaryGraph, operator, *, k_max: int, n_grid: int,
-                 outer_data: Callable, graph_data: Callable,
-                 rhs: Optional[Callable] = None):
+                 outer_data: Callable, graph_data: Callable):
     """Sequential dyadic solve of levels 1..k_max from B_{R_1}, R_1 the
-    graph's working radius; returns per-level summaries.
+    graph's working radius, with zero forcing; returns per-level summaries.
 
     On a dilation-invariant graph level 1 is discretized once and every
     later level solves its dilation, bitwise the level's own assembly.
     """
-    if rhs is None:
-        rhs = lambda p: np.zeros(len(p))
     radii, qs, ms, residuals = [], [], [], []
     prev_sol = base = None
     origin_gap = float(np.atleast_1d(graph.gamma(np.zeros((1, 1))))[0])
@@ -102,7 +98,8 @@ def _run_cascade(graph: BoundaryGraph, operator, *, k_max: int, n_grid: int,
             out[~on_circle] = np.atleast_1d(graph_data(pts[~on_circle]))
             return out
 
-        prob = GridProblem(graph, R, h, operator, rhs=rhs, dirichlet=dirichlet)
+        prob = GridProblem(graph, R, h, operator, rhs=lambda p: np.zeros(len(p)),
+                           dirichlet=dirichlet)
         try:
             if not graph.dilation_invariant:
                 system = None
@@ -198,33 +195,22 @@ def measure_boundary_modulus(graph: BoundaryGraph, operator=LaplaceOp(), *,
                         exponent_r2=r2, residuals=res)
 
 
-def diagnostic_sequences(graph: BoundaryGraph, C0_hat: float, A_hat: float,
-                         radii, omega_f: Optional[Modulus] = None,
-                         omega_g: Optional[Modulus] = None, C_hat: float = 4.0):
-    """The dyadic recursion sequences (eps_k, c_k, d_k) at a cascade's radii.
+def diagnostic_sequences(graph: BoundaryGraph, C0_hat: float, A_hat: float, radii):
+    """The dyadic recursion sequences (eps_k, c_k) at a cascade's radii.
 
     radii are the cascade's r_k = R_k / 2, k = 1..len(radii), so each
     sequence lines up with the report row of its level:
-    eps_k = C0_hat * seminorm(R_k); c_1 = 1, c_k = (1 - A_hat eps_{k-1}) c_{k-1};
-    d_k = omega_g(r_k) + C_hat omega_f(r_k).
+    eps_k = C0_hat * seminorm(R_k); c_1 = 1, c_k = (1 - A_hat eps_{k-1}) c_{k-1}.
     """
-    radii = np.asarray(radii, dtype=float)
-    ks = np.arange(1, len(radii) + 1)
     eps = np.array([C0_hat * graph.local_lip_seminorm(2.0 * r) for r in radii])
-    c = np.empty(len(ks))
+    c = np.empty(len(eps))
     c[0] = 1.0
-    for i in range(1, len(ks)):
+    for i in range(1, len(eps)):
         factor = 1.0 - A_hat * eps[i - 1]
         if factor <= 0:
             factor = 0.0
         c[i] = factor * c[i - 1]
-    d = np.zeros(len(ks))
-    for i, t in enumerate(radii):
-        if omega_g is not None:
-            d[i] += float(omega_g(t))
-        if omega_f is not None:
-            d[i] += C_hat * float(omega_f(t))
-    return ks, eps, c, d
+    return eps, c
 
 
 def dyadic_sum_and_integral(omega: Modulus, k0: int, k1: int):

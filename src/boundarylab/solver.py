@@ -144,7 +144,7 @@ class _DiscreteSystem:
         # assemble the directions that some policy weights; a per-node field
         # keeps all eight, since its weights move with the nodes under dilation
         support = alphas.any(axis=(0, 1)) | (alphas.shape[1] > 1)
-        self._set_weights(alphas[..., support])
+        self.alphas = alphas[..., support]
         # steps[d, k] is the lattice step along direction d with sign (+1, -1)[k]
         dirs = np.array(_DIRECTIONS)[support]
         steps = dirs[:, None, :] * np.array([1, -1])[None, :, None]
@@ -196,17 +196,11 @@ class _DiscreteSystem:
         self.c = np.bincount(self._cut_rows, self._cut_weights * self.boundary_values,
                              minlength=n_dir * self.m).reshape(n_dir, self.m)
 
-    def _set_weights(self, alphas: np.ndarray) -> None:
-        self.alphas = alphas
-        # nonnegative direction weights for every policy make every
-        # frozen-policy matrix monotone (an M-matrix)
-        min_alpha = float(alphas.min())
-        if min_alpha < -1e-12:
-            raise MonotonicityError(
-                f"negative direction weight {min_alpha:g}: the operator is not "
-                "monotone on the lattice directions"
-            )
-        self.certificate = {"min_direction_weight": max(min_alpha, 0.0), "monotone": True}
+    @property
+    def certificate(self) -> dict:
+        # _decompose_spd returns nonnegative weights up to rounding, or raises,
+        # so every frozen-policy matrix is monotone (an M-matrix)
+        return {"min_direction_weight": max(float(self.alphas.min()), 0.0), "monotone": True}
 
     def dilated(self, problem: GridProblem) -> "_DiscreteSystem":
         """The system of problem: this one's problem with r scaled by s = 2^j.
@@ -229,7 +223,7 @@ class _DiscreteSystem:
         new.unit = self.unit / (s * s)
         new._set_data(problem)
         if self.alphas.shape[1] > 1:
-            new._set_weights(_operator_weights(problem.operator, new.nodes)[0])
+            new.alphas = _operator_weights(problem.operator, new.nodes)[0]
         return new
 
     def frozen_matrix(self, alpha: np.ndarray):
@@ -439,12 +433,6 @@ class GridSolution:
         return ((1 - tx) * (1 - ty) * c[:, 0] + tx * (1 - ty) * c[:, 1]
                 + (1 - tx) * ty * c[:, 2] + tx * ty * c[:, 3])
 
-    def max_interior(self) -> float:
-        return float(self.values.max())
-
-    def max_boundary(self) -> float:
-        return float(self.boundary_values.max())
-
 
 def discretize(problem: GridProblem) -> _DiscreteSystem:
     """Assemble the per-direction monotone difference operators."""
@@ -529,11 +517,11 @@ def abp_check(solution: GridSolution) -> ABPReport:
     prob = solution.problem
     f = _values_at(prob.rhs, solution.nodes, "rhs")
     h = solution.h
-    n_dim = 2
     f_neg = np.minimum(f, 0.0)
-    norm = float((np.sum(np.abs(f_neg) ** n_dim) * h**n_dim) ** (1.0 / n_dim))
-    max_u = solution.max_interior()
-    max_g = solution.max_boundary()
+    # the discrete L^n norm in n = 2 dimensions
+    norm = float((np.sum(np.abs(f_neg) ** 2) * h**2) ** 0.5)
+    max_u = float(solution.values.max())
+    max_g = float(solution.boundary_values.max())
     diam = 2 * prob.r
     C = (max_u - max_g) / (diam * norm) if norm > 0 else 0.0
     return ABPReport(

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from boundarylab import (
-    Barrier, BoundaryGraph, DomainError, EllipticityPair, GridProblem,
-    LaplaceOp, barrier_hessian_value, check_special_solution_sandwich,
-    load_calibration, minimal_passing_epsilon, power, sample_domain_points, solve,
-    verify_barrier,
+    Barrier, BoundaryGraph, DomainError, EllipticityPair,
+    barrier_hessian_value, check_special_solution_sandwich, load_calibration,
+    minimal_passing_epsilon, power, sample_domain_points, special_solution, verify_barrier,
 )
 from boundarylab.calibrate import epsilon_for
 from boundarylab.pucci import pucci_minus, pucci_plus
@@ -128,67 +127,26 @@ def test_calibrated_epsilon_selector_passes():
 
 def test_special_solution_sandwich():
     cal = load_calibration()
-    L = 0.1
-    g, f = _field("cone", L=L)
-    r = 0.25
-
-    def bdata(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros(len(pts))
-        gap = pts[:, 1] - np.atleast_1d(g.gamma(pts[:, :1]))
-        pos = gap > 1e-9
-        if pos.any():
-            out[pos] = f.eval_d(pts[pos], certify=False)
-        return out
-
-    prob = GridProblem(g, r, 2 * r / 96, LaplaceOp(),
-                       rhs=lambda p: np.zeros(len(p)), dirichlet=bdata)
-    phi = solve(prob)
+    g, f = _field("cone", L=0.1)
     eps = epsilon_for(cal, E_LAP, g.local_lip_seminorm(0.5))
-    rep = check_special_solution_sandwich(phi, f, eps, r, K_hat=cal.K_sandwich)
+    rep = check_special_solution_sandwich(f, eps, 0.25, K_hat=cal.K_sandwich, n=96)
     assert rep.lower_ok and rep.upper_ok, rep.to_dict()
     assert rep.closeness_ok, rep.to_dict()
+    # phi_r and the checked nodes do not depend on eps; pinned on this grid
+    assert rep.max_deviation == 0.006315444136745035
+    assert rep.n_nodes == 2918
 
 
-def test_sandwich_chart_mismatch():
-    g1, f1 = _field("cone", L=0.1)
-    g2, f2 = _field("cone", L=0.2)
-    prob = GridProblem(g1, 0.25, 0.25 / 48, LaplaceOp(),
-                       rhs=lambda p: np.zeros(len(p)),
-                       dirichlet=lambda p: np.zeros(len(np.atleast_2d(p))))
-    phi = solve(prob)
-    with pytest.raises(DomainError):
-        check_special_solution_sandwich(phi, f2, 0.2, 0.25, K_hat=8.0)
-
-
-def test_sandwich_compares_table_charts_by_value():
-    # two table graphs built from equal but distinct arrays are one chart
-    ts = np.linspace(-1.0, 1.0, 41)
-
-    def table(values):
-        return BoundaryGraph("table", ts=ts.copy(), values=values)
-
-    g = table(0.1 * np.abs(ts))
-    prob = GridProblem(g, 0.25, 0.25 / 48, LaplaceOp(),
-                       rhs=lambda p: np.zeros(len(p)),
-                       dirichlet=lambda p: np.zeros(len(np.atleast_2d(p))))
-    phi = solve(prob)
-    same = RegularizedDistanceField(table(0.1 * np.abs(ts)))
-    assert check_special_solution_sandwich(phi, same, 0.2, 0.25, K_hat=8.0).n_nodes > 0
-    other = RegularizedDistanceField(table(0.15 * np.abs(ts)))
-    with pytest.raises(DomainError, match="different charts"):
-        check_special_solution_sandwich(phi, other, 0.2, 0.25, K_hat=8.0)
-
-
-def test_sandwich_without_checked_nodes_names_r_and_h():
-    # every node of a 0.25/16 grid lies farther than r - 2h < 0 from the origin
+def test_special_solution_has_data_d_on_the_cut_boundary():
+    # phi_r takes d at the cut points above the graph and 0 on the graph itself
     g, f = _field("cone", L=0.1)
-    prob = GridProblem(g, 0.25, 0.25 / 16, LaplaceOp(),
-                       rhs=lambda p: np.zeros(len(p)),
-                       dirichlet=lambda p: np.zeros(len(np.atleast_2d(p))))
-    phi = solve(prob)
-    with pytest.raises(DomainError, match=r"r = 0\.03, h = 0\.015625"):
-        check_special_solution_sandwich(phi, f, 0.2, 0.03, K_hat=8.0)
+    phi = special_solution(f, 0.25, 48)
+    assert phi.h == 0.25 / 24
+    pts, vals = phi.boundary_points, phi.boundary_values
+    on_graph = pts[:, 1] - g.gamma(pts[:, :1]) <= 1e-9
+    assert on_graph.any() and not on_graph.all()
+    assert np.all(vals[on_graph] == 0.0)
+    np.testing.assert_array_equal(vals[~on_graph], f.eval_d(pts[~on_graph], certify=False))
 
 
 def test_verify_barrier_inverts_once(monkeypatch):

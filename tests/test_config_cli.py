@@ -1,10 +1,11 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from boundarylab import BoundaryGraph, DomainError, measure_boundary_modulus, power
-from boundarylab.calibrate import load_calibration, save_calibration
+from boundarylab.calibrate import load_calibration, run_calibration, save_calibration
 from boundarylab import cli, harness
 from boundarylab.cli import main
 from boundarylab.config import (
@@ -116,6 +117,14 @@ def test_calibration_values_positive():
     for name in ("C_regdist_2d", "C_regdist_3d", "C0_barrier", "K_sandwich",
                  "C_envelope", "A_recursion", "C_abp"):
         assert getattr(cal, name) > 0
+
+
+def test_run_calibration_reproduces_the_packaged_constants():
+    # the packaged file is `calibrate --seed 2026`; reruns agree to rounding
+    packaged, fresh = asdict(load_calibration()), asdict(run_calibration(2026))
+    assert fresh.keys() == packaged.keys()
+    for name, value in packaged.items():
+        assert fresh[name] == pytest.approx(value, rel=1e-9, abs=0), name
 
 
 # -------------------------------------------------------------------- cli

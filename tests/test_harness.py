@@ -159,8 +159,7 @@ def test_cascade_levels_equal_their_own_assembly(monkeypatch, family, op_name):
     monkeypatch.setattr(harness, "solve", checked)
     _run_cascade(graph, operator, k_max=5, n_grid=32,
                  outer_data=lambda p: 1.0 + 0.4 * p[:, 0] - 0.3 * p[:, 1] ** 2,
-                 graph_data=lambda p: 0.1 + np.sin(5.0 * p[:, 0]),
-                 rhs=lambda p: -1.0 - p[:, 0])
+                 graph_data=lambda p: 0.1 + np.sin(5.0 * p[:, 0]))
     assert units == [4.0 ** j for j in range(5)]
 
 
@@ -253,15 +252,14 @@ _DYADIC = 2.0 ** -np.arange(2.0, 14.0)
 
 
 def test_diagnostic_sequences_flat_and_cone():
-    ks, eps, c, d = diagnostic_sequences(BoundaryGraph("zero"), 2.0, 0.5, _DYADIC[:6])
+    eps, c = diagnostic_sequences(BoundaryGraph("zero"), 2.0, 0.5, _DYADIC[:6])
     np.testing.assert_allclose(eps, 0.0)
     np.testing.assert_allclose(c, 1.0)
-    np.testing.assert_allclose(d, 0.0)
 
     L, C0, A = 0.1, 2.0, 0.5
-    ks, eps, c, d = diagnostic_sequences(BoundaryGraph("cone", L=L), C0, A, _DYADIC[:6])
+    eps, c = diagnostic_sequences(BoundaryGraph("cone", L=L), C0, A, _DYADIC[:6])
     np.testing.assert_allclose(eps, C0 * L, rtol=1e-9)
-    want = (1.0 - A * C0 * L) ** np.arange(len(ks))
+    want = (1.0 - A * C0 * L) ** np.arange(len(c))
     np.testing.assert_allclose(c, want, rtol=1e-9)
     # product lower bound from the proof: c_k >= 4^(-A sum eps_j)
     sums = np.concatenate([[0.0], np.cumsum(eps[:-1])])
@@ -270,20 +268,10 @@ def test_diagnostic_sequences_flat_and_cone():
 
 def test_diagnostic_sequences_dini_limit_positive():
     g = BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0))
-    ks, eps, c, d = diagnostic_sequences(g, 2.0, 0.5, _DYADIC)
+    eps, c = diagnostic_sequences(g, 2.0, 0.5, _DYADIC)
     assert np.all(np.diff(c) <= 1e-15)
     assert c[-1] > 0.05                 # converges to a positive limit
     assert c[-1] / c[-2] > c[1] / c[0]  # decay rate slows as eps_k shrinks
-
-
-def test_diagnostic_sequences_forcing_terms():
-    g = BoundaryGraph("zero")
-    wf = power(1.0, 1.0, 1.0)
-    wg = power(0.5, 1.0, 1.0)
-    ks, eps, c, d = diagnostic_sequences(g, 1.0, 1.0, _DYADIC[:4], omega_f=wf, omega_g=wg,
-                                         C_hat=3.0)
-    t = 2.0 ** (-ks.astype(float) - 1)
-    np.testing.assert_allclose(d, np.sqrt(t) + 3.0 * t, rtol=1e-12)
 
 
 def test_dyadic_sum_integral_comparability():

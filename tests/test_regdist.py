@@ -11,6 +11,14 @@ from boundarylab.regdist import (
 )
 
 
+def _checked_all(field, y):
+    """field.eval_all(y), cross-checked against central differences of d."""
+    pts = np.atleast_2d(y)
+    out = field.eval_all(pts)
+    field._fd_check(pts, *out)
+    return out
+
+
 def test_mollifier_normalized():
     for ds in (1, 2):
         m = Mollifier(ds)
@@ -40,7 +48,7 @@ def test_d_flat_and_linear_exact():
     y = np.array([[0.05, 0.3], [-0.1, 0.2]])
     gap = y[:, 1] - 0.2 * y[:, 0]
     assert np.abs(fl.eval_d(y) - gap).max() < 1e-10
-    _, grad, hess = fl.eval_all(y[0], check=True)
+    _, grad, hess = _checked_all(fl, y[0])
     np.testing.assert_allclose(grad[0], [-0.2, 1.0], atol=1e-9)
     assert np.abs(hess[0]).max() < 1e-8
 
@@ -56,11 +64,11 @@ def test_inverse_consistency():
 
 
 def test_grad_hess_fd_crosscheck_runs():
-    # check=True raises on any disagreement beyond 1e-3 relative
+    # _fd_check raises on any disagreement beyond 1e-3 relative
     g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
     f = RegularizedDistanceField(g)
     y = np.array([0.0, 0.1])
-    _, grad, hess = f.eval_all(y, check=True)
+    _, grad, hess = _checked_all(f, y)
     grad, hess = grad[0], hess[0]
     assert grad.shape == (2,)
     assert np.allclose(hess, hess.T)
@@ -80,7 +88,7 @@ def test_fd_check_is_one_batched_inversion(monkeypatch):
         g = BoundaryGraph("cone", dim=dim, L=0.1)
         pts = sample_domain_points(g, 0.2, k, np.random.default_rng(2))
         sizes.clear()
-        RegularizedDistanceField(g).eval_all(pts, check=True)
+        _checked_all(RegularizedDistanceField(g), pts)
         assert sizes == [k, k * n_offsets]
 
 
@@ -102,10 +110,10 @@ def test_fd_check_names_the_failing_point(monkeypatch, wrong, message):
             hess[5, 1, 1] += 1.0
         return fd_check(self, pts, d, grad, hess)
 
-    f.eval_all(pts, check=True)
+    _checked_all(f, pts)
     monkeypatch.setattr(RegularizedDistanceField, "_fd_check", spoiled)
     with pytest.raises(QuadratureError, match=message) as exc:
-        f.eval_all(pts, check=True)
+        _checked_all(f, pts)
     assert f"failed at {pts[3]}" in str(exc.value)
 
 
@@ -156,7 +164,7 @@ def test_3d_cone():
     d = f.eval_d(y)
     gap = 0.1 - 0.1 * np.hypot(0.02, 0.03)
     assert 0.8 * gap < d < 1.2 * gap
-    _, grad, H = f.eval_all(y, check=True)
+    _, grad, H = _checked_all(f, y)
     grad, H = grad[0], H[0]
     assert np.linalg.norm(grad) == pytest.approx(1.0, abs=0.3)
     assert np.allclose(H, H.T)

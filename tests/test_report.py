@@ -72,7 +72,7 @@ def _growth_dict(rep):
         "exponent_r2": rep.exponent_r2,
         "residuals": rep.residuals.tolist(),
     }
-    for name in ("env_lower", "env_upper", "eps_seq", "c_seq", "d_seq"):
+    for name in ("env_lower", "env_upper", "eps_seq", "c_seq"):
         v = getattr(rep, name)
         if v is not None:
             out[name] = np.asarray(v).tolist()
@@ -94,20 +94,8 @@ def _barrier():
 
 
 def _sandwich():
-    g = BoundaryGraph("cone", L=0.1)
-    f = RegularizedDistanceField(g)
-
-    def bdata(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros(len(pts))
-        pos = pts[:, 1] - np.atleast_1d(g.gamma(pts[:, :1])) > 1e-9
-        if pos.any():
-            out[pos] = f.eval_d(pts[pos], certify=False)
-        return out
-
-    phi = solve(GridProblem(g, 0.25, 0.25 / 24, LaplaceOp(),
-                            rhs=lambda p: np.zeros(len(p)), dirichlet=bdata))
-    return check_special_solution_sandwich(phi, f, 0.2, 0.25, K_hat=8.0)
+    f = RegularizedDistanceField(BoundaryGraph("cone", L=0.1))
+    return check_special_solution_sandwich(f, 0.2, 0.25, K_hat=8.0, n=48)
 
 
 def _abp():
@@ -120,8 +108,8 @@ def _abp():
 def _growth_with_every_sequence():
     g = BoundaryGraph("cone", L=0.2)
     rep = measure_growth(g, k_max=4, n_grid=32, omega=power(0.5))
-    _, eps, c, d = diagnostic_sequences(g, 2.0, 0.5, rep.radii)
-    return replace(rep, eps_seq=eps, c_seq=c, d_seq=d)
+    eps, c = diagnostic_sequences(g, 2.0, 0.5, rep.radii)
+    return replace(rep, eps_seq=eps, c_seq=c)
 
 
 def _growth_without_sequences():

@@ -545,6 +545,15 @@ def test_dilated_system_is_the_assembly_of_the_dilated_problem():
     A_fresh, _, c_fresh = fresh.frozen_matrix(alpha)
     assert (dil.unit * A != A_fresh).nnz == 0
     np.testing.assert_array_equal(dil.unit * c, c_fresh)
+    # forcing enters in the dilated system's units: a solve on it is bitwise
+    # a fresh solve, through policy iteration and through the one shared LU
+    forced = lambda p: -1.0 - p[:, 0]
+    for operator in (op, LaplaceOp()):
+        big, small = (GridProblem(g, r, 2 * r / 32, operator, forced, data) for r in (R, R / 8))
+        got, want = solve(small, system=discretize(big).dilated(small)), solve(small)
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.policy, want.policy)
+        assert (got.residual, got.iterations) == (want.residual, want.iterations)
     # a graph that is not dilation invariant, a ratio that is not a power of
     # two, or another grid is refused
     sin = BoundaryGraph("sinusoid", A=0.05, k=4.0)
