@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .modulus import Modulus
@@ -130,6 +129,9 @@ class BoundaryGraph:
                 raise DomainError("table abscissae must be strictly increasing")
             if not (ts[0] <= 0.0 <= ts[-1]):
                 raise DomainError("table must cover the origin")
+            # imported here, not at module level: scipy.interpolate takes about
+            # 0.6 s to import, and only this family needs it
+            from scipy.interpolate import PchipInterpolator
             # pin Gamma(0) = 0 by subtracting the interpolated value at 0
             interp = PchipInterpolator(ts, vals)
             off = float(interp(0.0))

@@ -12,7 +12,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError, InfeasibleError
 
@@ -208,6 +207,9 @@ def dini_integral(omega: Modulus, a: float, b: float) -> float:
         raise ConvergenceError(
             f"dini integral from 0 diverges for non-vanishing modulus {omega}"
         )
+    # imported here, not at module level: scipy.integrate takes about 0.5 s to
+    # import, and only this fallback needs it
+    from scipy import integrate
     # integrate in u = log s: smooths the 1/s factor near the left endpoint
     val, err = integrate.quad(
         lambda u: float(omega(math.exp(u))),

@@ -31,9 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import nnls
-from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, DomainError, MonotonicityError
 from .geometry import BoundaryGraph
@@ -126,6 +123,9 @@ class _DiscreteSystem:
     """
 
     def __init__(self, problem: GridProblem):
+        # imported here, not at module level: scipy.sparse takes about 0.2 s to
+        # import, and the distance and barrier checks never assemble a system
+        from scipy import sparse
         g = problem.graph
         r, h, n = problem.r, problem.h, problem.n
         xs = -r + h * np.arange(n + 1)
@@ -241,6 +241,10 @@ class _DiscreteSystem:
             c += alpha[:, d] * self.c[d]
         if self._factor:
             return (*self._factor, c)
+        # imported here, not at module level: scipy.sparse and its linalg take
+        # about 0.5 s to import, and only a solve needs them
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
         A = None
         for d in used:
             term = sparse.diags(alpha[:, d]) @ self.D[d]
@@ -330,6 +334,9 @@ def _decompose_spd(A: np.ndarray) -> np.ndarray:
         if b > 0:
             alpha[_DIRECTIONS.index((1, 1) if a12 > 0 else (1, -1))] = 2 * b
         return alpha
+    # imported here, not at module level: scipy.optimize takes about 0.5 s to
+    # import, and only this fallback needs it
+    from scipy.optimize import nnls
     B = np.array([[v[0] ** 2, v[1] ** 2, v[0] * v[1]] for v in _UNITS]).T
     target = np.array([a11, a22, a12])
     sol, res = nnls(B, target)

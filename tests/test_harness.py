@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from boundarylab import (
     BoundaryGraph, ConvergenceError, DomainError, EllipticityPair, FixedOp, GridProblem,
@@ -178,7 +179,7 @@ def test_cascade_assembles_and_factors_once_when_dilation_invariant(monkeypatch,
     discretize = counted("discretize", solver.discretize)
     monkeypatch.setattr(solver, "discretize", discretize)
     monkeypatch.setattr(harness, "discretize", discretize)
-    monkeypatch.setattr(solver, "splu", counted("splu", solver.splu))
+    monkeypatch.setattr("scipy.sparse.linalg.splu", counted("splu", splu))
     rep = measure_growth(graph, k_max=7, n_grid=32)
     assert len(rep.ks) == 7
     assert counts == {"discretize": calls, "splu": calls}
@@ -213,7 +214,6 @@ def test_residual_certificate_rejects_a_perturbed_deep_level(monkeypatch):
     monkeypatch.setattr(harness, "solve", recorded)
     measure_growth(BoundaryGraph("cone", L=0.2), k_max=30, n_grid=64)
     prob, u_max = levels[-1]
-    real_splu = solver.splu
 
     class Perturbed:
         # every solve is off by the same 1e-6 max|u|, which refinement cannot remove
@@ -223,7 +223,7 @@ def test_residual_certificate_rejects_a_perturbed_deep_level(monkeypatch):
         def solve(self, b):
             return self.lu.solve(b) + 1e-6 * u_max
 
-    monkeypatch.setattr(solver, "splu", lambda A, **kw: Perturbed(real_splu(A, **kw)))
+    monkeypatch.setattr("scipy.sparse.linalg.splu", lambda A, **kw: Perturbed(splu(A, **kw)))
     with pytest.raises(ConvergenceError, match="solve residual"):
         real_solve(prob)
 

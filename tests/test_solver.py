@@ -5,7 +5,7 @@ from scipy.sparse.linalg import splu
 
 from boundarylab import (
     BoundaryGraph, DomainError, EllipticityPair, FixedOp, GridProblem,
-    LaplaceOp, MonotonicityError, PucciOp, abp_check, discretize, power, solve, solver,
+    LaplaceOp, MonotonicityError, PucciOp, abp_check, discretize, power, solve,
 )
 from boundarylab.solver import _DIRECTIONS, _cut_fractions, _decompose_spd, _operator_weights
 
@@ -427,9 +427,9 @@ def test_frozen_matrices_factor_with_diagonal_pivots(monkeypatch, case):
         factors.append((A, lu))
         return lu
 
-    monkeypatch.setattr(solver, "splu", recorded)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", recorded)
     sol = solve(prob)
-    monkeypatch.setattr(solver, "splu", lambda A, **kwargs: splu(A))
+    monkeypatch.setattr("scipy.sparse.linalg.splu", lambda A, **kwargs: splu(A))
     default = solve(prob)
     assert len(factors) == sol.iterations
     u_smooth = dirichlet(sol.nodes)
