@@ -26,8 +26,9 @@ from .modulus import Modulus
 __all__ = ["BoundaryGraph", "C1Report", "check_c1_conditions"]
 
 # seminorm_at samples a batch of balls in blocks of at most this many nodes
-# (one ball at a time when a single ball is larger)
-_SEMINORM_NODES = 1 << 16
+# (one ball at a time when a single ball is larger); a c1model jet holds
+# about five arrays of a block's size at once, so this sets the peak memory
+_SEMINORM_NODES = 1 << 15
 
 
 def _radius(arr) -> np.ndarray:
@@ -171,26 +172,47 @@ class BoundaryGraph:
             out = self._interp(arr[..., 0])
         return out if out.ndim else float(out)
 
-    def grad_gamma(self, xp):
-        """Analytic gradient of Gamma; zero at points where it is undefined."""
+    def jet(self, xp):
+        """(Gamma, grad Gamma) at x' in one pass over the points.
+
+        Gamma is bitwise gamma(x'); the analytic gradient is zero where it
+        is undefined.  The cone and c1model compute |x'| once, and c1model
+        evaluates omega once.  Products are formed in place, so a batch
+        holds few temporaries.
+        """
         arr = self._as_xp(xp)
         if self.family == "cone":
-            return _over_radius(np.multiply(self._L, arr), _radius(arr))
-        if self.family == "c1model":
             rho = _radius(arr)
+            dg = _over_radius(np.multiply(self._L, arr), rho)
+            g = np.multiply(rho, self._L, out=rho)
+        elif self.family == "c1model":
+            rho = _radius(arr)
+            g = self._omega(rho)
             # omega'(0) may be infinite; the rho = 0 rows are zeroed
             with np.errstate(divide="ignore", invalid="ignore"):
-                slope = self._omega(rho) + rho * self._omega.derivative(rho)
-                num = self._sign * slope[..., None] * arr
-            return _over_radius(num, rho)
-        out = np.zeros_like(arr)
-        if self.family == "linear":
-            out[...] = self._a
-        elif self.family == "sinusoid":
-            out[..., 0] = self._A * self._k * np.cos(self._k * arr[..., 0])
-        elif self.family == "table":
-            out[..., 0] = self._dinterp(arr[..., 0])
-        return out
+                slope = rho * self._omega.derivative(rho)
+                slope += g
+                slope *= self._sign
+                dg = _over_radius(slope[..., None] * arr, rho)
+            # sign rho omega in place of omega; a factor of +-1 is exact
+            g *= rho
+            g *= self._sign
+        else:
+            dg = np.zeros_like(arr)
+            if self.family == "zero":
+                g = np.zeros(arr.shape[:-1])
+            elif self.family == "linear":
+                g = arr @ self._a
+                dg[...] = self._a
+            elif self.family == "sinusoid":
+                kx = self._k * arr[..., 0]
+                g = np.sin(kx)
+                g *= self._A
+                np.multiply(self._A * self._k, np.cos(kx), out=dg[..., 0])
+            else:  # table
+                g = self._interp(arr[..., 0])
+                dg[..., 0] = self._dinterp(arr[..., 0])
+        return (g if g.ndim else float(g)), dg
 
     @property
     def working_radius(self) -> float:
@@ -225,7 +247,7 @@ class BoundaryGraph:
         m = 65
         for _ in range(12):
             pts = _sample_ball(self.dim - 1, r, m)
-            val = float(np.max(_radius(self.grad_gamma(pts))))
+            val = float(np.max(_radius(self.jet(pts)[1])))
             if prev is not None and abs(val - prev) <= 0.01 * max(val, 1e-300):
                 return val
             prev = val
@@ -255,7 +277,7 @@ class BoundaryGraph:
             for i in range(self.dim - 1):
                 pts[..., i] += xp[a:a + step, None, i]
             np.clip(pts, -self.chart_radius, self.chart_radius, out=pts)
-            out[a:a + step] = _radius(self.grad_gamma(pts)).max(axis=-1)
+            out[a:a + step] = _radius(self.jet(pts)[1]).max(axis=-1)
         return float(out[0]) if single else out
 
     def _compute_global_lipschitz(self) -> float:

@@ -19,10 +19,13 @@ panels split at the kink preimage for n = 2, a polar rule on the unit disk
 centred there for n = 3.  One moment kernel serves both, and each moment is
 a batched weighted-kernel matrix product over a block of at most
 _QUAD_NODES nodes (one 3-D point or 64 2-D points at order QUAD_ORDER).
-The rule and its weighted kernels depend only on the centre and the order;
-the rule centred at 0 (graphs without a radial kink, and 3-D points whose
-kink preimage lies outside the disk) is built once per order and shared,
-read-only, by every block whose points all use it.
+The rule and its weighted kernels depend only on the centre and the order.
+One centre rule holds in both dimensions: a kink preimage outside the open
+unit ball, or a graph without a radial kink, centres the rule at 0, and
+that rule is built once per order and shared, read-only.  The points of a
+batch are blocked by group, the shared-rule points apart from the kinked
+ones, so only kinked blocks build rules.  The graph is sampled once per
+node, for Gamma and grad Gamma together.
 The vertical inversion p(y', d) = y_n is a safeguarded Halley iteration
 per point, bracketed by the Lipschitz bound |p - s - Gamma| <= L s with no
 quadrature pass (one at the chart cap, for points whose bound reaches it);
@@ -131,10 +134,11 @@ def _nodes(dim, c, order):
     """Nodes T (k, Q, n-1) and weights W (k, Q) on the unit ball, centred at c.
 
     The only step that depends on the dimension.  For n = 2: two
-    Gauss-Legendre panels on [-1, 1], split at c in [-1, 1].  For n = 3:
+    Gauss-Legendre panels on [-1, 1], split at c with |c| < 1.  For n = 3:
     the polar rule on the unit disk, centred at c with |c| < 1.  With c at
-    the kink preimage, Gamma is smooth along each panel or ray.  The rule
-    at c = 0 is built once per dimension and order, through _centred_rule.
+    the kink preimage, or c = 0 when the kink lies outside the ball, Gamma
+    is smooth along each panel or ray.  The rule at c = 0 is built once per
+    dimension and order, through _centred_rule.
     """
     k = len(c)
     if dim == 2:
@@ -160,18 +164,27 @@ def _rule(dim, c, order):
 
     Returns (T, W eta, Wgrad, W k1, W k2): the nodes T (k, Q, n-1), the row
     kernels W eta, W k1 and W k2 (k, 1, Q), and Wgrad = W eta' t/rho
-    (k, Q, n-1), the weighted gradient of eta, zero at the centre.
+    (k, Q, n-1), the weighted gradient of eta, zero at the centre.  The
+    kernels are formed in place from one rho eta'; in 2-D rho = |t| is
+    bitwise _radius.
     """
     T, W = _nodes(dim, c, order)
-    rho = _radius(T)
+    rho = np.abs(T[..., 0]) if dim == 2 else _radius(T)
     eta, deta = _mollifier(dim - 1).eta_derivs(rho)
     q = np.divide(W * deta, rho, out=np.zeros_like(rho), where=rho > 0)
     Wgrad = np.empty_like(T)
     for i in range(dim - 1):
         np.multiply(q, T[..., i], out=Wgrad[..., i])
-    k1 = -((dim - 1) * eta + rho * deta)
-    k2 = -(dim * eta + rho * deta)
-    return T, (W * eta)[:, None, :], Wgrad, (W * k1)[:, None, :], (W * k2)[:, None, :]
+    # W k1 = -W ((n-1) eta + rho eta') and W k2 = -W (n eta + rho eta')
+    rdeta = np.multiply(rho, deta, out=deta)
+    Wk1 = np.multiply(dim - 1, eta)
+    Wk2 = np.multiply(dim, eta)
+    minus_W = np.negative(W)
+    for k in (Wk1, Wk2):
+        k += rdeta
+        k *= minus_W
+    eta *= W
+    return T, eta[:, None, :], Wgrad, Wk1[:, None, :], Wk2[:, None, :]
 
 
 @lru_cache(maxsize=8)
@@ -215,14 +228,14 @@ class RegularizedDistanceField:
     def _centre(self, xp, s):
         """Centre c (k, n-1) of each point's rule: the kink preimage -x'/s.
 
-        In 2-D it is clipped to [-1, 1]; in 3-D a preimage outside the unit
-        disk, or a graph without a radial kink, gives c = 0.
+        One rule for both dimensions: a preimage outside the open unit ball,
+        or a graph without a radial kink, gives c = 0, the shared rule.
+        Then Gamma is smooth on the whole support, and the mollifier alone
+        sets the rule.
         """
         if not self.graph.radial_kink:
             return np.zeros_like(xp)
         c = -xp / s[:, None]
-        if self.graph.dim == 2:
-            return np.clip(c, -1.0, 1.0)
         c[_radius(c) >= 1.0] = 0.0
         return c
 
@@ -236,9 +249,10 @@ class RegularizedDistanceField:
         after the change of variables z = x' + s t, so d_s^2 p reads the same
         t.grad Gamma samples as d_s p.  Each moment is one batched product of
         a weighted kernel with the sampled graph: (W eta) @ Gamma,
-        (W eta) @ grad Gamma, and so on.  A block whose rules are all centred
-        at 0 reads the weighted kernels from the per-order cache
-        (_centred_rule); any other block builds them per point.
+        (W eta) @ grad Gamma, and so on; the graph is sampled once, for Gamma
+        and grad Gamma together (BoundaryGraph.jet).  A block whose rules
+        are all centred at 0 reads the weighted kernels from the per-order
+        cache (_centred_rule); any other block builds them per point.
         """
         n = self.graph.dim
         c = self._centre(xp, s)
@@ -248,8 +262,7 @@ class RegularizedDistanceField:
         pts = s[:, None, None] * T
         for i in range(n - 1):
             pts[..., i] += xp[:, None, i]
-        g = self.graph.gamma(pts)
-        dg = self.graph.grad_gamma(pts)
+        g, dg = self.graph.jet(pts)
         tdg = T[..., :1] * dg[..., :1]
         for i in range(1, n - 1):
             tdg += T[..., i:i + 1] * dg[..., i:i + 1]
@@ -265,15 +278,28 @@ class RegularizedDistanceField:
         }
 
     def _p_derivs(self, xp, s, certify=True):
-        """The derivatives of p at order 2 QUAD_ORDER; certify checks p at QUAD_ORDER."""
+        """The derivatives of p at order 2 QUAD_ORDER; certify checks p at QUAD_ORDER.
+
+        The points are blocked by rule group: the shared-rule points first,
+        then the kinked ones, so no block mixes the two and no shared-rule
+        point pays for a per-point rule.  The results come back in input
+        order.
+        """
+        kinked = self._centre(xp, s).any(axis=1)
+        perm = np.argsort(kinked, kind="stable")
+        undo = np.argsort(perm)
+        xp, s = xp[perm], s[perm]
+        split = len(s) - np.count_nonzero(kinked)
 
         def blocked(q):
-            # the rules hold 2 q^(n-1) nodes per point; an empty batch
-            # still runs one (empty) block, so every key comes back
+            # the rules hold 2 q^(n-1) nodes per point; a block never spans
+            # both groups, and an empty batch still runs one (empty) block,
+            # so every key comes back
             step = max(1, _QUAD_NODES // (2 * q ** (self.graph.dim - 1)))
-            parts = [self._moments(xp[a:a + step], s[a:a + step], q)
-                     for a in range(0, max(len(s), 1), step)]
-            return {key: np.concatenate([b[key] for b in parts]) for key in parts[0]}
+            starts = [*range(0, split, step), *range(split, len(s), step)] or [0]
+            ends = starts[1:] + [len(s)]
+            parts = [self._moments(xp[a:b], s[a:b], q) for a, b in zip(starts, ends)]
+            return {key: np.concatenate([b[key] for b in parts])[undo] for key in parts[0]}
 
         fine = blocked(2 * QUAD_ORDER)
         if certify:

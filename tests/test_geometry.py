@@ -19,7 +19,7 @@ def test_zero_family():
 def test_linear_family():
     g = BoundaryGraph("linear", a=0.25)
     assert g.gamma(0.2) == pytest.approx(0.05)
-    assert g.grad_gamma(np.array([0.3]))[0] == pytest.approx(0.25)
+    assert g.jet(np.array([0.3]))[1][0] == pytest.approx(0.25)
     assert g.L_global == pytest.approx(0.25)
     g3 = BoundaryGraph("linear", dim=3, a=(0.3, 0.4))
     assert g3.L_global == pytest.approx(0.5)
@@ -32,8 +32,8 @@ def test_cone_family():
     assert g.radial_kink
     assert g.local_lip_seminorm(0.1) == pytest.approx(0.2, rel=1e-9)
     # gradient is odd in x'
-    assert g.grad_gamma(np.array([0.1]))[0] == pytest.approx(0.2)
-    assert g.grad_gamma(np.array([-0.1]))[0] == pytest.approx(-0.2)
+    assert g.jet(np.array([0.1]))[1][0] == pytest.approx(0.2)
+    assert g.jet(np.array([-0.1]))[1][0] == pytest.approx(-0.2)
 
 
 def test_sinusoid_family():
@@ -49,7 +49,7 @@ def test_c1model_slope_and_sign():
     g = BoundaryGraph("c1model", omega=w)
     assert g.gamma(0.2) == pytest.approx(0.02)
     # slope omega(r) + r omega'(r) = r
-    assert g.grad_gamma(np.array([0.2]))[0] == pytest.approx(0.2, rel=1e-6)
+    assert g.jet(np.array([0.2]))[1][0] == pytest.approx(0.2, rel=1e-6)
     gm = BoundaryGraph("c1model", omega=w, sign=-1)
     assert gm.gamma(0.2) == pytest.approx(-0.02)
     with pytest.raises(DomainError):
@@ -83,7 +83,7 @@ def test_seminorm_at_off_center():
 ], ids=["c1model-2d", "sinusoid-2d", "c1model-3d"])
 def test_seminorm_at_matches_per_call_sample(graph):
     # the cached, scaled unit ball gives the per-call sample of B'_scale(x');
-    # 2-D batches of 600 points span two sampling blocks
+    # 2-D batches of 600 points span three sampling blocks
     rng = np.random.default_rng(2)
     k = 600 if graph.dim == 2 else 6
     xp = rng.uniform(-0.3, 0.3, (k, graph.dim - 1))
@@ -91,8 +91,8 @@ def test_seminorm_at_matches_per_call_sample(graph):
     batch = graph.seminorm_at(xp, scales)
     cr = graph.chart_radius
     ref = np.array([
-        np.max(np.linalg.norm(graph.grad_gamma(np.clip(
-            xp[i] + _sample_ball(graph.dim - 1, scales[i], 129), -cr, cr)), axis=-1))
+        np.max(np.linalg.norm(graph.jet(np.clip(
+            xp[i] + _sample_ball(graph.dim - 1, scales[i], 129), -cr, cr))[1], axis=-1))
         for i in range(k)])
     single = np.array([graph.seminorm_at(xp[i], scales[i]) for i in range(k)])
     np.testing.assert_allclose(single, ref, rtol=1e-15, atol=0)
@@ -131,8 +131,74 @@ def test_cone_gradient_is_bitwise_the_masked_divide(dim):
         rho = np.linalg.norm(arr, axis=-1)[..., None]
         want = np.zeros_like(arr)
         np.divide(0.1 * arr, rho, out=want, where=rho > 0)
-        assert g.grad_gamma(arr).tobytes() == want.tobytes()
+        assert g.jet(arr)[1].tobytes() == want.tobytes()
         assert np.asarray(g.gamma(arr)).tobytes() == (0.1 * rho[..., 0]).tobytes()
+
+
+def _analytic_gradient(g, arr):
+    """The gradient formulas of each family written out, with the masked divide."""
+    out = np.zeros_like(arr)
+    if g.family in ("cone", "c1model"):
+        rho = np.linalg.norm(arr, axis=-1)[..., None]
+        if g.family == "cone":
+            num = g._L * arr
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = g._omega(rho[..., 0]) + rho[..., 0] * g._omega.derivative(rho[..., 0])
+                num = g._sign * slope[..., None] * arr
+        np.divide(num, rho, out=out, where=rho > 0)
+    elif g.family == "linear":
+        out[...] = g._a
+    elif g.family == "sinusoid":
+        out[..., 0] = g._A * g._k * np.cos(g._k * arr[..., 0])
+    elif g.family == "table":
+        out[..., 0] = g._dinterp(arr[..., 0])
+    return out
+
+
+_COMPOSITE = make_composite(0.05, 0.4, 1.0, power(1.0, 0.05), log_modulus(0.05))
+_JET_GRAPHS = {
+    "zero": BoundaryGraph("zero"),
+    "linear": BoundaryGraph("linear", a=0.25),
+    "cone": BoundaryGraph("cone", L=0.1),
+    "c1model": BoundaryGraph("c1model", omega=power(0.5, 0.2)),
+    "c1model-minus": BoundaryGraph("c1model", omega=power(0.5, 0.2), sign=-1.0),
+    "c1model-composite": BoundaryGraph("c1model", omega=_COMPOSITE),
+    # k = 3, not a power of two, so the order of A k cos(k x) shows
+    "sinusoid": BoundaryGraph("sinusoid", A=0.05, k=3.0),
+    "table": BoundaryGraph("table", ts=np.linspace(-0.5, 0.5, 11),
+                           values=0.1 * np.sin(8 * np.linspace(-0.5, 0.5, 11))),
+    "zero-3d": BoundaryGraph("zero", dim=3),
+    "linear-3d": BoundaryGraph("linear", dim=3, a=(0.3, 0.4)),
+    "cone-3d": BoundaryGraph("cone", dim=3, L=0.1),
+    "c1model-3d": BoundaryGraph("c1model", dim=3, omega=power(0.5, 0.2)),
+    "c1model-minus-3d": BoundaryGraph("c1model", dim=3, omega=power(0.5, 0.2), sign=-1.0),
+    "c1model-composite-3d": BoundaryGraph("c1model", dim=3, omega=_COMPOSITE),
+    "sinusoid-3d": BoundaryGraph("sinusoid", dim=3, A=0.05, k=3.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_JET_GRAPHS))
+def test_jet_is_gamma_and_the_analytic_gradient_bitwise(name):
+    g = _JET_GRAPHS[name]
+    m = g.dim - 1
+    # rho = 0 rows of both signs of zero among random points, as a batch of
+    # blocks; the composite modulus is evaluated point by point, so fewer
+    r = 0.8 * min(g.chart_radius, 0.5)
+    k = 12 if "composite" in name else 200
+    arr = np.random.default_rng(8).uniform(-r, r, (2, k, m))
+    arr[0, :2] = 0.0
+    arr[1, 0] = -0.0
+    for xp in (arr, arr[0, 3], arr[:, :3, :]):
+        val, grad = g.jet(xp)
+        assert np.asarray(val).tobytes() == np.asarray(g.gamma(xp)).tobytes()
+        assert grad.shape == xp.shape
+        assert grad.tobytes() == _analytic_gradient(g, xp).tobytes()
+    if g.dim == 2:
+        # a scalar x' gives a float, as gamma does
+        val, grad = g.jet(0.1)
+        assert isinstance(val, float) and val == g.gamma(0.1)
+        assert grad.tobytes() == _analytic_gradient(g, np.array([0.1])).tobytes()
 
 
 def test_dim_checks():
@@ -167,7 +233,7 @@ def test_c1model_on_the_composite_modulus(omega2):
     w = make_composite(0.05, 0.4, 1.0, power(1.0, 0.05), omega2)
     g = BoundaryGraph("c1model", omega=w)
     assert 0.0 < g.L_global < 0.1
-    assert np.all(np.isfinite(g.grad_gamma(np.array([[0.0], [0.1]]))))
+    assert np.all(np.isfinite(g.jet(np.array([[0.0], [0.1]]))[1]))
     r = 0.5 * g.chart_radius
     rep = check_c1_conditions(g, w, "interior", r)
     assert rep.holds

@@ -222,7 +222,7 @@ def _p_derivs_elementwise(field, xp, s, order):
         grad_eta, k1, k2 = _KERNELS[m](T, rho, eta, deta_r)
         pts = xp[i][None, :] + s[i] * T
         g = field.graph.gamma(pts)
-        dg = field.graph.grad_gamma(pts)
+        dg = field.graph.jet(pts)[1]
         out["p"][i] = W @ (eta * g) + s[i]
         out["px"][i] = (W[:, None] * eta[:, None] * dg).sum(axis=0)
         tdg = (T * dg).sum(axis=-1)
@@ -277,9 +277,11 @@ def test_nodes_split_at_the_kink(dim):
     (BoundaryGraph("cone", dim=3, L=0.1), 8),
     (BoundaryGraph("sinusoid", A=0.05, k=4.0), 8),
     (BoundaryGraph("cone", L=0.1), 150),
-], ids=["cone-3d", "sinusoid-2d", "cone-2d-blocks"])
+    (BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0)), 150),
+], ids=["cone-3d", "sinusoid-2d", "cone-2d-blocks", "c1model-2d-blocks"])
 def test_batch_agrees_with_point_by_point(graph, n):
-    # each point leaves the inversion loop on its own residual, whatever its block
+    # each point leaves the inversion loop on its own residual, whatever its
+    # block, and comes back in its input place
     f = RegularizedDistanceField(graph)
     pts = sample_domain_points(graph, 0.25, n, np.random.default_rng(5))
     d, grad, hess = f.eval_all(pts)
@@ -287,8 +289,11 @@ def test_batch_agrees_with_point_by_point(graph, n):
         inside = np.linalg.norm(pts[:, :-1], axis=-1) < d
         assert inside.any() and not inside.all()
     elif n > 8:
-        # 2 * 64 nodes per point on the doubled rule: the batch spans three blocks
-        assert n > 2 * (_QUAD_NODES // (4 * regdist.QUAD_ORDER))
+        # 2 * 64 nodes per point on the doubled rule, so blocks of 64 points:
+        # the kinked points (|x'| < d) and the shared-rule ones each span two
+        kinked = np.abs(pts[:, 0]) < d
+        step = _QUAD_NODES // (4 * regdist.QUAD_ORDER)
+        assert min(np.count_nonzero(kinked), np.count_nonzero(~kinked)) > step
     for i in range(len(pts)):
         di, gi, hi = f.eval_all(pts[i])
         assert abs(di[0] - d[i]) <= 1e-15 * d[i]
@@ -431,7 +436,7 @@ def _moments_reference(f, xp, s, order):
     k2 = -(n * eta + rho * deta)
     pts = xp[:, None, :] + s[:, None, None] * T
     g = f.graph.gamma(pts)
-    dg = f.graph.grad_gamma(pts)
+    dg = f.graph.jet(pts)[1]
     tdg = (T * dg).sum(axis=-1)[..., None]
     We = (W * eta)[:, None, :]
     pxx = -(Wgrad.transpose(0, 2, 1) @ dg) / s[:, None, None]
@@ -454,7 +459,8 @@ _CENTRED = {
                     np.linspace(-0.2, 0.2, 7)[:, None], np.linspace(0.01, 0.1, 7)),
 }
 # batches with kinks inside: 3-D cone points with |x'| < s (one 3-D point per
-# block at order 64), and a 2-D cone, whose clipped centre is never 0 off x' = 0
+# block at order 64), and a 2-D cone whose 38 points with |x'| < s are kinked
+# and whose other 112 use the shared rule
 _KINKED = {
     "cone-3d": (BoundaryGraph("cone", dim=3, L=0.1),
                 np.array([[0.01, 0.0], [0.0, -0.02], [0.02, 0.02]]), np.array([0.05, 0.05, 0.1])),
@@ -494,12 +500,56 @@ def test_centred_blocks_build_no_rule(monkeypatch):
         f._p_derivs(xp, s, certify=False)
         assert calls == []
     # 2 * 64^2 nodes hold one 3-D point and 2 * 64 nodes 64 2-D points:
-    # one rule per block of three, and per block of 64, 64 and 22
-    for (graph, xp, s), blocks in zip(_KINKED.values(), ([1, 1, 1], [64, 64, 22])):
+    # one rule per block of three, and on the 2-D cone one block of its 38
+    # kinked points; its 112 shared-rule points build no rule
+    for (graph, xp, s), blocks in zip(_KINKED.values(), ([1, 1, 1], [38])):
+        assert np.count_nonzero(np.linalg.norm(xp, axis=-1) < s) == sum(blocks)
         f = RegularizedDistanceField(graph)
         calls.clear()
         f._p_derivs(xp, s, certify=False)
         assert calls == blocks
+
+
+def test_moments_sample_the_graph_once_per_node(monkeypatch):
+    # one jet call per block gives Gamma and grad Gamma; gamma is not called
+    calls = []
+    gamma, jet = BoundaryGraph.gamma, BoundaryGraph.jet
+
+    def counted_gamma(self, xp):
+        calls.append("gamma")
+        return gamma(self, xp)
+
+    def counted_jet(self, xp):
+        calls.append("jet")
+        return jet(self, xp)
+
+    monkeypatch.setattr(BoundaryGraph, "gamma", counted_gamma)
+    monkeypatch.setattr(BoundaryGraph, "jet", counted_jet)
+    for graph in (BoundaryGraph("cone", dim=3, L=0.1), BoundaryGraph("cone", L=0.1),
+                  BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0)),
+                  BoundaryGraph("sinusoid", A=0.05, k=4.0)):
+        f = RegularizedDistanceField(graph)
+        xp = _XP[:, :graph.dim - 1]
+        calls.clear()
+        f._moments(xp, _S, 64)
+        assert calls == ["jet"]
+
+
+def test_2d_cone_off_the_kink_is_the_exact_distance():
+    # where |y'| >= d the mollifier support misses the kink, so
+    # p(y', t) = t + L |y'| and d = y_n - L |y'| with D^2 d = 0 exactly; on the
+    # regdist-check sample (1000 points, r 0.3, seed 1) the shared rule gives
+    # max |D^2 d| 3.2e-9 over those 486 points (median 5.6e-12), where the
+    # one-panel rule of a centre clipped to +-1 gave 6.2e-7
+    g = BoundaryGraph("cone", L=0.1)
+    f = RegularizedDistanceField(g)
+    pts = sample_domain_points(g, 0.3, 1000, np.random.default_rng(1))
+    d, _, hess = f.eval_all(pts)
+    off = np.abs(pts[:, 0]) >= d
+    assert np.count_nonzero(off) == 486
+    exact = pts[off, 1] - 0.1 * np.abs(pts[off, 0])
+    assert np.all(np.abs(d[off] - exact) <= 1e-15 * exact)
+    assert np.abs(sym_eigvals(hess[off])).max() <= 1e-8
 
 
 @pytest.mark.parametrize("dim", [2, 3])
