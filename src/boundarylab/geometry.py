@@ -173,20 +173,27 @@ class BoundaryGraph:
         return out if out.ndim else float(out)
 
     def jet(self, xp):
-        """(Gamma, grad Gamma) at x' in one pass over the points.
+        """(Gamma, grad Gamma) at x'; the gradient is zero where it is undefined.
 
-        Gamma is bitwise gamma(x'); the analytic gradient is zero where it
-        is undefined.  The cone and c1model compute |x'| once, and c1model
-        evaluates omega once.  Products are formed in place, so a batch
-        holds few temporaries.
+        Gamma is bitwise gamma(x').  The radial families (cone, c1model)
+        compute |x'|, and c1model omega, once for both; the others read
+        Gamma from gamma.
         """
         arr = self._as_xp(xp)
+        if not self.radial_kink:
+            dg = np.zeros_like(arr)
+            if self.family == "linear":
+                dg[...] = self._a
+            elif self.family == "sinusoid":
+                dg[..., 0] = self._A * self._k * np.cos(self._k * arr[..., 0])
+            elif self.family == "table":
+                dg[..., 0] = self._dinterp(arr[..., 0])
+            return self.gamma(arr), dg
+        rho = _radius(arr)
         if self.family == "cone":
-            rho = _radius(arr)
             dg = _over_radius(np.multiply(self._L, arr), rho)
             g = np.multiply(rho, self._L, out=rho)
-        elif self.family == "c1model":
-            rho = _radius(arr)
+        else:
             g = self._omega(rho)
             # omega'(0) may be infinite; the rho = 0 rows are zeroed
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -197,21 +204,6 @@ class BoundaryGraph:
             # sign rho omega in place of omega; a factor of +-1 is exact
             g *= rho
             g *= self._sign
-        else:
-            dg = np.zeros_like(arr)
-            if self.family == "zero":
-                g = np.zeros(arr.shape[:-1])
-            elif self.family == "linear":
-                g = arr @ self._a
-                dg[...] = self._a
-            elif self.family == "sinusoid":
-                kx = self._k * arr[..., 0]
-                g = np.sin(kx)
-                g *= self._A
-                np.multiply(self._A * self._k, np.cos(kx), out=dg[..., 0])
-            else:  # table
-                g = self._interp(arr[..., 0])
-                dg[..., 0] = self._dinterp(arr[..., 0])
         return (g if g.ndim else float(g)), dg
 
     @property

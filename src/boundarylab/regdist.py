@@ -165,11 +165,10 @@ def _rule(dim, c, order):
     Returns (T, W eta, Wgrad, W k1, W k2): the nodes T (k, Q, n-1), the row
     kernels W eta, W k1 and W k2 (k, 1, Q), and Wgrad = W eta' t/rho
     (k, Q, n-1), the weighted gradient of eta, zero at the centre.  The
-    kernels are formed in place from one rho eta'; in 2-D rho = |t| is
-    bitwise _radius.
+    kernels are formed in place from one rho eta'.
     """
     T, W = _nodes(dim, c, order)
-    rho = np.abs(T[..., 0]) if dim == 2 else _radius(T)
+    rho = _radius(T)
     eta, deta = _mollifier(dim - 1).eta_derivs(rho)
     q = np.divide(W * deta, rho, out=np.zeros_like(rho), where=rho > 0)
     Wgrad = np.empty_like(T)

@@ -511,17 +511,22 @@ def test_centred_blocks_build_no_rule(monkeypatch):
 
 
 def test_moments_sample_the_graph_once_per_node(monkeypatch):
-    # one jet call per block gives Gamma and grad Gamma; gamma is not called
-    calls = []
+    # one jet call per block gives Gamma and grad Gamma; _moments makes no
+    # gamma call of its own (jet reads Gamma from gamma off the radial families)
+    calls, depth = [], []
     gamma, jet = BoundaryGraph.gamma, BoundaryGraph.jet
 
     def counted_gamma(self, xp):
-        calls.append("gamma")
+        calls.append("gamma" if not depth else "jet:gamma")
         return gamma(self, xp)
 
     def counted_jet(self, xp):
         calls.append("jet")
-        return jet(self, xp)
+        depth.append(1)
+        try:
+            return jet(self, xp)
+        finally:
+            depth.pop()
 
     monkeypatch.setattr(BoundaryGraph, "gamma", counted_gamma)
     monkeypatch.setattr(BoundaryGraph, "jet", counted_jet)
@@ -532,7 +537,7 @@ def test_moments_sample_the_graph_once_per_node(monkeypatch):
         xp = _XP[:, :graph.dim - 1]
         calls.clear()
         f._moments(xp, _S, 64)
-        assert calls == ["jet"]
+        assert calls == (["jet"] if graph.radial_kink else ["jet", "jet:gamma"])
 
 
 def test_2d_cone_off_the_kink_is_the_exact_distance():
