@@ -200,7 +200,7 @@ def special_solution(field: RegularizedDistanceField, r: float, n: int) -> GridS
         out = np.zeros(len(pts))
         pos = pts[:, -1] - np.atleast_1d(graph.gamma(pts[:, :-1])) > 1e-9
         if pos.any():
-            out[pos] = field.eval_d(pts[pos], certify=False)
+            out[pos] = field.eval_d(pts[pos])
         return out
 
     return solve(GridProblem(graph, r, 2 * r / n, LaplaceOp(),
@@ -225,7 +225,7 @@ def check_special_solution_sandwich(field: RegularizedDistanceField, eps: float,
         & (np.linalg.norm(nodes[:, :-1], axis=-1) + 1.5 * gap < field.working_radius)
     nodes_in = nodes[inner]
     u = phi.values[inner]
-    d = field.eval_d(nodes_in, certify=False)
+    d = field.eval_d(nodes_in)
 
     slack = 5.0 * h
     lower = u - (2 * r) ** (-eps) * d ** (1 + eps) + slack

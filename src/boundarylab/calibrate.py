@@ -120,7 +120,7 @@ def _calibrate_sandwich() -> float:
         sol = special_solution(f, r, 96)
         gap = sol.nodes[:, 1] - np.atleast_1d(g.gamma(sol.nodes[:, :1]))
         ok = gap > 2 * sol.h
-        d = f.eval_d(sol.nodes[ok], certify=False)
+        d = f.eval_d(sol.nodes[ok])
         dev = np.abs(sol.values[ok] - d).max()
         worst = max(worst, dev / (r * L))
     return 2.0 * worst

@@ -31,6 +31,9 @@ per point, bracketed by the Lipschitz bound |p - s - Gamma| <= L s with no
 quadrature pass (one at the chart cap, for points whose bound reaches it);
 it hands back the derivatives of p at d, so grad d and D^2 d cost no
 further quadrature.
+eval_p and eval_d certify by order doubling: the p held at order 2 QUAD_ORDER
+(for eval_d, the last Halley pass's, at d) must match one pass at QUAD_ORDER.
+eval_all, the path of the distance and barrier checks, is not certified.
 """
 
 from __future__ import annotations
@@ -238,7 +241,7 @@ class RegularizedDistanceField:
         c[_radius(c) >= 1.0] = 0.0
         return c
 
-    def _moments(self, xp, s, order):
+    def _moments(self, xp, s, c, order):
         """All needed derivatives of p for a block of points, any n.
 
         With rho = |t|, moving the derivatives onto the radial mollifier gives
@@ -249,12 +252,11 @@ class RegularizedDistanceField:
         t.grad Gamma samples as d_s p.  Each moment is one batched product of
         a weighted kernel with the sampled graph: (W eta) @ Gamma,
         (W eta) @ grad Gamma, and so on; the graph is sampled once, for Gamma
-        and grad Gamma together (BoundaryGraph.jet).  A block whose rules
-        are all centred at 0 reads the weighted kernels from the per-order
-        cache (_centred_rule); any other block builds them per point.
+        and grad Gamma together (BoundaryGraph.jet).  c holds the centres
+        that _p_derivs chose; a block whose c is all 0 reads the weighted
+        kernels from the per-order cache (_centred_rule), any other builds them.
         """
         n = self.graph.dim
-        c = self._centre(xp, s)
         T, We, Wgrad, Wk1, Wk2 = _centred_rule(n, order) if not c.any() else _rule(n, c, order)
         # x' + s t and t . grad Gamma, one component at a time: a broadcast
         # over the short last axis is several times slower
@@ -276,40 +278,37 @@ class RegularizedDistanceField:
             "pss": (Wk2 @ tdg)[:, 0, 0] / s,
         }
 
-    def _p_derivs(self, xp, s, certify=True):
-        """The derivatives of p at order 2 QUAD_ORDER; certify checks p at QUAD_ORDER.
+    def _p_derivs(self, xp, s, order):
+        """The derivatives of p with rules of one order.
 
-        The points are blocked by rule group: the shared-rule points first,
-        then the kinked ones, so no block mixes the two and no shared-rule
-        point pays for a per-point rule.  The results come back in input
-        order.
+        Each point's centre is decided once, here.  The points are blocked
+        by rule group: the shared-rule points first, then the kinked ones,
+        so no block mixes the two and no shared-rule point pays for a
+        per-point rule.  The results come back in input order.
         """
-        kinked = self._centre(xp, s).any(axis=1)
+        c = self._centre(xp, s)
+        kinked = c.any(axis=1)
         perm = np.argsort(kinked, kind="stable")
         undo = np.argsort(perm)
-        xp, s = xp[perm], s[perm]
+        xp, s, c = xp[perm], s[perm], c[perm]
         split = len(s) - np.count_nonzero(kinked)
+        # the rules hold 2 order^(n-1) nodes per point; a block never spans
+        # both groups, and an empty batch still runs one (empty) block, so
+        # every key comes back
+        step = max(1, _QUAD_NODES // (2 * order ** (self.graph.dim - 1)))
+        starts = [*range(0, split, step), *range(split, len(s), step)] or [0]
+        ends = starts[1:] + [len(s)]
+        parts = [self._moments(xp[a:b], s[a:b], c[a:b], order) for a, b in zip(starts, ends)]
+        return {key: np.concatenate([b[key] for b in parts])[undo] for key in parts[0]}
 
-        def blocked(q):
-            # the rules hold 2 q^(n-1) nodes per point; a block never spans
-            # both groups, and an empty batch still runs one (empty) block,
-            # so every key comes back
-            step = max(1, _QUAD_NODES // (2 * q ** (self.graph.dim - 1)))
-            starts = [*range(0, split, step), *range(split, len(s), step)] or [0]
-            ends = starts[1:] + [len(s)]
-            parts = [self._moments(xp[a:b], s[a:b], q) for a, b in zip(starts, ends)]
-            return {key: np.concatenate([b[key] for b in parts])[undo] for key in parts[0]}
-
-        fine = blocked(2 * QUAD_ORDER)
-        if certify:
-            coarse = blocked(QUAD_ORDER)
-            scale = np.maximum(np.abs(fine["p"]), 1e-12)
-            if np.any(np.abs(fine["p"] - coarse["p"]) > 1e-6 * scale):
-                raise QuadratureError(
-                    "order-doubling changed p by more than 1e-6 relative; "
-                    "QUAD_ORDER is too low for this boundary family"
-                )
-        return fine
+    def _certify(self, xp, s, p):
+        """Order doubling: p, held at order 2 QUAD_ORDER, against one pass at QUAD_ORDER."""
+        coarse = self._p_derivs(xp, s, QUAD_ORDER)["p"]
+        if np.any(np.abs(p - coarse) > 1e-6 * np.maximum(np.abs(p), 1e-12)):
+            raise QuadratureError(
+                "order-doubling changed p by more than 1e-6 relative; "
+                "QUAD_ORDER is too low for this boundary family"
+            )
 
     # -- public evaluation --------------------------------------------------
 
@@ -319,24 +318,26 @@ class RegularizedDistanceField:
         scalar = x.ndim == 1
         pts = np.atleast_2d(x)
         xp, s = self._check_chart(pts[:, :-1], pts[:, -1])
-        p = self._p_derivs(xp, s)["p"]
+        p = self._p_derivs(xp, s, 2 * QUAD_ORDER)["p"]
+        self._certify(xp, s, p)
         return float(p[0]) if scalar else p
 
-    def _solve_d(self, xp, yn, certify=True):
+    def _solve_d(self, xp, yn):
         """Vertical inversion: the t > 0 with p(y', t) = y_n, per point.
 
         The mollifier has unit mass on the unit ball, so
         |p(y', t) - t - Gamma(y')| <= L t, and the root lies in
-        [gap/(1+L), gap/(1-L)] with gap = y_n - Gamma(y'): the bracket
-        costs no quadrature, except one pass at the chart cap for the points
-        whose upper bound reaches it.  Safeguarded Halley steps follow.  For
-        families whose L_global is a sampled seminorm the bracket is not a
-        proof; the certificate is each point's residual |p - y_n| <= 1e-13,
-        and a root outside the bracket ends in a ConvergenceError.
+        [gap/(1+L), gap/(1-L)], finite as L <= MAX_LIPSCHITZ, with
+        gap = y_n - Gamma(y'): the bracket costs no quadrature, except one
+        pass at the chart cap for the points whose upper bound reaches it.
+        Safeguarded Halley steps follow.  For families whose L_global is a
+        sampled seminorm the bracket is not a proof; the certificate is each
+        point's residual |p - y_n| <= 1e-13, and a root outside the bracket
+        ends in a ConvergenceError.
 
-        Returns t and the derivatives of p at t.  Each point leaves the
-        loop on its own residual, so its t does not depend on the other
-        points of the batch.
+        Returns t and the uncertified derivatives of p at t (eval_d certifies
+        p).  Each point leaves the loop on its own residual, so its t does
+        not depend on the other points of the batch.
         """
         g = np.atleast_1d(self.graph.gamma(xp))
         gap = yn - g
@@ -350,10 +351,10 @@ class RegularizedDistanceField:
         # p(y', t) is defined up to |y'| + t = working radius
         cap = self.working_radius * (1 + 1e-9) - r_xp
         L = self.graph.L_global
-        hi = gap / (1.0 - L) if L < 1 else np.full_like(gap, np.inf)
+        hi = gap / (1.0 - L)
         clipped = np.nonzero(hi >= cap)[0]
         if clipped.size:
-            if np.any(self._p_derivs(xp[clipped], cap[clipped], certify=False)["p"]
+            if np.any(self._p_derivs(xp[clipped], cap[clipped], 2 * QUAD_ORDER)["p"]
                       < yn[clipped]):
                 raise DomainError(
                     "the vertical inverse leaves the chart: p(y', t) < y_n at "
@@ -368,7 +369,7 @@ class RegularizedDistanceField:
         der = {}
         act = np.arange(gap.size)
         for _ in range(100):
-            part = self._p_derivs(xp[act], t[act], certify=False)
+            part = self._p_derivs(xp[act], t[act], 2 * QUAD_ORDER)
             if np.any(part["ps"] <= 0.5):
                 raise MonotonicityError(
                     "d_s p <= 1/2 encountered; the Lipschitz constant is too "
@@ -396,18 +397,16 @@ class RegularizedDistanceField:
             t[act] = t_new
         else:
             raise ConvergenceError("vertical inversion did not reach 1e-13 residual")
-        if certify:
-            res = self._p_derivs(xp, t)["p"] - yn
-            if np.any(np.abs(res) > 1e-12):
-                raise ConvergenceError("certified residual of the inversion exceeds 1e-12")
         return t, der
 
-    def eval_d(self, y, certify=True):
-        """The regularized distance d(y) for y in the domain chart."""
+    def eval_d(self, y):
+        """The regularized distance d(y) in the domain chart, order-doubling certified at d."""
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 1
         pts = np.atleast_2d(y)
-        d, _ = self._solve_d(pts[:, :-1], pts[:, -1], certify=certify)
+        xp = pts[:, :-1]
+        d, der = self._solve_d(xp, pts[:, -1])
+        self._certify(xp, d, der["p"])
         return float(d[0]) if scalar else d
 
     def eval_all(self, y):
@@ -418,7 +417,7 @@ class RegularizedDistanceField:
         """
         pts = np.atleast_2d(np.asarray(y, dtype=float))
         xp, yn = pts[:, :-1], pts[:, -1]
-        d, der = self._solve_d(xp, yn, certify=False)
+        d, der = self._solve_d(xp, yn)
         q = der["ps"]
         nm1 = self.graph.dim - 1
         grad = np.empty((pts.shape[0], self.graph.dim))
@@ -454,7 +453,7 @@ class RegularizedDistanceField:
                          + [sa * eye[a] + sb * eye[b] for a, b in pairs for sa, sb in signs])
         h = 1e-5 * d
         z = (pts[:, None, :] + h[:, None, None] * units).reshape(-1, n)
-        dv = self._solve_d(z[:, :-1], z[:, -1], certify=False)[0].reshape(k, -1)
+        dv = self._solve_d(z[:, :-1], z[:, -1])[0].reshape(k, -1)
         fp, fm = dv[:, 0:2 * n:2], dv[:, 1:2 * n:2]
         cross = dv[:, 2 * n:].reshape(k, len(pairs), 4)
         fd_grad = (fp - fm) / (2 * h[:, None])

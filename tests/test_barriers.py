@@ -146,7 +146,7 @@ def test_special_solution_has_data_d_on_the_cut_boundary():
     on_graph = pts[:, 1] - g.gamma(pts[:, :1]) <= 1e-9
     assert on_graph.any() and not on_graph.all()
     assert np.all(vals[on_graph] == 0.0)
-    np.testing.assert_array_equal(vals[~on_graph], f.eval_d(pts[~on_graph], certify=False))
+    np.testing.assert_array_equal(vals[~on_graph], f.eval_d(pts[~on_graph]))
 
 
 def test_verify_barrier_inverts_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Every import in the package source and in the tests is used, the
-package's parameters with a default do not grow in number, and a process
-loads only the scipy modules that the code it runs calls."""
+package's parameters with a default match their cap (so they do not grow in
+number, and a removed one lowers the cap), and a process loads only the
+scipy modules that the code it runs calls."""
 
 import ast
 import json
@@ -44,8 +45,9 @@ def test_no_unused_imports():
 
 
 # parameters with a default, over every def and lambda of the package; raise
-# this only in the change that adds a default, where review sees it
-MAX_PARAMETER_DEFAULTS = 36
+# this only in the change that adds a default, where review sees it, and
+# lower it in the change that removes one
+MAX_PARAMETER_DEFAULTS = 33
 
 
 def test_parameter_defaults_do_not_grow():
@@ -60,8 +62,9 @@ def test_parameter_defaults_do_not_grow():
                 keyword = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
                 name = getattr(node, "name", "<lambda>")
                 found += [(path.name, name, a.arg) for a in positional + keyword]
-    assert len(found) <= MAX_PARAMETER_DEFAULTS, (
-        f"{len(found)} parameters with a default, cap {MAX_PARAMETER_DEFAULTS}:\n"
+    assert len(found) == MAX_PARAMETER_DEFAULTS, (
+        f"{len(found)} parameters with a default, cap {MAX_PARAMETER_DEFAULTS} "
+        "(a removed default lowers the cap):\n"
         + "\n".join(f"{f}: {fn}({a})" for f, fn, a in found))
 
 

@@ -79,9 +79,9 @@ def test_fd_check_is_one_batched_inversion(monkeypatch):
     sizes = []
     solve_d = RegularizedDistanceField._solve_d
 
-    def counted(self, xp, yn, certify=True):
+    def counted(self, xp, yn):
         sizes.append(len(yn))
-        return solve_d(self, xp, yn, certify)
+        return solve_d(self, xp, yn)
 
     monkeypatch.setattr(RegularizedDistanceField, "_solve_d", counted)
     for dim, k, n_offsets in ((2, 6, 8), (3, 2, 18)):
@@ -254,7 +254,7 @@ def test_p_derivs_2d_matches_elementwise_sums(graph):
     # the weights integrate 1 to the volume of the unit ball: 2 in 2-D, pi in 3-D
     assert np.allclose(W.sum(axis=1), {2: 2.0, 3: np.pi}[graph.dim])
     ref = _p_derivs_elementwise(f, xp, s, 64)
-    got = f._moments(xp, s, 64)
+    got = f._moments(xp, s, f._centre(xp, s), 64)
     for key in ref:
         assert got[key].shape == ref[key].shape, key
         assert _max_rel(got[key], ref[key]) <= 1e-13, key
@@ -268,7 +268,8 @@ def test_nodes_split_at_the_kink(dim):
     f = RegularizedDistanceField(BoundaryGraph("cone", dim=dim, L=0.1))
     xp = np.array([[0.02, -0.03], [0.0, 0.0]])[:, :dim - 1]
     s = np.array([0.08, 0.05])
-    a, b = f._moments(xp, s, 64), f._moments(xp, s, 256)
+    c = f._centre(xp, s)
+    a, b = f._moments(xp, s, c, 64), f._moments(xp, s, c, 256)
     for key in ("p", "px"):
         assert _max_rel(a[key], b[key]) <= 1e-10, key
 
@@ -360,8 +361,9 @@ def test_pss_is_the_s_derivative_of_ps(graph):
     f = RegularizedDistanceField(graph)
     xp = _XP[:, :graph.dim - 1]
     h = 1e-4 * _S
-    fd = (f._moments(xp, _S + h, 64)["ps"] - f._moments(xp, _S - h, 64)["ps"]) / (2 * h)
-    assert _max_rel(f._moments(xp, _S, 64)["pss"], fd) <= 1e-6
+    plus, minus, at = (f._moments(xp, s, f._centre(xp, s), 64) for s in (_S + h, _S - h, _S))
+    fd = (plus["ps"] - minus["ps"]) / (2 * h)
+    assert _max_rel(at["pss"], fd) <= 1e-6
 
 
 @pytest.mark.parametrize("graph, fine", [
@@ -378,7 +380,7 @@ def test_pss_matches_the_fine_order_reference(graph, fine):
     f = RegularizedDistanceField(graph)
     xp = _XP[:, :graph.dim - 1]
     ref = _p_derivs_elementwise(f, xp, _S, fine)["pss"]
-    assert _max_rel(f._moments(xp, _S, 64)["pss"], ref) <= 2e-9
+    assert _max_rel(f._moments(xp, _S, f._centre(xp, _S), 64)["pss"], ref) <= 2e-9
 
 
 def test_inversion_brackets_without_quadrature(monkeypatch):
@@ -395,9 +397,9 @@ def test_inversion_brackets_without_quadrature(monkeypatch):
             s_first.append(s.copy())
         return p_derivs(self, xp, s, *args, **kwargs)
 
-    def counted_moments(self, xp, s, order):
+    def counted_moments(self, xp, s, c, order):
         evaluated.append(len(s))
-        return moments(self, xp, s, order)
+        return moments(self, xp, s, c, order)
 
     monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted_derivs)
     monkeypatch.setattr(RegularizedDistanceField, "_moments", counted_moments)
@@ -422,6 +424,45 @@ def test_root_outside_an_understated_bracket_raises(monkeypatch, graph):
         f.eval_d(y)
     with pytest.raises(ConvergenceError, match="left its bracket"):
         f.eval_all(y)
+
+
+def test_order_doubling_rejects_an_under_resolved_graph():
+    # a sinusoid with k = 1000 has about 30 periods across the mollifier
+    # support at s = 0.2: orders 32 and 64 disagree by 6e-5 relative in p at
+    # (0.01, 0.2); with k = 300 and the same slope they agree to 4e-12
+    pts = np.array([[0.01, 0.2], [0.05, 0.1]])
+    f = RegularizedDistanceField(BoundaryGraph("sinusoid", A=2e-4, k=1000.0))
+    for evaluate in (f.eval_d, f.eval_p):
+        for y in (pts, pts[0]):
+            with pytest.raises(QuadratureError, match="order-doubling"):
+                evaluate(y)
+    f = RegularizedDistanceField(BoundaryGraph("sinusoid", A=0.2 / 300, k=300.0))
+    d = f.eval_d(pts)
+    np.testing.assert_array_equal(d, f.eval_all(pts)[0])
+    assert np.all(np.isfinite(f.eval_p(pts)))
+
+
+def test_eval_d_certifies_the_last_halley_pass(monkeypatch):
+    # eval_d makes eval_all's passes at order 2 QUAD_ORDER and one pass at
+    # QUAD_ORDER over every point, at d; no pass at 2 QUAD_ORDER follows the loop
+    g = BoundaryGraph("cone", L=0.1)
+    f = RegularizedDistanceField(g)
+    pts = sample_domain_points(g, 0.25, 40, np.random.default_rng(6))
+    passes = []
+    p_derivs = RegularizedDistanceField._p_derivs
+
+    def counted(self, xp, s, order):
+        passes.append((order, len(s)))
+        return p_derivs(self, xp, s, order)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted)
+    f.eval_all(pts)
+    halley = passes.copy()
+    assert halley and all(order == 2 * regdist.QUAD_ORDER for order, _ in halley)
+    passes.clear()
+    d = f.eval_d(pts)
+    assert passes == halley + [(regdist.QUAD_ORDER, len(pts))]
+    np.testing.assert_array_equal(d, f.eval_all(pts)[0])
 
 
 def _moments_reference(f, xp, s, order):
@@ -475,10 +516,11 @@ def test_moments_match_the_per_point_rule_bitwise(case):
     kind, name = case.split("-", 1)
     graph, xp, s = (_CENTRED if kind == "centred" else _KINKED)[name]
     f = RegularizedDistanceField(graph)
-    assert f._centre(xp, s).any() == (kind == "kinked")
+    c = f._centre(xp, s)
+    assert c.any() == (kind == "kinked")
     # the orders alternate, so a cache that ignores the order hands one the other's rule
     for order in (32, 64, 32):
-        got, want = f._moments(xp, s, order), _moments_reference(f, xp, s, order)
+        got, want = f._moments(xp, s, c, order), _moments_reference(f, xp, s, order)
         for key in want:
             assert got[key].shape == want[key].shape, (order, key)
             assert got[key].tobytes() == want[key].tobytes(), (order, key)
@@ -495,9 +537,9 @@ def test_centred_blocks_build_no_rule(monkeypatch):
     monkeypatch.setattr(regdist, "_nodes", counted)
     for graph, xp, s in _CENTRED.values():
         f = RegularizedDistanceField(graph)
-        f._p_derivs(xp, s, certify=False)
+        f._p_derivs(xp, s, 64)
         calls.clear()
-        f._p_derivs(xp, s, certify=False)
+        f._p_derivs(xp, s, 64)
         assert calls == []
     # 2 * 64^2 nodes hold one 3-D point and 2 * 64 nodes 64 2-D points:
     # one rule per block of three, and on the 2-D cone one block of its 38
@@ -506,7 +548,7 @@ def test_centred_blocks_build_no_rule(monkeypatch):
         assert np.count_nonzero(np.linalg.norm(xp, axis=-1) < s) == sum(blocks)
         f = RegularizedDistanceField(graph)
         calls.clear()
-        f._p_derivs(xp, s, certify=False)
+        f._p_derivs(xp, s, 64)
         assert calls == blocks
 
 
@@ -536,7 +578,7 @@ def test_moments_sample_the_graph_once_per_node(monkeypatch):
         f = RegularizedDistanceField(graph)
         xp = _XP[:, :graph.dim - 1]
         calls.clear()
-        f._moments(xp, _S, 64)
+        f._moments(xp, _S, f._centre(xp, _S), 64)
         assert calls == (["jet"] if graph.radial_kink else ["jet", "jet:gamma"])
 
 
