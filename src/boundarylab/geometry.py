@@ -16,11 +16,10 @@ solver is restricted to n = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .modulus import Modulus
 
 __all__ = ["BoundaryGraph", "C1Report", "check_c1_conditions"]
@@ -29,6 +28,10 @@ __all__ = ["BoundaryGraph", "C1Report", "check_c1_conditions"]
 # (one ball at a time when a single ball is larger); a c1model jet holds
 # about five arrays of a block's size at once, so this sets the peak memory
 _SEMINORM_NODES = 1 << 15
+# the sample sizes and agreement tolerance of seminorm_at (see its docstring)
+SEMINORM_M0 = 17
+SEMINORM_TOL = 1e-3
+SEMINORM_M_MAX = 513
 
 
 def _radius(arr) -> np.ndarray:
@@ -61,21 +64,13 @@ def _over_radius(num, rho) -> np.ndarray:
 
 
 def _sample_ball(dim_surface: int, r: float, m: int) -> np.ndarray:
-    """Quasi-uniform sample of B'_r in R^dim_surface, shape (M, dim_surface)."""
+    """Sample of B'_r in R^dim_surface, (M, dim_surface); sample m lies in sample 2m - 1."""
     if dim_surface == 1:
         return np.linspace(-r, r, m)[:, None]
-    rho = np.linspace(0.0, r, m)
-    th = np.linspace(0.0, 2 * np.pi, 2 * m, endpoint=False)
-    R, T = np.meshgrid(rho, th, indexing="ij")
-    return np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=-1)
-
-
-@lru_cache(maxsize=8)
-def _unit_ball(dim_surface: int, m: int) -> np.ndarray:
-    """The read-only sample of the unit ball that seminorm_at scales."""
-    out = _sample_ball(dim_surface, 1.0, m)
-    out.flags.writeable = False
-    return out
+    rho = np.linspace(0.0, r, m)[1:, None]
+    th = np.linspace(0.0, 2 * np.pi, 2 * (m - 1), endpoint=False)
+    ring = np.stack([(rho * np.cos(th)).ravel(), (rho * np.sin(th)).ravel()], axis=-1)
+    return np.concatenate([np.zeros((1, 2)), ring])
 
 
 class BoundaryGraph:
@@ -221,38 +216,22 @@ class BoundaryGraph:
         """Whether Gamma(2^j x') = 2^j Gamma(x') holds bit for bit."""
         return self.family in ("zero", "linear", "cone")
 
-    def contains(self, x) -> bool:
-        """True iff x_n > Gamma(x') (boundary excluded)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise DomainError(f"expected points in R^{self.dim}, got shape {x.shape}")
-        res = x[..., -1] > self.gamma(x[..., :-1])
-        return bool(res) if np.ndim(res) == 0 else res
-
     # -- seminorms and pointwise conditions ---------------------------------
 
     def local_lip_seminorm(self, r: float) -> float:
-        """sup of |grad Gamma| over B'_r, refined until 1% sample agreement."""
+        """sup of |grad Gamma| over B'_r(0), sampled by seminorm_at."""
         if r <= 0 or r > self.chart_radius * (1 + 1e-12):
             raise DomainError(f"radius {r} outside (0, {self.chart_radius}]")
-        prev = None
-        m = 65
-        for _ in range(12):
-            pts = _sample_ball(self.dim - 1, r, m)
-            val = float(np.max(_radius(self.jet(pts)[1])))
-            if prev is not None and abs(val - prev) <= 0.01 * max(val, 1e-300):
-                return val
-            prev = val
-            m = 2 * m - 1
-        return prev
+        return self.seminorm_at(np.zeros(self.dim - 1), r)
 
     def seminorm_at(self, xp, scale):
         """sup of |grad Gamma| over B'_scale(x'), sampled; clipped to the chart.
 
-        Each ball takes the m = 129 sample of _sample_ball.  One point x'
-        with a scalar scale gives a float; a (k, n-1) batch with k scales
-        (or one) gives k values, sampled in blocks of about _SEMINORM_NODES
-        nodes.
+        Each ball takes _sample_ball at m = SEMINORM_M0, 2m - 1, ... until two
+        samples agree to SEMINORM_TOL relative; one still unsettled at
+        SEMINORM_M_MAX raises ConvergenceError.  One point x' with a scalar
+        scale gives a float; a (k, n-1) batch with k scales (or one) gives k
+        values, each level in blocks of about _SEMINORM_NODES nodes.
         """
         xp = self._as_xp(xp)
         single = xp.ndim == 1
@@ -260,16 +239,27 @@ class BoundaryGraph:
         scale = np.broadcast_to(np.asarray(scale, dtype=float), xp.shape[:1])
         if np.any(scale <= 0):
             raise DomainError(f"scale must be positive, got {scale.min()}")
-        unit = _unit_ball(self.dim - 1, 129)
-        step = max(1, _SEMINORM_NODES // len(unit))
-        out = np.empty(len(xp))
-        for a in range(0, len(xp), step):
-            # x' + scale u one component at a time, clipped in place
-            pts = scale[a:a + step, None, None] * unit
-            for i in range(self.dim - 1):
-                pts[..., i] += xp[a:a + step, None, i]
-            np.clip(pts, -self.chart_radius, self.chart_radius, out=pts)
-            out[a:a + step] = _radius(self.jet(pts)[1]).max(axis=-1)
+        out = np.full(len(xp), np.nan)      # nan: a first sample never settles
+        todo, m = np.arange(len(xp)), SEMINORM_M0
+        while todo.size:
+            unit = _sample_ball(self.dim - 1, 1.0, m)
+            step = max(1, _SEMINORM_NODES // len(unit))
+            val = np.empty(len(todo))
+            for a in range(0, len(todo), step):
+                # x' + scale u one component at a time, clipped in place
+                idx = todo[a:a + step]
+                pts = scale[idx, None, None] * unit
+                for i in range(self.dim - 1):
+                    pts[..., i] += xp[idx, None, i]
+                np.clip(pts, -self.chart_radius, self.chart_radius, out=pts)
+                val[a:a + step] = _radius(self.jet(pts)[1]).max(axis=-1)
+            prev, out[todo] = out[todo], val
+            unsettled = ~(np.abs(val - prev) <= SEMINORM_TOL * val)
+            if unsettled.any() and m >= SEMINORM_M_MAX:
+                j = np.argmax(unsettled)
+                raise ConvergenceError(f"seminorm over B'_{scale[todo[j]]:g}({xp[todo[j]]}) "
+                                       f"unsettled at m = {m}: {prev[j]:.17g} then {val[j]:.17g}")
+            todo, m = todo[unsettled], 2 * m - 1
         return float(out[0]) if single else out
 
     def _compute_global_lipschitz(self) -> float:

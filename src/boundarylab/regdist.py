@@ -489,11 +489,12 @@ class DistanceBoundsReport(Report):
     grad_dev    = max ||grad d| - 1| / S               (want <= C_hat)
     hess_scale  = max d |D^2 d| / S                    (want <= C_hat)
 
-    S is the local Lipschitz seminorm of Gamma over B'_scale(y') at
-    scale max(d, gap); points with S below S_FLOOR are excluded from the
-    normalized maxima (0/0 on exactly flat regions) but still checked for
-    exactness (deviation <= FLAT_TOL).  columns holds one row
-    (y_1..y_n, d, |grad d|, |D^2 d|, d/(y_n - Gamma)) per sample.
+    S is the local Lipschitz seminorm of Gamma over B'_scale(y') at scale
+    max(d, gap), sampled by seminorm_at to SEMINORM_TOL agreement; points
+    with S below S_FLOOR are excluded from the normalized maxima (0/0 on
+    exactly flat regions) but still checked for exactness (deviation <=
+    FLAT_TOL).  columns holds one row (y_1..y_n, d, |grad d|, |D^2 d|,
+    d/(y_n - Gamma)) per sample.
     """
 
     ratio_dev: float

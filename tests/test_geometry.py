@@ -1,19 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
 from boundarylab import (
-    BoundaryGraph, DomainError, check_c1_conditions, log_modulus, make_composite, power,
+    BoundaryGraph, ConvergenceError, DomainError, check_c1_conditions, log_modulus,
+    make_composite, power,
 )
-from boundarylab.geometry import _radius, _sample_ball
+from boundarylab.geometry import (
+    _SEMINORM_NODES, SEMINORM_M0, SEMINORM_M_MAX, SEMINORM_TOL, _radius, _sample_ball,
+)
 
 
 def test_zero_family():
     g = BoundaryGraph("zero")
     assert g.gamma(0.3) == 0.0
     assert g.L_global == 0.0
-    assert g.contains([0.1, 0.01])
-    assert not g.contains([0.1, -0.01])
-    assert not g.contains([0.1, 0.0])     # boundary excluded
 
 
 def test_linear_family():
@@ -76,29 +78,88 @@ def test_seminorm_at_off_center():
     assert g.seminorm_at(np.array([0.2]), 0.1) == pytest.approx(0.3, rel=1e-4)
 
 
+def _random_balls(graph, k):
+    rng = np.random.default_rng(2)
+    return rng.uniform(-0.3, 0.3, (k, graph.dim - 1)), rng.uniform(0.01, 0.2, k)
+
+
+def _ball_sample(graph, x, s, m):
+    """max |grad Gamma| on x + s u over the unit sample u, as seminorm_at forms it."""
+    cr = graph.chart_radius
+    pts = np.clip(x + s * _sample_ball(graph.dim - 1, 1.0, m), -cr, cr)
+    return np.max(np.linalg.norm(graph.jet(pts)[1], axis=-1))
+
+
+def _reference_seminorm(graph, x, s):
+    """One ball refined on its own: m, 2m - 1, ... until two samples agree."""
+    m, prev = SEMINORM_M0, None
+    while True:
+        val = _ball_sample(graph, x, s, m)
+        if prev is not None and abs(val - prev) <= SEMINORM_TOL * val:
+            return val
+        prev, m = val, 2 * m - 1
+
+
 @pytest.mark.parametrize("graph", [
     BoundaryGraph("c1model", omega=power(0.5, 0.2)),
     BoundaryGraph("sinusoid", A=0.05, k=4.0),
     BoundaryGraph("c1model", dim=3, omega=power(0.5, 0.2)),
 ], ids=["c1model-2d", "sinusoid-2d", "c1model-3d"])
 def test_seminorm_at_matches_per_call_sample(graph):
-    # the cached, scaled unit ball gives the per-call sample of B'_scale(x');
-    # 2-D batches of 600 points span three sampling blocks
-    rng = np.random.default_rng(2)
-    k = 600 if graph.dim == 2 else 6
-    xp = rng.uniform(-0.3, 0.3, (k, graph.dim - 1))
-    scales = rng.uniform(0.01, 0.2, k)
+    # a batch is bitwise one-ball-at-a-time calls and a per-ball refinement;
+    # the batches span at least three sampling blocks at the first level
+    k = 4000 if graph.dim == 2 else 150
+    assert k > 2 * (_SEMINORM_NODES // len(_sample_ball(graph.dim - 1, 1.0, SEMINORM_M0)))
+    xp, scales = _random_balls(graph, k)
     batch = graph.seminorm_at(xp, scales)
-    cr = graph.chart_radius
-    ref = np.array([
-        np.max(np.linalg.norm(graph.jet(np.clip(
-            xp[i] + _sample_ball(graph.dim - 1, scales[i], 129), -cr, cr))[1], axis=-1))
-        for i in range(k)])
+    ref = np.array([_reference_seminorm(graph, xp[i], scales[i]) for i in range(k)])
     single = np.array([graph.seminorm_at(xp[i], scales[i]) for i in range(k)])
-    np.testing.assert_allclose(single, ref, rtol=1e-15, atol=0)
-    np.testing.assert_allclose(batch, ref, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(single, ref)
+    np.testing.assert_array_equal(batch, ref)
     with pytest.raises(DomainError):
         graph.seminorm_at(xp, np.where(np.arange(k) == k - 1, 0.0, scales))
+
+
+@pytest.mark.parametrize("graph", [
+    BoundaryGraph("sinusoid", A=0.05, k=4.0),
+    BoundaryGraph("c1model", dim=3, omega=power(0.5, 0.2)),
+], ids=["sinusoid-2d", "c1model-3d"])
+def test_seminorm_at_is_within_tolerance_of_a_fine_sample(graph):
+    # the fine sample contains every coarser one, so S never exceeds it
+    xp, scales = _random_balls(graph, 200 if graph.dim == 2 else 20)
+    S = graph.seminorm_at(xp, scales)
+    m_fine = 4097 if graph.dim == 2 else 513
+    fine = np.array([_ball_sample(graph, x, s, m_fine) for x, s in zip(xp, scales)])
+    assert np.all(S <= fine)
+    assert np.all(fine - S <= SEMINORM_TOL * fine)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [3, SEMINORM_M0, 33])
+def test_sample_ball_is_nested_with_one_centre(d, m):
+    coarse, fine = _sample_ball(d, 0.3, m), _sample_ball(d, 0.3, 2 * m - 1)
+    assert {tuple(p) for p in coarse} <= {tuple(p) for p in fine}
+    for sample in (coarse, fine):
+        assert np.count_nonzero(~sample.any(axis=-1)) == 1
+
+
+def test_seminorm_at_returns_the_first_agreeing_sample(monkeypatch):
+    # |grad Gamma| = 1 - 1/M^2 on a ball of M nodes: the samples M = 17, 33
+    # and 65 differ by 2.5e-3 and then 6.8e-4 relative, so at SEMINORM_M0 = 17
+    # and SEMINORM_TOL = 1e-3 the ball settles at M = 65
+    g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
+    monkeypatch.setattr(g, "jet", lambda pts: (None, np.full(pts.shape, 1 - pts.shape[-2] ** -2.0)))
+    assert g.seminorm_at(np.array([0.2]), 0.1) == 1 - 65 ** -2.0
+
+
+def test_seminorm_at_raises_on_a_ball_that_never_settles(monkeypatch):
+    # |grad Gamma| equal to the node count of the ball grows with every level
+    g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
+    monkeypatch.setattr(g, "jet", lambda pts: (None, np.full(pts.shape, pts.shape[-2] + 0.0)))
+    m = SEMINORM_M_MAX
+    msg = f"B'_0.1([0.2]) unsettled at m = {m}: {(m + 1) // 2} then {m}"
+    with pytest.raises(ConvergenceError, match=re.escape(msg)):
+        g.seminorm_at(np.array([0.2]), 0.1)
 
 
 # zeros of both signs, subnormals, squares that underflow or overflow, and
