@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .barriers import EPS_CAP, minimal_passing_epsilon, sample_domain_points, special_solution
+from .config import _check_keys
 from .errors import ConfigError
 from .geometry import BoundaryGraph
 from .pucci import EllipticityPair
@@ -59,13 +60,7 @@ def load_calibration(path=None) -> CalibrationConstants:
         raise ConfigError(
             f"calibration schema version {raw.get('schema_version')} != {SCHEMA_VERSION}"
         )
-    known = set(CalibrationConstants.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown calibration keys: {sorted(unknown)}")
-    missing = known - set(raw)
-    if missing:
-        raise ConfigError(f"missing calibration keys: {sorted(missing)}")
+    _check_keys(raw, f"calibration file {p}", set(CalibrationConstants.__dataclass_fields__))
     return CalibrationConstants(**raw)
 
 

@@ -202,25 +202,16 @@ def _cmd_calibrate(cfg, out: Path, cal, seed) -> int:
     return 0
 
 
-# allowed top-level config keys per subcommand (schema_version/seed always)
-_ALLOWED_KEYS = {
-    "modulus-table": {"modulus", "n_points", "t_min"},
-    "regdist-check": {"domain", "n_points", "r"},
-    "barrier-check": {"domain", "ellipticity", "r", "n_points"},
-    "solve": {"domain", "operator", "r", "n", "rhs", "dirichlet", "stencil"},
-    "growth": _CASCADE_KEYS | {"omega", "outer_data"},
-    "boundary-modulus": _CASCADE_KEYS | {"g", "omega_tilde"},
-    "calibrate": set(),
-}
-
+# each subcommand's handler and its top-level config keys (schema_version and
+# seed are always allowed)
 _COMMANDS = {
-    "modulus-table": _cmd_modulus_table,
-    "regdist-check": _cmd_regdist_check,
-    "barrier-check": _cmd_barrier_check,
-    "solve": _cmd_solve,
-    "growth": _cmd_growth,
-    "boundary-modulus": _cmd_boundary_modulus,
-    "calibrate": _cmd_calibrate,
+    "modulus-table": (_cmd_modulus_table, {"modulus", "n_points", "t_min"}),
+    "regdist-check": (_cmd_regdist_check, {"domain", "n_points", "r"}),
+    "barrier-check": (_cmd_barrier_check, {"domain", "ellipticity", "r", "n_points"}),
+    "solve": (_cmd_solve, {"domain", "operator", "r", "n", "rhs", "dirichlet", "stencil"}),
+    "growth": (_cmd_growth, _CASCADE_KEYS | {"omega", "outer_data"}),
+    "boundary-modulus": (_cmd_boundary_modulus, _CASCADE_KEYS | {"g", "omega_tilde"}),
+    "calibrate": (_cmd_calibrate, set()),
 }
 
 
@@ -240,14 +231,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config is not None else {"schema_version": 1}
-        unknown = set(cfg) - _ALLOWED_KEYS[args.command] - {"schema_version", "seed"}
+        handler, keys = _COMMANDS[args.command]
+        unknown = set(cfg) - keys - {"schema_version", "seed"}
         if unknown:
             raise ConfigError(
                 f"unknown keys for {args.command}: {sorted(unknown)}")
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         cal = _calmod.load_calibration(args.calibration)
         args.out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, cal, seed)
+        return handler(cfg, args.out, cal, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import BoundaryGraph
+from .geometry import _FAMILIES, BoundaryGraph
 from .modulus import constant, log_modulus, make_composite, power, table
 from .pucci import EllipticityPair
 from .solver import FixedOp, LaplaceOp, PucciOp
@@ -45,6 +45,11 @@ def _positive(rec, key, where):
     return float(v)
 
 
+def _floats(rec, *keys) -> dict:
+    """Those keys that rec has, as floats; an absent one takes the factory's default."""
+    return {k: float(rec[k]) for k in keys if k in rec}
+
+
 def load_config(path) -> dict:
     """Read a config file and check the schema version field."""
     try:
@@ -64,18 +69,16 @@ def modulus_from_config(rec, where: str = "modulus"):
     kind = rec.get("kind") if isinstance(rec, dict) else None
     if kind == "constant":
         _check_keys(rec, where, {"kind", "L"}, {"t0"})
-        return constant(float(rec["L"]), float(rec.get("t0", 1.0)))
+        return constant(float(rec["L"]), **_floats(rec, "t0"))
     if kind == "power":
         _check_keys(rec, where, {"kind", "alpha"}, {"scale", "t0"})
-        return power(_positive(rec, "alpha", where), float(rec.get("scale", 1.0)),
-                     float(rec.get("t0", 1.0)))
+        return power(_positive(rec, "alpha", where), **_floats(rec, "scale", "t0"))
     if kind == "log":
         _check_keys(rec, where, {"kind"}, {"c", "t0"})
-        return log_modulus(float(rec.get("c", 1.0)), float(rec.get("t0", 0.5)))
+        return log_modulus(**_floats(rec, "c", "t0"))
     if kind == "table":
         _check_keys(rec, where, {"kind", "ts", "values"}, {"t0"})
-        return table(rec["ts"], rec["values"],
-                     float(rec["t0"]) if "t0" in rec else None)
+        return table(rec["ts"], rec["values"], **_floats(rec, "t0"))
     if kind == "composite":
         _check_keys(rec, where, {"kind", "a", "b", "c", "omega1", "omega2"})
         return make_composite(
@@ -88,30 +91,13 @@ def modulus_from_config(rec, where: str = "modulus"):
 
 def graph_from_config(rec, where: str = "domain") -> BoundaryGraph:
     family = rec.get("family") if isinstance(rec, dict) else None
-    common = {"family", "dim", "chart_radius"}
-    per = {"zero": set(), "linear": {"a"}, "cone": {"L"}, "c1model": {"omega"},
-           "sinusoid": {"A", "k"}, "table": {"ts", "values"}}
-    if family not in per:
+    if family not in _FAMILIES:
         raise ConfigError(f"{where}.family: unknown family {family!r}")
-    optional = common - {"family"}
-    if family == "c1model":
-        optional = optional | {"sign"}
-    _check_keys(rec, where, {"family"} | per[family], optional)
-    kwargs = {}
-    if family == "c1model" and "sign" in rec:
-        kwargs["sign"] = float(rec["sign"])
-    if family == "linear":
-        kwargs["a"] = rec["a"]
-    elif family == "cone":
-        kwargs["L"] = float(rec["L"])
-    elif family == "c1model":
+    fam = _FAMILIES[family]
+    _check_keys(rec, where, {"family"} | fam.required, {"dim", "chart_radius"} | fam.optional)
+    kwargs = {k: rec[k] for k in fam.required | fam.optional if k in rec}
+    if "omega" in kwargs:
         kwargs["omega"] = modulus_from_config(rec["omega"], where + ".omega")
-    elif family == "sinusoid":
-        kwargs["A"] = float(rec["A"])
-        kwargs["k"] = float(rec["k"])
-    elif family == "table":
-        kwargs["ts"] = rec["ts"]
-        kwargs["values"] = rec["values"]
     return BoundaryGraph(family, dim=int(rec.get("dim", 2)),
                          chart_radius=float(rec.get("chart_radius", 0.5)), **kwargs)
 

@@ -15,6 +15,7 @@ solver is restricted to n = 2.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,21 @@ _SEMINORM_NODES = 1 << 15
 SEMINORM_M0 = 17
 SEMINORM_TOL = 1e-3
 SEMINORM_M_MAX = 513
+
+
+# each family's required and optional parameters, whether Gamma has a derivative
+# singularity at the origin (radial_kink), and whether Gamma(2^j x') = 2^j Gamma(x')
+# holds bit for bit (dilation_invariant); BoundaryGraph and config.graph_from_config
+# read the parameter names here and nowhere else
+_Family = namedtuple("_Family", "required optional radial_kink dilation_invariant")
+_FAMILIES = {
+    "zero": _Family(frozenset(), frozenset(), False, True),
+    "linear": _Family(frozenset({"a"}), frozenset(), False, True),
+    "cone": _Family(frozenset({"L"}), frozenset(), True, True),
+    "c1model": _Family(frozenset({"omega"}), frozenset({"sign"}), True, False),
+    "sinusoid": _Family(frozenset({"A", "k"}), frozenset(), False, False),
+    "table": _Family(frozenset({"ts", "values"}), frozenset(), False, False),
+}
 
 
 def _radius(arr) -> np.ndarray:
@@ -84,38 +100,44 @@ class BoundaryGraph:
             raise DomainError(f"dim must be 2 or 3, got {dim}")
         if not float(chart_radius) > 0:
             raise DomainError(f"chart radius must be positive, got {chart_radius}")
+        if family not in _FAMILIES:
+            raise DomainError(f"unknown boundary family {family!r}; known: {sorted(_FAMILIES)}")
+        need, may, self.radial_kink, self.dilation_invariant = _FAMILIES[family]
+        if not need <= set(params) <= need | may:
+            raise DomainError(f"family {family!r} takes parameters {sorted(need)}"
+                              + (f", optionally {sorted(may)}" if may else "")
+                              + f"; got {sorted(params)}")
         self.family = family
         self.dim = dim
         self.chart_radius = float(chart_radius)
         self.params = params
+        self.L_global = 0.0                 # the zero family's; the others set theirs
 
-        if family == "zero":
-            pass
-        elif family == "linear":
-            a = np.atleast_1d(np.asarray(params["a"], dtype=float))
-            if a.size != dim - 1:
+        if family == "linear":
+            self._a = np.atleast_1d(np.asarray(params["a"], dtype=float))
+            if self._a.size != dim - 1:
                 raise DomainError(f"linear slope must have {dim - 1} components")
-            self._a = a
+            self.L_global = float(np.linalg.norm(self._a))
         elif family == "cone":
-            if params["L"] < 0:
+            self._L = self.L_global = self._number("L")
+            if not self._L >= 0:
                 raise DomainError("cone slope L must be nonnegative")
-            self._L = float(params["L"])
         elif family == "c1model":
-            omega = params["omega"]
+            self._omega = omega = params["omega"]
             if not isinstance(omega, Modulus):
                 raise DomainError("c1model requires a Modulus instance")
             if not omega.vanishes_at_zero:
                 raise DomainError("c1model requires a modulus vanishing at zero")
-            self._omega = omega
             # sign -1 flips to the wide-side domain Gamma = -|x'| omega(|x'|)
-            self._sign = float(params.get("sign", 1.0))
+            self._sign = self._number("sign") if "sign" in params else 1.0
             if self._sign not in (-1.0, 1.0):
                 raise DomainError(f"c1model sign must be +-1, got {self._sign}")
-            if chart_radius >= omega.t0:
+            if self.chart_radius >= omega.t0:
                 self.chart_radius = 0.5 * omega.t0
+            self.L_global = self.local_lip_seminorm(self.chart_radius)
         elif family == "sinusoid":
-            self._A = float(params["A"])
-            self._k = float(params["k"])
+            self._A, self._k = self._number("A"), self._number("k")
+            self.L_global = abs(self._A * self._k)
         elif family == "table":
             if dim != 2:
                 raise DomainError("table family is 2-d only")
@@ -133,10 +155,15 @@ class BoundaryGraph:
             off = float(interp(0.0))
             self._interp = PchipInterpolator(ts, vals - off)
             self._dinterp = self._interp.derivative()
-        else:
-            raise DomainError(f"unknown boundary family {family!r}")
+            self.L_global = self.local_lip_seminorm(self.chart_radius)
 
-        self.L_global = self._compute_global_lipschitz()
+    def _number(self, key) -> float:
+        """The scalar parameter key as a float; anything else is a DomainError."""
+        v = self.params[key]
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            raise DomainError(f"{self.family} {key} must be a number, got {v!r}") from None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -206,16 +233,6 @@ class BoundaryGraph:
         """min(1/2, chart radius): the chart of the regularized distance."""
         return min(0.5, self.chart_radius)
 
-    @property
-    def radial_kink(self) -> bool:
-        """Whether Gamma has a derivative singularity at the origin."""
-        return self.family in ("cone", "c1model")
-
-    @property
-    def dilation_invariant(self) -> bool:
-        """Whether Gamma(2^j x') = 2^j Gamma(x') holds bit for bit."""
-        return self.family in ("zero", "linear", "cone")
-
     # -- seminorms and pointwise conditions ---------------------------------
 
     def local_lip_seminorm(self, r: float) -> float:
@@ -262,20 +279,8 @@ class BoundaryGraph:
             todo, m = todo[unsettled], 2 * m - 1
         return float(out[0]) if single else out
 
-    def _compute_global_lipschitz(self) -> float:
-        if self.family == "zero":
-            return 0.0
-        if self.family == "linear":
-            return float(np.linalg.norm(self._a))
-        if self.family == "cone":
-            return self._L
-        if self.family == "sinusoid":
-            return abs(self._A * self._k)
-        return self.local_lip_seminorm(self.chart_radius)
-
     def __repr__(self):
-        ps = {k: v for k, v in self.params.items() if k not in ("ts", "values")}
-        return f"BoundaryGraph({self.family}, dim={self.dim}, {ps})"
+        return f"BoundaryGraph({self.family}, dim={self.dim}, {self.params})"
 
 
 @dataclass(frozen=True)

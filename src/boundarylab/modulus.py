@@ -51,6 +51,7 @@ class Modulus:
             raise DomainError(f"t0 must be positive, got {t0}")
         self.kind = kind
         self.t0 = float(t0)
+        # eval_modulus and derivative hand func and deriv a float array
         self._func = func
         self._deriv = deriv
         # antiderivative of omega(s)/s, where a closed form exists, defined
@@ -89,8 +90,8 @@ def constant(L: float, t0: float = 1.0) -> Modulus:
     return Modulus(
         "constant",
         t0,
-        lambda t: np.full_like(np.asarray(t, dtype=float), L),
-        deriv=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        lambda t: np.full_like(t, L),
+        deriv=np.zeros_like,
         dini_primitive=(lambda s: L * math.log(s) if s > 0
                         else -math.inf if L > 0 else 0.0),
         params={"L": L},
@@ -109,8 +110,8 @@ def power(alpha: float, scale: float = 1.0, t0: float = 1.0) -> Modulus:
     return Modulus(
         "power",
         t0,
-        lambda t: scale * np.asarray(t, dtype=float) ** alpha,
-        deriv=lambda t: scale * alpha * np.asarray(t, dtype=float) ** (alpha - 1.0),
+        lambda t: scale * t ** alpha,
+        deriv=lambda t: scale * alpha * t ** (alpha - 1.0),
         dini_primitive=(lambda s: scale * s**alpha / alpha),
         params={"alpha": alpha, "scale": scale},
     )
@@ -124,14 +125,12 @@ def log_modulus(c: float = 1.0, t0: float = 0.5) -> Modulus:
         raise DomainError(f"log modulus needs t0 < 1, got {t0}")
 
     def f(t):
-        t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         pos = t > 0
         out[pos] = c / np.log(1.0 / t[pos])
         return out
 
     def df(t):
-        t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         pos = t > 0
         out[pos] = c / (t[pos] * np.log(1.0 / t[pos]) ** 2)
@@ -169,14 +168,13 @@ def table(ts: Sequence[float], values: Sequence[float], t0: Optional[float] = No
         raise DomainError("t0 beyond the last sample would extrapolate")
 
     def dval(t):
-        t = np.asarray(t, dtype=float)
         idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(slopes) - 1)
         return slopes[idx]
 
     return Modulus(
         "table",
         t0,
-        lambda t: np.interp(np.asarray(t, dtype=float), ts, values),
+        lambda t: np.interp(t, ts, values),
         deriv=dval,
         params={"n_samples": int(ts.size)},
     )
@@ -282,7 +280,6 @@ def make_composite(a: float, b: float, c: float, omega1: Modulus,
             return math.inf
 
     def w(t):
-        t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape)
         for i, ti in np.ndenumerate(t):
             if ti != 0.0:
@@ -290,7 +287,6 @@ def make_composite(a: float, b: float, c: float, omega1: Modulus,
         return out
 
     def dw(t):
-        t = np.asarray(t, dtype=float)
         out = np.empty(t.shape)
         for i, ti in np.ndenumerate(t):
             out[i] = math.exp(c * dini(omega2, ti)) * (

@@ -412,8 +412,7 @@ class RegularizedDistanceField:
     def eval_all(self, y):
         """(d, grad d, hess d) for a batch of points, ordered by input index.
 
-        A single point is a batch of one; _fd_check cross-checks the result
-        against central differences of d.
+        A single point is a batch of one.
         """
         pts = np.atleast_2d(np.asarray(y, dtype=float))
         xp, yn = pts[:, :-1], pts[:, -1]
@@ -438,48 +437,6 @@ class RegularizedDistanceField:
         hess[:, nm1, :nm1] = hin
         hess[:, nm1, nm1] = hnn
         return d, grad, hess
-
-    def _fd_check(self, pts, d, grad, hess):
-        """Cross-check grad/Hessian against central differences of eval_d.
-
-        Every offset of every point, +-h e_a and +-h e_a +-h e_b (a < b) with
-        h = 1e-5 d, is evaluated in one batched inversion.
-        """
-        k, n = pts.shape
-        eye = np.eye(n)
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-        units = np.array([s * eye[a] for a in range(n) for s in (1, -1)]
-                         + [sa * eye[a] + sb * eye[b] for a, b in pairs for sa, sb in signs])
-        h = 1e-5 * d
-        z = (pts[:, None, :] + h[:, None, None] * units).reshape(-1, n)
-        dv = self._solve_d(z[:, :-1], z[:, -1])[0].reshape(k, -1)
-        fp, fm = dv[:, 0:2 * n:2], dv[:, 1:2 * n:2]
-        cross = dv[:, 2 * n:].reshape(k, len(pairs), 4)
-        fd_grad = (fp - fm) / (2 * h[:, None])
-        fd_hess = np.empty((k, n, n))
-        fd_hess[:, range(n), range(n)] = (fp - 2 * d[:, None] + fm) / h[:, None] ** 2
-        for j, (a, b) in enumerate(pairs):
-            pp, pm, mp, mm = cross[:, j].T
-            fd_hess[:, a, b] = fd_hess[:, b, a] = (pp - pm - mp + mm) / (4 * h**2)
-        grad_bad = ~np.isclose(fd_grad, grad, rtol=1e-3, atol=1e-9).all(axis=1)
-        # second differences carry cancellation noise ~ eps * d / h^2
-        noise = 100 * np.finfo(float).eps * d / h**2
-        scale = np.maximum(np.maximum(np.abs(fd_hess).max(axis=(1, 2)),
-                                      np.abs(hess).max(axis=(1, 2))), noise / 1e-3)
-        diff = np.abs(fd_hess - hess).max(axis=(1, 2))
-        bad = np.nonzero(grad_bad | (diff > 1e-3 * scale))[0]
-        if bad.size:
-            i = bad[0]
-            if grad_bad[i]:
-                raise QuadratureError(
-                    f"gradient cross-check failed at {pts[i]}: {grad[i]} vs FD {fd_grad[i]}"
-                )
-            raise QuadratureError(
-                f"Hessian cross-check failed at {pts[i]}: |diff| = "
-                f"{diff[i]:g} vs scale {scale[i]:g}"
-            )
-
 
 @dataclass(frozen=True)
 class DistanceBoundsReport(Report):

@@ -14,7 +14,7 @@ E_LAP = EllipticityPair(1.0, 1.0)
 
 
 def _field(fam="cone", **kw):
-    g = BoundaryGraph(fam, **(kw or {"L": 0.1}))
+    g = BoundaryGraph(fam, **(kw or ({"L": 0.1} if fam == "cone" else {})))
     return g, RegularizedDistanceField(g)
 
 

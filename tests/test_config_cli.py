@@ -8,6 +8,7 @@ from boundarylab import BoundaryGraph, DomainError, measure_boundary_modulus, po
 from boundarylab.calibrate import load_calibration, run_calibration, save_calibration
 from boundarylab import cli, harness
 from boundarylab.cli import main
+from boundarylab.geometry import _FAMILIES
 from boundarylab.config import (
     ConfigError, data_from_config, ellipticity_from_config, graph_from_config,
     load_config, modulus_from_config, operator_from_config,
@@ -73,6 +74,33 @@ def test_graph_from_config():
         graph_from_config({"family": "zero", "sign": -1})
 
 
+# one value for each parameter that geometry._FAMILIES names
+_PARAMETER_VALUES = {
+    "a": 0.1, "L": 0.1, "omega": {"kind": "power", "alpha": 0.5, "scale": 0.2},
+    "A": 0.05, "k": 4, "ts": [-0.5, 0.0, 0.5], "values": [0.02, 0.01, 0.03],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_graph_from_config_builds_every_family(family):
+    fam = _FAMILIES[family]
+    rec = {"family": family, **{k: _PARAMETER_VALUES[k] for k in fam.required}}
+    g = graph_from_config(rec)
+    assert (g.family, g.radial_kink, g.dilation_invariant) == (
+        family, fam.radial_kink, fam.dilation_invariant)
+    assert g.gamma(0.0) == 0.0
+    with pytest.raises(ConfigError, match=r"domain: unknown keys \['extra'\]"):
+        graph_from_config({**rec, "extra": 1})
+
+
+@pytest.mark.parametrize("L", ["steep", None])
+def test_cli_rejects_a_parameter_that_is_not_a_number(tmp_path, capsys, L):
+    cfg = _write(tmp_path, "c.json", {"schema_version": 1,
+                                      "domain": {"family": "cone", "L": L}})
+    assert main(["regdist-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: cone L must be a number, got {L!r}" in capsys.readouterr().err
+
+
 def test_operator_and_ellipticity_from_config():
     from boundarylab import LaplaceOp
     assert isinstance(operator_from_config({"kind": "laplace"}), LaplaceOp)
@@ -109,6 +137,10 @@ def test_calibration_roundtrip(tmp_path):
     obj["extra_constant"] = 1.0
     p.write_text(json.dumps(obj))
     with pytest.raises(ConfigError):
+        load_calibration(p)
+    del obj["extra_constant"], obj["C_abp"]
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match=r"missing keys \['C_abp'\]"):
         load_calibration(p)
 
 

@@ -58,6 +58,23 @@ def test_c1model_slope_and_sign():
         BoundaryGraph("c1model", omega=w, sign=0.5)
 
 
+@pytest.mark.parametrize("family, params, message", [
+    ("cube", {}, r"unknown boundary family 'cube'; known: \['c1model', 'cone', 'linear', "
+                 r"'sinusoid', 'table', 'zero'\]"),
+    ("cone", {}, r"family 'cone' takes parameters \['L'\]; got \[\]"),
+    ("zero", {"L": 0.1}, r"family 'zero' takes parameters \[\]; got \['L'\]"),
+    ("sinusoid", {"A": 0.05, "k": 4.0, "sign": -1},
+     r"family 'sinusoid' takes parameters \['A', 'k'\]; got \['A', 'k', 'sign'\]"),
+    ("c1model", {}, r"family 'c1model' takes parameters \['omega'\], optionally \['sign'\]"),
+    ("cone", {"L": "steep"}, "cone L must be a number, got 'steep'"),
+    ("cone", {"L": None}, "cone L must be a number, got None"),
+    ("cone", {"L": float("nan")}, "cone slope L must be nonnegative"),
+], ids=["unknown", "missing", "stray", "stray-sign", "missing-c1model", "string", "none", "nan"])
+def test_bad_family_parameters_raise_domain_error(family, params, message):
+    with pytest.raises(DomainError, match=message):
+        BoundaryGraph(family, **params)
+
+
 def test_c1model_requires_vanishing_modulus():
     from boundarylab import constant
     with pytest.raises(DomainError):
