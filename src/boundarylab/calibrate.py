@@ -56,6 +56,8 @@ def load_calibration(path=None) -> CalibrationConstants:
         raw = json.loads(p.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read calibration file {p}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"calibration file {p}: root must be an object")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"calibration schema version {raw.get('schema_version')} != {SCHEMA_VERSION}"

@@ -45,6 +45,14 @@ def _positive(rec, key, where):
     return float(v)
 
 
+def _number(rec, key, where, default) -> float:
+    """rec[key] as a float, default when absent; null or a non-number is a ConfigError."""
+    v = rec.get(key, default)
+    if not isinstance(v, (int, float)):
+        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+    return float(v)
+
+
 def _floats(rec, *keys) -> dict:
     """Those keys that rec has, as floats; an absent one takes the factory's default."""
     return {k: float(rec[k]) for k in keys if k in rec}
@@ -98,8 +106,8 @@ def graph_from_config(rec, where: str = "domain") -> BoundaryGraph:
     kwargs = {k: rec[k] for k in fam.required | fam.optional if k in rec}
     if "omega" in kwargs:
         kwargs["omega"] = modulus_from_config(rec["omega"], where + ".omega")
-    return BoundaryGraph(family, dim=int(rec.get("dim", 2)),
-                         chart_radius=float(rec.get("chart_radius", 0.5)), **kwargs)
+    return BoundaryGraph(family, dim=int(_number(rec, "dim", where, 2)),
+                         chart_radius=_number(rec, "chart_radius", where, 0.5), **kwargs)
 
 
 def ellipticity_from_config(rec, where: str = "ellipticity") -> EllipticityPair:

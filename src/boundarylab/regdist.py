@@ -34,6 +34,8 @@ further quadrature.
 eval_p and eval_d certify by order doubling: the p held at order 2 QUAD_ORDER
 (for eval_d, the last Halley pass's, at d) must match one pass at QUAD_ORDER.
 eval_all, the path of the distance and barrier checks, is not certified.
+eval_all keeps the (d, grad d, D^2 d) of its last batch, so the sub and the
+super barrier of one sample cost one inversion.
 """
 
 from __future__ import annotations
@@ -82,8 +84,22 @@ def _polar_rule(order: int):
 
 
 def _bump(rho):
-    """exp(-1/(1 - rho^2)) on [0, 1), zero outside; returns (phi, phi')."""
+    """exp(-1/(1 - rho^2)) on [0, 1), zero outside; returns (phi, phi').
+
+    When every rho < 1 (every rule node) the masks are dropped and the
+    arrays are formed in place, bitwise equal to the masked formula.
+    """
     r = np.asarray(rho, dtype=float)
+    if r.ndim and np.all(r < 1.0):
+        ig = np.multiply(r, r)
+        np.subtract(1.0, ig, out=ig)
+        np.divide(1.0, ig, out=ig)
+        f = np.negative(ig)
+        np.exp(f, out=f)
+        df = np.multiply(r, -2.0)
+        df *= np.multiply(ig, ig, out=ig)
+        df *= f
+        return f, df
     inside = r < 1.0
     ig = 1.0 / np.where(inside, 1.0 - r * r, 1.0)       # 1/g, g = 1 - rho^2
     f = np.where(inside, np.exp(-ig), 0.0)
@@ -123,8 +139,9 @@ class Mollifier:
 
     def eta_derivs(self, rho):
         phi, dphi = _bump(rho)
-        c = self.normalization
-        return phi / c, dphi / c
+        phi /= self.normalization
+        dphi /= self.normalization
+        return phi, dphi
 
 
 @lru_cache(maxsize=2)
@@ -173,7 +190,11 @@ def _rule(dim, c, order):
     T, W = _nodes(dim, c, order)
     rho = _radius(T)
     eta, deta = _mollifier(dim - 1).eta_derivs(rho)
-    q = np.divide(W * deta, rho, out=np.zeros_like(rho), where=rho > 0)
+    if rho.all():
+        q = np.multiply(W, deta)
+        q /= rho
+    else:
+        q = np.divide(W * deta, rho, out=np.zeros_like(rho), where=rho > 0)
     Wgrad = np.empty_like(T)
     for i in range(dim - 1):
         np.multiply(q, T[..., i], out=Wgrad[..., i])
@@ -203,7 +224,9 @@ class RegularizedDistanceField:
 
     Works on the graph's working radius, min(1/2, chart radius), with rules
     of order QUAD_ORDER, on graphs with L_global <= MAX_LIPSCHITZ.
-    Immutable after construction; evaluations are pure and reentrant.
+    The graph and the rules are fixed at construction.  The one state is
+    eval_all's memo of its last batch, private copies keyed on the batch's
+    bytes, so every evaluation returns what a fresh field would.
     """
 
     def __init__(self, graph: BoundaryGraph):
@@ -215,6 +238,7 @@ class RegularizedDistanceField:
         self.graph = graph
         self.mollifier = _mollifier(graph.dim - 1)
         self.working_radius = graph.working_radius
+        self._last = None           # (key, (d, grad d, hess d)) of eval_all's last batch
 
     # -- p and its derivatives ---------------------------------------------
 
@@ -412,9 +436,17 @@ class RegularizedDistanceField:
     def eval_all(self, y):
         """(d, grad d, hess d) for a batch of points, ordered by input index.
 
-        A single point is a batch of one.
+        A single point is a batch of one.  The field keeps private copies of
+        the results of its last batch, keyed on the batch's shape and bytes:
+        the same batch again (the sub and the super barrier check of one
+        sample) is inverted once.  Every call returns arrays the caller owns,
+        and a call that raises keeps nothing.
         """
         pts = np.atleast_2d(np.asarray(y, dtype=float))
+        key = (pts.shape, pts.tobytes())
+        last = self._last
+        if last is not None and last[0] == key:
+            return tuple(a.copy() for a in last[1])
         xp, yn = pts[:, :-1], pts[:, -1]
         d, der = self._solve_d(xp, yn)
         q = der["ps"]
@@ -436,6 +468,7 @@ class RegularizedDistanceField:
         hess[:, :nm1, nm1] = hin
         hess[:, nm1, :nm1] = hin
         hess[:, nm1, nm1] = hnn
+        self._last = (key, (d.copy(), grad.copy(), hess.copy()))
         return d, grad, hess
 
 @dataclass(frozen=True)

@@ -169,6 +169,32 @@ def test_verify_barrier_inverts_once(monkeypatch):
     assert rep.min_value == (barrier_hessian_value(b, pts) / d ** (b.exponent - 2.0)).min()
 
 
+def test_sub_and_super_checks_of_one_batch_invert_once(monkeypatch):
+    # both barriers are powers of one d: the super check reads the sub check's inversion
+    g, f = _field("sinusoid", A=0.05, k=4.0)
+    pts = sample_domain_points(g, 0.25, 30, np.random.default_rng(5))
+    fresh = RegularizedDistanceField(g)
+    E = EllipticityPair(1.0, 2.0)
+    expected = [verify_barrier(Barrier(field=RegularizedDistanceField(g), eps=0.3, sign=sign,
+                                       E=E, r=0.25), pts).to_dict()
+                for sign in ("sub", "super")]
+    calls = []
+    solve_d = RegularizedDistanceField._solve_d
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return solve_d(self, *args, **kwargs)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_solve_d", counted)
+    reps = [verify_barrier(Barrier(field=f, eps=0.3, sign=sign, E=E, r=0.25), pts).to_dict()
+            for sign in ("sub", "super")]
+    assert calls == [30]
+    assert reps == expected
+    # the memo belongs to its field
+    fresh.eval_all(pts)
+    assert calls == [30, 30]
+
+
 def test_minimal_epsilon_inverts_the_samples_once(monkeypatch):
     # d, grad d and D^2 d do not depend on eps: one eval_all serves every step
     g, f = _field("cone", L=0.1)

@@ -9,6 +9,7 @@ from boundarylab.calibrate import load_calibration, run_calibration, save_calibr
 from boundarylab import cli, harness
 from boundarylab.cli import main
 from boundarylab.geometry import _FAMILIES
+from boundarylab.regdist import RegularizedDistanceField
 from boundarylab.config import (
     ConfigError, data_from_config, ellipticity_from_config, graph_from_config,
     load_config, modulus_from_config, operator_from_config,
@@ -101,6 +102,16 @@ def test_cli_rejects_a_parameter_that_is_not_a_number(tmp_path, capsys, L):
     assert f"error: cone L must be a number, got {L!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["dim", "chart_radius"])
+@pytest.mark.parametrize("value", [None, "3"])
+def test_cli_rejects_a_chart_key_that_is_not_a_number(tmp_path, capsys, key, value):
+    cfg = _write(tmp_path, "c.json", {"schema_version": 1,
+                                      "domain": {"family": "cone", "L": 0.1, key: value}})
+    assert main(["regdist-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: domain.{key}: expected a number, got {value!r}" \
+        in capsys.readouterr().err
+
+
 def test_operator_and_ellipticity_from_config():
     from boundarylab import LaplaceOp
     assert isinstance(operator_from_config({"kind": "laplace"}), LaplaceOp)
@@ -142,6 +153,15 @@ def test_calibration_roundtrip(tmp_path):
     p.write_text(json.dumps(obj))
     with pytest.raises(ConfigError, match=r"missing keys \['C_abp'\]"):
         load_calibration(p)
+
+
+def test_cli_rejects_a_calibration_root_that_is_not_an_object(tmp_path, capsys):
+    cal = _write(tmp_path, "cal.json", [1, 2])
+    cfg = _write(tmp_path, "c.json", {"schema_version": 1, "domain": {"family": "zero"}})
+    assert main(["regdist-check", "--config", str(cfg), "--calibration", str(cal),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: calibration file {cal}: root must be an object" \
+        in capsys.readouterr().err
 
 
 def test_calibration_values_positive():
@@ -336,6 +356,27 @@ def test_cli_barrier_check_pass(tmp_path):
     rep = json.loads((out / "barrier_report.json").read_text())
     assert rep["reports"]["sub"]["pass"]
     assert rep["reports"]["super"]["pass"]
+
+
+def test_cli_barrier_check_inverts_its_sample_once(tmp_path, monkeypatch):
+    # the sub and the super check read one eval_all result
+    sizes = []
+    solve_d = RegularizedDistanceField._solve_d
+
+    def counted(self, xp, yn):
+        sizes.append(len(yn))
+        return solve_d(self, xp, yn)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_solve_d", counted)
+    cfg = _write(tmp_path, "b.json", {
+        "schema_version": 1, "n_points": 40,
+        "domain": {"family": "cone", "L": 0.05},
+        "ellipticity": {"lam": 1.0, "Lam": 2.0}})
+    out = tmp_path / "out"
+    assert main(["barrier-check", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sizes == [40]
+    rep = json.loads((out / "barrier_report.json").read_text())
+    assert set(rep["reports"]) == {"sub", "super"}
 
 
 def test_cli_exit_code_2_on_bad_config(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from boundarylab import BoundaryGraph, ConvergenceError, DomainError, QuadratureError, power
 from boundarylab.barriers import sample_domain_points
+from boundarylab.geometry import _radius
 from boundarylab.pucci import sym_eigvals
 from boundarylab import regdist
 from boundarylab.regdist import (
@@ -72,6 +73,30 @@ def test_mollifier_normalized():
         assert np.all(m.eta(np.array([0.0, 0.5, 0.99])) >= 0)
         assert m.eta(np.array([1.0]))[0] == 0.0
         assert m.eta(np.array([1.3]))[0] == 0.0
+
+
+def _masked_bump(rho):
+    """The bump with np.where masks at every step, as formed before the in-place path."""
+    r = np.asarray(rho, dtype=float)
+    inside = r < 1.0
+    ig = 1.0 / np.where(inside, 1.0 - r * r, 1.0)
+    f = np.where(inside, np.exp(-ig), 0.0)
+    return f, f * (-2.0 * r * (ig * ig))
+
+
+def test_in_place_bump_is_bitwise_the_masked_formula():
+    rng = np.random.default_rng(8)
+    rules = [_radius(_nodes(dim, c, 32)[0]) for dim, c in
+             ((2, np.array([[0.0], [0.37]])), (3, np.array([[0.0, 0.0], [0.2, -0.5]])))]
+    inside = [rng.uniform(0.0, 1.0, 4096), np.array([0.0, 0.5, np.nextafter(1.0, 0.0)]), *rules]
+    mixed = [rng.uniform(0.0, 1.5, 4096), np.array([0.0, 1.0, 1.3, 0.99])]
+    for rho in inside + mixed:
+        for a, b in zip(regdist._bump(rho), _masked_bump(rho)):
+            assert a.tobytes() == b.tobytes()
+    # eta_derivs divides the bump by the normalization, bit for bit
+    m = Mollifier(1)
+    for a, b in zip(m.eta_derivs(inside[0]), _masked_bump(inside[0])):
+        assert a.tobytes() == (b / m.normalization).tobytes()
 
 
 def test_p_trivial_families():
@@ -335,6 +360,60 @@ def test_batch_agrees_with_point_by_point(graph, n):
         assert abs(di[0] - d[i]) <= 1e-15 * d[i]
         assert _max_rel(gi[0], grad[i]) <= 1e-15
         assert _max_rel(hi[0], hess[i]) <= 1e-15
+
+
+def _counted_inversions(monkeypatch):
+    sizes = []
+    solve_d = RegularizedDistanceField._solve_d
+
+    def counted(self, xp, yn):
+        sizes.append(len(yn))
+        return solve_d(self, xp, yn)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_solve_d", counted)
+    return sizes
+
+
+def test_eval_all_inverts_a_new_or_changed_batch_again(monkeypatch):
+    g = BoundaryGraph("cone", L=0.1)
+    f = RegularizedDistanceField(g)
+    pts = sample_domain_points(g, 0.25, 12, np.random.default_rng(4))
+    sizes = _counted_inversions(monkeypatch)
+    first = f.eval_all(pts)
+    again = f.eval_all(pts.copy())
+    assert sizes == [12]
+    for a, b in zip(first, again):
+        np.testing.assert_array_equal(a, b)
+    f.eval_all(pts[:7])                          # a different batch
+    assert sizes == [12, 7]
+    f.eval_all(pts)                              # only the last batch is kept
+    assert sizes == [12, 7, 12]
+    pts[3, 1] *= 1.01                            # the same array, changed in place
+    moved = f.eval_all(pts)
+    assert sizes == [12, 7, 12, 12]
+    assert moved[0][3] != first[0][3]
+    # a batch that raises keeps nothing: it is inverted (and raises) again,
+    # and the last good batch is still the one kept
+    outside = np.array([[0.0, -0.1]])
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            f.eval_all(outside)
+    assert sizes == [12, 7, 12, 12, 1, 1]
+    np.testing.assert_array_equal(f.eval_all(pts)[0], moved[0])
+    assert sizes == [12, 7, 12, 12, 1, 1]
+    np.testing.assert_array_equal(moved[0], RegularizedDistanceField(g).eval_all(pts)[0])
+
+
+def test_eval_all_returns_arrays_the_caller_owns():
+    g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
+    f = RegularizedDistanceField(g)
+    pts = sample_domain_points(g, 0.25, 9, np.random.default_rng(6))
+    expected = [a.copy() for a in RegularizedDistanceField(g).eval_all(pts)]
+    for _ in range(3):                           # a miss, then two hits
+        out = f.eval_all(pts)
+        for a, b in zip(out, expected):
+            np.testing.assert_array_equal(a, b)
+            a[...] = np.nan                      # spoil what the caller got
 
 
 def test_eval_all_reuses_newton_derivatives(monkeypatch):
