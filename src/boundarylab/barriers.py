@@ -179,7 +179,7 @@ class SandwichReport(Report):
     lower_ok: bool
     upper_ok: bool
     closeness_ok: bool
-    worst_lower: float            # min of phi - (2r)^(-eps) d^(1+eps) - slack
+    worst_lower: float            # min of phi - (2r)^(-eps) d^(1+eps) + slack
     worst_upper: float            # min of (2r)^(eps) d^(1-eps) + slack - phi
     max_deviation: float          # ||phi - d||_inf on checked nodes
     deviation_bound: float        # K_hat * r * seminorm + slack

@@ -498,12 +498,13 @@ def test_pss_matches_the_fine_order_reference(graph, fine):
 
 
 def test_inversion_brackets_without_quadrature(monkeypatch):
-    # the Lipschitz bound brackets the root, so the first pass is already a
-    # Halley pass at t = gap, and the batch converges in about 2.6 passes
+    # the Lipschitz bound brackets the root, so the first pass is already the
+    # predictor's Halley pass at t = gap; from the predicted root the
+    # working-order loop converges in 2.0 passes per point (2.6 from t = gap)
     g = BoundaryGraph("cone", dim=3, L=0.1)
     f = RegularizedDistanceField(g)
     pts = sample_domain_points(g, 0.25, 20, np.random.default_rng(0))
-    s_first, evaluated = [], []
+    s_first, evaluated = [], {}
     p_derivs, moments = RegularizedDistanceField._p_derivs, RegularizedDistanceField._moments
 
     def counted_derivs(self, xp, s, *args, **kwargs):
@@ -512,14 +513,16 @@ def test_inversion_brackets_without_quadrature(monkeypatch):
         return p_derivs(self, xp, s, *args, **kwargs)
 
     def counted_moments(self, xp, s, c, order):
-        evaluated.append(len(s))
+        evaluated[order] = evaluated.get(order, 0) + len(s)
         return moments(self, xp, s, c, order)
 
     monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted_derivs)
     monkeypatch.setattr(RegularizedDistanceField, "_moments", counted_moments)
     f.eval_all(pts)
     np.testing.assert_array_equal(s_first[0], pts[:, -1] - g.gamma(pts[:, :-1]))
-    assert sum(evaluated) <= 2.7 * len(pts)
+    assert evaluated.keys() == {regdist.PREDICT_ORDER, 2 * regdist.QUAD_ORDER}
+    assert evaluated[regdist.PREDICT_ORDER] <= regdist.PREDICT_STEPS * len(pts)
+    assert evaluated[2 * regdist.QUAD_ORDER] <= 2.0 * len(pts)
 
 
 @pytest.mark.parametrize("graph", [
@@ -540,6 +543,77 @@ def test_root_outside_an_understated_bracket_raises(monkeypatch, graph):
         f.eval_all(y)
 
 
+@pytest.mark.parametrize("graph", [
+    BoundaryGraph("cone", L=0.2),
+    BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0), sign=-1.0),
+], ids=["convex-root-below-lo", "concave-root-above-hi"])
+def test_a_predicted_step_outside_the_bracket_is_dropped(monkeypatch, graph):
+    # the predictor steps towards the true root; with the bracket understated
+    # that step leaves (lo, hi), so it is dropped, not clipped: the working
+    # order starts at t = gap, and the inversion ends in the typed error
+    f = RegularizedDistanceField(graph)
+    y = np.array([0.0, 0.1])
+    passes = []
+    p_derivs = RegularizedDistanceField._p_derivs
+
+    def counted(self, xp, s, order):
+        passes.append((order, s.tolist()))
+        return p_derivs(self, xp, s, order)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted)
+    f.eval_all(y)
+    assert passes[0] == (regdist.PREDICT_ORDER, [0.1])
+    assert passes[1][0] == 2 * regdist.QUAD_ORDER and passes[1][1] != [0.1]
+    monkeypatch.setattr(graph, "L_global", 1e-3)
+    passes.clear()
+    with pytest.raises(ConvergenceError, match="left its bracket"):
+        RegularizedDistanceField(graph).eval_all(y)
+    assert passes[:2] == [(regdist.PREDICT_ORDER, [0.1]), (2 * regdist.QUAD_ORDER, [0.1])]
+
+
+@pytest.mark.parametrize("graph", [
+    BoundaryGraph("zero"),
+    BoundaryGraph("linear", a=0.2),
+    BoundaryGraph("cone", L=0.1),
+], ids=["zero", "linear", "cone-2d-off-the-kink"])
+def test_exact_cases_take_one_working_pass_at_the_gap(monkeypatch, graph):
+    # where Gamma is affine on the mollifier support p(y', t) = t + Gamma(y'),
+    # and the predictor's unit-mass p is exact too: no point moves off
+    # t = gap, and one working-order pass meets the residual stop
+    pts = sample_domain_points(graph, 0.3, 1000, np.random.default_rng(1))
+    if graph.radial_kink:
+        pts = pts[np.abs(pts[:, 0]) >= pts[:, 1] - graph.gamma(pts[:, :1])]
+    gap = pts[:, 1] - graph.gamma(pts[:, :1])
+    passes = {}
+    p_derivs = RegularizedDistanceField._p_derivs
+
+    def counted(self, xp, s, order):
+        passes[order] = passes.get(order, 0) + len(s)
+        return p_derivs(self, xp, s, order)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted)
+    d = RegularizedDistanceField(graph).eval_all(pts)[0]
+    assert d.tobytes() == gap.tobytes()
+    assert passes == {regdist.PREDICT_ORDER: len(pts), 2 * regdist.QUAD_ORDER: len(pts)}
+
+
+def test_d_is_the_working_order_root():
+    # the regdist_3d distance batch: the last working-order pass starts from
+    # the predicted root, so d is the root of the order-64 p to 1e-15, where
+    # a pass started at t = gap stopped up to 9.5e-14 away; the reference is
+    # three more Newton steps on the same p
+    g = BoundaryGraph("cone", dim=3, L=0.1)
+    f = RegularizedDistanceField(g)
+    pts = sample_domain_points(g, 0.25, 100, np.random.default_rng(1))
+    xp, yn = pts[:, :-1], pts[:, -1]
+    d = f.eval_all(pts)[0]
+    ref = d.copy()
+    for _ in range(3):
+        der = f._p_derivs(xp, ref, 2 * regdist.QUAD_ORDER)
+        ref -= (der["p"] - yn) / der["ps"]
+    assert np.abs(d - ref).max() <= 1e-15
+
+
 def test_order_doubling_rejects_an_under_resolved_graph():
     # a sinusoid with k = 1000 has about 30 periods across the mollifier
     # support at s = 0.2: orders 32 and 64 disagree by 6e-5 relative in p at
@@ -557,8 +631,9 @@ def test_order_doubling_rejects_an_under_resolved_graph():
 
 
 def test_eval_d_certifies_the_last_halley_pass(monkeypatch):
-    # eval_d makes eval_all's passes at order 2 QUAD_ORDER and one pass at
-    # QUAD_ORDER over every point, at d; no pass at 2 QUAD_ORDER follows the loop
+    # eval_d makes eval_all's passes, the predictor's at PREDICT_ORDER and
+    # then the working order's at 2 QUAD_ORDER, and one pass at QUAD_ORDER
+    # over every point, at d; no pass at 2 QUAD_ORDER follows the loop
     g = BoundaryGraph("cone", L=0.1)
     f = RegularizedDistanceField(g)
     pts = sample_domain_points(g, 0.25, 40, np.random.default_rng(6))
@@ -572,7 +647,10 @@ def test_eval_d_certifies_the_last_halley_pass(monkeypatch):
     monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted)
     f.eval_all(pts)
     halley = passes.copy()
-    assert halley and all(order == 2 * regdist.QUAD_ORDER for order, _ in halley)
+    predicted = [p for p in halley if p[0] == regdist.PREDICT_ORDER]
+    working = halley[len(predicted):]
+    assert predicted[0] == (regdist.PREDICT_ORDER, len(pts))
+    assert working and all(order == 2 * regdist.QUAD_ORDER for order, _ in working)
     passes.clear()
     d = f.eval_d(pts)
     assert passes == halley + [(regdist.QUAD_ORDER, len(pts))]
