@@ -14,35 +14,43 @@ the derivatives of p obtained by differentiated quadrature; kernels with
 one derivative on the mollifier avoid second derivatives of Gamma, so
 merely Lipschitz graphs (cone) are handled.
 
-One node rule holds all that depends on the dimension: two Gauss-Legendre
-panels split at the kink preimage for n = 2, a polar rule on the unit disk
-centred there for n = 3.  One moment kernel serves both, and each moment is
-a batched weighted-kernel matrix product over a block of at most
-_QUAD_NODES nodes (one 3-D point or 64 2-D points at order QUAD_ORDER).
-The rule and its weighted kernels depend only on the centre and the order.
-One centre rule holds in both dimensions: a kink preimage outside the open
-unit ball, or a graph without a radial kink, centres the rule at 0, and
-that rule is built once per order and shared, read-only.  The points of a
-batch are blocked by group, the shared-rule points apart from the kinked
-ones, so only kinked blocks build rules.  The graph is sampled once per
-node, for Gamma and grad Gamma together.
-The vertical inversion p(y', d) = y_n is a safeguarded Halley iteration
-per point, bracketed by the Lipschitz bound |p - s - Gamma| <= L s with no
-quadrature pass (one at the chart cap, for points whose bound reaches it).
-It starts from a predicted root, PREDICT_STEPS Halley steps on rules of
-order PREDICT_ORDER with p over unit-mass kernels, so the working order
-converges in about two passes per point, and in one where Gamma is affine
-on the support.  It hands back the derivatives of p at d, so grad d and
-D^2 d cost no further quadrature.
-eval_p and eval_d certify by order doubling: the p held at order 2 QUAD_ORDER
-(for eval_d, the last Halley pass's, at d) must match one pass at QUAD_ORDER.
-eval_all, the path of the distance and barrier checks, is not certified.
-eval_all keeps the (d, grad d, D^2 d) of its last batch, so the sub and the
-super barrier of one sample cost one inversion.
+The mollifier is the polynomial bump (1 - rho^2)^BUMP_POWER, normalized in
+closed form, so a Gauss rule whose panels or rays end on the unit sphere
+sees a polynomial there, and the order a point needs is set by the graph.
+One node rule holds all that depends on the dimension.  On the radial
+families it is centred on the kink preimage c = -x'/s while |c| < FAR: for
+n = 2, Gauss-Legendre panels graded toward c, t = c + (end - c) u^GRADE,
+from c to -1 and to 1 when |c| < 1, else the two halves of one panel from
+c across [-1, 1]; for n = 3, a polar rule centred at c when |c| < 1, else
+rays cast from c over the chords of the disk.  Along a panel or ray from c
+a radial Gamma depends only on the distance to c, so no rule sees the
+kink.  A preimage at |c| >= FAR, and every point of a graph without a
+radial kink, uses the rule centred at 0, built once per order and shared,
+read-only.  One moment kernel serves every rule, and each moment is a
+batched weighted-kernel matrix product over a block of at most
+_QUAD_NODES nodes, the points blocked by rule so that only kinked blocks
+build rules.  The graph is sampled once per node, for Gamma and grad Gamma
+together.
+
+Every value is certified by order doubling on a ladder of orders: a point
+is evaluated at the working order 2q and checked with one pass at q, from
+q = BASE_ORDER up to TOP_ORDER.  Only the points where |p_2q - p_q| exceeds
+CERT_TOL s climb to the next rung, and a point still unresolved at the top
+raises QuadratureError.  The vertical inversion p(y', d) = y_n is a
+safeguarded Halley iteration per point on each rung, bracketed by the
+Lipschitz bound |p - s - Gamma| <= L s with no quadrature pass (one at the
+chart cap, for points whose bound reaches it); the first rung starts at
+t = gap and each later rung from the root of the one below.  It hands back
+the derivatives of p at d, so grad d and D^2 d cost no further quadrature.
+eval_p, eval_d and eval_all all climb the same ladder, so eval_d is
+eval_all's d bit for bit.  eval_all keeps the (d, grad d, D^2 d) of its
+last batch, so the sub and the super barrier of one sample cost one
+inversion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -58,16 +66,22 @@ __all__ = ["Mollifier", "RegularizedDistanceField", "DistanceBoundsReport",
 
 # chart guard; graphs steeper than this break the p-inversion margin
 MAX_LIPSCHITZ = 0.25
-# Gauss-Legendre order of the rules: p is evaluated at twice this order,
-# and the order-doubling certificate compares it with this order
-QUAD_ORDER = 32
-# the inversion's predictor: PREDICT_STEPS Halley steps on rules of order
-# PREDICT_ORDER start the working-order loop (the measured table of
-# scripts/regdist_predictor_table.py picks them)
-PREDICT_ORDER = 8
-PREDICT_STEPS = 1
-# quadrature nodes per block of points: one 3-D point at QUAD_ORDER
-# (2 * 64^2 on the doubled rule), 64 points in 2-D
+# the mollifier (1 - rho^2)^BUMP_POWER; the 2-D panels' grading exponent;
+# the order ladder, whose rungs check q = BASE_ORDER, 2 BASE_ORDER, ...,
+# TOP_ORDER against 2q, a point climbing where |p_2q - p_q| > CERT_TOL s;
+# and the radius FAR of kink preimages past which the shared rule serves
+# (the measured tables of scripts/regdist_rule_table.py pick them)
+BUMP_POWER = 2
+GRADE = 2
+BASE_ORDER = 8
+TOP_ORDER = 32
+CERT_TOL = 1e-8
+FAR = 2.0
+# the inversion's stop: |p - y_n| <= RESIDUAL, 20 times the rounding of p at
+# the roots of the benchmark batches (5.6e-17), so d is the working-order root
+RESIDUAL = 1e-15
+# quadrature nodes per block of points: one 3-D point at the top working
+# order (2 * 64^2 on its polar rule), 64 points in 2-D
 _QUAD_NODES = 8192
 # distance-bound checks: seminorms below S_FLOOR count as flat, and flat
 # points must meet the bounds to FLAT_TOL absolute
@@ -77,79 +91,31 @@ FLAT_TOL = 1e-10
 
 @lru_cache(maxsize=32)
 def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-@lru_cache(maxsize=8)
-def _polar_rule(order: int):
-    """Gauss-Legendre radial rule and 2*order midpoint directions (M, 2)."""
-    t, w = _leggauss(order)
-    n_theta = 2 * order
-    theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    u.flags.writeable = False
-    return t, w, u
-
-
-def _bump(rho):
-    """exp(-1/(1 - rho^2)) on [0, 1), zero outside; returns (phi, phi').
-
-    When every rho < 1 (every rule node) the masks are dropped and the
-    arrays are formed in place, bitwise equal to the masked formula.
-    """
-    r = np.asarray(rho, dtype=float)
-    if r.ndim and np.all(r < 1.0):
-        ig = np.multiply(r, r)
-        np.subtract(1.0, ig, out=ig)
-        np.divide(1.0, ig, out=ig)
-        f = np.negative(ig)
-        np.exp(f, out=f)
-        df = np.multiply(r, -2.0)
-        df *= np.multiply(ig, ig, out=ig)
-        df *= f
-        return f, df
-    inside = r < 1.0
-    ig = 1.0 / np.where(inside, 1.0 - r * r, 1.0)       # 1/g, g = 1 - rho^2
-    f = np.where(inside, np.exp(-ig), 0.0)
-    return f, f * (-2.0 * r * (ig * ig))
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 class Mollifier:
-    """Radial C^infty bump on the unit ball of R^(n-1), normalized to mass 1.
+    """The radial bump (1 - rho^2)^m / Z on the unit ball of R^(n-1), m = BUMP_POWER.
 
-    The normalization integral is computed once by quadrature at orders 200
-    and 400; the stored certificate is the disagreement between the two.
+    eta is C^(m-1) across the unit sphere and a polynomial in rho^2 inside
+    it.  Z gives unit mass in closed form: sqrt(pi) Gamma(m+1)/Gamma(m+3/2)
+    on the interval, pi/(m+1) on the disk.
     """
 
     def __init__(self, dim_surface: int):
         if dim_surface not in (1, 2):
             raise DomainError(f"mollifier supports surface dimension 1 or 2, got {dim_surface}")
-        self.dim_surface = dim_surface
-        coarse = self._mass(200)
-        fine = self._mass(400)
-        self.normalization = fine
-        self.norm_certificate = abs(fine - coarse)
-        if self.norm_certificate > 1e-10:
-            raise QuadratureError(
-                f"mollifier normalization uncertain: certificate {self.norm_certificate:g}"
-            )
+        self.power = m = BUMP_POWER
+        self.normalization = (math.sqrt(math.pi) * math.gamma(m + 1) / math.gamma(m + 1.5)
+                              if dim_surface == 1 else math.pi / (m + 1))
 
-    def _mass(self, order: int) -> float:
-        x, w = _leggauss(order)
-        if self.dim_surface == 1:
-            return float(w @ _bump(np.abs(x))[0])
-        # radial: 2*pi * int_0^1 rho * phi(rho) d rho
-        rho = 0.5 * (x + 1.0)
-        return float(2.0 * np.pi * 0.5 * (w @ (rho * _bump(rho)[0])))
-
-    def eta(self, rho):
-        return _bump(rho)[0] / self.normalization
-
-    def eta_derivs(self, rho):
-        phi, dphi = _bump(rho)
-        phi /= self.normalization
-        dphi /= self.normalization
-        return phi, dphi
+    def eta_derivs(self, rho2):
+        """(eta, eta'/rho) at rho^2 = |t|^2, both zero outside the unit ball."""
+        g = np.maximum(1.0 - np.asarray(rho2, dtype=float), 0.0)
+        low = g ** (self.power - 1) / self.normalization
+        return low * g, -2.0 * self.power * low
 
 
 @lru_cache(maxsize=2)
@@ -159,62 +125,83 @@ def _mollifier(dim_surface: int) -> Mollifier:
 
 
 def _nodes(dim, c, order):
-    """Nodes T (k, Q, n-1) and weights W (k, Q) on the unit ball, centred at c.
+    """Nodes T (k, Q, n-1) and weights W (k, Q) on the unit ball, around c.
 
     The only step that depends on the dimension.  For n = 2: two
-    Gauss-Legendre panels on [-1, 1], split at c with |c| < 1.  For n = 3:
-    the polar rule on the unit disk, centred at c with |c| < 1.  With c at
-    the kink preimage, or c = 0 when the kink lies outside the ball, Gamma
-    is smooth along each panel or ray.  The rule at c = 0 is built once per
-    dimension and order, through _centred_rule.
+    Gauss-Legendre panels graded toward c, t = c + (end - c) u^GRADE, 2 order
+    nodes: from c to -1 and to 1 when |c| < 1, else the two halves, in u, of
+    one panel from c across the interval.  For n = 3 with |c| < 1: the
+    polar rule centred at c, 2 order directions (midpoint) times order
+    radial nodes.  For n = 3 with |c| >= 1: rays from c at the angles
+    theta within arcsin(1/|c|) of -c, each over its chord of the disk,
+    order by order nodes; with |c| sin(theta) = sin(psi) the chord's half
+    length is cos(psi) and the integrand is periodic in psi, so the rule is
+    the midpoint rule in psi and Gauss-Legendre along the chord.  In 3-D
+    the rows of c must all lie inside the unit disk or all outside it.
     """
+    u, w = _leggauss(order)
     k = len(c)
     if dim == 2:
-        t, w = _leggauss(order)
-        ends = np.stack([np.full(k, -1.0), c[:, 0], np.ones(k)], axis=1)
-        half = 0.5 * np.diff(ends, axis=1)[..., None]                    # (k, 2, 1)
-        T = ends[:, :-1, None] + half * (t + 1.0)
-        return T.reshape(k, 2 * order, 1), (half * w).reshape(k, 2 * order)
-    t, w, u = _polar_rule(order)
-    cu = c @ u.T                                                         # (k, M)
-    R = -cu + np.sqrt(np.maximum(1.0 - (c * c).sum(axis=1)[:, None] + cu**2, 0.0))
-    rho = 0.5 * R[..., None] * (t + 1.0)                                 # (k, M, Q)
-    W = 0.5 * R[..., None] * w * rho * (2.0 * np.pi / len(u))
-    T = np.empty(rho.shape + (2,))
-    for i in range(2):                                                   # c + rho u
-        np.multiply(rho, u[:, None, i], out=T[..., i])
+        # each row's two panels run over u in (ua, ub) toward a far end:
+        # [c, -1] and [c, 1] when |c| < 1, else the two halves of the panel
+        # from c to the far end -sign(c), which enters the interval at u0
+        cc = c[:, :1]
+        inner = np.abs(cc) < 1.0
+        far = np.where(inner, [-1.0, 1.0], -np.sign(cc))                 # (k, 2)
+        u0 = (np.maximum(np.abs(cc) - 1.0, 0.0) / (np.abs(cc) + 1.0)) ** (1.0 / GRADE)
+        half = 0.5 * (u0 + 1.0)
+        ua = np.where(inner, 0.0, np.hstack([u0, half]))
+        ub = np.where(inner, 1.0, np.hstack([half, np.ones_like(u0)]))
+        U = ua[..., None] + (ub - ua)[..., None] * u                     # (k, 2, Q)
+        span = far - cc
+        T = cc[..., None] + span[..., None] * U ** GRADE
+        W = (np.abs(span) * (ub - ua))[..., None] * (GRADE * w * U ** (GRADE - 1))
+        return T.reshape(k, 2 * order, 1), W.reshape(k, 2 * order)
+    rc = _radius(c)[:, None]                                             # (k, 1)
+    if np.all(rc < 1.0):
+        n_theta = 2 * order
+        theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        cu = c @ dirs.T                                                  # (k, M)
+        R = -cu + np.sqrt(np.maximum(1.0 - rc ** 2 + cu ** 2, 0.0))
+        r = R[..., None] * u                                             # (k, M, Q)
+        W = R[..., None] * w * r * (2.0 * np.pi / n_theta)
+        dirs = np.broadcast_to(dirs, (k, n_theta, 2))
+    else:
+        psi = np.pi * ((np.arange(order) + 0.5) / order - 0.5)            # midpoint in psi
+        sin_psi, half = np.sin(psi), np.cos(psi)                         # half: chord half length
+        mid = np.sqrt(rc ** 2 - sin_psi ** 2)                            # (k, Q): |c| cos(theta)
+        e0 = -c / rc                                                     # towards the disk
+        cos_t, sin_t = mid / rc, sin_psi / rc
+        dirs = np.stack([cos_t * e0[:, :1] - sin_t * e0[:, 1:],
+                         cos_t * e0[:, 1:] + sin_t * e0[:, :1]], axis=-1)   # (k, Q, 2)
+        r = mid[..., None] + half[:, None] * (2.0 * u - 1.0)             # (k, Q, Q)
+        # d theta = (half / mid) d psi, and d r = 2 half d u along the chord
+        W = (np.pi / order * half * half / mid)[..., None] * (2.0 * w) * r
+    T = np.empty(r.shape + (2,))
+    for i in range(2):                                                   # c + r u
+        np.multiply(r, dirs[..., None, i], out=T[..., i])
         T[..., i] += c[:, None, None, i]
-    return T.reshape(k, len(u) * order, 2), W.reshape(k, len(u) * order)
+    return T.reshape(k, -1, 2), W.reshape(k, -1)
 
 
 def _rule(dim, c, order):
     """The rule of _nodes at c with the weighted kernels that _moments reads.
 
     Returns (T, W eta, Wgrad, W k1, W k2): the nodes T (k, Q, n-1), the row
-    kernels W eta, W k1 and W k2 (k, 1, Q), and Wgrad = W eta' t/rho
-    (k, Q, n-1), the weighted gradient of eta, zero at the centre.  The
-    kernels are formed in place from one rho eta'.
+    kernels W eta, W k1 and W k2 (k, 1, Q), and Wgrad = W eta'/rho t
+    (k, Q, n-1), the weighted gradient of eta.  The kernels read rho^2
+    only: k1 = -((n-1) eta + rho^2 eta'/rho), k2 = -(n eta + rho^2 eta'/rho).
     """
     T, W = _nodes(dim, c, order)
-    rho = _radius(T)
-    eta, deta = _mollifier(dim - 1).eta_derivs(rho)
-    if rho.all():
-        q = np.multiply(W, deta)
-        q /= rho
-    else:
-        q = np.divide(W * deta, rho, out=np.zeros_like(rho), where=rho > 0)
-    Wgrad = np.empty_like(T)
-    for i in range(dim - 1):
-        np.multiply(q, T[..., i], out=Wgrad[..., i])
-    # W k1 = -W ((n-1) eta + rho eta') and W k2 = -W (n eta + rho eta')
-    rdeta = np.multiply(rho, deta, out=deta)
-    Wk1 = np.multiply(dim - 1, eta)
-    Wk2 = np.multiply(dim, eta)
-    minus_W = np.negative(W)
-    for k in (Wk1, Wk2):
-        k += rdeta
-        k *= minus_W
+    rho2 = np.square(T).sum(axis=-1)
+    eta, slope = _mollifier(dim - 1).eta_derivs(rho2)
     eta *= W
+    slope *= W
+    Wgrad = slope[..., None] * T
+    slope *= rho2
+    Wk1 = -((dim - 1) * eta + slope)
+    Wk2 = -(dim * eta + slope)
     return T, eta[:, None, :], Wgrad, Wk1[:, None, :], Wk2[:, None, :]
 
 
@@ -230,8 +217,8 @@ def _centred_rule(dim: int, order: int):
 class RegularizedDistanceField:
     """Evaluable regularized distance d with gradient and Hessian.
 
-    Works on the graph's working radius, min(1/2, chart radius), with rules
-    of order QUAD_ORDER, on graphs with L_global <= MAX_LIPSCHITZ.
+    Works on the graph's working radius, min(1/2, chart radius), on the
+    order ladder BASE_ORDER .. TOP_ORDER, on graphs with L_global <= MAX_LIPSCHITZ.
     The graph and the rules are fixed at construction.  The one state is
     eval_all's memo of its last batch, private copies keyed on the batch's
     bytes, so every evaluation returns what a fresh field would.
@@ -262,15 +249,14 @@ class RegularizedDistanceField:
     def _centre(self, xp, s):
         """Centre c (k, n-1) of each point's rule: the kink preimage -x'/s.
 
-        One rule for both dimensions: a preimage outside the open unit ball,
-        or a graph without a radial kink, gives c = 0, the shared rule.
-        Then Gamma is smooth on the whole support, and the mollifier alone
-        sets the rule.
+        A graph without a radial kink, or a preimage at |c| >= FAR, gives
+        c = 0, the shared rule: there Gamma is smooth on the support and
+        its nearest singularity lies a support radius or more beyond it.
         """
         if not self.graph.radial_kink:
             return np.zeros_like(xp)
         c = -xp / s[:, None]
-        c[_radius(c) >= 1.0] = 0.0
+        c[_radius(c) >= FAR] = 0.0
         return c
 
     def _moments(self, xp, s, c, order):
@@ -285,10 +271,8 @@ class RegularizedDistanceField:
         a weighted kernel with the sampled graph: (W eta) @ Gamma,
         (W eta) @ grad Gamma, and so on; the graph is sampled once, for Gamma
         and grad Gamma together (BoundaryGraph.jet).  c holds the centres
-        that _p_derivs chose; a block whose c is all 0 reads the weighted
-        kernels from the per-order cache (_centred_rule), any other builds them.
-        At PREDICT_ORDER "mass" is the sum of W eta, the mollifier's mass
-        on the rule, which the inversion's predictor divides out.
+        that _p_derivs chose; a shared block reads the weighted kernels from
+        the per-order cache (_centred_rule), any other builds them.
         """
         n = self.graph.dim
         T, We, Wgrad, Wk1, Wk2 = _centred_rule(n, order) if not c.any() else _rule(n, c, order)
@@ -303,7 +287,7 @@ class RegularizedDistanceField:
             tdg += T[..., i:i + 1] * dg[..., i:i + 1]
 
         pxx = -(Wgrad.transpose(0, 2, 1) @ dg) / s[:, None, None]
-        out = {
+        return {
             "p": (We @ g[..., None])[:, 0, 0] + s,
             "px": (We @ dg)[:, 0],
             "ps": 1.0 + (We @ tdg)[:, 0, 0],
@@ -311,41 +295,54 @@ class RegularizedDistanceField:
             "pxs": (Wk1 @ dg)[:, 0] / s[:, None],
             "pss": (Wk2 @ tdg)[:, 0, 0] / s,
         }
-        if order == PREDICT_ORDER:
-            out["mass"] = np.broadcast_to(We.sum(axis=(1, 2)), s.shape)
-        return out
 
     def _p_derivs(self, xp, s, order):
         """The derivatives of p with rules of one order.
 
-        Each point's centre is decided once, here.  The points are blocked
-        by rule group: the shared-rule points first, then the kinked ones,
-        so no block mixes the two and no shared-rule point pays for a
-        per-point rule.  The results come back in input order.
+        Each point's centre and rule group are decided once, here.  The
+        points are blocked by group, so no block mixes two rules and no
+        shared-rule point pays for a per-point rule.  The results come back
+        in input order.
         """
         c = self._centre(xp, s)
-        kinked = c.any(axis=1)
-        perm = np.argsort(kinked, kind="stable")
+        # 0: the shared rule; 1: a rule around c; 2: rays from c (n = 3, |c| >= 1)
+        group = c.any(axis=1).astype(np.int8)
+        if self.graph.dim == 3:
+            group[_radius(c) >= 1.0] = 2
+        perm = np.argsort(group, kind="stable")
         undo = np.argsort(perm)
-        xp, s, c = xp[perm], s[perm], c[perm]
-        split = len(s) - np.count_nonzero(kinked)
-        # the rules hold 2 order^(n-1) nodes per point; a block never spans
-        # both groups, and an empty batch still runs one (empty) block, so
-        # every key comes back
+        xp, s, c, group = xp[perm], s[perm], c[perm], group[perm]
+        # a rule holds 2 order^(n-1) nodes per point (order^2 on rays from c);
+        # a block never spans two groups, and an empty batch still runs one
+        # (empty) block, so every key comes back
         step = max(1, _QUAD_NODES // (2 * order ** (self.graph.dim - 1)))
-        starts = [*range(0, split, step), *range(split, len(s), step)] or [0]
+        bounds = [0, *np.searchsorted(group, [1, 2]), len(s)]
+        starts = [a for lo, hi in zip(bounds, bounds[1:]) for a in range(lo, hi, step)] or [0]
         ends = starts[1:] + [len(s)]
         parts = [self._moments(xp[a:b], s[a:b], c[a:b], order) for a, b in zip(starts, ends)]
         return {key: np.concatenate([b[key] for b in parts])[undo] for key in parts[0]}
 
-    def _certify(self, xp, s, p):
-        """Order doubling: p, held at order 2 QUAD_ORDER, against one pass at QUAD_ORDER."""
-        coarse = self._p_derivs(xp, s, QUAD_ORDER)["p"]
-        if np.any(np.abs(p - coarse) > 1e-6 * np.maximum(np.abs(p), 1e-12)):
-            raise QuadratureError(
-                "order-doubling changed p by more than 1e-6 relative; "
-                "QUAD_ORDER is too low for this boundary family"
-            )
+    def _ladder(self, xp, work):
+        """Climb the order ladder: work(act, order) evaluates the points act at
+        the working order 2 order and returns (s, p) there; one pass at order
+        checks p, and only the points where they differ by more than
+        CERT_TOL s go on to the next rung.  Past TOP_ORDER it raises.
+        """
+        act = np.arange(len(xp))
+        order = BASE_ORDER
+        while True:
+            s, p = work(act, order)
+            coarse = self._p_derivs(xp[act], s, order)["p"]
+            act = act[np.abs(p - coarse) > CERT_TOL * s]
+            if act.size == 0:
+                return
+            if order >= TOP_ORDER:
+                raise QuadratureError(
+                    f"order-doubling changed p by more than {CERT_TOL:g} d at the top "
+                    f"rung ({2 * order} against {order}); the rules cannot resolve "
+                    "this boundary family"
+                )
+            order *= 2
 
     # -- public evaluation --------------------------------------------------
 
@@ -355,34 +352,72 @@ class RegularizedDistanceField:
         scalar = x.ndim == 1
         pts = np.atleast_2d(x)
         xp, s = self._check_chart(pts[:, :-1], pts[:, -1])
-        p = self._p_derivs(xp, s, 2 * QUAD_ORDER)["p"]
-        self._certify(xp, s, p)
+        p = np.empty(len(s))
+
+        def work(act, order):
+            p[act] = self._p_derivs(xp[act], s[act], 2 * order)["p"]
+            return s[act], p[act]
+
+        self._ladder(xp, work)
         return float(p[0]) if scalar else p
 
+    def _halley(self, xp, yn, t, lo, hi, order):
+        """Safeguarded Halley steps at one order, from t, until |p - y_n| <= RESIDUAL.
+
+        Only unconverged points are re-evaluated; returns t and the
+        derivatives of p at each point's last t.  Each point leaves the loop
+        on its own residual, so its t does not depend on the other points.
+        """
+        der = {}
+        act = np.arange(len(t))
+        for _ in range(100):
+            part = self._p_derivs(xp[act], t[act], order)
+            if np.any(part["ps"] <= 0.5):
+                raise MonotonicityError(
+                    "d_s p <= 1/2 encountered; the Lipschitz constant is too "
+                    "large for a certified inversion on this chart"
+                )
+            for k, v in part.items():
+                der.setdefault(k, np.empty((len(t),) + v.shape[1:]))[act] = v
+            res = part["p"] - yn[act]
+            left = np.abs(res) > RESIDUAL
+            act, res = act[left], res[left]
+            if act.size == 0:
+                return t, der
+            ps, pss = part["ps"][left], part["pss"][left]
+            lo[act] = np.where(res < 0, t[act], lo[act])
+            hi[act] = np.where(res > 0, t[act], hi[act])
+            if np.any(np.nextafter(lo[act], np.inf) >= hi[act]):
+                raise ConvergenceError(
+                    "the vertical inverse left its bracket [gap/(1+L), gap/(1-L)]: "
+                    "L_global understates the Lipschitz constant of the graph"
+                )
+            t_new = t[act] - 2.0 * res * ps / (2.0 * ps * ps - res * pss)
+            # a NaN or infinite step fails both comparisons and is bisected
+            bad = ~((t_new > lo[act]) & (t_new < hi[act]))
+            t_new[bad] = 0.5 * (lo[act] + hi[act])[bad]
+            t[act] = t_new
+        raise ConvergenceError(f"vertical inversion did not reach {RESIDUAL:g} residual")
+
     def _solve_d(self, xp, yn):
-        """Vertical inversion: the t > 0 with p(y', t) = y_n, per point.
+        """Vertical inversion: the t > 0 with p(y', t) = y_n, per point, certified.
 
         The mollifier has unit mass on the unit ball, so
         |p(y', t) - t - Gamma(y')| <= L t, and the root lies in
         [gap/(1+L), gap/(1-L)], finite as L <= MAX_LIPSCHITZ, with
         gap = y_n - Gamma(y'): the bracket costs no quadrature, except one
         pass at the chart cap for the points whose upper bound reaches it.
-        A predictor starts each point near its root: PREDICT_STEPS Halley
-        steps from t = gap on rules of order PREDICT_ORDER, whose p reads
-        unit-mass kernels, (p - s) / mass + s.  That p is exact wherever
-        Gamma is affine on the mollifier support, so there the residual is
-        below the stop and t stays gap, bit for bit.  The cheap p only
-        predicts: it never narrows [lo, hi], and a step that leaves the
-        bracket is dropped.  Safeguarded Halley steps at the working order
-        2 QUAD_ORDER follow, from the predicted t: about two passes per
-        point, where t = gap took 2.6 on the 3-D cone.  For families whose
-        L_global is a sampled seminorm the bracket is not a proof; the
-        certificate is each point's residual |p - y_n| <= 1e-13, and a root
-        outside the bracket ends in a ConvergenceError.
+        Each rung of the order ladder runs safeguarded Halley steps at its
+        working order inside that bracket, the first rung from t = gap and
+        each later one from the root of the rung below, and checks p at d
+        with one pass at half the order.  Where Gamma is affine on the
+        mollifier support p(y', t) = t + Gamma(y') on every rule, so there
+        t stays gap, bit for bit.  For families whose L_global is a sampled
+        seminorm the bracket is not a proof; a root outside it ends in a
+        ConvergenceError.
 
-        Returns t and the uncertified derivatives of p at t (eval_d certifies
-        p).  Each point leaves the loop on its own residual, so its t does
-        not depend on the other points of the batch.
+        Returns d and the derivatives of p at d, from the last Halley pass
+        of each point's last rung.
         """
         g = np.atleast_1d(self.graph.gamma(xp))
         gap = yn - g
@@ -399,7 +434,7 @@ class RegularizedDistanceField:
         hi = gap / (1.0 - L)
         clipped = np.nonzero(hi >= cap)[0]
         if clipped.size:
-            if np.any(self._p_derivs(xp[clipped], cap[clipped], 2 * QUAD_ORDER)["p"]
+            if np.any(self._p_derivs(xp[clipped], cap[clipped], 2 * BASE_ORDER)["p"]
                       < yn[clipped]):
                 raise DomainError(
                     "the vertical inverse leaves the chart: p(y', t) < y_n at "
@@ -408,65 +443,24 @@ class RegularizedDistanceField:
             hi[clipped] = cap[clipped]
         lo = np.minimum(gap / (1.0 + L), hi)
 
-        # the predictor; a point whose step leaves (lo, hi), or whose
-        # residual is already below the stop, keeps its t and predicts no further
         t = np.clip(gap, lo, hi)
-        act = np.arange(gap.size)
-        for _ in range(PREDICT_STEPS):
-            part = self._p_derivs(xp[act], t[act], PREDICT_ORDER)
-            s = t[act]
-            res = (part["p"] - s) / part["mass"] + s - yn[act]
-            ps, pss = part["ps"], part["pss"]
-            t_new = s - 2.0 * res * ps / (2.0 * ps * ps - res * pss)
-            move = (np.abs(res) > 1e-13) & (t_new > lo[act]) & (t_new < hi[act])
-            act = act[move]
-            t[act] = t_new[move]
-            if act.size == 0:
-                break
-
-        # Halley with bisection safeguard; only unconverged points are
-        # re-evaluated, and der keeps each point's derivatives at its last t
         der = {}
-        act = np.arange(gap.size)
-        for _ in range(100):
-            part = self._p_derivs(xp[act], t[act], 2 * QUAD_ORDER)
-            if np.any(part["ps"] <= 0.5):
-                raise MonotonicityError(
-                    "d_s p <= 1/2 encountered; the Lipschitz constant is too "
-                    "large for a certified inversion on this chart"
-                )
+
+        def work(act, order):
+            t[act], part = self._halley(xp[act], yn[act], t[act], lo[act], hi[act], 2 * order)
             for k, v in part.items():
-                der.setdefault(k, np.empty((gap.size,) + v.shape[1:]))[act] = v
-            res = part["p"] - yn[act]
-            left = np.abs(res) > 1e-13
-            act, res = act[left], res[left]
-            if act.size == 0:
-                break
-            ps, pss = part["ps"][left], part["pss"][left]
-            lo[act] = np.where(res < 0, t[act], lo[act])
-            hi[act] = np.where(res > 0, t[act], hi[act])
-            if np.any(np.nextafter(lo[act], np.inf) >= hi[act]):
-                raise ConvergenceError(
-                    "the vertical inverse left its bracket [gap/(1+L), gap/(1-L)]: "
-                    "L_global understates the Lipschitz constant of the graph"
-                )
-            t_new = t[act] - 2.0 * res * ps / (2.0 * ps * ps - res * pss)
-            # a NaN or infinite step fails both comparisons and is bisected
-            bad = ~((t_new > lo[act]) & (t_new < hi[act]))
-            t_new[bad] = 0.5 * (lo[act] + hi[act])[bad]
-            t[act] = t_new
-        else:
-            raise ConvergenceError("vertical inversion did not reach 1e-13 residual")
+                der.setdefault(k, np.empty((len(t),) + v.shape[1:]))[act] = v
+            return t[act], part["p"]
+
+        self._ladder(xp, work)
         return t, der
 
     def eval_d(self, y):
-        """The regularized distance d(y) in the domain chart, order-doubling certified at d."""
+        """The regularized distance d(y) in the domain chart, order-doubling certified."""
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 1
         pts = np.atleast_2d(y)
-        xp = pts[:, :-1]
-        d, der = self._solve_d(xp, pts[:, -1])
-        self._certify(xp, d, der["p"])
+        d = self._solve_d(pts[:, :-1], pts[:, -1])[0]
         return float(d[0]) if scalar else d
 
     def eval_all(self, y):

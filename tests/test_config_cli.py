@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from boundarylab import BoundaryGraph, DomainError, measure_boundary_modulus, power
-from boundarylab.calibrate import load_calibration, run_calibration, save_calibration
+from boundarylab.calibrate import (
+    default_calibration_path, load_calibration, run_calibration, save_calibration,
+)
 from boundarylab import cli, harness
 from boundarylab.cli import main
 from boundarylab.geometry import _FAMILIES
@@ -177,6 +179,12 @@ def test_run_calibration_reproduces_the_packaged_constants():
     assert fresh.keys() == packaged.keys()
     for name, value in packaged.items():
         assert fresh[name] == pytest.approx(value, rel=1e-9, abs=0), name
+
+
+def test_packaged_calibration_is_what_calibrate_writes(tmp_path):
+    # the packaged file is byte for byte the output of `calibrate --seed 2026`
+    assert main(["calibrate", "--seed", "2026", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "calibration.json").read_bytes() == default_calibration_path().read_bytes()
 
 
 # -------------------------------------------------------------------- cli

@@ -1,9 +1,10 @@
+from math import gamma as gamma_fn
+
 import numpy as np
 import pytest
 
 from boundarylab import BoundaryGraph, ConvergenceError, DomainError, QuadratureError, power
-from boundarylab.barriers import sample_domain_points
-from boundarylab.geometry import _radius
+from boundarylab.barriers import sample_domain_points, special_solution
 from boundarylab.pucci import sym_eigvals
 from boundarylab import regdist
 from boundarylab.regdist import (
@@ -65,38 +66,36 @@ def _checked_all(field, y):
 def test_mollifier_normalized():
     for ds in (1, 2):
         m = Mollifier(ds)
-        assert m.norm_certificate <= 1e-10
-        # mass check at an independent order
+        # mass at an independent order: the bump is a polynomial in rho^2 of
+        # degree BUMP_POWER, so Gauss-Legendre 20 integrates it exactly
+        x, w = np.polynomial.legendre.leggauss(20)
         if ds == 1:
-            x, w = np.polynomial.legendre.leggauss(300)
-            assert w @ m.eta(np.abs(x)) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(m.eta(np.array([0.0, 0.5, 0.99])) >= 0)
-        assert m.eta(np.array([1.0]))[0] == 0.0
-        assert m.eta(np.array([1.3]))[0] == 0.0
+            mass = w @ m.eta_derivs(x * x)[0]
+        else:
+            rho = 0.5 * (x + 1.0)
+            mass = np.pi * (w @ (rho * m.eta_derivs(rho * rho)[0]))
+        assert mass == pytest.approx(1.0, abs=1e-14)
+        assert np.all(m.eta_derivs(np.array([0.0, 0.25, 0.98]))[0] > 0)
+        for outside in (1.0, 1.69):
+            assert m.eta_derivs(np.array([outside]))[0][0] == 0.0
 
 
-def _masked_bump(rho):
-    """The bump with np.where masks at every step, as formed before the in-place path."""
-    r = np.asarray(rho, dtype=float)
-    inside = r < 1.0
-    ig = 1.0 / np.where(inside, 1.0 - r * r, 1.0)
-    f = np.where(inside, np.exp(-ig), 0.0)
-    return f, f * (-2.0 * r * (ig * ig))
-
-
-def test_in_place_bump_is_bitwise_the_masked_formula():
-    rng = np.random.default_rng(8)
-    rules = [_radius(_nodes(dim, c, 32)[0]) for dim, c in
-             ((2, np.array([[0.0], [0.37]])), (3, np.array([[0.0, 0.0], [0.2, -0.5]])))]
-    inside = [rng.uniform(0.0, 1.0, 4096), np.array([0.0, 0.5, np.nextafter(1.0, 0.0)]), *rules]
-    mixed = [rng.uniform(0.0, 1.5, 4096), np.array([0.0, 1.0, 1.3, 0.99])]
-    for rho in inside + mixed:
-        for a, b in zip(regdist._bump(rho), _masked_bump(rho)):
-            assert a.tobytes() == b.tobytes()
-    # eta_derivs divides the bump by the normalization, bit for bit
-    m = Mollifier(1)
-    for a, b in zip(m.eta_derivs(inside[0]), _masked_bump(inside[0])):
-        assert a.tobytes() == (b / m.normalization).tobytes()
+@pytest.mark.parametrize("ds", [1, 2])
+def test_bump_is_the_closed_form_polynomial(ds):
+    # eta = (1 - rho^2)^m / Z with Z in closed form, and the second value is
+    # eta'/rho, the slope the kernels read; both vanish outside the ball
+    m = Mollifier(ds)
+    power = regdist.BUMP_POWER
+    Z = np.sqrt(np.pi) * gamma_fn(power + 1) / gamma_fn(power + 1.5) if ds == 1 else np.pi / (power + 1)
+    assert m.normalization == pytest.approx(Z, rel=1e-15)
+    rho = np.linspace(0.0, 1.3, 27)
+    eta, slope = m.eta_derivs(rho * rho)
+    inside = rho < 1.0
+    np.testing.assert_allclose(eta[inside], (1 - rho[inside] ** 2) ** power / Z, rtol=1e-14)
+    assert np.all(eta[~inside] == 0.0) and np.all(slope[~inside] == 0.0)
+    h = 1e-6
+    fd = (m.eta_derivs((rho + h) ** 2)[0] - m.eta_derivs((rho - h) ** 2)[0]) / (2 * h)
+    np.testing.assert_allclose((rho * slope)[inside], fd[inside], rtol=1e-7, atol=1e-9)
 
 
 def test_p_trivial_families():
@@ -258,12 +257,10 @@ def _max_rel(a, b):
 
 
 # the kernels written out for each surface dimension m = n - 1:
-# (grad eta, k1, k2) from (t, rho, eta, eta')
+# (grad eta, k1, k2) from (t, rho, eta, eta'/rho)
 _KERNELS = {
-    1: lambda t, rho, e, de: (np.sign(t) * de[:, None], -(e + rho * de), -(2.0 * e + rho * de)),
-    2: lambda t, rho, e, de: (
-        de[:, None] * np.divide(t, rho[:, None], out=np.zeros_like(t), where=rho[:, None] > 0),
-        -2.0 * e - rho * de, -3.0 * e - rho * de),
+    1: lambda t, rho, e, de: (de[:, None] * t, -(e + rho**2 * de), -(2.0 * e + rho**2 * de)),
+    2: lambda t, rho, e, de: (de[:, None] * t, -2.0 * e - rho**2 * de, -3.0 * e - rho**2 * de),
 }
 
 
@@ -278,8 +275,8 @@ def _p_derivs_elementwise(field, xp, s, order):
     for i in range(k):
         T, W = nodes[i], weights[i]
         rho = np.linalg.norm(T, axis=-1)
-        eta, deta_r = field.mollifier.eta_derivs(rho)
-        grad_eta, k1, k2 = _KERNELS[m](T, rho, eta, deta_r)
+        eta, slope = field.mollifier.eta_derivs(rho**2)
+        grad_eta, k1, k2 = _KERNELS[m](T, rho, eta, slope)
         pts = xp[i][None, :] + s[i] * T
         g = field.graph.gamma(pts)
         dg = field.graph.jet(pts)[1]
@@ -334,27 +331,62 @@ def test_nodes_split_at_the_kink(dim):
         assert _max_rel(a[key], b[key]) <= 1e-10, key
 
 
-@pytest.mark.parametrize("graph, n", [
-    (BoundaryGraph("cone", dim=3, L=0.1), 8),
-    (BoundaryGraph("sinusoid", A=0.05, k=4.0), 8),
-    (BoundaryGraph("cone", L=0.1), 150),
-    (BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0)), 150),
-], ids=["cone-3d", "sinusoid-2d", "cone-2d-blocks", "c1model-2d-blocks"])
-def test_batch_agrees_with_point_by_point(graph, n):
-    # each point leaves the inversion loop on its own residual, whatever its
-    # block, and comes back in its input place
+def _last_orders(monkeypatch, f, pts):
+    """f.eval_all(pts), and the working order of each point's last Halley pass."""
+    last = {}
+    halley = RegularizedDistanceField._halley
+
+    def counted(self, xp, yn, t, lo, hi, order):
+        for row in np.column_stack([xp, yn]):
+            last[row.tobytes()] = order
+        return halley(self, xp, yn, t, lo, hi, order)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_halley", counted)
+    out = f.eval_all(pts)
+    monkeypatch.undo()
+    return out, np.array([last[row.tobytes()] for row in pts])
+
+
+def test_graded_panels_resolve_the_2d_c1model_kink():
+    # on c1model grad Gamma ~ |x'|^0.5, a square-root end on each panel from
+    # the kink preimage c; t = c + (end - c) u^2 makes it smooth in u, so the
+    # first rung's working order meets order 128 (measured 3.9e-14 at most,
+    # in d_x d_s p) where ungraded panels miss by 1.1e-4
+    f = RegularizedDistanceField(BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0)))
+    xp = np.array([[0.0], [0.013], [-0.03], [0.06], [-0.09]])
+    s = np.full(5, 0.05)
+    c = f._centre(xp, s)
+    assert np.all(np.abs(c) < regdist.FAR) and c.any()
+    got, fine = f._moments(xp, s, c, 2 * regdist.BASE_ORDER), f._moments(xp, s, c, 128)
+    for key in ("p", "px", "ps", "pxx", "pxs", "pss"):
+        assert _max_rel(got[key], fine[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("graph, n, rungs", [
+    (BoundaryGraph("cone", dim=3, L=0.1), 40, True),
+    (BoundaryGraph("sinusoid", A=0.05, k=4.0), 8, False),
+    (BoundaryGraph("cone", L=0.1), 1000, False),
+    (BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0)), 1000, False),
+    (BoundaryGraph("sinusoid", A=0.01, k=20.0), 8, True),
+], ids=["cone-3d", "sinusoid-2d", "cone-2d-blocks", "c1model-2d-blocks", "sinusoid-2d-rungs"])
+def test_batch_agrees_with_point_by_point(monkeypatch, graph, n, rungs):
+    # each point climbs the order ladder and leaves each rung's inversion on
+    # its own residual, whatever its block, and comes back in its input place
     f = RegularizedDistanceField(graph)
     pts = sample_domain_points(graph, 0.25, n, np.random.default_rng(5))
-    d, grad, hess = f.eval_all(pts)
+    (d, grad, hess), orders = _last_orders(monkeypatch, f, pts)
     if graph.dim == 3:
         inside = np.linalg.norm(pts[:, :-1], axis=-1) < d
         assert inside.any() and not inside.all()
     elif n > 8:
-        # 2 * 64 nodes per point on the doubled rule, so blocks of 64 points:
-        # the kinked points (|x'| < d) and the shared-rule ones each span two
-        kinked = np.abs(pts[:, 0]) < d
-        step = _QUAD_NODES // (4 * regdist.QUAD_ORDER)
+        # 2 * 16 nodes per point at the first rung's working order, so blocks
+        # of 256 points: the kinked points (|x'| < FAR d) and the shared-rule
+        # ones each span two
+        kinked = np.abs(pts[:, 0]) < regdist.FAR * d
+        step = _QUAD_NODES // (4 * regdist.BASE_ORDER)
         assert min(np.count_nonzero(kinked), np.count_nonzero(~kinked)) > step
+    # the points of the batch stop on one rung, or on different rungs
+    assert (len(set(orders)) > 1) == rungs, orders
     for i in range(len(pts)):
         di, gi, hi = f.eval_all(pts[i])
         assert abs(di[0] - d[i]) <= 1e-15 * d[i]
@@ -498,9 +530,11 @@ def test_pss_matches_the_fine_order_reference(graph, fine):
 
 
 def test_inversion_brackets_without_quadrature(monkeypatch):
-    # the Lipschitz bound brackets the root, so the first pass is already the
-    # predictor's Halley pass at t = gap; from the predicted root the
-    # working-order loop converges in 2.0 passes per point (2.6 from t = gap)
+    # the Lipschitz bound brackets the root, so the first pass is already a
+    # Halley pass at t = gap, at the first rung's working order; measured on
+    # these 20 points: 59 point-passes at 2 BASE_ORDER (the Halley passes
+    # and the check of the points that climb), 20 at BASE_ORDER (the first
+    # rung's check) and 8 at 4 BASE_ORDER
     g = BoundaryGraph("cone", dim=3, L=0.1)
     f = RegularizedDistanceField(g)
     pts = sample_domain_points(g, 0.25, 20, np.random.default_rng(0))
@@ -509,7 +543,7 @@ def test_inversion_brackets_without_quadrature(monkeypatch):
 
     def counted_derivs(self, xp, s, *args, **kwargs):
         if not s_first:
-            s_first.append(s.copy())
+            s_first.append((s.copy(), *args))
         return p_derivs(self, xp, s, *args, **kwargs)
 
     def counted_moments(self, xp, s, c, order):
@@ -519,10 +553,14 @@ def test_inversion_brackets_without_quadrature(monkeypatch):
     monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted_derivs)
     monkeypatch.setattr(RegularizedDistanceField, "_moments", counted_moments)
     f.eval_all(pts)
-    np.testing.assert_array_equal(s_first[0], pts[:, -1] - g.gamma(pts[:, :-1]))
-    assert evaluated.keys() == {regdist.PREDICT_ORDER, 2 * regdist.QUAD_ORDER}
-    assert evaluated[regdist.PREDICT_ORDER] <= regdist.PREDICT_STEPS * len(pts)
-    assert evaluated[2 * regdist.QUAD_ORDER] <= 2.0 * len(pts)
+    s0, order0 = s_first[0]
+    np.testing.assert_array_equal(s0, pts[:, -1] - g.gamma(pts[:, :-1]))
+    base = regdist.BASE_ORDER
+    assert order0 == 2 * base
+    assert evaluated[2 * base] <= 3.0 * len(pts)
+    assert evaluated[base] == len(pts)
+    assert evaluated.keys() == {base, 2 * base, 4 * base}
+    assert evaluated[4 * base] <= 0.5 * len(pts)
 
 
 @pytest.mark.parametrize("graph", [
@@ -543,32 +581,34 @@ def test_root_outside_an_understated_bracket_raises(monkeypatch, graph):
         f.eval_all(y)
 
 
-@pytest.mark.parametrize("graph", [
-    BoundaryGraph("cone", L=0.2),
-    BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0), sign=-1.0),
-], ids=["convex-root-below-lo", "concave-root-above-hi"])
-def test_a_predicted_step_outside_the_bracket_is_dropped(monkeypatch, graph):
-    # the predictor steps towards the true root; with the bracket understated
-    # that step leaves (lo, hi), so it is dropped, not clipped: the working
-    # order starts at t = gap, and the inversion ends in the typed error
-    f = RegularizedDistanceField(graph)
-    y = np.array([0.0, 0.1])
+def test_each_rung_starts_from_the_root_below(monkeypatch):
+    # the k = 300 sinusoid of the order-doubling test climbs to the top rung:
+    # each rung's first pass is at the root of the rung below, inside the
+    # Lipschitz bracket, and the first rung starts at t = gap
+    g = BoundaryGraph("sinusoid", A=0.2 / 300, k=300.0)
+    y = np.array([[0.01, 0.2]])
     passes = []
     p_derivs = RegularizedDistanceField._p_derivs
 
     def counted(self, xp, s, order):
-        passes.append((order, s.tolist()))
+        passes.append((order, float(s[0])))
         return p_derivs(self, xp, s, order)
 
     monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted)
-    f.eval_all(y)
-    assert passes[0] == (regdist.PREDICT_ORDER, [0.1])
-    assert passes[1][0] == 2 * regdist.QUAD_ORDER and passes[1][1] != [0.1]
-    monkeypatch.setattr(graph, "L_global", 1e-3)
-    passes.clear()
-    with pytest.raises(ConvergenceError, match="left its bracket"):
-        RegularizedDistanceField(graph).eval_all(y)
-    assert passes[:2] == [(regdist.PREDICT_ORDER, [0.1]), (2 * regdist.QUAD_ORDER, [0.1])]
+    d = RegularizedDistanceField(g).eval_d(y)[0]
+    gap = 0.2 - g.gamma(0.01)
+    base = regdist.BASE_ORDER
+    assert passes[0] == (2 * base, gap)
+    checks = [i for i in range(1, len(passes)) if passes[i][0] == passes[i - 1][0] // 2]
+    # one check pass per rung, at the root the rung's Halley loop stopped on
+    assert [passes[i][0] for i in checks] == [base, 2 * base, 4 * base]
+    for i in checks:
+        assert passes[i][1] == passes[i - 1][1]
+    for i in checks[:-1]:
+        assert passes[i + 1] == (4 * passes[i][0], passes[i][1])
+    assert passes[-1][1] == d
+    lo, hi = gap / (1 + g.L_global), gap / (1 - g.L_global)
+    assert all(lo <= t <= hi for _, t in passes)
 
 
 @pytest.mark.parametrize("graph", [
@@ -577,9 +617,9 @@ def test_a_predicted_step_outside_the_bracket_is_dropped(monkeypatch, graph):
     BoundaryGraph("cone", L=0.1),
 ], ids=["zero", "linear", "cone-2d-off-the-kink"])
 def test_exact_cases_take_one_working_pass_at_the_gap(monkeypatch, graph):
-    # where Gamma is affine on the mollifier support p(y', t) = t + Gamma(y'),
-    # and the predictor's unit-mass p is exact too: no point moves off
-    # t = gap, and one working-order pass meets the residual stop
+    # where Gamma is affine on the mollifier support p(y', t) = t + Gamma(y')
+    # on every rule: no point moves off t = gap, one working-order pass meets
+    # the residual stop, and one check pass at BASE_ORDER agrees
     pts = sample_domain_points(graph, 0.3, 1000, np.random.default_rng(1))
     if graph.radial_kink:
         pts = pts[np.abs(pts[:, 0]) >= pts[:, 1] - graph.gamma(pts[:, :1])]
@@ -594,24 +634,26 @@ def test_exact_cases_take_one_working_pass_at_the_gap(monkeypatch, graph):
     monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted)
     d = RegularizedDistanceField(graph).eval_all(pts)[0]
     assert d.tobytes() == gap.tobytes()
-    assert passes == {regdist.PREDICT_ORDER: len(pts), 2 * regdist.QUAD_ORDER: len(pts)}
+    assert passes == {regdist.BASE_ORDER: len(pts), 2 * regdist.BASE_ORDER: len(pts)}
 
 
-def test_d_is_the_working_order_root():
-    # the regdist_3d distance batch: the last working-order pass starts from
-    # the predicted root, so d is the root of the order-64 p to 1e-15, where
-    # a pass started at t = gap stopped up to 9.5e-14 away; the reference is
-    # three more Newton steps on the same p
+def test_d_is_the_working_order_root(monkeypatch):
+    # the regdist_3d distance batch: each d is the root, to 1e-15, of the p
+    # of its last rung's working order; the reference is three more Newton
+    # steps on that p
     g = BoundaryGraph("cone", dim=3, L=0.1)
     f = RegularizedDistanceField(g)
     pts = sample_domain_points(g, 0.25, 100, np.random.default_rng(1))
-    xp, yn = pts[:, :-1], pts[:, -1]
-    d = f.eval_all(pts)[0]
-    ref = d.copy()
-    for _ in range(3):
-        der = f._p_derivs(xp, ref, 2 * regdist.QUAD_ORDER)
-        ref -= (der["p"] - yn) / der["ps"]
-    assert np.abs(d - ref).max() <= 1e-15
+    (d, _, _), orders = _last_orders(monkeypatch, f, pts)
+    assert set(orders) == {2 * regdist.BASE_ORDER, 4 * regdist.BASE_ORDER}
+    for order in set(orders):
+        at = orders == order
+        xp, yn = pts[at, :-1], pts[at, -1]
+        ref = d[at].copy()
+        for _ in range(3):
+            der = f._p_derivs(xp, ref, order)
+            ref -= (der["p"] - yn) / der["ps"]
+        assert np.abs(d[at] - ref).max() <= 1e-15
 
 
 def test_order_doubling_rejects_an_under_resolved_graph():
@@ -631,30 +673,41 @@ def test_order_doubling_rejects_an_under_resolved_graph():
 
 
 def test_eval_d_certifies_the_last_halley_pass(monkeypatch):
-    # eval_d makes eval_all's passes, the predictor's at PREDICT_ORDER and
-    # then the working order's at 2 QUAD_ORDER, and one pass at QUAD_ORDER
-    # over every point, at d; no pass at 2 QUAD_ORDER follows the loop
-    g = BoundaryGraph("cone", L=0.1)
+    # eval_d and eval_all climb the same ladder: the same passes, and each
+    # rung's check pass at half its working order follows its Halley passes,
+    # at the points and the roots they stopped on
+    g = BoundaryGraph("cone", dim=3, L=0.1)
     f = RegularizedDistanceField(g)
     pts = sample_domain_points(g, 0.25, 40, np.random.default_rng(6))
     passes = []
     p_derivs = RegularizedDistanceField._p_derivs
 
     def counted(self, xp, s, order):
-        passes.append((order, len(s)))
+        passes.append((order, np.column_stack([xp, s])))
         return p_derivs(self, xp, s, order)
 
     monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted)
-    f.eval_all(pts)
+    d_all = f.eval_all(pts)[0]
     halley = passes.copy()
-    predicted = [p for p in halley if p[0] == regdist.PREDICT_ORDER]
-    working = halley[len(predicted):]
-    assert predicted[0] == (regdist.PREDICT_ORDER, len(pts))
-    assert working and all(order == 2 * regdist.QUAD_ORDER for order, _ in working)
     passes.clear()
     d = f.eval_d(pts)
-    assert passes == halley + [(regdist.QUAD_ORDER, len(pts))]
-    np.testing.assert_array_equal(d, f.eval_all(pts)[0])
+    assert [order for order, _ in passes] == [order for order, _ in halley]
+    for (_, a), (_, b) in zip(passes, halley):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(d, d_all)
+    orders = [order for order, _ in halley]
+    base = regdist.BASE_ORDER
+    assert orders[0] == 2 * base
+    checks = [i for i in range(1, len(orders)) if orders[i - 1] == 2 * orders[i]]
+    assert orders[checks[0]] == base and len(checks) >= 2
+    # the first check covers every point; a point that climbs no further
+    # was checked at its d
+    first = halley[checks[0]][1]
+    np.testing.assert_array_equal(first[:, :-1], pts[:, :-1])
+    later = np.concatenate([halley[i][1][:, 0] for i in checks[1:]])
+    stayed = ~np.isin(pts[:, 0], later)
+    assert stayed.any() and not stayed.all()
+    np.testing.assert_array_equal(first[stayed, -1], d_all[stayed])
 
 
 def _moments_reference(f, xp, s, order):
@@ -662,48 +715,52 @@ def _moments_reference(f, xp, s, order):
     kernels and products, with no cache and no per-component loops."""
     n = f.graph.dim
     T, W = _nodes(n, f._centre(xp, s), order)
-    rho = np.linalg.norm(T, axis=-1)
-    eta, deta = f.mollifier.eta_derivs(rho)
-    Wgrad = np.divide(W * deta, rho, out=np.zeros_like(rho), where=rho > 0)[..., None] * T
-    k1 = -((n - 1) * eta + rho * deta)
-    k2 = -(n * eta + rho * deta)
+    rho2 = (T * T).sum(axis=-1)
+    eta, slope = f.mollifier.eta_derivs(rho2)
+    We, Ws = W * eta, W * slope
+    Wgrad = Ws[..., None] * T
+    Wk1 = -((n - 1) * We + rho2 * Ws)
+    Wk2 = -(n * We + rho2 * Ws)
     pts = xp[:, None, :] + s[:, None, None] * T
     g = f.graph.gamma(pts)
     dg = f.graph.jet(pts)[1]
     tdg = (T * dg).sum(axis=-1)[..., None]
-    We = (W * eta)[:, None, :]
+    We = We[:, None, :]
     pxx = -(Wgrad.transpose(0, 2, 1) @ dg) / s[:, None, None]
     return {
         "p": (We @ g[..., None])[:, 0, 0] + s,
         "px": (We @ dg)[:, 0],
         "ps": 1.0 + (We @ tdg)[:, 0, 0],
         "pxx": 0.5 * (pxx + pxx.transpose(0, 2, 1)),
-        "pxs": ((W * k1)[:, None, :] @ dg)[:, 0] / s[:, None],
-        "pss": ((W * k2)[:, None, :] @ tdg)[:, 0, 0] / s,
+        "pxs": (Wk1[:, None, :] @ dg)[:, 0] / s[:, None],
+        "pss": (Wk2[:, None, :] @ tdg)[:, 0, 0] / s,
     }
 
 
 # batches whose rules are all centred at 0: a 3-D cone with every kink
-# preimage -x'/s outside the unit disk, and a 2-D sinusoid (no kink)
+# preimage -x'/s at |c| >= FAR, and a 2-D sinusoid (no kink)
 _CENTRED = {
     "cone-3d": (BoundaryGraph("cone", dim=3, L=0.1),
-                np.array([[0.05, -0.02], [-0.03, 0.08], [0.1, 0.1]]), np.array([0.04, 0.06, 0.1])),
+                np.array([[0.05, -0.02], [-0.03, 0.08], [0.1, 0.1]]), np.array([0.02, 0.04, 0.05])),
     "sinusoid-2d": (BoundaryGraph("sinusoid", A=0.05, k=4.0),
                     np.linspace(-0.2, 0.2, 7)[:, None], np.linspace(0.01, 0.1, 7)),
 }
-# batches with kinks inside: 3-D cone points with |x'| < s (one 3-D point per
-# block at order 64), and a 2-D cone whose 38 points with |x'| < s are kinked
-# and whose other 112 use the shared rule
+# batches with kinks near: 3-D cone points with |x'| < s (the polar rule at c;
+# one 3-D point per block at order 64), 3-D cone points with s <= |x'| < FAR s
+# (rays from c), and a 2-D cone whose 74 points with |x'| < FAR s are kinked
+# and whose other 76 use the shared rule
 _KINKED = {
     "cone-3d": (BoundaryGraph("cone", dim=3, L=0.1),
                 np.array([[0.01, 0.0], [0.0, -0.02], [0.02, 0.02]]), np.array([0.05, 0.05, 0.1])),
+    "rays-cone-3d": (BoundaryGraph("cone", dim=3, L=0.1),
+                     np.array([[0.05, -0.02], [-0.03, 0.08], [0.1, 0.1]]), np.array([0.04, 0.06, 0.1])),
     "cone-2d": (BoundaryGraph("cone", L=0.1),
                 np.linspace(-0.2, 0.2, 150)[:, None], np.full(150, 0.05)),
 }
 
 
 @pytest.mark.parametrize("case", ["centred-cone-3d", "centred-sinusoid-2d",
-                                  "kinked-cone-3d", "kinked-cone-2d"])
+                                  "kinked-cone-3d", "kinked-rays-cone-3d", "kinked-cone-2d"])
 def test_moments_match_the_per_point_rule_bitwise(case):
     kind, name = case.split("-", 1)
     graph, xp, s = (_CENTRED if kind == "centred" else _KINKED)[name]
@@ -734,10 +791,10 @@ def test_centred_blocks_build_no_rule(monkeypatch):
         f._p_derivs(xp, s, 64)
         assert calls == []
     # 2 * 64^2 nodes hold one 3-D point and 2 * 64 nodes 64 2-D points:
-    # one rule per block of three, and on the 2-D cone one block of its 38
-    # kinked points; its 112 shared-rule points build no rule
-    for (graph, xp, s), blocks in zip(_KINKED.values(), ([1, 1, 1], [38])):
-        assert np.count_nonzero(np.linalg.norm(xp, axis=-1) < s) == sum(blocks)
+    # one rule per 3-D point, and on the 2-D cone two blocks of its 74
+    # kinked points; its 76 shared-rule points build no rule
+    for (graph, xp, s), blocks in zip(_KINKED.values(), ([1, 1, 1], [1, 1, 1], [64, 10])):
+        assert np.count_nonzero(np.linalg.norm(xp, axis=-1) < regdist.FAR * s) == sum(blocks)
         f = RegularizedDistanceField(graph)
         calls.clear()
         f._p_derivs(xp, s, 64)
@@ -819,3 +876,125 @@ def test_3d_cone_is_invariant_under_a_quarter_turn():
     # the Hessian turns with the point, so its eigenvalues stay; measured 2.1e-14
     eig, eig_t = sym_eigvals(hess), sym_eigvals(hess_t)
     assert np.max(np.abs(eig_t - eig).max(axis=1) / np.abs(eig).max(axis=1)) <= 1e-11
+
+
+@pytest.mark.parametrize("graph", [
+    BoundaryGraph("sinusoid", A=0.05, k=4.0),
+    BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0), sign=-1.0),
+], ids=["sinusoid", "c1model-concave"])
+def test_distance_at_zero_height_over_a_trough(graph):
+    # at (-0.2, 0) Gamma < 0 (-0.036 and -0.018), so y_n = p = 0 at the root:
+    # a certificate relative to |p| could not pass there, one relative to d
+    # does; special_solution reads such points on its grid
+    f = RegularizedDistanceField(graph)
+    y = np.array([-0.2, 0.0])
+    gap = -graph.gamma(-0.2)
+    d = f.eval_d(y)
+    L = graph.L_global
+    assert gap / (1 + L) <= d <= gap / (1 - L)
+    assert f.eval_all(y)[0][0] == d
+    phi = special_solution(f, 0.25, 64)
+    assert np.all(np.isfinite(phi.values))
+
+
+def test_eval_all_rejects_an_under_resolved_graph():
+    # the sinusoid of test_order_doubling_rejects_an_under_resolved_graph:
+    # eval_all climbs the same ladder as eval_d, and raises at its top rung
+    f = RegularizedDistanceField(BoundaryGraph("sinusoid", A=2e-4, k=1000.0))
+    pts = np.array([[0.01, 0.2], [0.05, 0.1]])
+    for y in (pts, pts[1]):
+        with pytest.raises(QuadratureError, match="order-doubling"):
+            f.eval_all(y)
+
+
+def _cone_oracle(L, pts):
+    """(d, grad d, D^2 d) on the 2-D cone Gamma = L |x'| in closed form.
+
+    With c = -x'/s, p = s + L s J(c), J(c) = int eta(t) |t - c| dt, and J is
+    the polynomial -c + 2 c A0(c) - 2 A1(c) on |c| <= 1, with
+    A_k(c) = int_{-1}^c t^k eta(t) dt, and |c| outside; so p_x = -L J',
+    p_s = 1 + L (J - c J'), p_xx = L J''/s, p_xs = L c J''/s and
+    p_ss = L c^2 J''/s.  d is Newton's root of that p, and its derivatives
+    follow from the inverse-function identities.
+    """
+    P = np.polynomial.Polynomial
+    m = regdist.BUMP_POWER
+    eta = P([1.0, 0.0, -1.0]) ** m / Mollifier(1).normalization
+    x = P([0.0, 1.0])
+    J = -x + 2 * x * eta.integ(lbnd=-1) - 2 * (x * eta).integ(lbnd=-1)
+    dJ, ddJ = J.deriv(), J.deriv(2)
+
+    def derivs(xp, s):
+        c = -xp / s
+        inside = np.abs(c) < 1
+        j = np.where(inside, J(c), np.abs(c))
+        j1 = np.where(inside, dJ(c), np.sign(c))
+        j2 = np.where(inside, ddJ(c), 0.0)
+        return s + L * s * j, -L * j1, 1 + L * (j - c * j1), L * j2 / s, L * c * j2 / s, L * c * c * j2 / s
+
+    xp, yn = pts[:, 0], pts[:, 1]
+    d = yn - L * np.abs(xp)
+    for _ in range(8):
+        p, _, ps, *_ = derivs(xp, d)
+        d = d - (p - yn) / ps
+    _, px, ps, pxx, pxs, pss = derivs(xp, d)
+    d1 = -px / ps
+    grad = np.column_stack([d1, 1 / ps])
+    hess = np.empty((len(d), 2, 2))
+    hess[:, 0, 0] = -(pxx + 2 * pxs * d1 + pss * d1 * d1) / ps
+    hess[:, 0, 1] = hess[:, 1, 0] = -(pxs + pss * d1) / ps**2
+    hess[:, 1, 1] = -pss / ps**3
+    return d, grad, hess
+
+
+def test_2d_cone_matches_the_closed_form_at_every_point():
+    # under the polynomial bump p on the 2-D cone is piecewise polynomial in
+    # closed form (_cone_oracle): an exact reference for d, grad d and D^2 d
+    # on the regdist-check sample, on the kink x' = 0, and at |c| = 1 and
+    # |c| = FAR, where the rule changes; measured: 9.7e-16 in d, 9.8e-15 in
+    # grad d and 3.7e-14 in d |D^2 d|, the largest at d = 0.0026
+    g = BoundaryGraph("cone", L=0.1)
+    f = RegularizedDistanceField(g)
+    pts = sample_domain_points(g, 0.3, 1000, np.random.default_rng(1))
+    heights = np.array([1e-3, 0.01, 0.05, 0.2])
+    kink = np.column_stack([np.zeros(4), heights])
+    edges = np.column_stack([np.repeat([0.02, -0.05], 2), [0.022, 0.025, 0.04, 0.0251]])
+    pts = np.concatenate([pts, kink, edges])
+    d, grad, hess = f.eval_all(pts)
+    D, G, H = _cone_oracle(0.1, pts)
+    assert np.abs(d - D).max() <= 3e-15
+    assert np.abs(grad - G).max() <= 3e-14
+    assert (D * np.abs(hess - H).max(axis=(1, 2))).max() <= 1e-13
+    # on the kink d |D^2 d| is 0.1875 at every height, so the check has teeth
+    assert np.all(np.abs(H[1000:1004, 0, 0]) * heights > 0.1)
+
+
+@pytest.mark.parametrize("c", [[1.0, 0.0], [1.02, 0.0], [-1.3, 0.6], [0.0, -1.999]])
+def test_rays_from_an_outside_kink_integrate_the_bump(c):
+    # rays cast from c over the chords of the disk: the weights integrate 1
+    # to pi, and the bump's moments of degree <= 2 are exact from order 6
+    T, W = _nodes(3, np.array([c]), 6)
+    assert W.sum() == pytest.approx(np.pi, rel=1e-14)
+    eta = Mollifier(2).eta_derivs((T * T).sum(axis=-1))[0] * W
+    assert eta.sum() == pytest.approx(1.0, rel=1e-14)
+    np.testing.assert_allclose(eta @ T[0], 0.0, atol=1e-15)
+    second = 1.0 / (regdist.BUMP_POWER + 2)     # int eta |t|^2 on the disk
+    assert eta @ (T[0] ** 2).sum(axis=-1) == pytest.approx(second, rel=1e-14)
+
+
+def test_rays_resolve_the_3d_cone_where_the_kink_is_just_outside():
+    # on a radial graph Gamma along a ray from c depends only on its length;
+    # at |c| = 1.02, 1.34 and 1.65 the rays at the first rung's working order
+    # miss order 64 by 9.3e-10, 1.2e-14 and 1.8e-16 in grad_x p, where the rule
+    # centred at 0 (the rule before rays) misses by 2.1e-6, 5.6e-10 and 6.5e-13
+    f = RegularizedDistanceField(BoundaryGraph("cone", dim=3, L=0.1))
+    xp = np.array([[0.051, 0.0], [-0.03, 0.06], [0.07, -0.07]])
+    s = np.array([0.05, 0.05, 0.06])
+    c = f._centre(xp, s)
+    assert np.all((np.linalg.norm(c, axis=-1) >= 1) & (np.linalg.norm(c, axis=-1) < regdist.FAR))
+    fine = f._moments(xp, s, c, 64)["px"]
+    work = 2 * regdist.BASE_ORDER
+    rays = np.abs(f._moments(xp, s, c, work)["px"] - fine).max(axis=1)
+    centred = np.abs(f._moments(xp, s, np.zeros_like(c), work)["px"] - fine).max(axis=1)
+    assert rays.max() <= 2e-9
+    assert np.all(rays <= 1e-2 * centred)
