@@ -581,6 +581,39 @@ def test_root_outside_an_understated_bracket_raises(monkeypatch, graph):
         f.eval_all(y)
 
 
+@pytest.mark.parametrize("graph", [
+    BoundaryGraph("cone", L=0.2),
+    BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0), sign=-1.0),
+], ids=["convex-root-below-lo", "concave-root-above-hi"])
+def test_a_predicted_step_outside_the_bracket_is_dropped(monkeypatch, graph):
+    # the Halley step from t = gap heads for the true root; inside the bracket
+    # it is taken, but with the bracket understated it leaves (lo, hi), so it
+    # is dropped for the bisection midpoint, not clipped, and the inversion
+    # ends in the typed error
+    y = np.array([0.0, 0.1])
+    passes = []
+    p_derivs = RegularizedDistanceField._p_derivs
+
+    def counted(self, xp, s, order):
+        passes.append((order, s.tolist()))
+        return p_derivs(self, xp, s, order)
+
+    monkeypatch.setattr(RegularizedDistanceField, "_p_derivs", counted)
+    work = 2 * regdist.BASE_ORDER
+    RegularizedDistanceField(graph).eval_all(y)
+    assert passes[0] == (work, [0.1])
+    lo, hi = 0.1 / (1 + graph.L_global), 0.1 / (1 - graph.L_global)
+    assert passes[1][0] == work and lo < passes[1][1][0] < hi
+    assert passes[1][1] not in ([0.5 * (lo + 0.1)], [0.5 * (0.1 + hi)])
+    monkeypatch.setattr(graph, "L_global", 1e-3)
+    passes.clear()
+    with pytest.raises(ConvergenceError, match="left its bracket"):
+        RegularizedDistanceField(graph).eval_all(y)
+    lo, hi = 0.1 / (1 + 1e-3), 0.1 / (1 - 1e-3)
+    mid = 0.5 * (lo + 0.1) if graph.family == "cone" else 0.5 * (0.1 + hi)
+    assert passes[:2] == [(work, [0.1]), (work, [mid])]
+
+
 def test_each_rung_starts_from_the_root_below(monkeypatch):
     # the k = 300 sinusoid of the order-doubling test climbs to the top rung:
     # each rung's first pass is at the root of the rung below, inside the
