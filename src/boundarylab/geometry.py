@@ -11,6 +11,8 @@ Supported boundary families (all with Gamma(0) = 0):
 
 Dimensions n = 2 and n = 3 are supported here and in regdist; the PDE
 solver is restricted to n = 2.
+Every family states S = sup |grad Gamma| over B'_s(x') cut to the chart disk
+B'_R(0) exactly (seminorm_at), and L_global is S over the chart.
 """
 
 from __future__ import annotations
@@ -20,19 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .modulus import Modulus
 
 __all__ = ["BoundaryGraph", "C1Report", "check_c1_conditions"]
-
-# seminorm_at samples a batch of balls in blocks of at most this many nodes
-# (one ball at a time when a single ball is larger); a c1model jet holds
-# about five arrays of a block's size at once, so this sets the peak memory
-_SEMINORM_NODES = 1 << 15
-# the sample sizes and agreement tolerance of seminorm_at (see its docstring)
-SEMINORM_M0 = 17
-SEMINORM_TOL = 1e-3
-SEMINORM_M_MAX = 513
 
 
 # each family's required and optional parameters, whether Gamma has a derivative
@@ -77,16 +70,6 @@ def _over_radius(num, rho) -> np.ndarray:
     if not whole:
         num[~pos] = 0.0
     return num
-
-
-def _sample_ball(dim_surface: int, r: float, m: int) -> np.ndarray:
-    """Sample of B'_r in R^dim_surface, (M, dim_surface); sample m lies in sample 2m - 1."""
-    if dim_surface == 1:
-        return np.linspace(-r, r, m)[:, None]
-    rho = np.linspace(0.0, r, m)[1:, None]
-    th = np.linspace(0.0, 2 * np.pi, 2 * (m - 1), endpoint=False)
-    ring = np.stack([(rho * np.cos(th)).ravel(), (rho * np.sin(th)).ravel()], axis=-1)
-    return np.concatenate([np.zeros((1, 2)), ring])
 
 
 class BoundaryGraph:
@@ -155,6 +138,8 @@ class BoundaryGraph:
             off = float(interp(0.0))
             self._interp = PchipInterpolator(ts, vals - off)
             self._dinterp = self._interp.derivative()
+            # |Gamma'| peaks at a knot or a root of Gamma'' (nan, in no interval, where it is 0)
+            self._peaks = np.concatenate([ts, self._interp.derivative(2).roots()])
             self.L_global = self.local_lip_seminorm(self.chart_radius)
 
     def _number(self, key) -> float:
@@ -236,19 +221,22 @@ class BoundaryGraph:
     # -- seminorms and pointwise conditions ---------------------------------
 
     def local_lip_seminorm(self, r: float) -> float:
-        """sup of |grad Gamma| over B'_r(0), sampled by seminorm_at."""
-        if r <= 0 or r > self.chart_radius * (1 + 1e-12):
-            raise DomainError(f"radius {r} outside (0, {self.chart_radius}]")
+        """sup of |grad Gamma| over B'_r(0) cut to the chart: seminorm_at's ball at 0."""
         return self.seminorm_at(np.zeros(self.dim - 1), r)
 
     def seminorm_at(self, xp, scale):
-        """sup of |grad Gamma| over B'_scale(x'), sampled; clipped to the chart.
+        """sup of |grad Gamma| over B'_scale(x') cut to the chart disk B'_R(0).
 
-        Each ball takes _sample_ball at m = SEMINORM_M0, 2m - 1, ... until two
-        samples agree to SEMINORM_TOL relative; one still unsettled at
-        SEMINORM_M_MAX raises ConvergenceError.  One point x' with a scalar
-        scale gives a float; a (k, n-1) batch with k scales (or one) gives k
-        values, each level in blocks of about _SEMINORM_NODES nodes.
+        zero, linear, cone: 0, |a|, L; |grad Gamma| is constant off one kink point.
+        sinusoid: |A k cos(k x_1)| is |A k| at each multiple of pi/k and monotone
+        between them, so on I = [x_1 - s, x_1 + s] cut to [-R, R] it is |A k| if
+        I holds one, else the larger end value (in 3-D an upper bound: I holds
+        the disk's projection).  table: Gamma' is piecewise quadratic, so |Gamma'|
+        peaks at an end of I, a knot or a root of Gamma''.  c1model: |grad Gamma|
+        is (t omega)'(|x'|), whose sup over the radii [max(0, |x'| - s),
+        min(|x'| + s, R)] the modulus gives (omega.slope_sup).  One point x' with
+        a scalar scale gives a float; a (k, n-1) batch with k scales (or one)
+        gives k values.  A scale <= 0 or a centre outside the chart raises DomainError.
         """
         xp = self._as_xp(xp)
         single = xp.ndim == 1
@@ -256,27 +244,22 @@ class BoundaryGraph:
         scale = np.broadcast_to(np.asarray(scale, dtype=float), xp.shape[:1])
         if np.any(scale <= 0):
             raise DomainError(f"scale must be positive, got {scale.min()}")
-        out = np.full(len(xp), np.nan)      # nan: a first sample never settles
-        todo, m = np.arange(len(xp)), SEMINORM_M0
-        while todo.size:
-            unit = _sample_ball(self.dim - 1, 1.0, m)
-            step = max(1, _SEMINORM_NODES // len(unit))
-            val = np.empty(len(todo))
-            for a in range(0, len(todo), step):
-                # x' + scale u one component at a time, clipped in place
-                idx = todo[a:a + step]
-                pts = scale[idx, None, None] * unit
-                for i in range(self.dim - 1):
-                    pts[..., i] += xp[idx, None, i]
-                np.clip(pts, -self.chart_radius, self.chart_radius, out=pts)
-                val[a:a + step] = _radius(self.jet(pts)[1]).max(axis=-1)
-            prev, out[todo] = out[todo], val
-            unsettled = ~(np.abs(val - prev) <= SEMINORM_TOL * val)
-            if unsettled.any() and m >= SEMINORM_M_MAX:
-                j = np.argmax(unsettled)
-                raise ConvergenceError(f"seminorm over B'_{scale[todo[j]]:g}({xp[todo[j]]}) "
-                                       f"unsettled at m = {m}: {prev[j]:.17g} then {val[j]:.17g}")
-            todo, m = todo[unsettled], 2 * m - 1
+        R, rho = self.chart_radius, _radius(xp)
+        if np.any(rho > R):
+            raise DomainError(f"ball centre at |x'| = {rho.max()} outside the chart radius {R}")
+        ends = np.stack([np.maximum(xp[:, 0] - scale, -R), np.minimum(xp[:, 0] + scale, R)])
+        if self.family == "c1model":
+            out = self._omega.slope_sup(np.maximum(rho - scale, 0.0), np.minimum(rho + scale, R))
+        elif self.family == "sinusoid":
+            k = abs(self._k) / np.pi
+            out = np.where(np.floor(ends[1] * k) >= np.ceil(ends[0] * k), abs(self._A * self._k),
+                           np.abs(self._A * self._k * np.cos(self._k * ends)).max(0))
+        elif self.family == "table":
+            inside = (self._peaks >= ends[0, :, None]) & (self._peaks <= ends[1, :, None])
+            out = np.maximum(np.abs(self._dinterp(ends)).max(0),
+                             np.abs(np.where(inside, self._dinterp(self._peaks), 0.0)).max(-1))
+        else:
+            out = np.full(len(xp), self.L_global)
         return float(out[0]) if single else out
 
     def __repr__(self):

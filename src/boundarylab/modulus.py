@@ -44,6 +44,7 @@ class Modulus:
         func: Callable[[np.ndarray], np.ndarray],
         *,
         deriv: Callable[[np.ndarray], np.ndarray],
+        slope_sup: Callable[[np.ndarray, np.ndarray], np.ndarray],
         dini_primitive: Optional[Callable[[float], float]] = None,
         params: Optional[dict] = None,
     ):
@@ -54,6 +55,8 @@ class Modulus:
         # eval_modulus and derivative hand func and deriv a float array
         self._func = func
         self._deriv = deriv
+        # sup of (t omega)' over float arrays 0 <= lo <= hi < t0 (c1model's |grad Gamma|)
+        self.slope_sup = slope_sup
         # antiderivative of omega(s)/s, where a closed form exists, defined
         # at s = 0 too: -inf there when the integral from 0 diverges
         self.dini_primitive = dini_primitive
@@ -92,6 +95,7 @@ def constant(L: float, t0: float = 1.0) -> Modulus:
         t0,
         lambda t: np.full_like(t, L),
         deriv=np.zeros_like,
+        slope_sup=lambda lo, hi: np.full_like(hi, L),
         dini_primitive=(lambda s: L * math.log(s) if s > 0
                         else -math.inf if L > 0 else 0.0),
         params={"L": L},
@@ -112,6 +116,7 @@ def power(alpha: float, scale: float = 1.0, t0: float = 1.0) -> Modulus:
         t0,
         lambda t: scale * t ** alpha,
         deriv=lambda t: scale * alpha * t ** (alpha - 1.0),
+        slope_sup=lambda lo, hi: (1.0 + alpha) * scale * hi ** alpha,  # (t omega)', rising
         dini_primitive=(lambda s: scale * s**alpha / alpha),
         params={"alpha": alpha, "scale": scale},
     )
@@ -142,6 +147,7 @@ def log_modulus(c: float = 1.0, t0: float = 0.5) -> Modulus:
         t0,
         f,
         deriv=df,
+        slope_sup=lambda lo, hi: f(hi) + hi * df(hi),  # c/l + c/l^2 rises, l = log(1/t)
         dini_primitive=(lambda s: -c * math.log(math.log(1.0 / s)) if s > 0 else -math.inf),
         params={"c": c},
     )
@@ -171,11 +177,19 @@ def table(ts: Sequence[float], values: Sequence[float], t0: Optional[float] = No
         idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(slopes) - 1)
         return slopes[idx]
 
+    # (t omega)' = omega + t slope rises on each piece and jumps at the knots,
+    # so its sup over [lo, hi] is hi's value or a left limit at a knot in (lo, hi]
+    def slope_sup(lo, hi):
+        knots = (ts[1:] > lo[..., None]) & (ts[1:] <= hi[..., None])
+        left = np.where(knots, values[1:] + ts[1:] * slopes, 0.0).max(axis=-1)
+        return np.maximum(np.interp(hi, ts, values) + hi * dval(hi), left)
+
     return Modulus(
         "table",
         t0,
         lambda t: np.interp(t, ts, values),
         deriv=dval,
+        slope_sup=slope_sup,
         params={"n_samples": int(ts.size)},
     )
 
@@ -293,4 +307,6 @@ def make_composite(a: float, b: float, c: float, omega1: Modulus,
                 (a + dini(omega1, ti)) * (1.0 - c * float(omega2(ti))) - float(omega1(ti)))
         return out
 
-    return Modulus("composite", tilde_t0, w, deriv=dw, params={"a": a, "b": b, "c": c})
+    # w/t = (a + I1) exp(c I2) falls, so t w' <= w and (t w)' <= 2 w <= 2 w(hi): a bound
+    return Modulus("composite", tilde_t0, w, deriv=dw, slope_sup=lambda lo, hi: 2.0 * w(hi),
+                   params={"a": a, "b": b, "c": c})

@@ -412,9 +412,9 @@ class RegularizedDistanceField:
         each later one from the root of the rung below, and checks p at d
         with one pass at half the order.  Where Gamma is affine on the
         mollifier support p(y', t) = t + Gamma(y') on every rule, so there
-        t stays gap, bit for bit.  For families whose L_global is a sampled
-        seminorm the bracket is not a proof; a root outside it ends in a
-        ConvergenceError.
+        t stays gap, bit for bit.  L_global is the exact seminorm over the
+        chart (a bound on the composite modulus), so the bracket is a proof;
+        a root outside it still ends in a ConvergenceError.
 
         Returns d and the derivatives of p at d, from the last Halley pass
         of each point's last rung.
@@ -509,12 +509,11 @@ class DistanceBoundsReport(Report):
     grad_dev    = max ||grad d| - 1| / S               (want <= C_hat)
     hess_scale  = max d |D^2 d| / S                    (want <= C_hat)
 
-    S is the local Lipschitz seminorm of Gamma over B'_scale(y') at scale
-    max(d, gap), sampled by seminorm_at to SEMINORM_TOL agreement; points
-    with S below S_FLOOR are excluded from the normalized maxima (0/0 on
-    exactly flat regions) but still checked for exactness (deviation <=
-    FLAT_TOL).  columns holds one row (y_1..y_n, d, |grad d|, |D^2 d|,
-    d/(y_n - Gamma)) per sample.
+    S is seminorm_at's Lipschitz seminorm of Gamma over B'_scale(y') at scale
+    max(d, gap); points with S below S_FLOOR are excluded from the normalized
+    maxima (0/0 on exactly flat regions) but still checked for exactness
+    (deviation <= FLAT_TOL).  columns holds one row (y_1..y_n, d, |grad d|,
+    |D^2 d|, d/(y_n - Gamma)) per sample.
     """
 
     ratio_dev: float
