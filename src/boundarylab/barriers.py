@@ -231,7 +231,7 @@ def check_special_solution_sandwich(field: RegularizedDistanceField, eps: float,
     lower = u - (2 * r) ** (-eps) * d ** (1 + eps) + slack
     upper = (2 * r) ** eps * d ** (1 - eps) + slack - u
     dev = np.abs(u - d)
-    seminorm = field.graph.local_lip_seminorm(min(2 * r, field.graph.chart_radius))
+    seminorm = field.graph.local_lip_seminorm(2 * r)
     bound = K_hat * r * seminorm + slack
     return SandwichReport(
         lower_ok=bool(np.all(lower >= 0)),

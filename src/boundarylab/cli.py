@@ -19,7 +19,7 @@ import numpy as np
 
 from . import calibrate as _calmod
 from .barriers import Barrier, sample_domain_points, verify_barrier
-from .config import (data_from_config, ellipticity_from_config, graph_from_config,
+from .config import (_number, data_from_config, ellipticity_from_config, graph_from_config,
                      load_config, modulus_from_config, operator_from_config)
 from .errors import BoundaryLabError, ConfigError
 from .harness import diagnostic_sequences, measure_boundary_modulus, measure_growth
@@ -50,9 +50,9 @@ def _write_json(path: Path, obj) -> None:
 
 def _cmd_modulus_table(cfg, out: Path, cal, seed) -> int:
     omega = modulus_from_config(cfg["modulus"])
-    n = int(cfg.get("n_points", 50))
+    n = int(_number(cfg, "n_points", "modulus-table", 50))
     hi = omega.t0 * (1.0 - 1e-9)
-    lo = float(cfg.get("t_min", hi * 2.0 ** (-20)))
+    lo = _number(cfg, "t_min", "modulus-table", hi * 2.0 ** (-20))
     ts = np.geomspace(lo, hi * (1 - 1e-9), n)
     rows = []
     for t in ts:
@@ -63,8 +63,8 @@ def _cmd_modulus_table(cfg, out: Path, cal, seed) -> int:
 
 def _cmd_regdist_check(cfg, out: Path, cal, seed) -> int:
     graph = graph_from_config(cfg["domain"])
-    n = int(cfg.get("n_points", 1000))
-    r = float(cfg.get("r", 0.3))
+    n = int(_number(cfg, "n_points", "regdist-check", 1000))
+    r = _number(cfg, "r", "regdist-check", 0.3)
     rng = np.random.default_rng(seed)
     field = RegularizedDistanceField(graph)
     pts = sample_domain_points(graph, r, n, rng)
@@ -80,11 +80,11 @@ def _cmd_regdist_check(cfg, out: Path, cal, seed) -> int:
 def _cmd_barrier_check(cfg, out: Path, cal, seed) -> int:
     graph = graph_from_config(cfg["domain"])
     E = ellipticity_from_config(cfg["ellipticity"])
-    r = float(cfg.get("r", 0.25))
-    n = int(cfg.get("n_points", 500))
+    r = _number(cfg, "r", "barrier-check", 0.25)
+    n = int(_number(cfg, "n_points", "barrier-check", 500))
     rng = np.random.default_rng(seed)
     field = RegularizedDistanceField(graph)
-    sem = graph.local_lip_seminorm(min(2 * r, graph.chart_radius))
+    sem = graph.local_lip_seminorm(2 * r)
     eps = _calmod.epsilon_for(cal, E, sem)
     pts = sample_domain_points(graph, r, n, rng)
     reports = {}
@@ -104,8 +104,8 @@ def _cmd_barrier_check(cfg, out: Path, cal, seed) -> int:
 def _cmd_solve(cfg, out: Path, cal, seed) -> int:
     graph = graph_from_config(cfg["domain"])
     op = operator_from_config(cfg["operator"])
-    r = float(cfg.get("r", 0.5))
-    n = int(cfg.get("n", 64))
+    r = _number(cfg, "r", "solve", 0.5)
+    n = int(_number(cfg, "n", "solve", 64))
     rhs = data_from_config(cfg.get("rhs", {"name": "zero"}), "rhs")
     g = data_from_config(cfg.get("dirichlet", {"name": "zero"}), "dirichlet")
     # schema-1 configs may carry "stencil": "wide", which selects nothing, as the
@@ -150,17 +150,17 @@ def _growth_csv(out: Path, report, extra=None) -> None:
 _CASCADE_KEYS = {"domain", "operator", "k_max", "n_grid"}
 
 
-def _cascade_from_config(cfg):
-    """The graph, the operator and the cascade keywords of a config."""
+def _cascade_from_config(cfg, command):
+    """The graph, the operator and the cascade keywords of command's config."""
     graph = graph_from_config(cfg["domain"])
     op = operator_from_config(cfg.get("operator", {"kind": "laplace"}))
-    return graph, op, {"k_max": int(cfg.get("k_max", 7)),
-                       "n_grid": int(cfg.get("n_grid", 128))}
+    return graph, op, {"k_max": int(_number(cfg, "k_max", command, 7)),
+                       "n_grid": int(_number(cfg, "n_grid", command, 128))}
 
 
 def _cmd_growth(cfg, out: Path, cal, seed) -> int:
-    graph, op, cascade = _cascade_from_config(cfg)
-    omega = modulus_from_config(cfg["omega"]) if "omega" in cfg else None
+    graph, op, cascade = _cascade_from_config(cfg, "growth")
+    omega = modulus_from_config(cfg["omega"], "omega") if "omega" in cfg else None
     outer = (data_from_config(cfg["outer_data"], "outer_data")
              if "outer_data" in cfg else None)
     rep = measure_growth(graph, op, outer_data=outer, omega=omega,
@@ -176,7 +176,7 @@ def _cmd_growth(cfg, out: Path, cal, seed) -> int:
 
 
 def _cmd_boundary_modulus(cfg, out: Path, cal, seed) -> int:
-    graph, op, cascade = _cascade_from_config(cfg)
+    graph, op, cascade = _cascade_from_config(cfg, "boundary-modulus")
     g_rec = cfg.get("g", {"name": "zero"})
     g = data_from_config(g_rec, "g")
     # the data's exact tangential gradient at the origin (zero unless linear)

@@ -53,9 +53,9 @@ def _number(rec, key, where, default) -> float:
     return float(v)
 
 
-def _floats(rec, *keys) -> dict:
-    """Those keys that rec has, as floats; an absent one takes the factory's default."""
-    return {k: float(rec[k]) for k in keys if k in rec}
+def _floats(rec, where, *keys) -> dict:
+    """Those keys that rec has, read by _number; an absent one takes the factory's default."""
+    return {k: _number(rec, k, where, None) for k in keys if k in rec}
 
 
 def load_config(path) -> dict:
@@ -77,16 +77,16 @@ def modulus_from_config(rec, where: str = "modulus"):
     kind = rec.get("kind") if isinstance(rec, dict) else None
     if kind == "constant":
         _check_keys(rec, where, {"kind", "L"}, {"t0"})
-        return constant(float(rec["L"]), **_floats(rec, "t0"))
+        return constant(_number(rec, "L", where, None), **_floats(rec, where, "t0"))
     if kind == "power":
         _check_keys(rec, where, {"kind", "alpha"}, {"scale", "t0"})
-        return power(_positive(rec, "alpha", where), **_floats(rec, "scale", "t0"))
+        return power(_positive(rec, "alpha", where), **_floats(rec, where, "scale", "t0"))
     if kind == "log":
         _check_keys(rec, where, {"kind"}, {"c", "t0"})
-        return log_modulus(**_floats(rec, "c", "t0"))
+        return log_modulus(**_floats(rec, where, "c", "t0"))
     if kind == "table":
         _check_keys(rec, where, {"kind", "ts", "values"}, {"t0"})
-        return table(rec["ts"], rec["values"], **_floats(rec, "t0"))
+        return table(rec["ts"], rec["values"], **_floats(rec, where, "t0"))
     if kind == "composite":
         _check_keys(rec, where, {"kind", "a", "b", "c", "omega1", "omega2"})
         return make_composite(
@@ -132,7 +132,7 @@ def operator_from_config(rec, where: str = "operator"):
         E = (ellipticity_from_config(rec["ellipticity"], where + ".ellipticity")
              if "ellipticity" in rec else None)
         # the constant (2, 2) matrix for every node array: one shared weight row
-        return FixedOp(A=lambda x, _A=A: _A, E=E)
+        return FixedOp(A=lambda x: A, E=E)
     if kind in ("pucci_minus", "pucci_plus"):
         _check_keys(rec, where, {"kind", "ellipticity"})
         E = ellipticity_from_config(rec["ellipticity"], where + ".ellipticity")
@@ -153,11 +153,11 @@ def data_from_config(rec, where: str = "data"):
         return lambda p: np.zeros(len(np.atleast_2d(p)))
     if name == "constant":
         _check_keys(rec, where, {"name", "value"})
-        v = float(rec["value"])
+        v = _number(rec, "value", where, None)
         return lambda p: np.full(len(np.atleast_2d(p)), v)
     if name == "linear":
         _check_keys(rec, where, {"name", "coeffs"}, {"offset"})
         coeffs = np.asarray(rec["coeffs"], dtype=float)
-        off = float(rec.get("offset", 0.0))
+        off = _number(rec, "offset", where, 0.0)
         return lambda p: off + np.atleast_2d(p) @ coeffs
     raise ConfigError(f"{where}.name: unknown data form {name!r}")

@@ -12,8 +12,11 @@ operator (Laplace or a fixed field A(x)) is the one-policy case.  Each
 policy is split once into nonnegative weights over the eight directions,
 and only the directions that some policy weights are assembled: the
 5-point stencil for the Laplacian and diagonal coefficients, more for
-anisotropic and Pucci operators.  All are solved by one policy iteration,
-with a fixed tie-break for determinism; one policy settles in one round.
+anisotropic and Pucci operators.  The assembled directions stack, node-major,
+into one sparse matrix D and one boundary vector c, so a policy's operator
+sum_d alpha_d (D_d u + c_d) is one sparse product.  All are solved by one
+policy iteration, with a fixed tie-break for determinism; one policy settles
+in one round.
 Every frozen-policy matrix is a nonsingular M-matrix, and so is each of
 its principal submatrices, so it has an LU factorization with positive
 pivots in any symmetric ordering: it is factored on a minimum-degree
@@ -116,10 +119,12 @@ def _values_at(fn: Callable, pts: np.ndarray, name: str) -> np.ndarray:
 
 
 class _DiscreteSystem:
-    """Per-direction second-difference operators plus boundary bookkeeping.
+    """The stacked second-difference operator plus boundary bookkeeping.
 
-    D and c are in the units of the assembled problem; the operator of the
-    system's own problem is unit * (D u + c), with unit = 1 until dilated.
+    D (CSR, (m n_dir, m)) and c (m n_dir,) are node-major: row n_dir i + d is
+    direction d at node i.  They are in the units of the assembled problem;
+    the operator of the system's own problem is unit * (D u + c), with unit = 1
+    until dilated.
     """
 
     def __init__(self, problem: GridProblem):
@@ -137,7 +142,6 @@ class _DiscreteSystem:
         if m == 0:
             raise DomainError("no interior grid nodes; refine the grid or enlarge r")
         self.nodes = np.stack([X[inside], Y[inside]], axis=-1)
-        self.shape = X.shape
         self.xs = xs
 
         alphas, self.sense = _operator_weights(problem.operator, self.nodes)
@@ -160,28 +164,24 @@ class _DiscreteSystem:
         X0 = self.nodes[ck]
         s_cut = _cut_fractions(g, r, X0, W)
         self.boundary_points = X0 + s_cut[:, None] * W
-        frac = np.ones(nbr.shape)
-        frac[cd, ck, cs] = s_cut
 
-        arms = h * np.hypot(dirs[:, 0], dirs[:, 1])
-        rows = np.repeat(np.arange(m), 3)
-        self.D = []            # per-direction sparse operators
-        cut_weights = []       # the arm weight of each cut segment, in cut order
-        for d in range(len(dirs)):
-            # Shortley-Weller weights from the (possibly shortened) arms
-            dp, dm = (frac[d] * arms[d]).T
-            wgt = np.column_stack([2.0 / (dp * (dp + dm)), 2.0 / (dm * (dp + dm))])
-            # per row: the diagonal, then the + and - neighbours where inside
-            cols = np.column_stack([np.arange(m), nbr[d]]).ravel()
-            vals = np.column_stack([-wgt.sum(axis=1), wgt]).ravel()
-            keep = cols >= 0
-            self.D.append(sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                                            shape=(m, m)))
-            at = cd == d
-            cut_weights.append(wgt[ck[at], cs[at]])
-        # each cut segment's (direction, node) row of c and its arm weight
-        self._cut_rows = cd * m + ck
-        self._cut_weights = np.concatenate(cut_weights)
+        # Shortley-Weller weights from the (possibly shortened) arms, node-major:
+        # wgt[i, d] holds the + and - arm weights of direction d at node i
+        self.n_dir = n_dir = len(dirs)
+        arms = np.ones((m, n_dir, 2))
+        arms[ck, cd, cs] = s_cut
+        arms *= (h * np.hypot(dirs[:, 0], dirs[:, 1]))[:, None]
+        dp, dm = arms[..., 0], arms[..., 1]
+        wgt = np.stack([2.0 / (dp * (dp + dm)), 2.0 / (dm * (dp + dm))], axis=-1)
+        # row n_dir i + d: the diagonal, then the + and - neighbours where inside
+        cols = np.insert(nbr.transpose(1, 0, 2), 0, np.arange(m)[:, None], axis=-1).ravel()
+        vals = np.insert(wgt, 0, -wgt.sum(axis=-1), axis=-1).ravel()
+        keep = cols >= 0
+        self.D = sparse.csr_matrix((vals[keep], (np.repeat(np.arange(m * n_dir), 3)[keep],
+                                                 cols[keep])), shape=(m * n_dir, m))
+        # each cut segment's (node, direction) row of c and its arm weight
+        self._cut_rows = ck * n_dir + cd
+        self._cut_weights = wgt[ck, cd, cs]
         self.unit = 1.0
         self._factor = []      # [A, LU] of the one shared frozen matrix, once built
         self._set_data(problem)
@@ -191,10 +191,9 @@ class _DiscreteSystem:
         self.problem = problem
         self.boundary_values = _values_at(problem.dirichlet, self.boundary_points,
                                           "dirichlet")
-        # per-direction boundary vectors c_d; the two arms of a row add in order
-        n_dir = len(self.D)
+        # the stacked boundary vector, row n_dir i + d; the two arms of a row add in order
         self.c = np.bincount(self._cut_rows, self._cut_weights * self.boundary_values,
-                             minlength=n_dir * self.m).reshape(n_dir, self.m)
+                             minlength=self.n_dir * self.m)
 
     @property
     def certificate(self) -> dict:
@@ -229,27 +228,25 @@ class _DiscreteSystem:
     def frozen_matrix(self, alpha: np.ndarray):
         """sum_d alpha[:, d] D_d, its LU factors, and sum_d alpha[:, d] c_d.
 
+        Each is one product with the row selection pick: A = pick D, c = pick c.
         alpha >= 0 makes the matrix a nonsingular M-matrix, whose principal
         submatrices are M-matrices too: SuperLU factors it in symmetric mode,
         on a minimum-degree ordering of A^T + A with diagonal pivots, which
         therefore stay positive.  One policy with one shared weight row gives
         the same matrix on every call and every dilation; it is factored once.
         """
-        used = [d for d in range(len(self.D)) if np.any(alpha[:, d])]
-        c = np.zeros(self.m)
-        for d in used:
-            c += alpha[:, d] * self.c[d]
-        if self._factor:
-            return (*self._factor, c)
         # imported here, not at module level: scipy.sparse and its linalg take
         # about 0.5 s to import, and only a solve needs them
         from scipy import sparse
         from scipy.sparse.linalg import splu
-        A = None
-        for d in used:
-            term = sparse.diags(alpha[:, d]) @ self.D[d]
-            A = term if A is None else A + term
-        A = A.tocsc()
+        # pick's row i holds alpha[i, :] at columns n_dir i, ..., n_dir i + n_dir - 1
+        pick = sparse.csr_matrix((alpha.ravel(), np.arange(alpha.size),
+                                  np.arange(0, alpha.size + 1, self.n_dir)),
+                                 shape=(self.m, self.m * self.n_dir))
+        c = pick @ self.c
+        if self._factor:
+            return (*self._factor, c)
+        A = (pick @ self.D).tocsc()
         lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
         if self.alphas.shape[:2] == (1, 1):
@@ -258,7 +255,7 @@ class _DiscreteSystem:
 
     def direction_values(self, u: np.ndarray) -> np.ndarray:
         """The problem's D_d u + c_d for every assembled direction d, as an (m, n_dir) array."""
-        return np.stack([self.unit * (D @ u + c) for D, c in zip(self.D, self.c)], axis=1)
+        return (self.unit * (self.D @ u + self.c)).reshape(self.m, self.n_dir)
 
 
 # segments per sign-scan block: bounds the (rows, samples + 1) temporaries,
@@ -442,7 +439,7 @@ class GridSolution:
 
 
 def discretize(problem: GridProblem) -> _DiscreteSystem:
-    """Assemble the per-direction monotone difference operators."""
+    """Assemble the stacked monotone difference operator of problem."""
     return _DiscreteSystem(problem)
 
 

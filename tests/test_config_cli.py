@@ -114,6 +114,53 @@ def test_cli_rejects_a_chart_key_that_is_not_a_number(tmp_path, capsys, key, val
         in capsys.readouterr().err
 
 
+_CONE = {"family": "cone", "L": 0.1}
+_E = {"lam": 1.0, "Lam": 2.0}
+# (command, config, the record that holds the key: the command itself for a
+# top-level key, else the config key of the nested record, and the key)
+_NUMBER_CASES = [
+    ("growth", {"domain": _CONE}, "growth", "k_max"),
+    ("growth", {"domain": _CONE}, "growth", "n_grid"),
+    ("boundary-modulus", {"domain": _CONE}, "boundary-modulus", "k_max"),
+    ("solve", {"domain": _CONE, "operator": {"kind": "laplace"}}, "solve", "n"),
+    ("solve", {"domain": _CONE, "operator": {"kind": "laplace"}}, "solve", "r"),
+    ("barrier-check", {"domain": _CONE, "ellipticity": _E}, "barrier-check", "r"),
+    ("barrier-check", {"domain": _CONE, "ellipticity": _E}, "barrier-check", "n_points"),
+    ("regdist-check", {"domain": _CONE}, "regdist-check", "r"),
+    ("regdist-check", {"domain": _CONE}, "regdist-check", "n_points"),
+    ("modulus-table", {"modulus": {"kind": "log"}}, "modulus-table", "n_points"),
+    ("modulus-table", {"modulus": {"kind": "log"}}, "modulus-table", "t_min"),
+    ("modulus-table", {"modulus": {"kind": "constant"}}, "modulus", "L"),
+    ("modulus-table", {"modulus": {"kind": "constant", "L": 1.0}}, "modulus", "t0"),
+    ("modulus-table", {"modulus": {"kind": "power", "alpha": 0.5}}, "modulus", "scale"),
+    ("modulus-table", {"modulus": {"kind": "log"}}, "modulus", "c"),
+    ("solve", {"domain": _CONE, "operator": {"kind": "laplace"},
+               "rhs": {"name": "constant"}}, "rhs", "value"),
+    ("solve", {"domain": _CONE, "operator": {"kind": "laplace"},
+               "dirichlet": {"name": "linear", "coeffs": [0, 1]}}, "dirichlet", "offset"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, record, key", _NUMBER_CASES,
+                         ids=[f"{c}-{rec}.{k}" for c, _, rec, k in _NUMBER_CASES])
+@pytest.mark.parametrize("value", [None, [1], "5"])
+def test_cli_rejects_a_number_key_that_is_not_a_number(tmp_path, capsys, command, cfg,
+                                                       record, key, value):
+    cfg = json.loads(json.dumps(cfg))
+    (cfg if record == command else cfg[record])[key] = value
+    path = _write(tmp_path, "c.json", {"schema_version": 1, **cfg})
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {record}.{key}: expected a number, got {value!r}" \
+        in capsys.readouterr().err
+
+
+def test_cli_growth_names_its_omega_record(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {"schema_version": 1, "domain": _CONE,
+                                      "omega": {"kind": "bogus"}})
+    assert main(["growth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: omega.kind: unknown modulus kind")
+
+
 def test_operator_and_ellipticity_from_config():
     from boundarylab import LaplaceOp
     assert isinstance(operator_from_config({"kind": "laplace"}), LaplaceOp)

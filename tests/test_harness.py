@@ -153,7 +153,7 @@ def test_cascade_levels_equal_their_own_assembly(monkeypatch, family, op_name):
         np.testing.assert_array_equal(sol.policy, fresh.policy)
         assert sol.residual == fresh.residual
         assert sol.iterations == fresh.iterations
-        assert len(system.D) == n_dir
+        assert system.n_dir == n_dir
         units.append(system.unit)
         return sol
 

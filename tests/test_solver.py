@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import brentq, nnls
 from scipy.sparse.linalg import splu
 
@@ -20,7 +21,7 @@ def _harmonic(p):
 
 def _stencil(system):
     """The stencil a system assembled: the 5-point one, or a wider one."""
-    return "standard5" if len(system.D) == 2 else "wide"
+    return "standard5" if system.n_dir == 2 else "wide"
 
 
 def _identity_field(x):
@@ -149,7 +150,7 @@ def test_fixed_offdiagonal_needs_wide_stencil():
                        lambda p: np.full(len(p), 2.0 * (A[0, 0] - A[1, 1] + A[0, 1])),
                        lambda p: p[:, 0] ** 2 - p[:, 1] ** 2 + p[:, 0] * p[:, 1])
     sys_ = discretize(prob)
-    assert len(sys_.D) == 3
+    assert sys_.n_dir == 3
     sol = solve(prob, sys_)
     assert np.abs(sol.values - prob.dirichlet(sol.nodes)).max() < 1e-9
     # an indefinite matrix has no nonnegative split over the eight directions
@@ -170,7 +171,8 @@ def test_assembled_directions_follow_the_operator(operator, n_dir):
     # only the directions some policy weights are assembled, cut and
     # evaluated; a per-node field keeps all eight
     sys_ = discretize(GridProblem(_SIN, R, 2 * R / 32, operator, ZERO, ZERO))
-    assert len(sys_.D) == len(sys_.c) == sys_.alphas.shape[-1] == n_dir
+    assert sys_.n_dir == sys_.alphas.shape[-1] == n_dir
+    assert sys_.D.shape == (sys_.m * n_dir, sys_.m) and sys_.c.shape == (sys_.m * n_dir,)
     assert sys_.direction_values(np.zeros(sys_.m)).shape == (sys_.m, n_dir)
     if n_dir < 8:
         assert sys_.alphas.any(axis=(0, 1)).all()
@@ -399,6 +401,38 @@ def _varying_field(x):
     A[:, 0, 1] = A[:, 1, 0] = 0.9 * np.cos(3.0 * x[:, 1])
     A[:, 1, 1] = 1.5
     return A
+
+
+@pytest.mark.parametrize("operator", [
+    PucciOp(EllipticityPair(1.0, 2.0), "minus"),
+    PucciOp(EllipticityPair(1.0, 8.0), "plus"),
+    FixedOp(A=_varying_field),
+], ids=["pucci-4-directions", "pucci-8-directions", "field"])
+def test_frozen_matrix_equals_the_per_direction_sum(operator):
+    # the reference is the per-direction algorithm: sum_d diag(alpha_d) D_d and
+    # sum_d alpha_d c_d, one direction at a time from the node-major row slices
+    data = lambda p: 1.0 + 0.4 * p[:, 0] - 0.3 * p[:, 1] ** 2
+    sys_ = discretize(GridProblem(_SIN, R, 2 * R / 32, operator, ZERO, data))
+    m, n_dir = sys_.m, sys_.n_dir
+    rng = np.random.default_rng(3)
+    # a random policy per node; a field has the one policy of its own weights
+    per_node = np.broadcast_to(sys_.alphas, (len(sys_.alphas), m, n_dir))
+    alpha = per_node[rng.integers(len(sys_.alphas), size=m), np.arange(m)]
+    A, _, c = sys_.frozen_matrix(alpha)
+    D = [sys_.D[d::n_dir] for d in range(n_dir)]
+    c_d = [sys_.c[d::n_dir] for d in range(n_dir)]
+    ref_A = sparse.diags(alpha[:, 0]) @ D[0]
+    ref_c = alpha[:, 0] * c_d[0]
+    for d in range(1, n_dir):
+        ref_A = ref_A + sparse.diags(alpha[:, d]) @ D[d]
+        ref_c = ref_c + alpha[:, d] * c_d[d]
+    assert A.nnz == ref_A.nnz
+    np.testing.assert_array_equal(A.toarray(), ref_A.toarray())
+    np.testing.assert_array_equal(c, ref_c)
+    u = rng.standard_normal(m)
+    np.testing.assert_array_equal(sys_.direction_values(u),
+                                  np.stack([sys_.unit * (D[d] @ u + c_d[d])
+                                            for d in range(n_dir)], axis=1))
 
 
 # (graph, operator, rhs, dirichlet) of every kind of frozen matrix: a
