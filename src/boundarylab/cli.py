@@ -19,8 +19,9 @@ import numpy as np
 
 from . import calibrate as _calmod
 from .barriers import Barrier, sample_domain_points, verify_barrier
-from .config import (_number, data_from_config, ellipticity_from_config, graph_from_config,
-                     load_config, modulus_from_config, operator_from_config)
+from .config import (_integer, _number, data_from_config, ellipticity_from_config,
+                     graph_from_config, load_config, modulus_from_config,
+                     operator_from_config)
 from .errors import BoundaryLabError, ConfigError
 from .harness import diagnostic_sequences, measure_boundary_modulus, measure_growth
 from .modulus import dini_integral
@@ -50,7 +51,7 @@ def _write_json(path: Path, obj) -> None:
 
 def _cmd_modulus_table(cfg, out: Path, cal, seed) -> int:
     omega = modulus_from_config(cfg["modulus"])
-    n = int(_number(cfg, "n_points", "modulus-table", 50))
+    n = _integer(cfg, "n_points", "modulus-table", 50)
     hi = omega.t0 * (1.0 - 1e-9)
     lo = _number(cfg, "t_min", "modulus-table", hi * 2.0 ** (-20))
     ts = np.geomspace(lo, hi * (1 - 1e-9), n)
@@ -63,7 +64,7 @@ def _cmd_modulus_table(cfg, out: Path, cal, seed) -> int:
 
 def _cmd_regdist_check(cfg, out: Path, cal, seed) -> int:
     graph = graph_from_config(cfg["domain"])
-    n = int(_number(cfg, "n_points", "regdist-check", 1000))
+    n = _integer(cfg, "n_points", "regdist-check", 1000)
     r = _number(cfg, "r", "regdist-check", 0.3)
     rng = np.random.default_rng(seed)
     field = RegularizedDistanceField(graph)
@@ -81,7 +82,7 @@ def _cmd_barrier_check(cfg, out: Path, cal, seed) -> int:
     graph = graph_from_config(cfg["domain"])
     E = ellipticity_from_config(cfg["ellipticity"])
     r = _number(cfg, "r", "barrier-check", 0.25)
-    n = int(_number(cfg, "n_points", "barrier-check", 500))
+    n = _integer(cfg, "n_points", "barrier-check", 500)
     rng = np.random.default_rng(seed)
     field = RegularizedDistanceField(graph)
     sem = graph.local_lip_seminorm(2 * r)
@@ -105,7 +106,7 @@ def _cmd_solve(cfg, out: Path, cal, seed) -> int:
     graph = graph_from_config(cfg["domain"])
     op = operator_from_config(cfg["operator"])
     r = _number(cfg, "r", "solve", 0.5)
-    n = int(_number(cfg, "n", "solve", 64))
+    n = _integer(cfg, "n", "solve", 64)
     rhs = data_from_config(cfg.get("rhs", {"name": "zero"}), "rhs")
     g = data_from_config(cfg.get("dirichlet", {"name": "zero"}), "dirichlet")
     # schema-1 configs may carry "stencil": "wide", which selects nothing, as the
@@ -154,8 +155,8 @@ def _cascade_from_config(cfg, command):
     """The graph, the operator and the cascade keywords of command's config."""
     graph = graph_from_config(cfg["domain"])
     op = operator_from_config(cfg.get("operator", {"kind": "laplace"}))
-    return graph, op, {"k_max": int(_number(cfg, "k_max", command, 7)),
-                       "n_grid": int(_number(cfg, "n_grid", command, 128))}
+    return graph, op, {"k_max": _integer(cfg, "k_max", command, 7),
+                       "n_grid": _integer(cfg, "n_grid", command, 128)}
 
 
 def _cmd_growth(cfg, out: Path, cal, seed) -> int:
@@ -236,7 +237,7 @@ def main(argv=None) -> int:
         if unknown:
             raise ConfigError(
                 f"unknown keys for {args.command}: {sorted(unknown)}")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _integer(cfg, "seed", args.command, 0)
         cal = _calmod.load_calibration(args.calibration)
         args.out.mkdir(parents=True, exist_ok=True)
         return handler(cfg, args.out, cal, seed)

@@ -8,6 +8,7 @@ typos never silently change an experiment.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +46,29 @@ def _positive(rec, key, where):
     return float(v)
 
 
-def _number(rec, key, where, default) -> float:
-    """rec[key] as a float, default when absent; null or a non-number is a ConfigError."""
-    v = rec.get(key, default)
-    if not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+def _finite(v, name) -> float:
+    """v as a float; null, a boolean, a non-number or a non-finite value is a ConfigError."""
+    # written so that NaN fails it; an int beyond the float range fails it too
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max):
+        raise ConfigError(f"{name}: expected a number, got {v!r}")
     return float(v)
+
+
+def _number(rec, key, where, default) -> float:
+    """rec[key] as a float, default when absent, checked by _finite."""
+    return _finite(rec.get(key, default), f"{where}.{key}")
+
+
+def _integer(rec, key, where, default) -> int:
+    """rec[key] as an int, default when absent: any Python int, or a number
+    with an integral value; anything else is a ConfigError."""
+    v = rec.get(key, default)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if not _number(rec, key, where, default).is_integer():
+        raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
+    return int(v)
 
 
 def _floats(rec, where, *keys) -> dict:
@@ -106,7 +124,7 @@ def graph_from_config(rec, where: str = "domain") -> BoundaryGraph:
     kwargs = {k: rec[k] for k in fam.required | fam.optional if k in rec}
     if "omega" in kwargs:
         kwargs["omega"] = modulus_from_config(rec["omega"], where + ".omega")
-    return BoundaryGraph(family, dim=int(_number(rec, "dim", where, 2)),
+    return BoundaryGraph(family, dim=_integer(rec, "dim", where, 2),
                          chart_radius=_number(rec, "chart_radius", where, 0.5), **kwargs)
 
 
@@ -157,7 +175,10 @@ def data_from_config(rec, where: str = "data"):
         return lambda p: np.full(len(np.atleast_2d(p)), v)
     if name == "linear":
         _check_keys(rec, where, {"name", "coeffs"}, {"offset"})
-        coeffs = np.asarray(rec["coeffs"], dtype=float)
+        raw = rec["coeffs"]
+        if not isinstance(raw, list):
+            raise ConfigError(f"{where}.coeffs: expected a list of numbers, got {raw!r}")
+        coeffs = np.array([_finite(v, f"{where}.coeffs[{i}]") for i, v in enumerate(raw)])
         off = _number(rec, "offset", where, 0.0)
         return lambda p: off + np.atleast_2d(p) @ coeffs
     raise ConfigError(f"{where}.name: unknown data form {name!r}")

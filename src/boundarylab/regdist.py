@@ -240,9 +240,10 @@ class RegularizedDistanceField:
     def _check_chart(self, xp, s):
         xp = np.atleast_2d(np.asarray(xp, dtype=float))
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s <= 0):
+        # each check is written so that a NaN coordinate fails it
+        if not np.all(s > 0):
             raise DomainError("p(x', s) requires s > 0")
-        if np.any(np.linalg.norm(xp, axis=-1) + s > self.working_radius * (1 + 1e-9)):
+        if not np.all(np.linalg.norm(xp, axis=-1) + s <= self.working_radius * (1 + 1e-9)):
             raise DomainError("point outside the chart: |x'| + s must not exceed the working radius")
         return xp, s
 
@@ -333,7 +334,8 @@ class RegularizedDistanceField:
         while True:
             s, p = work(act, order)
             coarse = self._p_derivs(xp[act], s, order)["p"]
-            act = act[np.abs(p - coarse) > CERT_TOL * s]
+            # a NaN difference climbs, up to the QuadratureError at the top
+            act = act[~(np.abs(p - coarse) <= CERT_TOL * s)]
             if act.size == 0:
                 return
             if order >= TOP_ORDER:
@@ -421,12 +423,13 @@ class RegularizedDistanceField:
         """
         g = np.atleast_1d(self.graph.gamma(xp))
         gap = yn - g
-        if np.any(gap <= 0):
+        # each check is written so that a NaN coordinate fails it
+        if not np.all(gap > 0):
             raise DomainError("eval_d requires points strictly inside the domain")
-        if np.any(gap >= self.working_radius):
+        if not np.all(gap < self.working_radius):
             raise DomainError("x_n - Gamma(x') must stay below the working radius")
         r_xp = _radius(xp)
-        if np.any(r_xp >= self.working_radius):
+        if not np.all(r_xp < self.working_radius):
             raise DomainError("|x'| must stay below the working radius")
         # p(y', t) is defined up to |y'| + t = working radius
         cap = self.working_radius * (1 + 1e-9) - r_xp

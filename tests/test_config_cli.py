@@ -105,7 +105,7 @@ def test_cli_rejects_a_parameter_that_is_not_a_number(tmp_path, capsys, L):
 
 
 @pytest.mark.parametrize("key", ["dim", "chart_radius"])
-@pytest.mark.parametrize("value", [None, "3"])
+@pytest.mark.parametrize("value", [None, "3", True, float("nan"), float("inf")])
 def test_cli_rejects_a_chart_key_that_is_not_a_number(tmp_path, capsys, key, value):
     cfg = _write(tmp_path, "c.json", {"schema_version": 1,
                                       "domain": {"family": "cone", "L": 0.1, key: value}})
@@ -141,17 +141,69 @@ _NUMBER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("command, cfg, record, key", _NUMBER_CASES,
-                         ids=[f"{c}-{rec}.{k}" for c, _, rec, k in _NUMBER_CASES])
-@pytest.mark.parametrize("value", [None, [1], "5"])
-def test_cli_rejects_a_number_key_that_is_not_a_number(tmp_path, capsys, command, cfg,
-                                                       record, key, value):
+def _run_with(tmp_path, command, cfg, record, key, value):
+    """main's exit code on cfg with record.key set to value."""
     cfg = json.loads(json.dumps(cfg))
     (cfg if record == command else cfg[record])[key] = value
     path = _write(tmp_path, "c.json", {"schema_version": 1, **cfg})
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    return main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+
+
+# JSON's true and false are not numbers, and its NaN and Infinity literals
+# are not finite ones
+@pytest.mark.parametrize("command, cfg, record, key", _NUMBER_CASES,
+                         ids=[f"{c}-{rec}.{k}" for c, _, rec, k in _NUMBER_CASES])
+@pytest.mark.parametrize("value", [None, [1], "5", True, False, float("nan"), float("inf"),
+                                   -float("inf")])
+def test_cli_rejects_a_number_key_that_is_not_a_number(tmp_path, capsys, command, cfg,
+                                                       record, key, value):
+    assert _run_with(tmp_path, command, cfg, record, key, value) == 2
     assert f"config error: {record}.{key}: expected a number, got {value!r}" \
         in capsys.readouterr().err
+
+
+# the integer keys above, and a domain record's dim
+_INTEGER_CASES = [case for case in _NUMBER_CASES
+                  if case[3] in {"k_max", "n_grid", "n", "n_points"}] + [
+    ("regdist-check", {"domain": _CONE}, "domain", "dim")]
+
+
+@pytest.mark.parametrize("command, cfg, record, key", _INTEGER_CASES,
+                         ids=[f"{c}-{rec}.{k}" for c, _, rec, k in _INTEGER_CASES])
+def test_cli_rejects_an_integer_key_that_is_not_integral(tmp_path, capsys, command, cfg,
+                                                         record, key):
+    # 5.7 used to read 5
+    assert _run_with(tmp_path, command, cfg, record, key, 5.7) == 2
+    assert f"config error: {record}.{key}: expected an integer, got 5.7" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, "5", True, 5.7, float("nan"), [1]],
+                         ids=["null", "string", "true", "5.7", "nan", "list"])
+def test_cli_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys, value):
+    # the config seed goes through the integer reader; its record is the subcommand
+    assert _run_with(tmp_path, "modulus-table", {"modulus": {"kind": "log"}, "n_points": 3},
+                     "modulus-table", "seed", value) == 2
+    assert "config error: modulus-table.seed: expected a" in capsys.readouterr().err
+
+
+def test_cli_accepts_any_integer_seed_and_an_integral_float(tmp_path):
+    # a seed may exceed 2^53, and an integral float reads as its integer
+    cfg = {"modulus": {"kind": "log"}, "n_points": 3.0}
+    for seed in (2**70, -3, 5.0):
+        assert _run_with(tmp_path, "modulus-table", cfg, "modulus-table", "seed", seed) == 0
+    assert len((tmp_path / "o" / "modulus.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("coeffs", [[None, 1], [float("nan"), 1], [True, 1], [1, "0"], "01"],
+                         ids=["null", "nan", "true", "string", "not-a-list"])
+def test_cli_rejects_a_linear_coefficient_that_is_not_a_number(tmp_path, capsys, coeffs):
+    # a null coefficient used to become NaN, and solve exited 0 with u = NaN
+    cfg = {"domain": _CONE, "operator": {"kind": "laplace"}, "n": 32}
+    data = {"name": "linear", "coeffs": [0, 1]}
+    assert _run_with(tmp_path, "solve", {**cfg, "dirichlet": data}, "dirichlet", "coeffs",
+                     coeffs) == 2
+    assert "config error: dirichlet.coeffs" in capsys.readouterr().err
 
 
 def test_cli_growth_names_its_omega_record(tmp_path, capsys):

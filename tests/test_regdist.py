@@ -239,6 +239,17 @@ def test_chart_and_steepness_guards():
         f.eval_p(np.array([0.1, -0.01]))
 
 
+@pytest.mark.parametrize("entry", ["eval_p", "eval_d", "eval_all"])
+def test_a_nan_point_is_not_certified(entry):
+    # a NaN coordinate fails the domain checks, in x' or in x_n, alone or
+    # in a batch of valid points; it never comes back as a certified nan
+    f = RegularizedDistanceField(BoundaryGraph("cone", L=0.2))
+    for pts in ([np.nan, 0.1], [0.05, np.nan], [[0.01, 0.1], [np.nan, 0.1]],
+                [[0.01, 0.1], [0.02, np.nan]]):
+        with pytest.raises(DomainError):
+            getattr(f, entry)(np.array(pts))
+
+
 def test_batch_table_columns():
     g = BoundaryGraph("cone", L=0.1)
     f = RegularizedDistanceField(g)

@@ -5,7 +5,7 @@ from scipy.optimize import brentq, nnls
 from scipy.sparse.linalg import splu
 
 from boundarylab import (
-    BoundaryGraph, DomainError, EllipticityPair, FixedOp, GridProblem,
+    BoundaryGraph, ConvergenceError, DomainError, EllipticityPair, FixedOp, GridProblem,
     LaplaceOp, MonotonicityError, PucciOp, abp_check, discretize, power, solve,
 )
 from boundarylab.solver import _DIRECTIONS, _cut_fractions, _decompose_spd, _operator_weights
@@ -451,14 +451,16 @@ FACTOR_CASES = {
 @pytest.mark.parametrize("case", sorted(FACTOR_CASES))
 def test_frozen_matrices_factor_with_diagonal_pivots(monkeypatch, case):
     # every frozen-policy M-matrix is factored with its pivots on the
-    # diagonal, fills in less than scipy's default splu, and solves as it does
+    # diagonal in single-column supernodes, fills in as much as with
+    # SuperLU's default supernodes and less than scipy's default splu, and
+    # solves as the latter does
     graph, operator, rhs, dirichlet = FACTOR_CASES[case]
     prob = GridProblem(graph, R, 2 * R / 64, operator, rhs, dirichlet)
     factors = []
 
     def recorded(A, **kwargs):
         lu = splu(A, **kwargs)
-        factors.append((A, lu))
+        factors.append((A, lu, kwargs))
         return lu
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", recorded)
@@ -467,7 +469,11 @@ def test_frozen_matrices_factor_with_diagonal_pivots(monkeypatch, case):
     default = solve(prob)
     assert len(factors) == sol.iterations
     u_smooth = dirichlet(sol.nodes)
-    for A, lu in factors:
+    for A, lu, kwargs in factors:
+        assert kwargs["relax"] == 1 and kwargs["panel_size"] == 1
+        relaxed = splu(A, **{k: v for k, v in kwargs.items() if k not in ("relax", "panel_size")})
+        np.testing.assert_array_equal(lu.perm_c, relaxed.perm_c)
+        assert lu.L.nnz + lu.U.nnz == relaxed.L.nnz + relaxed.U.nnz
         ref = splu(A)
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
         assert lu.L.nnz + lu.U.nnz < ref.L.nnz + ref.U.nnz
@@ -476,6 +482,16 @@ def test_frozen_matrices_factor_with_diagonal_pivots(monkeypatch, case):
     np.testing.assert_array_equal(sol.policy, default.policy)
     assert sol.iterations == default.iterations
     assert np.abs(sol.values - default.values).max() <= 1e-13 * np.abs(sol.values).max()
+
+
+@pytest.mark.parametrize("operator", [LaplaceOp(), PucciOp(_E12, "minus")],
+                         ids=["laplace", "pucci"])
+def test_a_nan_datum_fails_the_certificate(operator):
+    # a NaN residual fails the final check, so u = NaN is never returned
+    nan = lambda p: np.full(len(p), np.nan)
+    prob = GridProblem(BoundaryGraph("cone", L=0.2), R, 2 * R / 32, operator, ZERO, nan)
+    with pytest.raises(ConvergenceError):
+        solve(prob)
 
 
 @pytest.mark.parametrize("operator, stencil", [(LaplaceOp(), "standard5"),
