@@ -24,9 +24,8 @@ from .solver import (
     abp_check, discretize, solve,
 )
 from .harness import (
-    GrowthReport, diagnostic_sequences, dyadic_sum_and_integral,
-    envelope_lower, envelope_upper, fit_log_slope, measure_boundary_modulus,
-    measure_growth,
+    GrowthReport, envelope_lower, envelope_upper, fit_log_slope,
+    measure_boundary_modulus, measure_growth,
 )
 from .calibrate import (
     CalibrationConstants, epsilon_for, load_calibration, run_calibration,

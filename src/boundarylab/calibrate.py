@@ -22,14 +22,13 @@ from .errors import ConfigError
 from .geometry import BoundaryGraph
 from .pucci import EllipticityPair
 from .regdist import RegularizedDistanceField, check_distance_bounds
-from .solver import GridProblem, LaplaceOp, abp_check, solve
 
 __all__ = [
     "CalibrationConstants", "load_calibration", "save_calibration",
     "default_calibration_path", "run_calibration", "epsilon_for",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,6 @@ class CalibrationConstants:
     C0_barrier: float       # eps = C0 * (Lam/lam) * seminorm passes barriers
     K_sandwich: float       # ||phi_r - d|| <= K r * seminorm
     C_envelope: float       # growth envelopes exp(+-C int omega ds/s)
-    A_recursion: float      # c_k = (1 - A eps_{k-1}) c_{k-1}
-    C_abp: float            # recorded empirical ABP constant
     schema_version: int = SCHEMA_VERSION
 
 
@@ -134,26 +131,6 @@ def _calibrate_envelope() -> float:
     return 2.0 * max(2.0, need)
 
 
-def _calibrate_recursion(C0: float) -> float:
-    """A with (1 - A*C0*L) matching the sector decay 2^-(gamma-1) on cones."""
-    vals = []
-    for L in (0.1, 0.2):
-        gamma = np.pi / (np.pi - 2.0 * np.arctan(L))
-        vals.append((1.0 - 2.0 ** (-(gamma - 1.0))) / (C0 * L))
-    return float(np.mean(vals))
-
-
-def _calibrate_abp() -> float:
-    """Empirical constant in max u <= C diam ||f^-||_n for the model problem."""
-    g = BoundaryGraph("zero")
-    r = 0.5
-    prob = GridProblem(g, r, 2 * r / 128, LaplaceOp(),
-                       rhs=lambda p: -np.ones(len(p)),
-                       dirichlet=lambda p: np.zeros(len(p)))
-    rep = abp_check(solve(prob))
-    return rep.bound_constant
-
-
 def run_calibration(seed: int = 2026) -> CalibrationConstants:
     """Measure every constant from scratch; deterministic given the seed."""
     C2 = _calibrate_regdist(2, seed)
@@ -161,9 +138,7 @@ def run_calibration(seed: int = 2026) -> CalibrationConstants:
     C0 = _calibrate_barrier(seed + 2)
     K = _calibrate_sandwich()
     Cenv = _calibrate_envelope()
-    A = _calibrate_recursion(C0)
-    Cabp = _calibrate_abp()
     return CalibrationConstants(
         C_regdist_2d=C2, C_regdist_3d=C3, C0_barrier=C0, K_sandwich=K,
-        C_envelope=Cenv, A_recursion=A, C_abp=Cabp,
+        C_envelope=Cenv,
     )

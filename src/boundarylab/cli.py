@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from .config import (_integer, _number, data_from_config, ellipticity_from_confi
                      graph_from_config, load_config, modulus_from_config,
                      operator_from_config)
 from .errors import BoundaryLabError, ConfigError
-from .harness import diagnostic_sequences, measure_boundary_modulus, measure_growth
+from .harness import measure_boundary_modulus, measure_growth
 from .modulus import dini_integral
 from .regdist import RegularizedDistanceField, check_distance_bounds
 from .solver import GridProblem, abp_check, solve
@@ -46,7 +45,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # a NaN or an infinity raises ValueError before the file is opened
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _cmd_modulus_table(cfg, out: Path, cal, seed) -> int:
@@ -132,19 +132,11 @@ def _cmd_solve(cfg, out: Path, cal, seed) -> int:
 
 
 def _growth_csv(out: Path, report, extra=None) -> None:
-    header = ["k", "r", "q", "m"]
-    cols = [report.ks, report.radii, report.q, report.m]
-    for name, col in (("env_lower", report.env_lower),
-                      ("env_upper", report.env_upper),
-                      ("eps_k", report.eps_seq), ("c_k", report.c_seq)):
-        if col is not None:
-            header.append(name)
-            cols.append(col)
-    if extra:
-        for name, col in extra.items():
-            header.append(name)
-            cols.append(col)
-    _write_csv(out / "growth.csv", header, np.column_stack(cols))
+    cols = {"k": report.ks, "r": report.radii, "q": report.q, "m": report.m}
+    if report.env_lower is not None:
+        cols.update(env_lower=report.env_lower, env_upper=report.env_upper)
+    cols.update(extra or {})
+    _write_csv(out / "growth.csv", list(cols), np.column_stack(list(cols.values())))
 
 
 # the cascade record that growth and boundary-modulus share
@@ -166,8 +158,6 @@ def _cmd_growth(cfg, out: Path, cal, seed) -> int:
              if "outer_data" in cfg else None)
     rep = measure_growth(graph, op, outer_data=outer, omega=omega,
                          C_hat=cal.C_envelope, **cascade)
-    eps, c = diagnostic_sequences(graph, cal.C0_barrier, cal.A_recursion, rep.radii)
-    rep = replace(rep, eps_seq=eps, c_seq=c)
     _growth_csv(out, rep)
     _write_json(out / "growth_report.json", rep.to_dict())
     if rep.env_lower is not None:

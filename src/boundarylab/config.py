@@ -39,13 +39,6 @@ def _check_keys(rec: dict, where: str, required: set, optional: set = frozenset(
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _positive(rec, key, where):
-    v = rec[key]
-    if not isinstance(v, (int, float)) or not v > 0:
-        raise ConfigError(f"{where}.{key}: expected a positive number, got {v!r}")
-    return float(v)
-
-
 def _finite(v, name) -> float:
     """v as a float; null, a boolean, a non-number or a non-finite value is a ConfigError."""
     # written so that NaN fails it; an int beyond the float range fails it too
@@ -53,6 +46,14 @@ def _finite(v, name) -> float:
             or not abs(v) <= sys.float_info.max):
         raise ConfigError(f"{name}: expected a number, got {v!r}")
     return float(v)
+
+
+def _positive(rec, key, where) -> float:
+    """rec[key] as a float checked by _finite, and positive."""
+    v = _finite(rec[key], f"{where}.{key}")
+    if not v > 0:
+        raise ConfigError(f"{where}.{key}: expected a positive number, got {v!r}")
+    return v
 
 
 def _number(rec, key, where, default) -> float:
@@ -130,11 +131,10 @@ def graph_from_config(rec, where: str = "domain") -> BoundaryGraph:
 
 def ellipticity_from_config(rec, where: str = "ellipticity") -> EllipticityPair:
     _check_keys(rec, where, {"lam", "Lam"})
-    lam, Lam = rec["lam"], rec["Lam"]
-    if not (isinstance(lam, (int, float)) and isinstance(Lam, (int, float))
-            and 0 < lam <= Lam):
+    lam, Lam = _finite(rec["lam"], f"{where}.lam"), _finite(rec["Lam"], f"{where}.Lam")
+    if not 0 < lam <= Lam:
         raise ConfigError(f"{where}: need numbers 0 < lam <= Lam, got {rec}")
-    return EllipticityPair(float(lam), float(Lam))
+    return EllipticityPair(lam, Lam)
 
 
 def operator_from_config(rec, where: str = "operator"):
@@ -144,8 +144,13 @@ def operator_from_config(rec, where: str = "operator"):
         return LaplaceOp()
     if kind == "fixed":
         _check_keys(rec, where, {"kind", "A"}, {"ellipticity"})
-        A = np.asarray(rec["A"], dtype=float)
-        if A.shape != (2, 2) or not np.allclose(A, A.T):
+        raw = rec["A"]
+        if not (isinstance(raw, list) and len(raw) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in raw)):
+            raise ConfigError(f"{where}.A: expected a symmetric 2x2 matrix")
+        A = np.array([[_finite(v, f"{where}.A[{i}][{j}]") for j, v in enumerate(row)]
+                      for i, row in enumerate(raw)])
+        if not np.allclose(A, A.T):
             raise ConfigError(f"{where}.A: expected a symmetric 2x2 matrix")
         E = (ellipticity_from_config(rec["ellipticity"], where + ".ellipticity")
              if "ellipticity" in rec else None)

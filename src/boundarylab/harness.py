@@ -24,8 +24,7 @@ from .solver import GridProblem, LaplaceOp, discretize, solve
 
 __all__ = [
     "GrowthReport", "measure_growth", "measure_boundary_modulus",
-    "diagnostic_sequences", "envelope_lower", "envelope_upper",
-    "fit_log_slope", "dyadic_sum_and_integral",
+    "envelope_lower", "envelope_upper", "fit_log_slope",
 ]
 
 
@@ -42,8 +41,6 @@ class GrowthReport(Report):
     residuals: np.ndarray         # solver residuals per level
     env_lower: Optional[np.ndarray] = None
     env_upper: Optional[np.ndarray] = None
-    eps_seq: Optional[np.ndarray] = None
-    c_seq: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if np.any(np.diff(self.radii) >= 0):
@@ -193,34 +190,3 @@ def measure_boundary_modulus(graph: BoundaryGraph, operator=LaplaceOp(), *,
     slope, r2 = fit_log_slope(radii, np.maximum(np.abs(mv), 1e-300))
     return GrowthReport(ks=ks, radii=radii, q=qv, m=mv, exponent=slope,
                         exponent_r2=r2, residuals=res)
-
-
-def diagnostic_sequences(graph: BoundaryGraph, C0_hat: float, A_hat: float, radii):
-    """The dyadic recursion sequences (eps_k, c_k) at a cascade's radii.
-
-    radii are the cascade's r_k = R_k / 2, k = 1..len(radii), so each
-    sequence lines up with the report row of its level:
-    eps_k = C0_hat * seminorm(R_k); c_1 = 1, c_k = (1 - A_hat eps_{k-1}) c_{k-1}.
-    """
-    eps = np.array([C0_hat * graph.local_lip_seminorm(2.0 * r) for r in radii])
-    c = np.empty(len(eps))
-    c[0] = 1.0
-    for i in range(1, len(eps)):
-        factor = 1.0 - A_hat * eps[i - 1]
-        if factor <= 0:
-            factor = 0.0
-        c[i] = factor * c[i - 1]
-    return eps, c
-
-
-def dyadic_sum_and_integral(omega: Modulus, k0: int, k1: int):
-    """(sum_{j=k0}^{k1} omega(2^-j), int_{2^-k1}^{2^-k0} omega ds/s).
-
-    The two agree within a factor 2 ln 2 for nondecreasing omega.
-    """
-    if not k0 < k1:
-        raise DomainError(f"need k0 < k1, got {k0}, {k1}")
-    js = np.arange(k0, k1 + 1)
-    s = float(sum(float(omega(2.0 ** (-float(j)))) for j in js))
-    integral = dini_integral(omega, 2.0 ** (-float(k1)), 2.0 ** (-float(k0)))
-    return s, integral

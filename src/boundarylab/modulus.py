@@ -231,7 +231,8 @@ def dini_integral(omega: Modulus, a: float, b: float) -> float:
         epsrel=DINI_RTOL,
         limit=200,
     )
-    if err > 10 * DINI_RTOL * max(abs(val), 1e-300) and err > 1e-14:
+    # written so that a NaN error estimate fails it
+    if not (err <= 10 * DINI_RTOL * max(abs(val), 1e-300) or err <= 1e-14):
         raise ConvergenceError(
             f"dini_integral quadrature error estimate {err:g} exceeds tolerance for {omega}"
         )

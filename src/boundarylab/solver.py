@@ -451,28 +451,19 @@ def discretize(problem: GridProblem) -> _DiscreteSystem:
     return _DiscreteSystem(problem)
 
 
-def _linear_solve(A, lu, c, f, tol_units):
-    """Solve A u = f - c with the LU factors lu of A; u and its residual.
-
-    Up to three steps of iterative refinement; the residual is in node units
-    (over the diagonal scale), checked once per step, the last one returned.
-    """
+def _linear_solve(A, lu, c, f):
+    """Solve A u = f - c with the LU factors lu of A; u and its residual in
+    node units (over the diagonal scale)."""
     rhs = f - c
     u = lu.solve(rhs)
-    diag = np.abs(A.diagonal())
-    for step in range(4):
-        res = A @ u - rhs
-        err = float(np.max(np.abs(res) / diag))
-        if err <= tol_units or step == 3:
-            return u, err
-        u = u - lu.solve(res)
+    return u, float(np.max(np.abs(A @ u - rhs) / np.abs(A.diagonal())))
 
 
 def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None) -> GridSolution:
     """Solve the discrete problem by policy iteration; deterministic given the problem.
 
-    Each round solves the frozen-policy linear system (a sparse LU with
-    diagonal pivots, see _DiscreteSystem.frozen_matrix, and iterative
+    Each round solves the frozen-policy linear system (one solve with the
+    sparse LU of _DiscreteSystem.frozen_matrix, diagonal pivots, no
     refinement), then selects the optimal policy per node; the loop stops
     once the policy is stationary, so a linear operator, whose single
     policy is optimal everywhere, takes one round.  The final residual must
@@ -494,7 +485,7 @@ def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None) -> Gri
     policy = np.zeros(sys_.m, dtype=int)
     for it in range(1, _MAX_POLICY_ROUNDS + 1):
         # an uncached factor is freed before the next round builds its own
-        u, res = _linear_solve(*sys_.frozen_matrix(per_node[policy, rows]), f, tol)
+        u, res = _linear_solve(*sys_.frozen_matrix(per_node[policy, rows]), f)
         # every policy's operator value at every node, (m, npol); optimize
         # contracts a shared weight row in BLAS, as a matrix product
         pol_vals = np.einsum("nd,pnd->np", sys_.direction_values(u), alphas, optimize=True)

@@ -134,6 +134,14 @@ _NUMBER_CASES = [
     ("modulus-table", {"modulus": {"kind": "constant", "L": 1.0}}, "modulus", "t0"),
     ("modulus-table", {"modulus": {"kind": "power", "alpha": 0.5}}, "modulus", "scale"),
     ("modulus-table", {"modulus": {"kind": "log"}}, "modulus", "c"),
+    # the positive keys: each reads through the number check before its sign test
+    ("modulus-table", {"modulus": {"kind": "power"}}, "modulus", "alpha"),
+    ("modulus-table", {"modulus": {"kind": "composite", "b": 1.0, "c": 1.0,
+                                   "omega1": {"kind": "power", "alpha": 1.0},
+                                   "omega2": {"kind": "power", "alpha": 1.0}}},
+     "modulus", "a"),
+    ("barrier-check", {"domain": _CONE, "ellipticity": {"Lam": 2}}, "ellipticity", "lam"),
+    ("barrier-check", {"domain": _CONE, "ellipticity": {"lam": 1}}, "ellipticity", "Lam"),
     ("solve", {"domain": _CONE, "operator": {"kind": "laplace"},
                "rhs": {"name": "constant"}}, "rhs", "value"),
     ("solve", {"domain": _CONE, "operator": {"kind": "laplace"},
@@ -206,6 +214,25 @@ def test_cli_rejects_a_linear_coefficient_that_is_not_a_number(tmp_path, capsys,
     assert "config error: dirichlet.coeffs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [True, None, float("nan"), float("inf"), "1"],
+                         ids=["true", "null", "nan", "inf", "string"])
+def test_cli_rejects_a_fixed_matrix_entry_that_is_not_a_number(tmp_path, capsys, entry):
+    # true used to read as 1, and a symmetric NaN or infinite entry passed the symmetry test
+    cfg = {"domain": _CONE, "n": 32, "operator": {"kind": "fixed"}}
+    assert _run_with(tmp_path, "solve", cfg, "operator", "A",
+                     [[entry, 0], [0, 1]]) == 2
+    assert f"config error: operator.A[0][0]: expected a number, got {entry!r}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("A", [5, [[1, 0], [0]], [[1, 0], [0, 1], [0, 0]], "11"],
+                         ids=["number", "ragged", "3x2", "string"])
+def test_cli_rejects_a_fixed_matrix_that_is_not_2x2(tmp_path, capsys, A):
+    cfg = {"domain": _CONE, "n": 32, "operator": {"kind": "fixed"}}
+    assert _run_with(tmp_path, "solve", cfg, "operator", "A", A) == 2
+    assert "config error: operator.A: expected a symmetric 2x2 matrix" in capsys.readouterr().err
+
+
 def test_cli_growth_names_its_omega_record(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"schema_version": 1, "domain": _CONE,
                                       "omega": {"kind": "bogus"}})
@@ -240,7 +267,7 @@ def test_data_from_config():
 
 def test_calibration_roundtrip(tmp_path):
     cal = load_calibration()
-    assert cal.schema_version == 1
+    assert cal.schema_version == 2
     p = tmp_path / "cal.json"
     save_calibration(cal, p)
     assert load_calibration(p) == cal
@@ -250,10 +277,23 @@ def test_calibration_roundtrip(tmp_path):
     p.write_text(json.dumps(obj))
     with pytest.raises(ConfigError):
         load_calibration(p)
-    del obj["extra_constant"], obj["C_abp"]
+    del obj["extra_constant"], obj["K_sandwich"]
     p.write_text(json.dumps(obj))
-    with pytest.raises(ConfigError, match=r"missing keys \['C_abp'\]"):
+    with pytest.raises(ConfigError, match=r"missing keys \['K_sandwich'\]"):
         load_calibration(p)
+
+
+def test_cli_rejects_a_schema_1_calibration_file(tmp_path, capsys):
+    # the schema-1 file carried A_recursion and C_abp, which nothing reads any more
+    cal = _write(tmp_path, "cal.json", {
+        "schema_version": 1, "A_recursion": 0.16151030936171373,
+        "C0_barrier": 2.887937285839338, "C_abp": 0.03916325300623407,
+        "C_envelope": 4.0, "C_regdist_2d": 3.738285423444542,
+        "C_regdist_3d": 3.1722726662210876, "K_sandwich": 0.520415447025393})
+    cfg = _write(tmp_path, "c.json", {"schema_version": 1, "domain": {"family": "zero"}})
+    assert main(["regdist-check", "--config", str(cfg), "--calibration", str(cal),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config error: calibration schema version 1 != 2" in capsys.readouterr().err
 
 
 def test_cli_rejects_a_calibration_root_that_is_not_an_object(tmp_path, capsys):
@@ -268,7 +308,7 @@ def test_cli_rejects_a_calibration_root_that_is_not_an_object(tmp_path, capsys):
 def test_calibration_values_positive():
     cal = load_calibration()
     for name in ("C_regdist_2d", "C_regdist_3d", "C0_barrier", "K_sandwich",
-                 "C_envelope", "A_recursion", "C_abp"):
+                 "C_envelope"):
         assert getattr(cal, name) > 0
 
 
@@ -384,9 +424,24 @@ def test_cli_growth_flat(tmp_path):
     out = tmp_path / "out"
     assert main(["growth", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "growth.csv").read_text().splitlines()
-    assert rows[0].startswith("k,r,q,m")
+    assert rows[0] == "k,r,q,m"
     q = [float(r.split(",")[2]) for r in rows[1:]]
     np.testing.assert_allclose(q, 1.0, atol=1e-10)
+
+
+def test_cli_growth_with_omega_writes_the_envelope_columns(tmp_path):
+    cfg = _write(tmp_path, "g.json", {
+        "schema_version": 1, "k_max": 4, "n_grid": 32,
+        "domain": {"family": "zero"},
+        "outer_data": {"name": "linear", "coeffs": [0.0, 1.0]},
+        "omega": {"kind": "power", "alpha": 0.5, "scale": 0.2}})
+    out = tmp_path / "out"
+    assert main(["growth", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "growth.csv").read_text().splitlines()
+    assert rows[0] == "k,r,q,m,env_lower,env_upper"
+    rep = json.loads((out / "growth_report.json").read_text())
+    assert rep.keys() >= {"env_lower", "env_upper"}
+    assert not rep.keys() & {"eps_seq", "c_seq"}
 
 
 def test_cli_boundary_modulus_uses_the_exact_data_gradient(tmp_path):
@@ -417,7 +472,7 @@ def test_cli_cascade_starts_on_the_chart_of_a_log_modulus_domain(tmp_path, comma
 
 
 def test_cli_growth_sequences_line_up_with_a_chart_below_one_half(tmp_path):
-    # the cascade starts on the chart radius 1/4, so eps_k is read at R_k = 2 r_k
+    # the cascade starts on the chart radius 1/4, so r_1 = 1/8
     cfg = _write(tmp_path, "c.json", {
         "schema_version": 1, "k_max": 4, "n_grid": 32,
         "domain": {"family": "c1model", "omega": {"kind": "log", "c": 0.2}}})
@@ -425,9 +480,7 @@ def test_cli_growth_sequences_line_up_with_a_chart_below_one_half(tmp_path):
     assert main(["growth", "--config", str(cfg), "--out", str(out)]) == 0
     rep = json.loads((out / "growth_report.json").read_text())
     graph = graph_from_config({"family": "c1model", "omega": {"kind": "log", "c": 0.2}})
-    C0 = load_calibration().C0_barrier
     assert rep["r"][0] == graph.working_radius / 2
-    assert rep["eps_seq"] == [C0 * graph.local_lip_seminorm(2 * r) for r in rep["r"]]
 
 
 def test_cli_boundary_modulus_evaluates_omega_tilde_at_each_radius(tmp_path):
@@ -555,6 +608,14 @@ def test_write_csv_matches_the_per_value_formatter(tmp_path):
     for given in (rows, rows.tolist(), rows[:0]):
         cli._write_csv(tmp_path / "x.csv", ["a", "b", "c"], given)
         assert (tmp_path / "x.csv").read_bytes() == _per_value_csv(["a", "b", "c"], given)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_a_non_finite_value_and_writes_no_file(tmp_path, value):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(path, {"residual": value})
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("command, cfg", [

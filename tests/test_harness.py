@@ -4,13 +4,10 @@ from scipy.sparse.linalg import splu
 
 from boundarylab import (
     BoundaryGraph, ConvergenceError, DomainError, EllipticityPair, FixedOp, GridProblem,
-    LaplaceOp, PucciOp, constant, harness, load_calibration, log_modulus,
+    LaplaceOp, PucciOp, constant, harness, load_calibration,
     measure_boundary_modulus, measure_growth, power, solver,
 )
-from boundarylab.harness import (
-    _run_cascade, diagnostic_sequences, dyadic_sum_and_integral, envelope_lower,
-    envelope_upper, fit_log_slope,
-)
+from boundarylab.harness import _run_cascade, envelope_lower, envelope_upper, fit_log_slope
 
 DILATION_GRAPHS = {"cone": {"L": 0.2}, "zero": {}, "linear": {"a": 0.15}}
 
@@ -245,38 +242,3 @@ def test_boundary_modulus_cone_slope_bound():
     rep = measure_boundary_modulus(g, k_max=6, n_grid=64, grad_g0=[0.0])
     slope, _ = fit_log_slope(rep.radii, rep.m)
     assert slope >= -cal.C_envelope * L
-
-
-# the radii r_k = 2^-(k+1), k = 1..12, of a cascade that starts on B_{1/2}
-_DYADIC = 2.0 ** -np.arange(2.0, 14.0)
-
-
-def test_diagnostic_sequences_flat_and_cone():
-    eps, c = diagnostic_sequences(BoundaryGraph("zero"), 2.0, 0.5, _DYADIC[:6])
-    np.testing.assert_allclose(eps, 0.0)
-    np.testing.assert_allclose(c, 1.0)
-
-    L, C0, A = 0.1, 2.0, 0.5
-    eps, c = diagnostic_sequences(BoundaryGraph("cone", L=L), C0, A, _DYADIC[:6])
-    np.testing.assert_allclose(eps, C0 * L, rtol=1e-9)
-    want = (1.0 - A * C0 * L) ** np.arange(len(c))
-    np.testing.assert_allclose(c, want, rtol=1e-9)
-    # product lower bound from the proof: c_k >= 4^(-A sum eps_j)
-    sums = np.concatenate([[0.0], np.cumsum(eps[:-1])])
-    assert np.all(c >= 4.0 ** (-A * sums) - 1e-12)
-
-
-def test_diagnostic_sequences_dini_limit_positive():
-    g = BoundaryGraph("c1model", omega=power(0.5, 0.2, 1.0))
-    eps, c = diagnostic_sequences(g, 2.0, 0.5, _DYADIC)
-    assert np.all(np.diff(c) <= 1e-15)
-    assert c[-1] > 0.05                 # converges to a positive limit
-    assert c[-1] / c[-2] > c[1] / c[0]  # decay rate slows as eps_k shrinks
-
-
-def test_dyadic_sum_integral_comparability():
-    # for nondecreasing omega:  integral/ln 2 <= sum <= integral/ln 2 + omega(2^-k0)
-    for w in (constant(0.3, 2.0), power(0.5, 1.0, 2.0), log_modulus(1.0)):
-        s, integral = dyadic_sum_and_integral(w, 2, 10)
-        lo = integral / np.log(2.0)
-        assert lo - 1e-12 <= s <= lo + float(w(2.0 ** -2)) + 1e-12

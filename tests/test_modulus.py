@@ -93,6 +93,17 @@ def test_dini_quadrature_matches_closed_form():
     assert got == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("err", [float("nan"), 1e-3], ids=["nan", "over-tolerance"])
+def test_dini_quadrature_error_estimate_must_meet_the_tolerance(monkeypatch, err):
+    # the value is the true integral; only the error estimate is bad
+    from scipy import integrate
+    w = log_modulus(1.0)
+    w.dini_primitive = None
+    monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: (0.462, err))
+    with pytest.raises(ConvergenceError, match="error estimate"):
+        dini_integral(w, 0.05, 0.3)
+
+
 def test_dini_additivity():
     rng = np.random.default_rng(11)
     for w in (power(0.7, 1.3), log_modulus(0.5), table([0, 0.3, 0.9], [0, 0.2, 0.5])):
