@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python3 scripts/regdist_rule_table.py [--seed 1] [--repeats 7]
 
-Every table reads four distance batches, drawn with np.random.default_rng(seed):
+Tables 1-4 read four distance batches, drawn with np.random.default_rng(seed):
 the regdist_3d benchmark's 3-D cone (L 0.1, r 0.25, 100 points) and the three
 2-D families of barrier_2d (sinusoid A 0.05 k 4, cone L 0.1, c1model
 omega 0.2 t^0.5; r 0.3, 1000 points each).  An error is the worst over a
@@ -27,6 +27,12 @@ Table 3, the radius FAR of kink preimages beyond which the shared rule
 centred at 0 serves: the same columns as Table 2, at the shipped ladder.
 Table 4, the 2-D grading exponent: the three errors on the c1model batch at
 fixed working orders 12, 16 and 24.
+Table 5, the 3-D rule split on the 3-D cone batch and a 3-D c1model batch
+(omega 0.2 t^0.5, r 0.25, 100 points): rays from an outside kink at q, 2q
+and 4q angles in psi (the polar rule keeps its 2q directions), each with q
+nodes along every ray of a kinked block, and 2q angles with the BUMP_POWER +
+2 nodes that are exact on the cone only.  Columns as in Table 2; a block is
+sized for 2q directions, so the 4q-angle rays fill twice _QUAD_NODES.
 Configurations take turns within each repeat, and every call gets a fresh
 field.  Needs numpy and the standard library.
 """
@@ -57,6 +63,9 @@ BATCHES = [
 # (|d|, |grad d|, d |D^2 d|) of the exp bump at working order 64, e939f88
 TODAY = {"cone3d": (1.8e-14, 5.6e-13, 6.9e-11), "sinusoid": (2.1e-16, 8.9e-16, 6.5e-13),
          "cone": (2.4e-14, 2.2e-13, 6.8e-11), "c1model": (3.6e-12, 4.5e-8, 2.2e-7)}
+# Table 5's second 3-D batch, next to the cone3d batch
+BATCHES_3D = [("c1model3d", BoundaryGraph("c1model", dim=3, omega=power(0.5, scale=0.2)),
+               0.25, 100)]
 FIXED = (8, 12, 16, 24, 32, 48, 64)
 CONSTANTS = ("C_regdist_2d", "C_regdist_3d", "C0_barrier", "K_sandwich")
 KNOBS = ("BUMP_POWER", "BASE_ORDER", "TOP_ORDER", "CERT_TOL", "GRADE", "FAR")
@@ -86,12 +95,30 @@ class Plateau:
 
 
 def use(profile=None, **knobs):
-    """Set the module constants and the mollifier; clear the caches that read them."""
+    """Set the module constants, the mollifier and the 3-D rule split (split's
+    nodes and radial); clear the caches that read them."""
+    regdist._nodes = knobs.pop("nodes", SHIPPED_NODES)
+    RegularizedDistanceField._radial = knobs.pop("radial", SHIPPED_RADIAL)
     for name, value in knobs.items():
         setattr(regdist, name, value)
     regdist._mollifier = SHIPPED_MOLLIFIER if profile is None else profile
     SHIPPED_MOLLIFIER.cache_clear()
     regdist._centred_rule.cache_clear()
+
+
+def split(ray_angles, chord):
+    """The knobs of a 3-D rule whose rays from an outside kink take
+    ray_angles(q) angles and whose kinked blocks take chord(q) nodes along
+    each ray; the polar rule keeps its 2q directions."""
+    def nodes(dim, c, order, radial):
+        if dim == 3 and np.all(regdist._radius(c) >= 1.0):
+            order = ray_angles(order) // 2              # _nodes casts 2 order rays
+        return SHIPPED_NODES(dim, c, order, radial)
+
+    def radial(self, c, order):
+        return chord(order) if self.graph.dim == 3 and c.any(axis=1).all() else order
+
+    return {"nodes": nodes, "radial": radial}
 
 
 def fixed(graph, pts, q):
@@ -163,6 +190,34 @@ def under_resolved():
         except QuadratureError:
             out.append(True)
     return "yes" if out == [True, False] else "NO"
+
+
+def split_table(batches_3d, shipped, repeats):
+    """Table 5: the 3-D rule split on the 3-D batches."""
+    splits = [(f"{label} angles, q chord",
+               dict(shipped, **split(lambda q, a=a: a * q, lambda q: q)))
+              for label, a in (("q", 1), ("2q", 2), ("4q", 4))]
+    splits.append(("2q angles, m + 2 chord",
+                   dict(shipped, **split(lambda q: 2 * q, lambda q: regdist.BUMP_POWER + 2))))
+    print("\nTable 5: 3-D rule split; errors |d|, |grad d|, d|D^2 d|; point-passes per "
+          "order; eval_all ms\n")
+    print("| split | " + " | ".join(name for name, _, _ in batches_3d) + " |")
+    print("|---|" + "---|" * len(batches_3d))
+    use(**shipped)
+    refs = {name: fixed(graph, pts, 40) for name, graph, pts in batches_3d}
+    times = timed([cfg for _, cfg in splits], batches_3d, repeats)
+    for c, (label, cfg) in enumerate(splits):
+        use(**cfg)
+        cells = []
+        for name, graph, pts in batches_3d:
+            try:
+                count, out = passes(graph, pts)
+                e = errors(out, refs[name])
+                cells.append(f"{e[0]:.0e}, {e[1]:.0e}, {e[2]:.0e}; {count}; {times[c, name]:.1f}")
+            except QuadratureError:
+                cells.append("raises")
+        print(f"| {label} | " + " | ".join(cells) + " |")
+    use(**shipped)
 
 
 def main(argv=None) -> int:
@@ -248,11 +303,18 @@ def main(argv=None) -> int:
         cells = [", ".join(f"{e:.0e}" for e in errors(fixed(graph, pts, q), ref))
                  for q in (6, 8, 12)]
         print(f"| {grade} | " + " | ".join(cells) + " |")
+
+    batches_3d = [batches[0]] + [
+        (name, graph, sample_domain_points(graph, r, n, np.random.default_rng(args.seed)))
+        for name, graph, r, n in BATCHES_3D]
+    split_table(batches_3d, shipped, args.repeats)
     use(**shipped)
     return 0
 
 
 SHIPPED_MOLLIFIER = regdist._mollifier
+SHIPPED_NODES = regdist._nodes
+SHIPPED_RADIAL = RegularizedDistanceField._radial
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import calibrate as _calmod
 from .barriers import Barrier, sample_domain_points, verify_barrier
-from .config import (_integer, _number, data_from_config, ellipticity_from_config,
-                     graph_from_config, load_config, modulus_from_config,
-                     operator_from_config)
+from .config import (_count, _integer, _positive, data_from_config,
+                     ellipticity_from_config, graph_from_config, load_config,
+                     modulus_from_config, operator_from_config)
 from .errors import BoundaryLabError, ConfigError
 from .harness import measure_boundary_modulus, measure_growth
 from .modulus import dini_integral
@@ -51,9 +51,12 @@ def _write_json(path: Path, obj) -> None:
 
 def _cmd_modulus_table(cfg, out: Path, cal, seed) -> int:
     omega = modulus_from_config(cfg["modulus"])
-    n = _integer(cfg, "n_points", "modulus-table", 50)
+    n = _count(cfg, "n_points", "modulus-table", 50)
     hi = omega.t0 * (1.0 - 1e-9)
-    lo = _number(cfg, "t_min", "modulus-table", hi * 2.0 ** (-20))
+    lo = _positive(cfg, "t_min", "modulus-table", hi * 2.0 ** (-20))
+    if not lo < hi:
+        raise ConfigError(f"modulus-table.t_min: expected a number below t0 = {omega.t0!r}, "
+                          f"got {lo!r}")
     ts = np.geomspace(lo, hi * (1 - 1e-9), n)
     rows = []
     for t in ts:
@@ -64,8 +67,8 @@ def _cmd_modulus_table(cfg, out: Path, cal, seed) -> int:
 
 def _cmd_regdist_check(cfg, out: Path, cal, seed) -> int:
     graph = graph_from_config(cfg["domain"])
-    n = _integer(cfg, "n_points", "regdist-check", 1000)
-    r = _number(cfg, "r", "regdist-check", 0.3)
+    n = _count(cfg, "n_points", "regdist-check", 1000)
+    r = _positive(cfg, "r", "regdist-check", 0.3)
     rng = np.random.default_rng(seed)
     field = RegularizedDistanceField(graph)
     pts = sample_domain_points(graph, r, n, rng)
@@ -81,8 +84,8 @@ def _cmd_regdist_check(cfg, out: Path, cal, seed) -> int:
 def _cmd_barrier_check(cfg, out: Path, cal, seed) -> int:
     graph = graph_from_config(cfg["domain"])
     E = ellipticity_from_config(cfg["ellipticity"])
-    r = _number(cfg, "r", "barrier-check", 0.25)
-    n = _integer(cfg, "n_points", "barrier-check", 500)
+    r = _positive(cfg, "r", "barrier-check", 0.25)
+    n = _count(cfg, "n_points", "barrier-check", 500)
     rng = np.random.default_rng(seed)
     field = RegularizedDistanceField(graph)
     sem = graph.local_lip_seminorm(2 * r)
@@ -105,10 +108,10 @@ def _cmd_barrier_check(cfg, out: Path, cal, seed) -> int:
 def _cmd_solve(cfg, out: Path, cal, seed) -> int:
     graph = graph_from_config(cfg["domain"])
     op = operator_from_config(cfg["operator"])
-    r = _number(cfg, "r", "solve", 0.5)
+    r = _positive(cfg, "r", "solve", 0.5)
     n = _integer(cfg, "n", "solve", 64)
-    rhs = data_from_config(cfg.get("rhs", {"name": "zero"}), "rhs")
-    g = data_from_config(cfg.get("dirichlet", {"name": "zero"}), "dirichlet")
+    rhs = data_from_config(cfg.get("rhs", {"name": "zero"}), graph.dim, "rhs")
+    g = data_from_config(cfg.get("dirichlet", {"name": "zero"}), graph.dim, "dirichlet")
     # schema-1 configs may carry "stencil": "wide", which selects nothing, as the
     # lattice directions follow from the operator; another value would name a
     # scheme that does not run, so it is refused
@@ -154,7 +157,7 @@ def _cascade_from_config(cfg, command):
 def _cmd_growth(cfg, out: Path, cal, seed) -> int:
     graph, op, cascade = _cascade_from_config(cfg, "growth")
     omega = modulus_from_config(cfg["omega"], "omega") if "omega" in cfg else None
-    outer = (data_from_config(cfg["outer_data"], "outer_data")
+    outer = (data_from_config(cfg["outer_data"], graph.dim, "outer_data")
              if "outer_data" in cfg else None)
     rep = measure_growth(graph, op, outer_data=outer, omega=omega,
                          C_hat=cal.C_envelope, **cascade)
@@ -169,7 +172,7 @@ def _cmd_growth(cfg, out: Path, cal, seed) -> int:
 def _cmd_boundary_modulus(cfg, out: Path, cal, seed) -> int:
     graph, op, cascade = _cascade_from_config(cfg, "boundary-modulus")
     g_rec = cfg.get("g", {"name": "zero"})
-    g = data_from_config(g_rec, "g")
+    g = data_from_config(g_rec, graph.dim, "g")
     # the data's exact tangential gradient at the origin (zero unless linear)
     grad_g0 = (np.asarray(g_rec["coeffs"], dtype=float)[:-1] if g_rec["name"] == "linear"
                else np.zeros(graph.dim - 1))

@@ -48,9 +48,9 @@ def _finite(v, name) -> float:
     return float(v)
 
 
-def _positive(rec, key, where) -> float:
-    """rec[key] as a float checked by _finite, and positive."""
-    v = _finite(rec[key], f"{where}.{key}")
+def _positive(rec, key, where, default) -> float:
+    """rec[key] read by _number, and positive."""
+    v = _number(rec, key, where, default)
     if not v > 0:
         raise ConfigError(f"{where}.{key}: expected a positive number, got {v!r}")
     return v
@@ -70,6 +70,14 @@ def _integer(rec, key, where, default) -> int:
     if not _number(rec, key, where, default).is_integer():
         raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
     return int(v)
+
+
+def _count(rec, key, where, default) -> int:
+    """rec[key] read by _integer, and at least 1."""
+    n = _integer(rec, key, where, default)
+    if not n >= 1:
+        raise ConfigError(f"{where}.{key}: expected a positive integer, got {n!r}")
+    return n
 
 
 def _floats(rec, where, *keys) -> dict:
@@ -99,7 +107,7 @@ def modulus_from_config(rec, where: str = "modulus"):
         return constant(_number(rec, "L", where, None), **_floats(rec, where, "t0"))
     if kind == "power":
         _check_keys(rec, where, {"kind", "alpha"}, {"scale", "t0"})
-        return power(_positive(rec, "alpha", where), **_floats(rec, where, "scale", "t0"))
+        return power(_positive(rec, "alpha", where, None), **_floats(rec, where, "scale", "t0"))
     if kind == "log":
         _check_keys(rec, where, {"kind"}, {"c", "t0"})
         return log_modulus(**_floats(rec, where, "c", "t0"))
@@ -109,8 +117,8 @@ def modulus_from_config(rec, where: str = "modulus"):
     if kind == "composite":
         _check_keys(rec, where, {"kind", "a", "b", "c", "omega1", "omega2"})
         return make_composite(
-            _positive(rec, "a", where), _positive(rec, "b", where),
-            _positive(rec, "c", where),
+            _positive(rec, "a", where, None), _positive(rec, "b", where, None),
+            _positive(rec, "c", where, None),
             modulus_from_config(rec["omega1"], where + ".omega1"),
             modulus_from_config(rec["omega2"], where + ".omega2"))
     raise ConfigError(f"{where}.kind: unknown modulus kind {kind!r}")
@@ -163,12 +171,12 @@ def operator_from_config(rec, where: str = "operator"):
     raise ConfigError(f"{where}.kind: unknown operator kind {kind!r}")
 
 
-def data_from_config(rec, where: str = "data"):
-    """Boundary/forcing data as a callable on (m, n) point arrays.
+def data_from_config(rec, dim: int, where: str = "data"):
+    """Boundary/forcing data as a callable on (m, dim) point arrays.
 
     Forms: {"name": "zero"}, {"name": "constant", "value": v},
     {"name": "linear", "coeffs": [...], "offset": c} meaning
-    offset + coeffs . x (length n, so x_n data is coeffs=[0,1]).
+    offset + coeffs . x (length dim, so 2-D x_n data is coeffs=[0,1]).
     """
     name = rec.get("name") if isinstance(rec, dict) else None
     if name == "zero":
@@ -183,6 +191,9 @@ def data_from_config(rec, where: str = "data"):
         raw = rec["coeffs"]
         if not isinstance(raw, list):
             raise ConfigError(f"{where}.coeffs: expected a list of numbers, got {raw!r}")
+        if len(raw) != dim:
+            raise ConfigError(f"{where}.coeffs: expected {dim} numbers, one per coordinate, "
+                              f"got {len(raw)}")
         coeffs = np.array([_finite(v, f"{where}.coeffs[{i}]") for i, v in enumerate(raw)])
         off = _number(rec, "offset", where, 0.0)
         return lambda p: off + np.atleast_2d(p) @ coeffs

@@ -29,17 +29,18 @@ __all__ = ["BoundaryGraph", "C1Report", "check_c1_conditions"]
 
 
 # each family's required and optional parameters, whether Gamma has a derivative
-# singularity at the origin (radial_kink), and whether Gamma(2^j x') = 2^j Gamma(x')
-# holds bit for bit (dilation_invariant); BoundaryGraph and config.graph_from_config
+# singularity at the origin (radial_kink), whether Gamma is affine on each ray
+# from that kink (ray_affine), and whether Gamma(2^j x') = 2^j Gamma(x') holds
+# bit for bit (dilation_invariant); BoundaryGraph and config.graph_from_config
 # read the parameter names here and nowhere else
-_Family = namedtuple("_Family", "required optional radial_kink dilation_invariant")
+_Family = namedtuple("_Family", "required optional radial_kink ray_affine dilation_invariant")
 _FAMILIES = {
-    "zero": _Family(frozenset(), frozenset(), False, True),
-    "linear": _Family(frozenset({"a"}), frozenset(), False, True),
-    "cone": _Family(frozenset({"L"}), frozenset(), True, True),
-    "c1model": _Family(frozenset({"omega"}), frozenset({"sign"}), True, False),
-    "sinusoid": _Family(frozenset({"A", "k"}), frozenset(), False, False),
-    "table": _Family(frozenset({"ts", "values"}), frozenset(), False, False),
+    "zero": _Family(frozenset(), frozenset(), False, False, True),
+    "linear": _Family(frozenset({"a"}), frozenset(), False, False, True),
+    "cone": _Family(frozenset({"L"}), frozenset(), True, True, True),
+    "c1model": _Family(frozenset({"omega"}), frozenset({"sign"}), True, False, False),
+    "sinusoid": _Family(frozenset({"A", "k"}), frozenset(), False, False, False),
+    "table": _Family(frozenset({"ts", "values"}), frozenset(), False, False, False),
 }
 
 
@@ -85,7 +86,7 @@ class BoundaryGraph:
             raise DomainError(f"chart radius must be positive, got {chart_radius}")
         if family not in _FAMILIES:
             raise DomainError(f"unknown boundary family {family!r}; known: {sorted(_FAMILIES)}")
-        need, may, self.radial_kink, self.dilation_invariant = _FAMILIES[family]
+        need, may, self.radial_kink, self.ray_affine, self.dilation_invariant = _FAMILIES[family]
         if not need <= set(params) <= need | may:
             raise DomainError(f"family {family!r} takes parameters {sorted(need)}"
                               + (f", optionally {sorted(may)}" if may else "")

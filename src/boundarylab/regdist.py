@@ -21,16 +21,19 @@ One node rule holds all that depends on the dimension.  On the radial
 families it is centred on the kink preimage c = -x'/s while |c| < FAR: for
 n = 2, Gauss-Legendre panels graded toward c, t = c + (end - c) u^GRADE,
 from c to -1 and to 1 when |c| < 1, else the two halves of one panel from
-c across [-1, 1]; for n = 3, a polar rule centred at c when |c| < 1, else
-rays cast from c over the chords of the disk.  Along a panel or ray from c
-a radial Gamma depends only on the distance to c, so no rule sees the
-kink.  A preimage at |c| >= FAR, and every point of a graph without a
-radial kink, uses the rule centred at 0, built once per order and shared,
-read-only.  One moment kernel serves every rule, and each moment is a
-batched weighted-kernel matrix product over a block of at most
-_QUAD_NODES nodes, the points blocked by rule so that only kinked blocks
-build rules.  The graph is sampled once per node, for Gamma and grad Gamma
-together.
+c across [-1, 1]; for n = 3, 2 order midpoint directions, a polar rule
+centred at c when |c| < 1, else rays cast from c over the chords of the
+disk.  Along a panel or ray from c a radial Gamma depends only on the
+distance to c, so no rule sees the kink.  On a graph affine on each ray
+from its kink (the cone) every moment is a polynomial along a 3-D ray, so
+there BUMP_POWER + 2 radial Gauss nodes are exact at every order; every
+other rule takes order radial nodes.  A preimage at |c| >= FAR, and every
+point of a graph without a radial kink, uses the rule centred at 0, built
+once per order and shared, read-only.  One moment kernel serves every
+rule, and each moment is a batched weighted-kernel matrix product over a
+block of at most _QUAD_NODES nodes, the points blocked by rule so that
+only kinked blocks build rules.  The graph is sampled once per node, for
+Gamma and grad Gamma together.
 
 Every value is certified by order doubling on a ladder of orders: a point
 is evaluated at the working order 2q and checked with one pass at q, from
@@ -124,22 +127,23 @@ def _mollifier(dim_surface: int) -> Mollifier:
     return Mollifier(dim_surface)
 
 
-def _nodes(dim, c, order):
+def _nodes(dim, c, order, radial):
     """Nodes T (k, Q, n-1) and weights W (k, Q) on the unit ball, around c.
 
-    The only step that depends on the dimension.  For n = 2: two
-    Gauss-Legendre panels graded toward c, t = c + (end - c) u^GRADE, 2 order
-    nodes: from c to -1 and to 1 when |c| < 1, else the two halves, in u, of
-    one panel from c across the interval.  For n = 3 with |c| < 1: the
-    polar rule centred at c, 2 order directions (midpoint) times order
-    radial nodes.  For n = 3 with |c| >= 1: rays from c at the angles
-    theta within arcsin(1/|c|) of -c, each over its chord of the disk,
-    order by order nodes; with |c| sin(theta) = sin(psi) the chord's half
-    length is cos(psi) and the integrand is periodic in psi, so the rule is
-    the midpoint rule in psi and Gauss-Legendre along the chord.  In 3-D
-    the rows of c must all lie inside the unit disk or all outside it.
+    The only step that depends on the dimension.  Each rule runs radial
+    Gauss-Legendre nodes along each of its panels or rays.  For n = 2: two
+    panels graded toward c, t = c + (end - c) u^GRADE: from c to -1 and to
+    1 when |c| < 1, else the two halves, in u, of one panel from c across
+    the interval.  For n = 3, 2 order directions, each a midpoint angle:
+    with |c| < 1 the polar rule centred at c, each ray from c to the unit
+    circle; with |c| >= 1 rays from c at the angles theta within
+    arcsin(1/|c|) of -c, each over its chord of the disk.  With
+    |c| sin(theta) = sin(psi) the chord's half length is cos(psi) and the
+    integrand is periodic in psi, so the rays take the midpoint rule in
+    psi, which converges geometrically.  In 3-D the rows of c must all lie
+    inside the unit disk or all outside it.
     """
-    u, w = _leggauss(order)
+    u, w = _leggauss(radial)
     k = len(c)
     if dim == 2:
         # each row's two panels run over u in (ua, ub) toward a far end:
@@ -156,28 +160,28 @@ def _nodes(dim, c, order):
         span = far - cc
         T = cc[..., None] + span[..., None] * U ** GRADE
         W = (np.abs(span) * (ub - ua))[..., None] * (GRADE * w * U ** (GRADE - 1))
-        return T.reshape(k, 2 * order, 1), W.reshape(k, 2 * order)
+        return T.reshape(k, -1, 1), W.reshape(k, -1)
     rc = _radius(c)[:, None]                                             # (k, 1)
+    n_dir = 2 * order
     if np.all(rc < 1.0):
-        n_theta = 2 * order
-        theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+        theta = 2.0 * np.pi * (np.arange(n_dir) + 0.5) / n_dir
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         cu = c @ dirs.T                                                  # (k, M)
         R = -cu + np.sqrt(np.maximum(1.0 - rc ** 2 + cu ** 2, 0.0))
         r = R[..., None] * u                                             # (k, M, Q)
-        W = R[..., None] * w * r * (2.0 * np.pi / n_theta)
-        dirs = np.broadcast_to(dirs, (k, n_theta, 2))
+        W = R[..., None] * w * r * (2.0 * np.pi / n_dir)
+        dirs = np.broadcast_to(dirs, (k, n_dir, 2))
     else:
-        psi = np.pi * ((np.arange(order) + 0.5) / order - 0.5)            # midpoint in psi
+        psi = np.pi * ((np.arange(n_dir) + 0.5) / n_dir - 0.5)            # midpoint in psi
         sin_psi, half = np.sin(psi), np.cos(psi)                         # half: chord half length
-        mid = np.sqrt(rc ** 2 - sin_psi ** 2)                            # (k, Q): |c| cos(theta)
+        mid = np.sqrt(rc ** 2 - sin_psi ** 2)                            # (k, M): |c| cos(theta)
         e0 = -c / rc                                                     # towards the disk
         cos_t, sin_t = mid / rc, sin_psi / rc
         dirs = np.stack([cos_t * e0[:, :1] - sin_t * e0[:, 1:],
-                         cos_t * e0[:, 1:] + sin_t * e0[:, :1]], axis=-1)   # (k, Q, 2)
-        r = mid[..., None] + half[:, None] * (2.0 * u - 1.0)             # (k, Q, Q)
+                         cos_t * e0[:, 1:] + sin_t * e0[:, :1]], axis=-1)   # (k, M, 2)
+        r = mid[..., None] + half[:, None] * (2.0 * u - 1.0)             # (k, M, Q)
         # d theta = (half / mid) d psi, and d r = 2 half d u along the chord
-        W = (np.pi / order * half * half / mid)[..., None] * (2.0 * w) * r
+        W = (np.pi / n_dir * half * half / mid)[..., None] * (2.0 * w) * r
     T = np.empty(r.shape + (2,))
     for i in range(2):                                                   # c + r u
         np.multiply(r, dirs[..., None, i], out=T[..., i])
@@ -185,7 +189,7 @@ def _nodes(dim, c, order):
     return T.reshape(k, -1, 2), W.reshape(k, -1)
 
 
-def _rule(dim, c, order):
+def _rule(dim, c, order, radial):
     """The rule of _nodes at c with the weighted kernels that _moments reads.
 
     Returns (T, W eta, Wgrad, W k1, W k2): the nodes T (k, Q, n-1), the row
@@ -193,7 +197,7 @@ def _rule(dim, c, order):
     (k, Q, n-1), the weighted gradient of eta.  The kernels read rho^2
     only: k1 = -((n-1) eta + rho^2 eta'/rho), k2 = -(n eta + rho^2 eta'/rho).
     """
-    T, W = _nodes(dim, c, order)
+    T, W = _nodes(dim, c, order, radial)
     rho2 = np.square(T).sum(axis=-1)
     eta, slope = _mollifier(dim - 1).eta_derivs(rho2)
     eta *= W
@@ -208,7 +212,7 @@ def _rule(dim, c, order):
 @lru_cache(maxsize=8)
 def _centred_rule(dim: int, order: int):
     """_rule at c = 0 for one point, read-only; a block of points broadcasts it."""
-    rule = _rule(dim, np.zeros((1, dim - 1)), order)
+    rule = _rule(dim, np.zeros((1, dim - 1)), order, order)
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -260,6 +264,24 @@ class RegularizedDistanceField:
         c[_radius(c) >= FAR] = 0.0
         return c
 
+    def _radial(self, c, order):
+        """Gauss nodes along each panel or ray of the rules at the centres c.
+
+        Along a ray t = c + r u from the kink a graph that is affine there
+        (ray_affine: the cone) gives Gamma(x' + s t) = L s r, so each moment's
+        integrand, with the Jacobian r, is a polynomial in r of degree at
+        most 2 BUMP_POWER + 2, which BUMP_POWER + 2 Gauss nodes integrate
+        exactly at every order; the order-doubling check then sees the
+        angular error alone.  A 3-D block whose rows are all kinked takes
+        that count.  Every other block takes order: the 2-D panels are
+        graded, so Gamma is not a low-degree polynomial in u there, and the
+        shared rule at c = 0 also serves the preimages at |c| >= FAR, off
+        the kink.
+        """
+        if self.graph.dim == 3 and self.graph.ray_affine and c.any(axis=1).all():
+            return BUMP_POWER + 2
+        return order
+
     def _moments(self, xp, s, c, order):
         """All needed derivatives of p for a block of points, any n.
 
@@ -276,7 +298,8 @@ class RegularizedDistanceField:
         the per-order cache (_centred_rule), any other builds them.
         """
         n = self.graph.dim
-        T, We, Wgrad, Wk1, Wk2 = _centred_rule(n, order) if not c.any() else _rule(n, c, order)
+        T, We, Wgrad, Wk1, Wk2 = (_centred_rule(n, order) if not c.any()
+                                  else _rule(n, c, order, self._radial(c, order)))
         # x' + s t and t . grad Gamma, one component at a time: a broadcast
         # over the short last axis is several times slower
         pts = s[:, None, None] * T
@@ -302,8 +325,9 @@ class RegularizedDistanceField:
 
         Each point's centre and rule group are decided once, here.  The
         points are blocked by group, so no block mixes two rules and no
-        shared-rule point pays for a per-point rule.  The results come back
-        in input order.
+        shared-rule point pays for a per-point rule, and each block is
+        sized by the nodes its own rule holds per point.  The results come
+        back in input order.
         """
         c = self._centre(xp, s)
         # 0: the shared rule; 1: a rule around c; 2: rays from c (n = 3, |c| >= 1)
@@ -313,12 +337,17 @@ class RegularizedDistanceField:
         perm = np.argsort(group, kind="stable")
         undo = np.argsort(perm)
         xp, s, c, group = xp[perm], s[perm], c[perm], group[perm]
-        # a rule holds 2 order^(n-1) nodes per point (order^2 on rays from c);
-        # a block never spans two groups, and an empty batch still runs one
-        # (empty) block, so every key comes back
-        step = max(1, _QUAD_NODES // (2 * order ** (self.graph.dim - 1)))
+        # a block holds at most _QUAD_NODES nodes of its group's rule, 2 panels
+        # (n = 2) or 2 order directions (n = 3) times the radial nodes; it never
+        # spans two groups, and an empty batch still runs one (empty) block, so
+        # every key comes back
+        n_dir = 2 * order if self.graph.dim == 3 else 2
         bounds = [0, *np.searchsorted(group, [1, 2]), len(s)]
-        starts = [a for lo, hi in zip(bounds, bounds[1:]) for a in range(lo, hi, step)] or [0]
+        starts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            per_point = n_dir * self._radial(c[lo:hi], order)
+            starts += range(lo, hi, max(1, _QUAD_NODES // per_point))
+        starts = starts or [0]
         ends = starts[1:] + [len(s)]
         parts = [self._moments(xp[a:b], s[a:b], c[a:b], order) for a, b in zip(starts, ends)]
         return {key: np.concatenate([b[key] for b in parts])[undo] for key in parts[0]}

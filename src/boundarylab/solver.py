@@ -369,9 +369,15 @@ def _operator_weights(op, nodes: np.ndarray):
             raise DomainError(f"FixedOp.A returned shape {A.shape} on {len(nodes)} nodes; "
                               f"it must return (2, 2) or ({len(nodes)}, 2, 2)")
         A = A.reshape(-1, 2, 2)
+        bad = np.argwhere(~np.isfinite(A))
+        if bad.size:
+            k, i, j = bad[0]
+            raise DomainError(f"A({nodes[k]}) has the non-finite entry A[{i}][{j}] = {A[k, i, j]}")
         if op.E is not None:
             ev = sym_eigvals(A)
-            bad = np.nonzero((ev[:, 0] < op.E.lam - 1e-10) | (ev[:, -1] > op.E.Lam + 1e-10))[0]
+            lo, hi = op.E.lam - 1e-10, op.E.Lam + 1e-10
+            # written so that a NaN eigenvalue fails it
+            bad = np.nonzero(~((lo <= ev[:, 0]) & (ev[:, -1] <= hi)))[0]
             if bad.size:
                 k = bad[0]
                 raise DomainError(

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -89,8 +90,10 @@ def test_graph_from_config_builds_every_family(family):
     fam = _FAMILIES[family]
     rec = {"family": family, **{k: _PARAMETER_VALUES[k] for k in fam.required}}
     g = graph_from_config(rec)
-    assert (g.family, g.radial_kink, g.dilation_invariant) == (
-        family, fam.radial_kink, fam.dilation_invariant)
+    assert (g.family, g.radial_kink, g.ray_affine, g.dilation_invariant) == (
+        family, fam.radial_kink, fam.ray_affine, fam.dilation_invariant)
+    # Gamma is affine on each ray from its kink on the cone alone
+    assert fam.ray_affine == (family == "cone")
     assert g.gamma(0.0) == 0.0
     with pytest.raises(ConfigError, match=r"domain: unknown keys \['extra'\]"):
         graph_from_config({**rec, "extra": 1})
@@ -233,6 +236,42 @@ def test_cli_rejects_a_fixed_matrix_that_is_not_2x2(tmp_path, capsys, A):
     assert "config error: operator.A: expected a symmetric 2x2 matrix" in capsys.readouterr().err
 
 
+_POWER = {"kind": "power", "alpha": 0.5}
+_CASCADE = {"domain": _CONE, "k_max": 2, "n_grid": 16}
+# numbers out of their key's range: each used to end in an error that named
+# no key (a bare numpy ValueError, after a RuntimeWarning for t_min -1) or,
+# for t_min 5, in the modulus's domain error
+_RANGE_CASES = {
+    "r-negative": ("regdist-check", {"domain": _CONE, "n_points": 5}, "regdist-check", "r",
+                   -0.3, "expected a positive number, got -0.3"),
+    "n_points-negative": ("modulus-table", {"modulus": _POWER}, "modulus-table", "n_points",
+                          -3, "expected a positive integer, got -3"),
+    "t_min-negative": ("modulus-table", {"modulus": _POWER}, "modulus-table", "t_min",
+                       -1, "expected a positive number, got -1.0"),
+    "t_min-zero": ("modulus-table", {"modulus": _POWER}, "modulus-table", "t_min",
+                   0, "expected a positive number, got 0.0"),
+    "t_min-above-t0": ("modulus-table", {"modulus": _POWER}, "modulus-table", "t_min",
+                       5, "expected a number below t0 = 1.0, got 5.0"),
+    "g-coeffs-long": ("boundary-modulus", {**_CASCADE, "g": {"name": "linear", "coeffs": [0, 1]}},
+                      "g", "coeffs", [1, 2, 3], "expected 2 numbers, one per coordinate, got 3"),
+    "g-coeffs-short": ("boundary-modulus", {**_CASCADE, "g": {"name": "linear", "coeffs": [0, 1]}},
+                       "g", "coeffs", [1], "expected 2 numbers, one per coordinate, got 1"),
+    "dirichlet-coeffs-long": ("solve", {"domain": _CONE, "operator": {"kind": "laplace"}, "n": 32,
+                                        "dirichlet": {"name": "linear", "coeffs": [0, 1]}},
+                              "dirichlet", "coeffs", [0, 1, 2],
+                              "expected 2 numbers, one per coordinate, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RANGE_CASES))
+def test_cli_rejects_a_number_out_of_its_range(tmp_path, capsys, case):
+    command, cfg, record, key, value, message = _RANGE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_with(tmp_path, command, cfg, record, key, value) == 2
+    assert capsys.readouterr().err == f"config error: {record}.{key}: {message}\n"
+
+
 def test_cli_growth_names_its_omega_record(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"schema_version": 1, "domain": _CONE,
                                       "omega": {"kind": "bogus"}})
@@ -256,10 +295,14 @@ def test_operator_and_ellipticity_from_config():
 
 
 def test_data_from_config():
-    f = data_from_config({"name": "linear", "coeffs": [0.0, 1.0], "offset": 2.0})
+    f = data_from_config({"name": "linear", "coeffs": [0.0, 1.0], "offset": 2.0}, 2)
     np.testing.assert_allclose(f(np.array([[0.3, 0.4]])), [2.4])
+    f = data_from_config({"name": "linear", "coeffs": [1.0, 0.0, 1.0]}, 3)
+    np.testing.assert_allclose(f(np.array([[0.3, 0.4, 0.5]])), [0.8])
     with pytest.raises(ConfigError):
-        data_from_config({"name": "quadratic"})
+        data_from_config({"name": "quadratic"}, 2)
+    with pytest.raises(ConfigError, match="data.coeffs: expected 3 numbers"):
+        data_from_config({"name": "linear", "coeffs": [0.0, 1.0]}, 3)
 
 
 # ------------------------------------------------------------ calibration

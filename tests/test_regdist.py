@@ -282,7 +282,8 @@ def _p_derivs_elementwise(field, xp, s, order):
         "p": np.empty(k), "px": np.empty((k, m)), "ps": np.empty(k),
         "pxx": np.empty((k, m, m)), "pxs": np.empty((k, m)), "pss": np.empty(k),
     }
-    nodes, weights = _nodes(field.graph.dim, field._centre(xp, s), order)
+    c = field._centre(xp, s)
+    nodes, weights = _nodes(field.graph.dim, c, order, field._radial(c, order))
     for i in range(k):
         T, W = nodes[i], weights[i]
         rho = np.linalg.norm(T, axis=-1)
@@ -317,7 +318,8 @@ def test_p_derivs_2d_matches_elementwise_sums(graph):
     # the kink -x'/s lies inside the unit ball for rows 0 and 3, outside for 1 and 2;
     # on cone and c1model the rule splits (2-D) or centres (3-D) there
     assert list(np.linalg.norm(xp, axis=-1) < s) == [True, False, False, True]
-    T, W = _nodes(graph.dim, f._centre(xp, s), 64)
+    c = f._centre(xp, s)
+    T, W = _nodes(graph.dim, c, 64, f._radial(c, 64))
     assert T.shape == (4, W.shape[1], graph.dim - 1)
     # the weights integrate 1 to the volume of the unit ball: 2 in 2-D, pi in 3-D
     assert np.allclose(W.sum(axis=1), {2: 2.0, 3: np.pi}[graph.dim])
@@ -385,10 +387,17 @@ def test_batch_agrees_with_point_by_point(monkeypatch, graph, n, rungs):
     # its own residual, whatever its block, and comes back in its input place
     f = RegularizedDistanceField(graph)
     pts = sample_domain_points(graph, 0.25, n, np.random.default_rng(5))
+    if graph.dim == 3:
+        # on the 3-D cone only polar points whose kink preimage lies near the
+        # unit circle, |c| = |x'|/d in (0.87, 1), still climb: add three
+        ang, gap = np.array([0.3, 2.0, 4.0]), np.array([0.05, 0.1, 0.02])
+        xp = 0.95 * gap[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+        pts = np.concatenate([pts, np.column_stack([xp, gap + graph.gamma(xp)])])
     (d, grad, hess), orders = _last_orders(monkeypatch, f, pts)
     if graph.dim == 3:
-        inside = np.linalg.norm(pts[:, :-1], axis=-1) < d
-        assert inside.any() and not inside.all()
+        c = np.linalg.norm(pts[:, :-1], axis=-1) / d
+        assert np.all((c[n:] > 0.87) & (c[n:] < 1.0))
+        assert np.any(c[:n] < 1.0) and not np.all(c[:n] < 1.0)
     elif n > 8:
         # 2 * 16 nodes per point at the first rung's working order, so blocks
         # of 256 points: the kinked points (|x'| < FAR d) and the shared-rule
@@ -543,9 +552,10 @@ def test_pss_matches_the_fine_order_reference(graph, fine):
 def test_inversion_brackets_without_quadrature(monkeypatch):
     # the Lipschitz bound brackets the root, so the first pass is already a
     # Halley pass at t = gap, at the first rung's working order; measured on
-    # these 20 points: 59 point-passes at 2 BASE_ORDER (the Halley passes
-    # and the check of the points that climb), 20 at BASE_ORDER (the first
-    # rung's check) and 8 at 4 BASE_ORDER
+    # these 20 points: 54 point-passes at 2 BASE_ORDER (the Halley passes),
+    # 20 at BASE_ORDER (the first rung's check) and none at 4 BASE_ORDER:
+    # the 9 points whose kink preimage lies outside the unit disk resolve on
+    # rays at the first rung
     g = BoundaryGraph("cone", dim=3, L=0.1)
     f = RegularizedDistanceField(g)
     pts = sample_domain_points(g, 0.25, 20, np.random.default_rng(0))
@@ -570,8 +580,8 @@ def test_inversion_brackets_without_quadrature(monkeypatch):
     assert order0 == 2 * base
     assert evaluated[2 * base] <= 3.0 * len(pts)
     assert evaluated[base] == len(pts)
-    assert evaluated.keys() == {base, 2 * base, 4 * base}
-    assert evaluated[4 * base] <= 0.5 * len(pts)
+    assert evaluated.keys() == {base, 2 * base}
+    assert evaluated.get(4 * base, 0) <= 0.5 * len(pts)
 
 
 @pytest.mark.parametrize("graph", [
@@ -758,7 +768,8 @@ def _moments_reference(f, xp, s, order):
     """_moments written out on the full per-point rule of _nodes: the same
     kernels and products, with no cache and no per-component loops."""
     n = f.graph.dim
-    T, W = _nodes(n, f._centre(xp, s), order)
+    c = f._centre(xp, s)
+    T, W = _nodes(n, c, order, f._radial(c, order))
     rho2 = (T * T).sum(axis=-1)
     eta, slope = f.mollifier.eta_derivs(rho2)
     We, Ws = W * eta, W * slope
@@ -823,9 +834,9 @@ def test_centred_blocks_build_no_rule(monkeypatch):
     calls = []
     nodes = regdist._nodes
 
-    def counted(dim, c, order):
+    def counted(dim, c, order, radial):
         calls.append(len(c))
-        return nodes(dim, c, order)
+        return nodes(dim, c, order, radial)
 
     monkeypatch.setattr(regdist, "_nodes", counted)
     for graph, xp, s in _CENTRED.values():
@@ -834,10 +845,11 @@ def test_centred_blocks_build_no_rule(monkeypatch):
         calls.clear()
         f._p_derivs(xp, s, 64)
         assert calls == []
-    # 2 * 64^2 nodes hold one 3-D point and 2 * 64 nodes 64 2-D points:
-    # one rule per 3-D point, and on the 2-D cone two blocks of its 74
-    # kinked points; its 76 shared-rule points build no rule
-    for (graph, xp, s), blocks in zip(_KINKED.values(), ([1, 1, 1], [1, 1, 1], [64, 10])):
+    # a kinked 3-D cone point holds 2 * 64 directions times BUMP_POWER + 2
+    # radial nodes, so a block holds 16 and one rule serves each 3-D batch;
+    # 2 * 64 nodes hold 64 2-D points, so the 2-D cone's 74 kinked points
+    # take two blocks, and its 76 shared-rule points build no rule
+    for (graph, xp, s), blocks in zip(_KINKED.values(), ([3], [3], [64, 10])):
         assert np.count_nonzero(np.linalg.norm(xp, axis=-1) < regdist.FAR * s) == sum(blocks)
         f = RegularizedDistanceField(graph)
         calls.clear()
@@ -1017,7 +1029,7 @@ def test_2d_cone_matches_the_closed_form_at_every_point():
 def test_rays_from_an_outside_kink_integrate_the_bump(c):
     # rays cast from c over the chords of the disk: the weights integrate 1
     # to pi, and the bump's moments of degree <= 2 are exact from order 6
-    T, W = _nodes(3, np.array([c]), 6)
+    T, W = _nodes(3, np.array([c]), 6, 6)
     assert W.sum() == pytest.approx(np.pi, rel=1e-14)
     eta = Mollifier(2).eta_derivs((T * T).sum(axis=-1))[0] * W
     assert eta.sum() == pytest.approx(1.0, rel=1e-14)
@@ -1029,7 +1041,7 @@ def test_rays_from_an_outside_kink_integrate_the_bump(c):
 def test_rays_resolve_the_3d_cone_where_the_kink_is_just_outside():
     # on a radial graph Gamma along a ray from c depends only on its length;
     # at |c| = 1.02, 1.34 and 1.65 the rays at the first rung's working order
-    # miss order 64 by 9.3e-10, 1.2e-14 and 1.8e-16 in grad_x p, where the rule
+    # miss order 64 by 1.9e-13, 1.4e-16 and 5.6e-17 in grad_x p, where the rule
     # centred at 0 (the rule before rays) misses by 2.1e-6, 5.6e-10 and 6.5e-13
     f = RegularizedDistanceField(BoundaryGraph("cone", dim=3, L=0.1))
     xp = np.array([[0.051, 0.0], [-0.03, 0.06], [0.07, -0.07]])
@@ -1042,3 +1054,71 @@ def test_rays_resolve_the_3d_cone_where_the_kink_is_just_outside():
     centred = np.abs(f._moments(xp, s, np.zeros_like(c), work)["px"] - fine).max(axis=1)
     assert rays.max() <= 2e-9
     assert np.all(rays <= 1e-2 * centred)
+
+
+@pytest.mark.parametrize("case", ["cone-3d", "rays-cone-3d"])
+@pytest.mark.parametrize("order", [8, 16, 32])
+def test_kinked_cone_radial_rule_is_exact(monkeypatch, case, order):
+    # along a ray from the kink Gamma = L s r, so every moment, with the
+    # Jacobian r, is a polynomial of degree <= 2 BUMP_POWER + 2 in r, which
+    # BUMP_POWER + 2 Gauss nodes integrate exactly; measured against 64
+    # radial nodes: 3.8e-15 at most (BUMP_POWER + 1 nodes miss p by 3.6e-4)
+    graph, xp, s = _KINKED[case]
+    f = RegularizedDistanceField(graph)
+    c = f._centre(xp, s)
+    assert f._radial(c, order) == regdist.BUMP_POWER + 2
+    got = f._moments(xp, s, c, order)
+    monkeypatch.setattr(f, "_radial", lambda c, order: 64)
+    fine = f._moments(xp, s, c, order)
+    for key in fine:
+        assert _max_rel(got[key], fine[key]) <= 1e-14, key
+
+
+@pytest.mark.parametrize("radius", [1.05, 1.2, 1.4])
+def test_rays_just_outside_the_disk_pass_the_first_rung(radius):
+    # the first rung's check rule has 2 BASE_ORDER ray angles; with BASE_ORDER
+    # angles it missed CERT_TOL s here (6e-7 s at |c| = 1.05, 4.5e-8 s at 1.4);
+    # measured: 4.2e-10 s, 2.5e-12 s and 1.5e-14 s
+    f = RegularizedDistanceField(BoundaryGraph("cone", dim=3, L=0.1))
+    s = np.array([0.05])
+    xp = np.array([[-radius * 0.05, 0.0]])
+    base = regdist.BASE_ORDER
+    fine, coarse = (f._p_derivs(xp, s, q)["p"] for q in (2 * base, base))
+    assert abs(fine - coarse)[0] <= regdist.CERT_TOL * s[0]
+
+
+_C1MODEL_3D = BoundaryGraph("c1model", dim=3, omega=power(0.5, 0.2, 1.0))
+
+
+@pytest.mark.parametrize("graph, xp, s, exact", [
+    (*_KINKED["cone-3d"], True),
+    (*_KINKED["rays-cone-3d"], True),
+    (_C1MODEL_3D, *_KINKED["cone-3d"][1:], False),
+    (_C1MODEL_3D, *_KINKED["rays-cone-3d"][1:], False),
+], ids=["cone-polar", "cone-rays", "c1model-polar", "c1model-rays"])
+def test_3d_nodes_per_point(monkeypatch, graph, xp, s, exact):
+    # every 3-D rule has 2q directions: times BUMP_POWER + 2 = 4 radial nodes
+    # on the cone's kinked blocks, times q radial nodes elsewhere (c1model is
+    # not affine on a ray from its kink, and the shared rule at c = 0 also
+    # serves points off the kink); a block of a 100-fold batch holds at most
+    # _QUAD_NODES nodes
+    sizes = []
+    nodes = regdist._nodes
+
+    def counted(*args):
+        T, W = nodes(*args)
+        sizes.append(T.shape[:2])
+        return T, W
+
+    monkeypatch.setattr(regdist, "_nodes", counted)
+    f = RegularizedDistanceField(graph)
+    for q in (8, 16, 32, 64):
+        assert _centred_rule(3, q)[0].shape[1] == 2 * q * q
+        sizes.clear()
+        f._p_derivs(xp, s, q)
+        assert {per_point for _, per_point in sizes} == {8 * q if exact else 2 * q * q}
+        assert sum(k for k, _ in sizes) == len(s)
+    sizes.clear()
+    f._p_derivs(np.repeat(xp, 100, axis=0), np.repeat(s, 100), 64)
+    assert sum(k for k, _ in sizes) == 300
+    assert all(k * per_point <= _QUAD_NODES for k, per_point in sizes)

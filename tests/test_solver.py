@@ -210,6 +210,28 @@ def test_fixed_eigenvalue_range_enforced_at_one_node():
     solve(GridProblem(g, R, 2 * R / 32, FixedOp(A=A), ZERO, ZERO))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("E", [None, EllipticityPair(1.0, 2.0)], ids=["no-range", "range"])
+def test_a_non_finite_coefficient_names_its_node_and_entry(value, E):
+    # A(x) holds value in its (1, 0) entry only at the grid node (1/4, 1/8);
+    # it used to pass discretize without a range, and end in "matrix is not
+    # symmetric" with one
+    g = BoundaryGraph("zero")
+
+    def A(x):
+        out = np.tile(np.diag([1.0, 1.5]), (len(x), 1, 1))
+        out[np.isclose(x, [0.25, 0.125]).all(axis=1), 1, 0] = value
+        return out
+
+    with pytest.raises(DomainError, match=r"A\(\[0\.25 +0\.125\]\) has the non-finite "
+                                          rf"entry A\[1\]\[0\] = {value}"):
+        discretize(GridProblem(g, R, 2 * R / 32, FixedOp(A=A, E=E), ZERO, ZERO))
+    # a constant matrix is named at the first node
+    const = np.array([[1.0, value], [value, 1.0]])
+    with pytest.raises(DomainError, match=r"non-finite entry A\[0\]\[1\]"):
+        discretize(GridProblem(g, R, 2 * R / 32, FixedOp(A=lambda x: const, E=E), ZERO, ZERO))
+
+
 @pytest.mark.parametrize("stencil", ["standard5", "wide"])
 def test_identity_field_is_the_laplacian(stencil):
     # a linear operator is the one-policy case of policy iteration; the
