@@ -63,7 +63,7 @@ MATRICES = [
 
 def frozen(graph, operator, n):
     """The CSC matrix of the final policy of the problem's solve."""
-    prob = GridProblem(graph, R, 2 * R / n, operator, lambda p: -np.ones(len(p)), _linear)
+    prob = GridProblem(graph, R, n, operator, lambda p: -np.ones(len(p)), _linear)
     sys_ = discretize(prob)
     policy = solve(prob, sys_).policy
     alphas = sys_.alphas

@@ -9,7 +9,7 @@ from .errors import (
 )
 from .modulus import (
     Modulus, constant, dini_integral, log_modulus,
-    make_composite, power, table, zero,
+    make_composite, power, table,
 )
 from .geometry import BoundaryGraph, C1Report, check_c1_conditions
 from .regdist import Mollifier, RegularizedDistanceField

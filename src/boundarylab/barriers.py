@@ -41,7 +41,8 @@ def sample_domain_points(graph: BoundaryGraph, r: float, n: int,
 
     Rejection sampling from the uniform distribution on the ball; the chart
     margin |x'| + 1.5 gap <= graph.working_radius is respected so the
-    regularized distance is evaluable at every returned point.
+    regularized distance is evaluable at every returned point.  Gamma is
+    evaluated only at draws with |x'| inside that margin.
     """
     if n < 1:
         raise DomainError(f"need at least one sample point, got n = {n}")
@@ -53,13 +54,16 @@ def sample_domain_points(graph: BoundaryGraph, r: float, n: int,
         m = 4 * (n - len(out))
         budget -= m
         x = rng.uniform(-r, r, size=(m, dim))
-        x = x[np.linalg.norm(x, axis=-1) < r]
+        rho = np.linalg.norm(x[:, :-1], axis=-1)
+        inside = (np.linalg.norm(x, axis=-1) < r) & (rho < wr * 0.999)
+        x, rho = x[inside], rho[inside]
         gap = x[:, -1] - np.atleast_1d(graph.gamma(x[:, :-1]))
-        keep = (gap > 1e-6 * r) & (gap < 0.9 * wr) \
-            & (np.linalg.norm(x[:, :-1], axis=-1) + 1.5 * gap < wr * 0.999)
+        keep = (gap > 1e-6 * r) & (gap < 0.9 * wr) & (rho + 1.5 * gap < wr * 0.999)
         out.extend(x[keep])
     if len(out) < n:
-        raise DomainError("could not sample enough interior points; is r too small?")
+        where = "r is above it" if r > wr else "r is within it; is r too small?"
+        raise DomainError(f"could not sample {n} interior points of B_r, r = {r}, inside "
+                          f"the chart's working radius {wr}; {where}")
     return np.asarray(out[:n])
 
 
@@ -203,7 +207,7 @@ def special_solution(field: RegularizedDistanceField, r: float, n: int) -> GridS
             out[pos] = field.eval_d(pts[pos])
         return out
 
-    return solve(GridProblem(graph, r, 2 * r / n, LaplaceOp(),
+    return solve(GridProblem(graph, r, n, LaplaceOp(),
                              rhs=lambda p: np.zeros(len(p)), dirichlet=data))
 
 

@@ -131,7 +131,7 @@ def _calibrate_envelope() -> float:
     return 2.0 * max(2.0, need)
 
 
-def run_calibration(seed: int = 2026) -> CalibrationConstants:
+def run_calibration(seed: int) -> CalibrationConstants:
     """Measure every constant from scratch; deterministic given the seed."""
     C2 = _calibrate_regdist(2, seed)
     C3 = _calibrate_regdist(3, seed + 1)

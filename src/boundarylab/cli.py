@@ -118,7 +118,7 @@ def _cmd_solve(cfg, out: Path, cal, seed) -> int:
     if cfg.get("stencil", "wide") != "wide":
         raise ConfigError(f"solve key 'stencil' accepts only 'wide', got {cfg['stencil']!r}: "
                           "the lattice directions now follow from the operator")
-    prob = GridProblem(graph, r, 2 * r / n, op, rhs=rhs, dirichlet=g)
+    prob = GridProblem(graph, r, n, op, rhs=rhs, dirichlet=g)
     sol = solve(prob)
     _write_csv(out / "solution.csv", ["x1", "x2", "u"],
                np.column_stack([sol.nodes, sol.values]))

@@ -171,7 +171,7 @@ def operator_from_config(rec, where: str = "operator"):
     raise ConfigError(f"{where}.kind: unknown operator kind {kind!r}")
 
 
-def data_from_config(rec, dim: int, where: str = "data"):
+def data_from_config(rec, dim: int, where: str):
     """Boundary/forcing data as a callable on (m, dim) point arrays.
 
     Forms: {"name": "zero"}, {"name": "constant", "value": v},

@@ -17,6 +17,8 @@ B'_R(0) exactly (seminorm_at), and L_global is S over the chart.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -42,6 +44,13 @@ _FAMILIES = {
     "sinusoid": _Family(frozenset({"A", "k"}), frozenset(), False, False, False),
     "table": _Family(frozenset({"ts", "values"}), frozenset(), False, False, False),
 }
+
+
+def _finite(x) -> bool:
+    """Whether x is a real number, not a boolean, and finite."""
+    # written so that NaN fails it; an int beyond the float range fails it too
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _radius(arr) -> np.ndarray:
@@ -98,7 +107,7 @@ class BoundaryGraph:
         self.L_global = 0.0                 # the zero family's; the others set theirs
 
         if family == "linear":
-            self._a = np.atleast_1d(np.asarray(params["a"], dtype=float))
+            self._a = self._numbers("a")
             if self._a.size != dim - 1:
                 raise DomainError(f"linear slope must have {dim - 1} components")
             self.L_global = float(np.linalg.norm(self._a))
@@ -125,8 +134,10 @@ class BoundaryGraph:
         elif family == "table":
             if dim != 2:
                 raise DomainError("table family is 2-d only")
-            ts = np.asarray(params["ts"], dtype=float)
-            vals = np.asarray(params["values"], dtype=float)
+            ts, vals = self._numbers("ts"), self._numbers("values")
+            if not len(ts) == len(vals) >= 2:
+                raise DomainError(f"table needs as many values as ts, at least 2; got "
+                                  f"{len(ts)} ts and {len(vals)} values")
             if np.any(np.diff(ts) <= 0):
                 raise DomainError("table abscissae must be strictly increasing")
             if not (ts[0] <= 0.0 <= ts[-1]):
@@ -144,12 +155,21 @@ class BoundaryGraph:
             self.L_global = self.local_lip_seminorm(self.chart_radius)
 
     def _number(self, key) -> float:
-        """The scalar parameter key as a float; anything else is a DomainError."""
+        """The scalar parameter key as a float; anything but a finite real
+        number is a DomainError that names the family and the key."""
         v = self.params[key]
-        try:
-            return float(v)
-        except (TypeError, ValueError):
-            raise DomainError(f"{self.family} {key} must be a number, got {v!r}") from None
+        if not _finite(v):
+            raise DomainError(f"{self.family} {key} must be a number, got {v!r}")
+        return float(v)
+
+    def _numbers(self, key) -> np.ndarray:
+        """The parameter key, a number or a flat sequence of numbers, as a 1-d
+        float array, each entry checked as _number checks a scalar."""
+        v = self.params[key]
+        vals = list(v) if isinstance(v, (list, tuple, np.ndarray)) else [v]
+        if not all(map(_finite, vals)):
+            raise DomainError(f"{self.family} {key} must be numbers, got {v!r}")
+        return np.array(vals, dtype=float)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -71,15 +71,14 @@ def _run_cascade(graph: BoundaryGraph, operator, *, k_max: int, n_grid: int,
     """Sequential dyadic solve of levels 1..k_max from B_{R_1}, R_1 the
     graph's working radius, with zero forcing; returns per-level summaries.
 
-    On a dilation-invariant graph level 1 is discretized once and every
-    later level solves its dilation, bitwise the level's own assembly.
+    On a dilation-invariant graph each level after the first solves the
+    dilation of the level before, bitwise the level's own assembly.
     """
     radii, qs, ms, residuals = [], [], [], []
-    prev_sol = base = None
+    prev_sol = system = None
     origin_gap = float(np.atleast_1d(graph.gamma(np.zeros((1, 1))))[0])
     for k in range(1, k_max + 1):
         R = 2.0 ** (-k + 1) * graph.working_radius
-        h = 2 * R / n_grid
 
         def dirichlet(pts, _R=R, _prev=prev_sol):
             pts = np.atleast_2d(pts)
@@ -95,15 +94,11 @@ def _run_cascade(graph: BoundaryGraph, operator, *, k_max: int, n_grid: int,
             out[~on_circle] = np.atleast_1d(graph_data(pts[~on_circle]))
             return out
 
-        prob = GridProblem(graph, R, h, operator, rhs=lambda p: np.zeros(len(p)),
+        prob = GridProblem(graph, R, n_grid, operator, rhs=lambda p: np.zeros(len(p)),
                            dirichlet=dirichlet)
         try:
-            if not graph.dilation_invariant:
-                system = None
-            elif base is None:
-                system = base = discretize(prob)
-            else:
-                system = base.dilated(prob)
+            system = (system.dilated(prob) if graph.dilation_invariant and prev_sol is not None
+                      else discretize(prob))
             sol = solve(prob, system=system)
         except (BoundaryLabError, RuntimeError) as exc:
             raise ConvergenceError(f"cascade level {k} (R={R:g}) failed: {exc}") from exc
@@ -162,30 +157,26 @@ def measure_growth(graph: BoundaryGraph, operator=LaplaceOp(), *, k_max: int,
 
 
 def measure_boundary_modulus(graph: BoundaryGraph, operator=LaplaceOp(), *,
-                             k_max: int, n_grid: int, g: Optional[Callable] = None,
-                             grad_g0, outer_data: Optional[Callable] = None) -> GrowthReport:
+                             k_max: int, n_grid: int, g: Callable, grad_g0) -> GrowthReport:
     """Sup quotients of v = u - g(0) - grad g(0) . x' through the cascade.
 
     The cascade starts on B_{R_1}, R_1 the graph's working radius, with
-    zero forcing.  The solution takes boundary data g on the graph part
-    (and on the outermost circle at the first level); the affine part of g
+    zero forcing.  The solution takes boundary data g on the graph part and
+    u = 1 on the outermost circle at the first level; the affine part of g
     at the origin is subtracted before measuring, so smooth data with
     nonzero gradient still yields bounded m_k.  grad_g0 is the exact
     tangential gradient of g at the origin, of length n - 1.
     """
-    if g is None:
-        g = lambda p: np.zeros(len(p))
     g0 = float(np.atleast_1d(g(np.zeros((1, 2))))[0])
 
     def affine(p):
         return g0 + p[:, :-1] @ grad_g0
 
-    outer = outer_data if outer_data is not None else (lambda p: np.ones(len(p)))
     # solve directly for v = u - affine: for linear operators this is the
     # cascade with affinely shifted boundary data
     ks, radii, qv, mv, res = _run_cascade(
         graph, operator, k_max=k_max, n_grid=n_grid,
-        outer_data=lambda p: np.atleast_1d(outer(p)) - affine(np.atleast_2d(p)),
+        outer_data=lambda p: 1.0 - affine(np.atleast_2d(p)),
         graph_data=lambda p: np.atleast_1d(g(p)) - affine(np.atleast_2d(p)))
     slope, r2 = fit_log_slope(radii, np.maximum(np.abs(mv), 1e-300))
     return GrowthReport(ks=ks, radii=radii, q=qv, m=mv, exponent=slope,

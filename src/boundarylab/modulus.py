@@ -21,7 +21,6 @@ __all__ = [
     "power",
     "log_modulus",
     "table",
-    "zero",
     "eval_modulus",
     "dini_integral",
     "make_composite",
@@ -46,7 +45,7 @@ class Modulus:
         deriv: Callable[[np.ndarray], np.ndarray],
         slope_sup: Callable[[np.ndarray, np.ndarray], np.ndarray],
         dini_primitive: Optional[Callable[[float], float]] = None,
-        params: Optional[dict] = None,
+        params: dict,
     ):
         if not t0 > 0:
             raise DomainError(f"t0 must be positive, got {t0}")
@@ -60,7 +59,7 @@ class Modulus:
         # antiderivative of omega(s)/s, where a closed form exists, defined
         # at s = 0 too: -inf there when the integral from 0 diverges
         self.dini_primitive = dini_primitive
-        self.params = dict(params or {})
+        self.params = dict(params)
         self.vanishes_at_zero = bool(func(np.asarray(0.0)) == 0.0)
 
     def __call__(self, t):
@@ -76,11 +75,14 @@ class Modulus:
 
 
 def eval_modulus(omega: Modulus, t):
-    """Evaluate omega(t) for 0 <= t < t0; anything else is a domain error."""
+    """Evaluate omega(t) for 0 <= t < t0; anything else, NaN too, is a domain
+    error that names the first such t."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0) or np.any(arr >= omega.t0):
+    bad = ~((arr >= 0) & (arr < omega.t0))
+    if bad.any():
         raise DomainError(
-            f"modulus of kind {omega.kind!r} is defined on [0, {omega.t0}), got t={t}"
+            f"modulus of kind {omega.kind!r} is defined on [0, {omega.t0}), "
+            f"got t={float(arr[bad][0])}"
         )
     out = np.asarray(omega._func(arr), dtype=float)
     return float(out) if np.ndim(t) == 0 else out
@@ -88,7 +90,7 @@ def eval_modulus(omega: Modulus, t):
 
 def constant(L: float, t0: float = 1.0) -> Modulus:
     """The Lipschitz limit omega == L. Non-vanishing at zero unless L == 0."""
-    if L < 0:
+    if not L >= 0:
         raise DomainError(f"constant level must be nonnegative, got {L}")
     return Modulus(
         "constant",
@@ -102,14 +104,9 @@ def constant(L: float, t0: float = 1.0) -> Modulus:
     )
 
 
-def zero(t0: float = 1.0) -> Modulus:
-    """omega == 0 (convex / halfspace geometry)."""
-    return constant(0.0, t0)
-
-
 def power(alpha: float, scale: float = 1.0, t0: float = 1.0) -> Modulus:
     """omega(t) = scale * t**alpha with alpha > 0."""
-    if alpha <= 0 or scale <= 0:
+    if not (alpha > 0 and scale > 0):
         raise DomainError(f"power modulus needs alpha, scale > 0, got {alpha}, {scale}")
     return Modulus(
         "power",
@@ -124,7 +121,7 @@ def power(alpha: float, scale: float = 1.0, t0: float = 1.0) -> Modulus:
 
 def log_modulus(c: float = 1.0, t0: float = 0.5) -> Modulus:
     """omega(t) = c / log(1/t), the non-Dini threshold example. Needs t0 < 1."""
-    if c <= 0:
+    if not c > 0:
         raise DomainError(f"log modulus needs c > 0, got {c}")
     if not t0 < 1.0:
         raise DomainError(f"log modulus needs t0 < 1, got {t0}")
@@ -165,7 +162,7 @@ def table(ts: Sequence[float], values: Sequence[float], t0: Optional[float] = No
         raise DomainError("table modulus needs matching 1-d sample arrays, length >= 2")
     if ts[0] != 0.0 or values[0] != 0.0:
         raise DomainError("table modulus samples must start at (0, 0)")
-    if np.any(np.diff(ts) <= 0) or np.any(np.diff(values) <= 0):
+    if not (np.all(np.diff(ts) > 0) and np.all(np.diff(values) > 0)):
         raise DomainError("table modulus samples must be strictly increasing")
     slopes = np.diff(values) / np.diff(ts)
     if t0 is None:
@@ -256,7 +253,7 @@ def make_composite(a: float, b: float, c: float, omega1: Modulus,
     located by bisection to relative precision 1e-6.  Dini integrals of w
     go through quadrature.
     """
-    if a <= 0 or c <= 0:
+    if not (a > 0 and c > 0):
         raise DomainError(f"need a, c > 0, got a={a}, c={c}")
     if not (0 < b < min(omega1.t0, omega2.t0)):
         raise DomainError(

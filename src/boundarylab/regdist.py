@@ -229,7 +229,8 @@ class RegularizedDistanceField:
     """
 
     def __init__(self, graph: BoundaryGraph):
-        if graph.L_global > MAX_LIPSCHITZ:
+        # written so that a NaN L_global fails it
+        if not graph.L_global <= MAX_LIPSCHITZ:
             raise DomainError(
                 f"graph Lipschitz constant {graph.L_global:.4g} exceeds the chart "
                 f"guard {MAX_LIPSCHITZ}; the vertical inversion is not certified"

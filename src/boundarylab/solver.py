@@ -85,7 +85,8 @@ _MAX_POLICY_ROUNDS = 200
 
 
 class GridProblem:
-    """A discretized Dirichlet problem on Omega cap B_r.
+    """A discretized Dirichlet problem on Omega cap B_r, on the grid of n cells
+    across the diameter: spacing h = 2r/n, with n >= 32 (h <= r/16).
 
     rhs and dirichlet are vectorized callables on (m, 2) point arrays that
     return (m,) values, or a scalar for constant data.  rhs is evaluated at
@@ -95,16 +96,18 @@ class GridProblem:
     directions of the scheme follow from the operator.
     """
 
-    def __init__(self, graph: BoundaryGraph, r: float, h: float, operator,
+    def __init__(self, graph: BoundaryGraph, r: float, n: int, operator,
                  rhs: Callable, dirichlet: Callable):
         if graph.dim != 2:
             raise DomainError("the grid solver is 2-D only")
-        if h > r / 16 * (1 + 1e-12):
-            raise DomainError(f"need h <= r/16, got h={h}, r={r}")
+        # written so that NaN fails it
+        if not r > 0:
+            raise DomainError(f"need a radius r > 0, got r={r!r}")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 32:
+            raise DomainError(f"need an integer n >= 32 cells across the diameter, got n={n!r}")
         self.graph = graph
         self.r = float(r)
-        n = int(round(2 * r / h))
-        self.n = n
+        self.n = n = int(n)
         self.h = 2 * r / n
         self.operator = operator
         self.rhs = rhs

@@ -82,7 +82,8 @@ def test_criterion_2_barriers_and_epsilon_scaling():
 
 def test_criterion_3_solver_convergence_orders():
     r = 0.5
-    hs = np.array([1.0 / 64, 1.0 / 128, 1.0 / 256])
+    ns = [64, 128, 256]
+    hs = 2 * r / np.array(ns)
     g = BoundaryGraph("cone", L=0.2)
 
     def harm(p):
@@ -90,8 +91,8 @@ def test_criterion_3_solver_convergence_orders():
         return np.exp(p[:, 0]) * np.sin(p[:, 1])
 
     sup_err, int_err = [], []
-    for h in hs:
-        sol = solve(GridProblem(g, r, h, LaplaceOp(), ZERO, harm))
+    for n in ns:
+        sol = solve(GridProblem(g, r, n, LaplaceOp(), ZERO, harm))
         err = np.abs(sol.values - harm(sol.nodes))
         sup_err.append(err.max())
         gap = sol.nodes[:, 1] - np.atleast_1d(g.gamma(sol.nodes[:, :1]))
@@ -107,8 +108,8 @@ def test_criterion_3_solver_convergence_orders():
     op = FixedOp(A=lambda x: A)
     f = lambda p: 2 * A[0, 1] * np.exp(np.atleast_2d(p)[:, 0]) * np.cos(np.atleast_2d(p)[:, 1])
     an_err = []
-    for h in hs:
-        sol = solve(GridProblem(g, r, h, op, f, harm))
+    for n in ns:
+        sol = solve(GridProblem(g, r, n, op, f, harm))
         an_err.append(np.abs(sol.values - harm(sol.nodes)).max())
     order_an = np.polyfit(np.log(hs), np.log(an_err), 1)[0]
     assert order_an >= 1.0, (an_err, order_an)
@@ -116,8 +117,8 @@ def test_criterion_3_solver_convergence_orders():
     # Pucci at lam = Lam is the (scaled) Laplacian, node for node
     lam = 2.0
     fr = lambda p: -np.ones(len(np.atleast_2d(p)))
-    s_lap = solve(GridProblem(g, r, 1 / 64, LaplaceOp(), lambda p: fr(p) / lam, ZERO))
-    s_puc = solve(GridProblem(g, r, 1 / 64, PucciOp(EllipticityPair(lam, lam), "minus"),
+    s_lap = solve(GridProblem(g, r, 64, LaplaceOp(), lambda p: fr(p) / lam, ZERO))
+    s_puc = solve(GridProblem(g, r, 64, PucciOp(EllipticityPair(lam, lam), "minus"),
                               fr, ZERO))
     puc_dev = np.abs(s_puc.values - s_lap.values).max()
     assert puc_dev <= 1e-10
@@ -207,14 +208,14 @@ def test_criterion_8_discrete_maximum_principle_abp():
     for fam, kw in [("cone", {"L": 0.2}), ("sinusoid", {"A": 0.05, "k": 4.0})]:
         g = BoundaryGraph(fam, **kw)
         data = lambda p: np.cos(5.0 * np.atleast_2d(p)[:, 0]) + 0.5 * np.atleast_2d(p)[:, 1]
-        rep = abp_check(solve(GridProblem(g, r, 2 * r / 64, LaplaceOp(), ZERO, data)))
+        rep = abp_check(solve(GridProblem(g, r, 64, LaplaceOp(), ZERO, data)))
         assert rep.max_principle_exact, (fam, rep.to_dict())
         assert rep.forcing_norm == 0.0
     g = BoundaryGraph("cone", L=0.1)
     f = lambda p: -np.ones(len(np.atleast_2d(p)))
     consts = []
     for n in (48, 96):
-        rep = abp_check(solve(GridProblem(g, r, 2 * r / n, LaplaceOp(), f, ZERO)))
+        rep = abp_check(solve(GridProblem(g, r, n, LaplaceOp(), f, ZERO)))
         consts.append(rep.bound_constant)
     rel = abs(consts[1] - consts[0]) / consts[0]
     assert rel <= 0.10, consts

@@ -3,7 +3,7 @@ import pytest
 
 from boundarylab import (
     Barrier, BoundaryGraph, DomainError, EllipticityPair,
-    barrier_hessian_value, check_special_solution_sandwich, load_calibration,
+    barrier_hessian_value, check_special_solution_sandwich, load_calibration, log_modulus,
     minimal_passing_epsilon, power, sample_domain_points, special_solution, verify_barrier,
 )
 from boundarylab.calibrate import epsilon_for
@@ -42,6 +42,23 @@ def test_sample_domain_points_respect_small_charts(t0):
         assert np.all(np.abs(pts[:, 0]) + 1.5 * gap < g.chart_radius)
         rep = check_distance_bounds(f, pts, load_calibration().C_regdist_2d)
         assert rep.passed, rep.to_dict()
+
+
+def test_sample_domain_points_evaluate_gamma_only_inside_the_chart():
+    # omega lives on [0, 1/2), so the chart is 1/4; at r = 0.6 the sampler
+    # used to evaluate Gamma at |x'| >= 1/2 and fail in the modulus
+    g = BoundaryGraph("c1model", omega=log_modulus(0.1))
+    pts = sample_domain_points(g, 0.6, 200, np.random.default_rng(1))
+    gap = pts[:, 1] - g.gamma(pts[:, :1])
+    assert np.all((gap > 0) & (np.abs(pts[:, 0]) + 1.5 * gap < g.working_radius))
+
+
+def test_sample_domain_points_name_a_radius_above_the_chart():
+    # it used to ask whether r was too small
+    g = BoundaryGraph("cone", L=0.1)
+    with pytest.raises(DomainError, match=r"could not sample 50 interior points of B_r, "
+                       r"r = 5, inside the chart's working radius 0.5; r is above it$"):
+        sample_domain_points(g, 5, 50, np.random.default_rng(1))
 
 
 def test_barrier_validation():

@@ -107,6 +107,33 @@ def test_cli_rejects_a_parameter_that_is_not_a_number(tmp_path, capsys, L):
     assert f"error: cone L must be a number, got {L!r}" in capsys.readouterr().err
 
 
+# each used to pass: L true solved on a slope-1 cone and L "0.1" ran the
+# check, A NaN and a [NaN] ended in the sampler's error, and L Infinity in a
+# RuntimeWarning before "no interior grid nodes"
+_FAMILY_CASES = {
+    "solve-cone-L-true": ("solve", {"family": "cone", "L": True}, "cone L must be a number, got True"),
+    "regdist-cone-L-string": ("regdist-check", {"family": "cone", "L": "0.1"},
+                              "cone L must be a number, got '0.1'"),
+    "regdist-sinusoid-A-nan": ("regdist-check", {"family": "sinusoid", "A": float("nan"), "k": 4},
+                               "sinusoid A must be a number, got nan"),
+    "regdist-linear-a-nan": ("regdist-check", {"family": "linear", "a": [float("nan")]},
+                             "linear a must be numbers, got [nan]"),
+    "solve-cone-L-inf": ("solve", {"family": "cone", "L": float("inf")},
+                         "cone L must be a number, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAMILY_CASES))
+def test_cli_rejects_a_family_parameter_that_is_not_a_finite_number(tmp_path, capsys, case):
+    command, domain, message = _FAMILY_CASES[case]
+    extra = {"operator": {"kind": "laplace"}, "n": 32} if command == "solve" else {"n_points": 5}
+    cfg = _write(tmp_path, "c.json", {"schema_version": 1, "domain": domain, **extra})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("key", ["dim", "chart_radius"])
 @pytest.mark.parametrize("value", [None, "3", True, float("nan"), float("inf")])
 def test_cli_rejects_a_chart_key_that_is_not_a_number(tmp_path, capsys, key, value):
@@ -295,14 +322,14 @@ def test_operator_and_ellipticity_from_config():
 
 
 def test_data_from_config():
-    f = data_from_config({"name": "linear", "coeffs": [0.0, 1.0], "offset": 2.0}, 2)
+    f = data_from_config({"name": "linear", "coeffs": [0.0, 1.0], "offset": 2.0}, 2, "data")
     np.testing.assert_allclose(f(np.array([[0.3, 0.4]])), [2.4])
-    f = data_from_config({"name": "linear", "coeffs": [1.0, 0.0, 1.0]}, 3)
+    f = data_from_config({"name": "linear", "coeffs": [1.0, 0.0, 1.0]}, 3, "data")
     np.testing.assert_allclose(f(np.array([[0.3, 0.4, 0.5]])), [0.8])
     with pytest.raises(ConfigError):
-        data_from_config({"name": "quadratic"}, 2)
+        data_from_config({"name": "quadratic"}, 2, "data")
     with pytest.raises(ConfigError, match="data.coeffs: expected 3 numbers"):
-        data_from_config({"name": "linear", "coeffs": [0.0, 1.0]}, 3)
+        data_from_config({"name": "linear", "coeffs": [0.0, 1.0]}, 3, "data")
 
 
 # ------------------------------------------------------------ calibration
@@ -685,3 +712,49 @@ def test_cli_csv_bytes_match_the_per_value_formatter(tmp_path, monkeypatch, comm
     out, header, rows = written[0]
     assert len(rows) > 0
     assert out.read_bytes() == _per_value_csv(header, rows)
+
+
+# a small valid config of each command, and the values that replace one key at
+# a time: each top-level key of the command, seed, and the domain's family
+# parameter
+_SWEEP_BASES = {
+    "modulus-table": {"modulus": _POWER, "n_points": 3},
+    "regdist-check": {"domain": _CONE, "n_points": 3},
+    "barrier-check": {"domain": _CONE, "ellipticity": _E, "n_points": 3},
+    "solve": {"domain": _CONE, "operator": {"kind": "laplace"}, "n": 32},
+    "growth": {"domain": _CONE, "k_max": 4, "n_grid": 32},
+    "boundary-modulus": {"domain": _CONE, "k_max": 4, "n_grid": 32},
+    "calibrate": {},
+}
+_SWEEP_KEYS = [(command, key) for command in sorted(cli._COMMANDS)
+               for key in sorted(cli._COMMANDS[command][1] | {"seed"})] + [
+    (command, "domain.L") for command in sorted(_SWEEP_BASES) if "domain" in _SWEEP_BASES[command]]
+_SWEEP_VALUES = {"null": None, "true": True, "list": [], "string": "5", "nan": float("nan"),
+                 "inf": float("inf"), "minus-inf": -float("inf"), "minus-1": -1, "0": 0,
+                 "5.7": 5.7}
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite JSON value {name}")
+
+
+@pytest.mark.parametrize("value", sorted(_SWEEP_VALUES))
+@pytest.mark.parametrize("command, key", _SWEEP_KEYS, ids=[f"{c}-{k}" for c, k in _SWEEP_KEYS])
+def test_cli_no_config_value_ends_in_a_traceback(tmp_path, capsys, command, key, value):
+    cfg = json.loads(json.dumps(_SWEEP_BASES[command]))
+    if key == "domain.L":
+        cfg["domain"]["L"] = _SWEEP_VALUES[value]
+    else:
+        cfg[key] = _SWEEP_VALUES[value]
+    path = _write(tmp_path, "c.json", {"schema_version": 1, **cfg})
+    out = tmp_path / "o"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith(("config error:", "error:")), err
+    else:
+        assert code in (0, 1) and err == ""
+        for f in out.glob("*.json"):
+            json.loads(f.read_text(), parse_constant=_no_constant)
+    if key == "domain.L" and value in ("true", "string"):
+        assert code != 0

@@ -64,11 +64,41 @@ def test_c1model_slope_and_sign():
     ("c1model", {}, r"family 'c1model' takes parameters \['omega'\], optionally \['sign'\]"),
     ("cone", {"L": "steep"}, "cone L must be a number, got 'steep'"),
     ("cone", {"L": None}, "cone L must be a number, got None"),
-    ("cone", {"L": float("nan")}, "cone slope L must be nonnegative"),
+    ("cone", {"L": float("nan")}, "cone L must be a number, got nan"),
 ], ids=["unknown", "missing", "stray", "stray-sign", "missing-c1model", "string", "none", "nan"])
 def test_bad_family_parameters_raise_domain_error(family, params, message):
     with pytest.raises(DomainError, match=message):
         BoundaryGraph(family, **params)
+
+
+# each of these used to build a graph: a boolean or a string read as a number
+# (L true a slope-1 cone), and NaN or an infinity passed unchecked
+@pytest.mark.parametrize("family, params, key", [
+    ("cone", {"L": True}, "L"),
+    ("cone", {"L": "0.1"}, "L"),
+    ("cone", {"L": float("inf")}, "L"),
+    ("cone", {"L": -float("inf")}, "L"),
+    ("sinusoid", {"A": float("nan"), "k": 4.0}, "A"),
+    ("sinusoid", {"A": 0.05, "k": float("inf")}, "k"),
+    ("linear", {"a": [float("nan")]}, "a"),
+    ("linear", {"a": [True]}, "a"),
+    ("table", {"ts": [-0.5, float("nan"), 0.5], "values": [0.1, 0.0, 0.1]}, "ts"),
+    ("table", {"ts": [-0.5, 0.0, 0.5], "values": [0.1, 0.0, float("inf")]}, "values"),
+    ("c1model", {"omega": power(0.5), "sign": True}, "sign"),
+], ids=["cone-L-true", "cone-L-string", "cone-L-inf", "cone-L-minus-inf", "sinusoid-A-nan",
+        "sinusoid-k-inf", "linear-a-nan", "linear-a-true", "table-ts-nan", "table-values-inf",
+        "c1model-sign-true"])
+def test_a_family_parameter_must_be_finite_numbers(family, params, key):
+    with pytest.raises(DomainError, match=rf"^{family} {key} must be (a number|numbers), got "):
+        BoundaryGraph(family, **params)
+
+
+@pytest.mark.parametrize("ts, values", [([], []), ([-0.5, 0.0, 0.5], [0.1, 0.0])],
+                         ids=["empty", "short-values"])
+def test_a_table_needs_as_many_values_as_ts(ts, values):
+    # an empty table used to end in an IndexError, a short one in scipy's ValueError
+    with pytest.raises(DomainError, match="table needs as many values as ts, at least 2"):
+        BoundaryGraph("table", ts=ts, values=values)
 
 
 def test_c1model_requires_vanishing_modulus():

@@ -110,25 +110,22 @@ def test_tighter_modulus_no_worse_exponent():
     assert rep_tight.exponent <= rep_loose.exponent + 1e-9
 
 
-def test_boundary_modulus_linear_data_subtracted_exactly():
-    g = BoundaryGraph("zero")
-    rep = measure_boundary_modulus(
-        g, k_max=4, n_grid=32,
-        g=lambda p: np.atleast_2d(p)[:, 0], grad_g0=[1.0],
-        outer_data=lambda p: np.atleast_2d(p)[:, 0])
-    # v = u - x1 = 0: sup quotients vanish
-    assert np.all(np.abs(rep.m) < 1e-10)
-
-
-@pytest.mark.parametrize("a, off", [(0.3, 0.1), (0.7, 1.3), (0.123456789, 5.0)])
-def test_boundary_modulus_exact_gradient_leaves_no_floor(a, off):
-    # with the exact gradient, v = g - g(0) - a x1 cancels bit for bit; a central
-    # difference (h = 1e-6) leaves max|m_k| between 5e-12 and 2e-10 here
+@pytest.mark.parametrize("a, off", [(1.0, 0.0), (0.3, 0.1), (0.7, 1.3), (0.123456789, 5.0)])
+def test_boundary_modulus_subtracts_linear_data_exactly(a, off):
+    # with the exact gradient, g - g(0) - a x1 cancels bit for bit: the cascade
+    # is the one with zero graph data and circle data 1 - (g(0) + a x1)
     coeffs = np.array([a, 0.0])
     g = lambda p: off + np.atleast_2d(p) @ coeffs
-    rep = measure_boundary_modulus(BoundaryGraph("zero"), k_max=12, n_grid=64,
-                                   g=g, outer_data=g, grad_g0=coeffs[:-1])
-    assert np.abs(rep.m).max() == 0.0
+    graph = BoundaryGraph("zero")
+    rep = measure_boundary_modulus(graph, k_max=12, n_grid=64, g=g, grad_g0=coeffs[:-1])
+    ks, radii, q, m, res = _run_cascade(
+        graph, LaplaceOp(), k_max=12, n_grid=64,
+        outer_data=lambda p: 1.0 - (off + p[:, :-1] @ coeffs[:-1]),
+        graph_data=lambda p: np.zeros(len(p)))
+    np.testing.assert_array_equal(rep.radii, radii)
+    np.testing.assert_array_equal(rep.q, q)
+    np.testing.assert_array_equal(rep.m, m)
+    np.testing.assert_array_equal(rep.residuals, res)
 
 
 @pytest.mark.parametrize("op_name", sorted(CASCADE_OPERATORS))
@@ -143,7 +140,7 @@ def test_cascade_levels_equal_their_own_assembly(monkeypatch, family, op_name):
 
     def checked(prob, system=None):
         sol = real_solve(prob, system=system)
-        fresh = real_solve(GridProblem(prob.graph, prob.r, prob.h, prob.operator,
+        fresh = real_solve(GridProblem(prob.graph, prob.r, prob.n, prob.operator,
                                        prob.rhs, prob.dirichlet))
         np.testing.assert_array_equal(sol.nodes, fresh.nodes)
         np.testing.assert_array_equal(sol.values, fresh.values)
@@ -239,6 +236,7 @@ def test_boundary_modulus_cone_slope_bound():
     cal = load_calibration()
     L = 0.2
     g = BoundaryGraph("cone", L=L)
-    rep = measure_boundary_modulus(g, k_max=6, n_grid=64, grad_g0=[0.0])
+    rep = measure_boundary_modulus(g, k_max=6, n_grid=64, g=lambda p: np.zeros(len(p)),
+                                   grad_g0=[0.0])
     slope, _ = fit_log_slope(rep.radii, rep.m)
     assert slope >= -cal.C_envelope * L

@@ -5,7 +5,7 @@ import pytest
 
 from boundarylab import (
     DomainError, InfeasibleError, Modulus, constant, dini_integral, log_modulus,
-    make_composite, power, table, zero,
+    make_composite, power, table,
 )
 from boundarylab.errors import ConvergenceError
 
@@ -22,12 +22,12 @@ def test_constant_kind_flagged():
     w = constant(0.3)
     assert w(0.05) == 0.3
     assert not w.vanishes_at_zero
-    assert zero().vanishes_at_zero
+    assert constant(0.0).vanishes_at_zero
 
 
 @pytest.mark.parametrize("omega, vanishes", [
     (constant(0.3), False),
-    (zero(), True),
+    (constant(0.0), True),
     (power(0.5), True),
     (log_modulus(), True),
     (table([0.0, 0.5, 1.0], [0.0, 0.2, 0.3]), True),
@@ -116,13 +116,14 @@ def test_dini_additivity():
 
 def test_dini_from_zero():
     assert dini_integral(power(0.5), 0.0, 0.25) == pytest.approx(1.0, rel=1e-10)
-    assert dini_integral(zero(), 0.0, 0.5) == 0.0
+    assert dini_integral(constant(0.0), 0.0, 0.5) == 0.0
     with pytest.raises(ConvergenceError):
         dini_integral(constant(0.3), 0.0, 0.5)
 
 
 @pytest.mark.parametrize("omega, at_zero", [
-    (power(0.5), 0.0), (zero(), 0.0), (constant(0.3), -math.inf), (log_modulus(1.0), -math.inf),
+    (power(0.5), 0.0), (constant(0.0), 0.0), (constant(0.3), -math.inf),
+    (log_modulus(1.0), -math.inf),
 ], ids=["power", "zero", "constant", "log"])
 def test_dini_primitive_is_defined_at_zero(omega, at_zero):
     assert omega.dini_primitive(0.0) == at_zero
@@ -197,3 +198,29 @@ def test_composite_domain_error():
     w = make_composite(1.0, 0.9, 1.0, power(1.0), power(1.0))
     with pytest.raises(DomainError):
         w(w.t0 * 1.01)
+
+
+# each factory used to build a modulus from a NaN parameter
+@pytest.mark.parametrize("build", [
+    lambda: power(float("nan")),
+    lambda: power(0.5, scale=float("nan")),
+    lambda: constant(float("nan")),
+    lambda: log_modulus(c=float("nan")),
+    lambda: table([0.0, 0.5, 1.0], [0.0, float("nan"), 0.3]),
+    lambda: make_composite(float("nan"), 0.5, 1.0, power(1.0), power(1.0)),
+    lambda: make_composite(1.0, 0.5, float("nan"), power(1.0), power(1.0)),
+], ids=["power-alpha", "power-scale", "constant", "log", "table", "composite-a", "composite-c"])
+def test_a_nan_parameter_builds_no_modulus(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_an_out_of_domain_t_is_named_alone():
+    # NaN used to pass the domain check (power(0.5)(nan) was nan), and the
+    # message printed the whole t array
+    omega = power(0.5)
+    with pytest.raises(DomainError, match=r"got t=nan$"):
+        omega(float("nan"))
+    with pytest.raises(DomainError) as exc:
+        omega(np.linspace(0.0, 2.0, 1001))
+    assert str(exc.value) == "modulus of kind 'power' is defined on [0, 1.0), got t=1.0"

@@ -1122,3 +1122,11 @@ def test_3d_nodes_per_point(monkeypatch, graph, xp, s, exact):
     f._p_derivs(np.repeat(xp, 100, axis=0), np.repeat(s, 100), 64)
     assert sum(k for k, _ in sizes) == 300
     assert all(k * per_point <= _QUAD_NODES for k, per_point in sizes)
+
+
+def test_field_refuses_a_graph_whose_lipschitz_constant_is_nan():
+    # the chart guard used to read L_global > MAX_LIPSCHITZ, which NaN passes
+    graph = BoundaryGraph("cone", L=0.1)
+    graph.L_global = float("nan")
+    with pytest.raises(DomainError, match="exceeds the chart guard"):
+        regdist.RegularizedDistanceField(graph)

@@ -98,7 +98,7 @@ def _sandwich():
 
 def _abp():
     g = BoundaryGraph("zero")
-    return abp_check(solve(GridProblem(g, 0.5, 0.5 / 16, LaplaceOp(),
+    return abp_check(solve(GridProblem(g, 0.5, 32, LaplaceOp(),
                                        lambda p: -np.ones(len(p)),
                                        lambda p: np.zeros(len(np.atleast_2d(p))))))
 

@@ -31,9 +31,26 @@ def _identity_field(x):
 def test_grid_geometry_checks():
     g = BoundaryGraph("zero")
     with pytest.raises(DomainError):
-        GridProblem(g, 0.5, 0.1, LaplaceOp(), ZERO, ZERO)  # h > r/16
+        GridProblem(g, 0.5, 10, LaplaceOp(), ZERO, ZERO)  # h > r/16
     with pytest.raises(DomainError):
-        GridProblem(BoundaryGraph("zero", dim=3), 0.5, 0.01, LaplaceOp(), ZERO, ZERO)
+        GridProblem(BoundaryGraph("zero", dim=3), 0.5, 100, LaplaceOp(), ZERO, ZERO)
+
+
+# n used to be derived from h = 2r/n: n = 0 ended in a ZeroDivisionError, a
+# negative n in "no interior grid nodes", and NaN or a negative r passed
+@pytest.mark.parametrize("r, n, message", [
+    (0.5, 0, "got n=0"), (0.5, -64, "got n=-64"), (0.5, 31, "got n=31"),
+    (0.5, 64.0, "got n=64.0"), (0.5, True, "got n=True"),
+    (float("nan"), 64, "got r=nan"), (-0.5, 64, "got r=-0.5"),
+], ids=["n-zero", "n-negative", "n-31", "n-float", "n-true", "r-nan", "r-negative"])
+def test_grid_problem_names_a_bad_cell_count_or_radius(r, n, message):
+    with pytest.raises(DomainError, match=message):
+        GridProblem(BoundaryGraph("zero"), r, n, LaplaceOp(), ZERO, ZERO)
+
+
+def test_grid_problem_takes_a_numpy_cell_count():
+    prob = GridProblem(BoundaryGraph("zero"), 0.3, np.int64(48), LaplaceOp(), ZERO, ZERO)
+    assert type(prob.n) is int and prob.n == 48 and prob.h == 2 * 0.3 / 48
 
 
 def test_linear_exactness_with_cut_cells():
@@ -44,7 +61,7 @@ def test_linear_exactness_with_cut_cells():
                           ("sinusoid", {"A": 0.05, "k": 4.0}, R, 48),
                           ("zero", {}, 0.4, 64)]:
         g = BoundaryGraph(fam, **kw)
-        sol = solve(GridProblem(g, r, 2 * r / n, LaplaceOp(), ZERO, lin))
+        sol = solve(GridProblem(g, r, n, LaplaceOp(), ZERO, lin))
         assert np.abs(sol.values - lin(sol.nodes)).max() < 1e-12
 
 
@@ -69,7 +86,7 @@ def _cut_fraction_reference(graph, r, x, w, samples=64):
 
 def _cut_segments(graph, r, n):
     """Every node-to-outside segment along the eight lattice directions."""
-    sys_ = discretize(GridProblem(graph, r, 2 * r / n, LaplaceOp(), ZERO, ZERO))
+    sys_ = discretize(GridProblem(graph, r, n, LaplaceOp(), ZERO, ZERO))
     h = sys_.problem.h
     ii, jj = np.nonzero(sys_.ids >= 0)
     X0, W = [], []
@@ -112,15 +129,15 @@ def test_dirichlet_called_once_per_discretize():
         calls.append(p.shape)
         return p[:, 1]
 
-    sys_ = discretize(GridProblem(BoundaryGraph("cone", L=0.2), R, 2 * R / 32,
+    sys_ = discretize(GridProblem(BoundaryGraph("cone", L=0.2), R, 32,
                                   PucciOp(EllipticityPair(1.0, 2.0), "minus"), ZERO, data))
     assert calls == [(len(sys_.boundary_points), 2)]
     # a scalar return is broadcast; any other shape is rejected
-    sys_ = discretize(GridProblem(BoundaryGraph("zero"), R, 2 * R / 32, LaplaceOp(), ZERO,
+    sys_ = discretize(GridProblem(BoundaryGraph("zero"), R, 32, LaplaceOp(), ZERO,
                                   lambda p: 2.0))
     np.testing.assert_array_equal(sys_.boundary_values, 2.0)
     with pytest.raises(DomainError):
-        discretize(GridProblem(BoundaryGraph("zero"), R, 2 * R / 32, LaplaceOp(), ZERO,
+        discretize(GridProblem(BoundaryGraph("zero"), R, 32, LaplaceOp(), ZERO,
                                lambda p: p))
 
 
@@ -128,7 +145,7 @@ def test_harmonic_convergence_order():
     g = BoundaryGraph("cone", L=0.2)
     errs = []
     for n in (32, 64, 128):
-        sol = solve(GridProblem(g, R, 2 * R / n, LaplaceOp(), ZERO, _harmonic))
+        sol = solve(GridProblem(g, R, n, LaplaceOp(), ZERO, _harmonic))
         errs.append(np.abs(sol.values - _harmonic(sol.nodes)).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders > 1.5)
@@ -136,7 +153,7 @@ def test_harmonic_convergence_order():
 
 def test_monotonicity_certificate():
     g = BoundaryGraph("zero")
-    sys_ = discretize(GridProblem(g, R, 2 * R / 32, LaplaceOp(), ZERO, ZERO))
+    sys_ = discretize(GridProblem(g, R, 32, LaplaceOp(), ZERO, ZERO))
     assert sys_.certificate["monotone"]
     assert sys_.certificate["min_direction_weight"] >= 0.0
 
@@ -146,7 +163,7 @@ def test_fixed_offdiagonal_needs_wide_stencil():
     # stencil: the system assembles it, and the scheme is exact on quadratics
     g = BoundaryGraph("zero")
     A = np.array([[1.0, 0.4], [0.4, 1.0]])
-    prob = GridProblem(g, R, 2 * R / 32, FixedOp(A=lambda x: A),
+    prob = GridProblem(g, R, 32, FixedOp(A=lambda x: A),
                        lambda p: np.full(len(p), 2.0 * (A[0, 0] - A[1, 1] + A[0, 1])),
                        lambda p: p[:, 0] ** 2 - p[:, 1] ** 2 + p[:, 0] * p[:, 1])
     sys_ = discretize(prob)
@@ -156,7 +173,7 @@ def test_fixed_offdiagonal_needs_wide_stencil():
     # an indefinite matrix has no nonnegative split over the eight directions
     indefinite = np.array([[1.0, 1.2], [1.2, 1.0]])
     with pytest.raises(MonotonicityError, match="eight lattice directions"):
-        discretize(GridProblem(g, R, 2 * R / 32, FixedOp(A=lambda x: indefinite), ZERO, ZERO))
+        discretize(GridProblem(g, R, 32, FixedOp(A=lambda x: indefinite), ZERO, ZERO))
 
 
 @pytest.mark.parametrize("operator, n_dir", [
@@ -170,7 +187,7 @@ def test_fixed_offdiagonal_needs_wide_stencil():
 def test_assembled_directions_follow_the_operator(operator, n_dir):
     # only the directions some policy weights are assembled, cut and
     # evaluated; a per-node field keeps all eight
-    sys_ = discretize(GridProblem(_SIN, R, 2 * R / 32, operator, ZERO, ZERO))
+    sys_ = discretize(GridProblem(_SIN, R, 32, operator, ZERO, ZERO))
     assert sys_.n_dir == sys_.alphas.shape[-1] == n_dir
     assert sys_.D.shape == (sys_.m * n_dir, sys_.m) and sys_.c.shape == (sys_.m * n_dir,)
     assert sys_.direction_values(np.zeros(sys_.m)).shape == (sys_.m, n_dir)
@@ -178,7 +195,7 @@ def test_assembled_directions_follow_the_operator(operator, n_dir):
         assert sys_.alphas.any(axis=(0, 1)).all()
     # the cut points are those of the assembled directions, which lead
     # _DIRECTIONS here: a prefix of the cut points of all eight
-    full = discretize(GridProblem(_SIN, R, 2 * R / 32, FixedOp(A=_identity_field), ZERO, ZERO))
+    full = discretize(GridProblem(_SIN, R, 32, FixedOp(A=_identity_field), ZERO, ZERO))
     np.testing.assert_array_equal(sys_.boundary_points,
                                   full.boundary_points[: len(sys_.boundary_points)])
     assert (len(sys_.boundary_points) < len(full.boundary_points)) == (n_dir < 8)
@@ -189,7 +206,7 @@ def test_fixed_eigenvalue_range_enforced():
     A = np.diag([0.5, 3.0])
     op = FixedOp(A=lambda x: A, E=EllipticityPair(1.0, 2.0))
     with pytest.raises(DomainError):
-        solve(GridProblem(g, R, 2 * R / 32, op, ZERO, ZERO))
+        solve(GridProblem(g, R, 32, op, ZERO, ZERO))
 
 
 def test_fixed_eigenvalue_range_enforced_at_one_node():
@@ -204,10 +221,10 @@ def test_fixed_eigenvalue_range_enforced_at_one_node():
         return out
 
     with pytest.raises(DomainError, match=r"A\(\[0\.25 +0\.125\]\)"):
-        solve(GridProblem(g, R, 2 * R / 32, FixedOp(A=A, E=EllipticityPair(1.0, 2.0)),
+        solve(GridProblem(g, R, 32, FixedOp(A=A, E=EllipticityPair(1.0, 2.0)),
                           ZERO, ZERO))
     # without the range check the same field is admissible
-    solve(GridProblem(g, R, 2 * R / 32, FixedOp(A=A), ZERO, ZERO))
+    solve(GridProblem(g, R, 32, FixedOp(A=A), ZERO, ZERO))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -225,11 +242,11 @@ def test_a_non_finite_coefficient_names_its_node_and_entry(value, E):
 
     with pytest.raises(DomainError, match=r"A\(\[0\.25 +0\.125\]\) has the non-finite "
                                           rf"entry A\[1\]\[0\] = {value}"):
-        discretize(GridProblem(g, R, 2 * R / 32, FixedOp(A=A, E=E), ZERO, ZERO))
+        discretize(GridProblem(g, R, 32, FixedOp(A=A, E=E), ZERO, ZERO))
     # a constant matrix is named at the first node
     const = np.array([[1.0, value], [value, 1.0]])
     with pytest.raises(DomainError, match=r"non-finite entry A\[0\]\[1\]"):
-        discretize(GridProblem(g, R, 2 * R / 32, FixedOp(A=lambda x: const, E=E), ZERO, ZERO))
+        discretize(GridProblem(g, R, 32, FixedOp(A=lambda x: const, E=E), ZERO, ZERO))
 
 
 @pytest.mark.parametrize("stencil", ["standard5", "wide"])
@@ -240,7 +257,7 @@ def test_identity_field_is_the_laplacian(stencil):
     g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
     f = lambda p: -1.0 + np.atleast_2d(p)[:, 0]
     field = {"standard5": lambda x: np.eye(2), "wide": _identity_field}[stencil]
-    probs = [GridProblem(g, R, 2 * R / 48, op, f, _harmonic)
+    probs = [GridProblem(g, R, 48, op, f, _harmonic)
              for op in (LaplaceOp(), FixedOp(A=field))]
     systems = [discretize(prob) for prob in probs]
     assert [_stencil(s) for s in systems] == ["standard5", stencil]
@@ -263,7 +280,7 @@ def test_fixed_field_decomposes_each_distinct_matrix_once(monkeypatch):
         return _decompose_spd(A)
 
     monkeypatch.setattr("boundarylab.solver._decompose_spd", counted)
-    sys_ = discretize(GridProblem(BoundaryGraph("zero"), R, 2 * R / 32, FixedOp(A=field),
+    sys_ = discretize(GridProblem(BoundaryGraph("zero"), R, 32, FixedOp(A=field),
                                   ZERO, ZERO))
     assert len(calls) == 2
     # each node carries the weights of its own matrix, over all eight directions
@@ -404,7 +421,7 @@ def test_pucci_at_a_rounding_ratio_solves_as_the_laplacian(stencil, sign):
     g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
     f = lambda p: -np.ones(len(np.atleast_2d(p)))
     laplacian = LaplaceOp() if stencil == "standard5" else FixedOp(A=_identity_field)
-    sols = [solve(GridProblem(g, R, 2 * R / 64, op, f, ZERO))
+    sols = [solve(GridProblem(g, R, 64, op, f, ZERO))
             for op in (laplacian, PucciOp(EllipticityPair(1.0, 1.0), sign),
                        PucciOp(EllipticityPair(1.0, 1.0 + 1e-15), sign))]
     for sol in sols[1:]:
@@ -434,7 +451,7 @@ def test_frozen_matrix_equals_the_per_direction_sum(operator):
     # the reference is the per-direction algorithm: sum_d diag(alpha_d) D_d and
     # sum_d alpha_d c_d, one direction at a time from the node-major row slices
     data = lambda p: 1.0 + 0.4 * p[:, 0] - 0.3 * p[:, 1] ** 2
-    sys_ = discretize(GridProblem(_SIN, R, 2 * R / 32, operator, ZERO, data))
+    sys_ = discretize(GridProblem(_SIN, R, 32, operator, ZERO, data))
     m, n_dir = sys_.m, sys_.n_dir
     rng = np.random.default_rng(3)
     # a random policy per node; a field has the one policy of its own weights
@@ -477,7 +494,7 @@ def test_frozen_matrices_factor_with_diagonal_pivots(monkeypatch, case):
     # SuperLU's default supernodes and less than scipy's default splu, and
     # solves as the latter does
     graph, operator, rhs, dirichlet = FACTOR_CASES[case]
-    prob = GridProblem(graph, R, 2 * R / 64, operator, rhs, dirichlet)
+    prob = GridProblem(graph, R, 64, operator, rhs, dirichlet)
     factors = []
 
     def recorded(A, **kwargs):
@@ -511,7 +528,7 @@ def test_frozen_matrices_factor_with_diagonal_pivots(monkeypatch, case):
 def test_a_nan_datum_fails_the_certificate(operator):
     # a NaN residual fails the final check, so u = NaN is never returned
     nan = lambda p: np.full(len(p), np.nan)
-    prob = GridProblem(BoundaryGraph("cone", L=0.2), R, 2 * R / 32, operator, ZERO, nan)
+    prob = GridProblem(BoundaryGraph("cone", L=0.2), R, 32, operator, ZERO, nan)
     with pytest.raises(ConvergenceError):
         solve(prob)
 
@@ -521,7 +538,7 @@ def test_a_nan_datum_fails_the_certificate(operator):
 def test_zero_data_meet_the_scale_free_certificate(operator, stencil):
     # the residual tolerance has no absolute floor: zero data give a zero
     # tolerance, which u = 0 with residual 0 meets
-    prob = GridProblem(_SIN, R, 2 * R / 32, operator, ZERO, ZERO)
+    prob = GridProblem(_SIN, R, 32, operator, ZERO, ZERO)
     sys_ = discretize(prob)
     assert _stencil(sys_) == stencil
     sol = solve(prob, sys_)
@@ -540,11 +557,11 @@ def test_pucci_collapses_to_laplacian():
     g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
     lam = 2.0
     f = lambda p: -np.ones(len(np.atleast_2d(p)))
-    sol_lap = solve(GridProblem(g, R, 2 * R / 64, LaplaceOp(),
+    sol_lap = solve(GridProblem(g, R, 64, LaplaceOp(),
                                 lambda p: f(p) / lam, ZERO))
     for sign in ("minus", "plus"):
         op = PucciOp(EllipticityPair(lam, lam), sign)
-        sol_p = solve(GridProblem(g, R, 2 * R / 64, op, f, ZERO))
+        sol_p = solve(GridProblem(g, R, 64, op, f, ZERO))
         assert np.abs(sol_p.values - sol_lap.values).max() <= 1e-10
 
 
@@ -552,8 +569,8 @@ def test_pucci_ordering_and_iteration():
     g = BoundaryGraph("zero")
     E = EllipticityPair(1.0, 2.0)
     f = lambda p: -np.ones(len(np.atleast_2d(p)))
-    lo = solve(GridProblem(g, R, 2 * R / 48, PucciOp(E, "minus"), f, ZERO))
-    hi = solve(GridProblem(g, R, 2 * R / 48, PucciOp(E, "plus"), f, ZERO))
+    lo = solve(GridProblem(g, R, 48, PucciOp(E, "minus"), f, ZERO))
+    hi = solve(GridProblem(g, R, 48, PucciOp(E, "plus"), f, ZERO))
     # for concave solutions (f = -1) the M+ equation needs curvature -1/lam,
     # the M- equation only -1/Lam, so the plus solution dominates
     assert np.all(hi.values >= lo.values - 1e-12)
@@ -564,8 +581,8 @@ def test_comparison_principle():
     g = BoundaryGraph("cone", L=0.1)
     g1 = lambda p: np.atleast_2d(p)[:, 1] + 0.5
     g2 = lambda p: np.atleast_2d(p)[:, 1] + 0.6
-    s1 = solve(GridProblem(g, R, 2 * R / 48, LaplaceOp(), ZERO, g1))
-    s2 = solve(GridProblem(g, R, 2 * R / 48, LaplaceOp(), ZERO, g2))
+    s1 = solve(GridProblem(g, R, 48, LaplaceOp(), ZERO, g1))
+    s2 = solve(GridProblem(g, R, 48, LaplaceOp(), ZERO, g2))
     assert np.all(s2.values >= s1.values - 1e-13)
 
 
@@ -573,8 +590,8 @@ def test_determinism():
     g = BoundaryGraph("sinusoid", A=0.05, k=4.0)
     E = EllipticityPair(1.0, 3.0)
     f = lambda p: -np.ones(len(np.atleast_2d(p)))
-    a = solve(GridProblem(g, R, 2 * R / 32, PucciOp(E, "minus"), f, ZERO))
-    b = solve(GridProblem(g, R, 2 * R / 32, PucciOp(E, "minus"), f, ZERO))
+    a = solve(GridProblem(g, R, 32, PucciOp(E, "minus"), f, ZERO))
+    b = solve(GridProblem(g, R, 32, PucciOp(E, "minus"), f, ZERO))
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.policy, b.policy)
 
@@ -586,7 +603,7 @@ def test_dilated_cone_keeps_every_node():
 
     def scaled(R):
         data = lambda p: p[:, 1] / (2 * R)
-        return solve(GridProblem(g, R, 2 * R / 128, LaplaceOp(), ZERO, data))
+        return solve(GridProblem(g, R, 128, LaplaceOp(), ZERO, data))
 
     ref = scaled(R)
     for k in (10, 20, 24, 30):
@@ -601,7 +618,7 @@ def test_dilated_system_is_the_assembly_of_the_dilated_problem():
     data = lambda p: 1.0 + np.sin(5.0 * p[:, 0]) + p[:, 1]
 
     def prob(r, graph=g, n=32):
-        return GridProblem(graph, r, 2 * r / n, op, ZERO, data)
+        return GridProblem(graph, r, n, op, ZERO, data)
 
     base = discretize(prob(R))
     small = prob(R / 8)
@@ -621,7 +638,7 @@ def test_dilated_system_is_the_assembly_of_the_dilated_problem():
     # a fresh solve, through policy iteration and through the one shared LU
     forced = lambda p: -1.0 - p[:, 0]
     for operator in (op, LaplaceOp()):
-        big, small = (GridProblem(g, r, 2 * r / 32, operator, forced, data) for r in (R, R / 8))
+        big, small = (GridProblem(g, r, 32, operator, forced, data) for r in (R, R / 8))
         got, want = solve(small, system=discretize(big).dilated(small)), solve(small)
         np.testing.assert_array_equal(got.values, want.values)
         np.testing.assert_array_equal(got.policy, want.policy)
@@ -639,7 +656,7 @@ def test_dilated_system_is_the_assembly_of_the_dilated_problem():
 def test_interpolation_and_grid_values():
     g = BoundaryGraph("zero")
     lin = lambda p: np.atleast_2d(p)[:, 1]
-    sol = solve(GridProblem(g, R, 2 * R / 32, LaplaceOp(), ZERO, lin))
+    sol = solve(GridProblem(g, R, 32, LaplaceOp(), ZERO, lin))
     pts = np.array([[0.1, 0.2], [-0.2, 0.15], [0.0, 0.33]])
     np.testing.assert_allclose(sol.interpolate(pts, fill=lambda q: lin(q)),
                                lin(pts), atol=1e-12)
@@ -649,7 +666,7 @@ def test_interpolate_fills_only_the_corners_it_reads():
     # a callable fill is evaluated once, on the distinct non-interior corners
     # of the touched cells; the result is bitwise the full-grid fill's
     g = BoundaryGraph("cone", L=0.2)
-    sol = solve(GridProblem(g, R, 2 * R / 32, LaplaceOp(), ZERO, _harmonic))
+    sol = solve(GridProblem(g, R, 32, LaplaceOp(), ZERO, _harmonic))
     pts = np.array([[0.0, 0.3], [0.1, 0.06], [-0.2, 0.05], [0.45, 0.2], [0.1, 0.06]])
     seen = []
 
@@ -682,7 +699,7 @@ def test_interpolate_fills_only_the_corners_it_reads():
 def test_abp_max_principle_exact():
     g = BoundaryGraph("cone", L=0.2)
     data = lambda p: np.cos(3.0 * np.atleast_2d(p)[:, 0]) + np.atleast_2d(p)[:, 1]
-    sol = solve(GridProblem(g, R, 2 * R / 48, LaplaceOp(), ZERO, data))
+    sol = solve(GridProblem(g, R, 48, LaplaceOp(), ZERO, data))
     rep = abp_check(sol)
     assert rep.max_principle_exact
     assert rep.forcing_norm == 0.0
@@ -693,7 +710,7 @@ def test_abp_bound_with_forcing():
     f = lambda p: -np.ones(len(np.atleast_2d(p)))
     consts = []
     for n in (48, 96):
-        rep = abp_check(solve(GridProblem(g, R, 2 * R / n, LaplaceOp(), f, ZERO)))
+        rep = abp_check(solve(GridProblem(g, R, n, LaplaceOp(), f, ZERO)))
         assert rep.max_interior > 0
         consts.append(rep.bound_constant)
     assert abs(consts[1] - consts[0]) <= 0.1 * consts[0]
