@@ -10,7 +10,6 @@ significant digits.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -18,10 +17,10 @@ import numpy as np
 
 from . import calibrate as _calmod
 from .barriers import Barrier, sample_domain_points, verify_barrier
-from .config import (_count, _integer, _positive, data_from_config,
+from .config import (_count, _integer, _positive, _write_json, data_from_config,
                      ellipticity_from_config, graph_from_config, load_config,
                      modulus_from_config, operator_from_config)
-from .errors import BoundaryLabError, ConfigError
+from .errors import BoundaryLabError, ConfigError, DomainError
 from .harness import measure_boundary_modulus, measure_growth
 from .modulus import dini_integral
 from .regdist import RegularizedDistanceField, check_distance_bounds
@@ -42,11 +41,6 @@ def _write_csv(path: Path, header, rows) -> None:
         f.write(",".join(header) + "\n")
         for a in range(0, len(rows), 1024):
             f.write("".join([fmt % tuple(row) for row in rows[a:a + 1024].tolist()]))
-
-
-def _write_json(path: Path, obj) -> None:
-    # a NaN or an infinity raises ValueError before the file is opened
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _cmd_modulus_table(cfg, out: Path, cal, seed) -> int:
@@ -182,6 +176,11 @@ def _cmd_boundary_modulus(cfg, out: Path, cal, seed) -> int:
     if "omega_tilde" in cfg:
         wt = modulus_from_config(cfg["omega_tilde"], "omega_tilde")
         wt_vals = wt(rep.radii)
+        # written so that NaN fails it
+        if not np.all(wt_vals > 0):
+            k = int(np.argmin(wt_vals > 0))
+            raise DomainError(f"omega_tilde must be positive at every cascade radius, "
+                              f"got {float(wt_vals[k])!r} at r = {float(rep.radii[k])!r}")
         ratio = rep.m * rep.radii / wt_vals
         extra = {"omega_tilde": wt_vals, "ratio": ratio}
         code = 0 if np.all(ratio <= cal.C_envelope) else 1

@@ -85,19 +85,37 @@ def _floats(rec, where, *keys) -> dict:
     return {k: _number(rec, k, where, None) for k in keys if k in rec}
 
 
-def load_config(path) -> dict:
-    """Read a config file and check the schema version field."""
+def _finites(rec, key, where) -> list:
+    """rec[key], which must be a list, with each entry read by _finite."""
+    raw = rec[key]
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where}.{key}: expected a list of numbers, got {raw!r}")
+    return [_finite(v, f"{where}.{key}[{i}]") for i, v in enumerate(raw)]
+
+
+def _read_json(path, what: str, version: int) -> dict:
+    """The JSON object at path, with schema_version == version; what names the file."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config schema_version {raw.get('schema_version')!r} != {SCHEMA_VERSION}"
-        )
+        raise ConfigError(f"{what}: root must be an object")
+    v = raw.get("schema_version")
+    # True == 1, so a boolean is refused by name
+    if isinstance(v, bool) or v != version:
+        raise ConfigError(f"{what}: schema_version {v!r} != {version}")
     return raw
+
+
+def _write_json(path: Path, obj) -> None:
+    # a NaN or an infinity raises ValueError before the file is opened
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def load_config(path) -> dict:
+    """Read a config file and check the schema version field."""
+    return _read_json(path, f"config {path}", SCHEMA_VERSION)
 
 
 def modulus_from_config(rec, where: str = "modulus"):
@@ -113,7 +131,8 @@ def modulus_from_config(rec, where: str = "modulus"):
         return log_modulus(**_floats(rec, where, "c", "t0"))
     if kind == "table":
         _check_keys(rec, where, {"kind", "ts", "values"}, {"t0"})
-        return table(rec["ts"], rec["values"], **_floats(rec, where, "t0"))
+        return table(_finites(rec, "ts", where), _finites(rec, "values", where),
+                     **_floats(rec, where, "t0"))
     if kind == "composite":
         _check_keys(rec, where, {"kind", "a", "b", "c", "omega1", "omega2"})
         return make_composite(
@@ -126,7 +145,7 @@ def modulus_from_config(rec, where: str = "modulus"):
 
 def graph_from_config(rec, where: str = "domain") -> BoundaryGraph:
     family = rec.get("family") if isinstance(rec, dict) else None
-    if family not in _FAMILIES:
+    if not (isinstance(family, str) and family in _FAMILIES):
         raise ConfigError(f"{where}.family: unknown family {family!r}")
     fam = _FAMILIES[family]
     _check_keys(rec, where, {"family"} | fam.required, {"dim", "chart_radius"} | fam.optional)
@@ -188,13 +207,10 @@ def data_from_config(rec, dim: int, where: str):
         return lambda p: np.full(len(np.atleast_2d(p)), v)
     if name == "linear":
         _check_keys(rec, where, {"name", "coeffs"}, {"offset"})
-        raw = rec["coeffs"]
-        if not isinstance(raw, list):
-            raise ConfigError(f"{where}.coeffs: expected a list of numbers, got {raw!r}")
-        if len(raw) != dim:
+        coeffs = np.array(_finites(rec, "coeffs", where))
+        if len(coeffs) != dim:
             raise ConfigError(f"{where}.coeffs: expected {dim} numbers, one per coordinate, "
-                              f"got {len(raw)}")
-        coeffs = np.array([_finite(v, f"{where}.coeffs[{i}]") for i, v in enumerate(raw)])
+                              f"got {len(coeffs)}")
         off = _number(rec, "offset", where, 0.0)
         return lambda p: off + np.atleast_2d(p) @ coeffs
     raise ConfigError(f"{where}.name: unknown data form {name!r}")

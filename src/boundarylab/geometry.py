@@ -89,11 +89,11 @@ class BoundaryGraph:
     """
 
     def __init__(self, family: str, dim: int = 2, chart_radius: float = 0.5, **params):
-        if dim not in (2, 3):
-            raise DomainError(f"dim must be 2 or 3, got {dim}")
-        if not float(chart_radius) > 0:
-            raise DomainError(f"chart radius must be positive, got {chart_radius}")
-        if family not in _FAMILIES:
+        if not (isinstance(dim, numbers.Integral) and dim in (2, 3)):
+            raise DomainError(f"dim must be the integer 2 or 3, got {dim!r}")
+        if not (_finite(chart_radius) and chart_radius > 0):
+            raise DomainError(f"chart radius must be a positive number, got {chart_radius!r}")
+        if not (isinstance(family, str) and family in _FAMILIES):
             raise DomainError(f"unknown boundary family {family!r}; known: {sorted(_FAMILIES)}")
         need, may, self.radial_kink, self.ray_affine, self.dilation_invariant = _FAMILIES[family]
         if not need <= set(params) <= need | may:

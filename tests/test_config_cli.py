@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from boundarylab import BoundaryGraph, DomainError, measure_boundary_modulus, po
 from boundarylab.calibrate import (
     default_calibration_path, load_calibration, run_calibration, save_calibration,
 )
-from boundarylab import cli, harness
+from boundarylab import cli, config, harness
 from boundarylab.cli import main
 from boundarylab.geometry import _FAMILIES
 from boundarylab.regdist import RegularizedDistanceField
@@ -363,7 +363,8 @@ def test_cli_rejects_a_schema_1_calibration_file(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"schema_version": 1, "domain": {"family": "zero"}})
     assert main(["regdist-check", "--config", str(cfg), "--calibration", str(cal),
                  "--out", str(tmp_path / "o")]) == 2
-    assert "config error: calibration schema version 1 != 2" in capsys.readouterr().err
+    assert f"config error: calibration file {cal}: schema_version 1 != 2" \
+        in capsys.readouterr().err
 
 
 def test_cli_rejects_a_calibration_root_that_is_not_an_object(tmp_path, capsys):
@@ -684,7 +685,7 @@ def test_write_csv_matches_the_per_value_formatter(tmp_path):
 def test_write_json_refuses_a_non_finite_value_and_writes_no_file(tmp_path, value):
     path = tmp_path / "report.json"
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli._write_json(path, {"residual": value})
+        config._write_json(path, {"residual": value})
     assert not path.exists()
 
 
@@ -757,4 +758,164 @@ def test_cli_no_config_value_ends_in_a_traceback(tmp_path, capsys, command, key,
         for f in out.glob("*.json"):
             json.loads(f.read_text(), parse_constant=_no_constant)
     if key == "domain.L" and value in ("true", "string"):
+        assert code != 0
+
+
+# ------------------------------------------------- checked lists and constants
+
+
+# true and "0.9" used to be read as 1.0 and 0.9, a nested list ended in a bare
+# numpy ValueError
+@pytest.mark.parametrize("key", ["ts", "values"])
+@pytest.mark.parametrize("entry", [True, "0.9", [0.9]], ids=["true", "string", "list"])
+def test_cli_modulus_table_reads_each_table_sample_as_a_number(tmp_path, capsys, key, entry):
+    modulus = {"kind": "table", "ts": [0.0, 0.5, 1.0], "values": [0.0, 0.2, 0.3]}
+    modulus[key][1] = entry
+    assert _run_with(tmp_path, "modulus-table", {"modulus": modulus}, "modulus", key,
+                     modulus[key]) == 2
+    assert f"config error: modulus.{key}[1]: expected a number, got {entry!r}" \
+        in capsys.readouterr().err
+
+
+# a family that is not a string used to end in "TypeError: unhashable type"
+@pytest.mark.parametrize("command", ["regdist-check", "solve", "growth"])
+@pytest.mark.parametrize("family", [[], {}], ids=["list", "dict"])
+def test_cli_a_family_that_is_not_a_string_is_unknown(tmp_path, capsys, command, family):
+    cfg = json.loads(json.dumps(_SWEEP_BASES[command]))
+    assert _run_with(tmp_path, command, cfg, "domain", "family", family) == 2
+    assert f"config error: domain.family: unknown family {family!r}" in capsys.readouterr().err
+
+
+# each used to divide by zero in the ratio column, writing inf to growth.csv
+@pytest.mark.parametrize("omega_tilde", [{"kind": "constant", "L": 0},
+                                         {"kind": "power", "alpha": 1e300}],
+                         ids=["zero", "underflow"])
+def test_cli_boundary_modulus_refuses_an_omega_tilde_that_vanishes(tmp_path, capsys,
+                                                                   omega_tilde):
+    cfg = _write(tmp_path, "c.json", {"schema_version": 1, "k_max": 4, "n_grid": 32,
+                                      "domain": _CONE, "omega_tilde": omega_tilde})
+    out = tmp_path / "o"
+    assert main(["boundary-modulus", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: omega_tilde must be positive at every cascade "
+                                       "radius, got 0.0 at r = 0.25\n")
+    assert not (out / "growth.csv").exists()
+
+
+def test_a_boolean_schema_version_is_refused(tmp_path):
+    # True == 1 used to pass as schema 1
+    with pytest.raises(ConfigError, match=r"schema_version True != 1$"):
+        load_config(_write(tmp_path, "c.json", {"schema_version": True}))
+
+
+# each used to be taken as it stood: a TypeError or ZeroDivisionError
+# traceback, a bare ValueError, or a run that failed its check on the value
+@pytest.mark.parametrize("value, message", [
+    (None, "expected a number, got None"), ("3.7", "expected a number, got '3.7'"),
+    (True, "expected a number, got True"), (float("nan"), "expected a number, got nan"),
+    (0, "expected a positive number, got 0.0"), (-1, "expected a positive number, got -1.0"),
+], ids=["null", "string", "true", "nan", "zero", "minus-1"])
+@pytest.mark.parametrize("key", ["C_regdist_2d", "C0_barrier", "C_envelope"])
+def test_cli_checks_each_calibration_constant(tmp_path, capsys, key, value, message):
+    obj = asdict(load_calibration())
+    obj[key] = value
+    cal = _write(tmp_path, "cal.json", obj)
+    cfg = _write(tmp_path, "c.json", {"schema_version": 1, "domain": _CONE, "n_points": 3})
+    assert main(["regdist-check", "--config", str(cfg), "--calibration", str(cal),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: calibration file {cal}.{key}: {message}\n"
+
+
+def test_save_calibration_refuses_a_non_finite_constant(tmp_path):
+    # the file used to read "K_sandwich": NaN, which is not JSON
+    cal = replace(load_calibration(), K_sandwich=float("nan"))
+    path = tmp_path / "cal.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_calibration(cal, path)
+    assert not path.exists()
+
+
+# a small valid config of each nested record, and the top-level records whose
+# keys and list entries the sweep replaces, one at a time, by each _SWEEP_VALUES
+# value; "calibration" sweeps the keys of the file passed by --calibration
+_NESTED_BASES = {
+    "cone": ("regdist-check", {"n_points": 3, "domain": {**_CONE, "dim": 2,
+                                                         "chart_radius": 0.5}}, ["domain"]),
+    "c1model": ("regdist-check", {"n_points": 3, "domain": {
+        "family": "c1model", "sign": -1, "omega": {"kind": "power", "alpha": 0.5, "scale": 0.2}}},
+        ["domain"]),
+    "table": ("regdist-check", {"n_points": 3, "domain": {
+        "family": "table", "ts": [-0.5, 0.0, 0.5], "values": [0.05, 0.0, 0.05]}}, ["domain"]),
+    "fixed": ("solve", {"n": 32, "domain": _CONE, "operator": {
+        "kind": "fixed", "A": [[1.0, 0.2], [0.2, 1.0]], "ellipticity": {"lam": 0.5, "Lam": 2.0}},
+        "rhs": {"name": "constant", "value": 0.0},
+        "dirichlet": {"name": "linear", "coeffs": [0.0, 1.0], "offset": 0.1}},
+        ["operator", "rhs", "dirichlet"]),
+    "pucci": ("solve", {"n": 32, "domain": _CONE,
+                        "operator": {"kind": "pucci_plus", "ellipticity": _E}}, ["operator"]),
+    "constant": ("modulus-table", {"n_points": 3, "modulus": {"kind": "constant", "L": 0.5,
+                                                              "t0": 1.0}}, ["modulus"]),
+    "power": ("modulus-table", {"n_points": 3, "modulus": {**_POWER, "scale": 0.2, "t0": 1.0}},
+              ["modulus"]),
+    "log": ("modulus-table", {"n_points": 3, "modulus": {"kind": "log", "c": 0.2, "t0": 0.4}},
+            ["modulus"]),
+    "table-modulus": ("modulus-table", {"n_points": 3, "modulus": {
+        "kind": "table", "ts": [0.0, 0.5, 1.0], "values": [0.0, 0.2, 0.3], "t0": 1.0}},
+        ["modulus"]),
+    "composite": ("modulus-table", {"n_points": 3, "modulus": {
+        "kind": "composite", "a": 1.0, "b": 0.4, "c": 1.0,
+        "omega1": {"kind": "power", "alpha": 1.0}, "omega2": {"kind": "log", "c": 0.2}}},
+        ["modulus"]),
+    "growth": ("growth", {"k_max": 4, "n_grid": 32, "domain": _CONE,
+                          "omega": {**_POWER, "scale": 0.2, "t0": 1.0},
+                          "outer_data": {"name": "linear", "coeffs": [0.0, 1.0], "offset": 0.0}},
+               ["omega", "outer_data"]),
+    "boundary-modulus": ("boundary-modulus", {
+        "k_max": 4, "n_grid": 32, "domain": _CONE,
+        "omega_tilde": {"kind": "constant", "L": 1.0, "t0": 1.0},
+        "g": {"name": "linear", "coeffs": [0.1, 0.0], "offset": 0.2}}, ["omega_tilde", "g"]),
+    "calibration": ("regdist-check", {"n_points": 3, "domain": _CONE}, ["calibration"]),
+}
+
+
+def _nested_paths(rec, path):
+    """The path of each key and list entry below rec, which sits at path."""
+    items = rec.items() if isinstance(rec, dict) else enumerate(rec) if isinstance(rec, list) \
+        else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _nested_paths(v, path + (k,))
+
+
+def _with_calibration(cfg):
+    return {**cfg, "calibration": json.loads(default_calibration_path().read_text())}
+
+
+_NESTED_KEYS = [(base, path) for base, (_, cfg, records) in _NESTED_BASES.items()
+                for record in records
+                for path in _nested_paths(_with_calibration(cfg)[record], (record,))]
+
+
+@pytest.mark.parametrize("value", sorted(_SWEEP_VALUES))
+@pytest.mark.parametrize("base, path", _NESTED_KEYS, ids=[
+    f"{b}-{p[0]}" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in p[1:])
+    for b, p in _NESTED_KEYS])
+def test_cli_no_nested_config_value_ends_in_a_traceback(tmp_path, capsys, base, path, value):
+    command, cfg, _ = _NESTED_BASES[base]
+    cfg = _with_calibration(json.loads(json.dumps(cfg)))
+    leaf = cfg
+    for k in path[:-1]:
+        leaf = leaf[k]
+    leaf[path[-1]] = _SWEEP_VALUES[value]
+    cal = _write(tmp_path, "cal.json", cfg.pop("calibration"))
+    cfg_file = _write(tmp_path, "c.json", {"schema_version": 1, **cfg})
+    code = main([command, "--config", str(cfg_file), "--calibration", str(cal),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith(("config error:", "error:")), err
+    else:
+        assert code in (0, 1) and err == ""
+        for f in (tmp_path / "o").glob("*.json"):
+            json.loads(f.read_text(), parse_constant=_no_constant)
+    if value in ("true", "string"):
         assert code != 0

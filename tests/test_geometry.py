@@ -101,6 +101,28 @@ def test_a_table_needs_as_many_values_as_ts(ts, values):
         BoundaryGraph("table", ts=ts, values=values)
 
 
+# each of these used to build a chart, of radius 1.0 or 0.3, or end in a TypeError
+@pytest.mark.parametrize("chart_radius", [True, "0.3", [0.3]], ids=["true", "string", "list"])
+def test_the_chart_radius_must_be_a_number(chart_radius):
+    with pytest.raises(DomainError, match=r"^chart radius must be a positive number, got "):
+        BoundaryGraph("cone", L=0.1, chart_radius=chart_radius)
+
+
+# a float dimension used to pass the `in (2, 3)` test
+@pytest.mark.parametrize("dim", [2.0, 3.0])
+def test_the_dimension_must_be_an_integer(dim):
+    with pytest.raises(DomainError, match=r"^dim must be the integer 2 or 3, got "):
+        BoundaryGraph("cone", dim=dim, L=0.1)
+    assert BoundaryGraph("cone", dim=np.int64(dim), L=0.1).dim == dim
+
+
+# a list or a dict used to end in "TypeError: unhashable type"
+@pytest.mark.parametrize("family", [[], {}], ids=["list", "dict"])
+def test_a_family_that_is_not_a_string_is_unknown(family):
+    with pytest.raises(DomainError, match=r"^unknown boundary family "):
+        BoundaryGraph(family)
+
+
 def test_c1model_requires_vanishing_modulus():
     from boundarylab import constant
     with pytest.raises(DomainError):

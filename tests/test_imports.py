@@ -44,6 +44,19 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def test_only_config_reads_and_writes_json():
+    # config._read_json and config._write_json are the package's one JSON
+    # reader and writer
+    calls = {"loads", "load", "dumps", "dump"}
+    found = [f"{path.name}:{node.lineno}: json.{node.func.attr}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "config.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in calls and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "json"]
+    assert not found, found
+
+
 # parameters with a default, over every def and lambda of the package; raise
 # this only in the change that adds a default, where review sees it, and
 # lower it in the change that removes one
