@@ -170,17 +170,20 @@ def _cmd_boundary_modulus(cfg, out: Path, cal, seed) -> int:
     # the data's exact tangential gradient at the origin (zero unless linear)
     grad_g0 = (np.asarray(g_rec["coeffs"], dtype=float)[:-1] if g_rec["name"] == "linear"
                else np.zeros(graph.dim - 1))
-    rep = measure_boundary_modulus(graph, op, g=g, grad_g0=grad_g0, **cascade)
-    extra = None
+    wt_vals = extra = None
     code = 0
     if "omega_tilde" in cfg:
+        # read and checked at the cascade radii R_1 2^-k before any level is solved
         wt = modulus_from_config(cfg["omega_tilde"], "omega_tilde")
-        wt_vals = wt(rep.radii)
+        radii = graph.working_radius * 0.5 ** np.arange(1, cascade["k_max"] + 1)
+        wt_vals = wt(radii)
         # written so that NaN fails it
         if not np.all(wt_vals > 0):
             k = int(np.argmin(wt_vals > 0))
             raise DomainError(f"omega_tilde must be positive at every cascade radius, "
-                              f"got {float(wt_vals[k])!r} at r = {float(rep.radii[k])!r}")
+                              f"got {float(wt_vals[k])!r} at r = {float(radii[k])!r}")
+    rep = measure_boundary_modulus(graph, op, g=g, grad_g0=grad_g0, **cascade)
+    if wt_vals is not None:
         ratio = rep.m * rep.radii / wt_vals
         extra = {"omega_tilde": wt_vals, "ratio": ratio}
         code = 0 if np.all(ratio <= cal.C_envelope) else 1

@@ -8,12 +8,13 @@ typos never silently change an experiment.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .geometry import _FAMILIES, BoundaryGraph
 from .modulus import constant, log_modulus, make_composite, power, table
 from .pucci import EllipticityPair
@@ -108,9 +109,29 @@ def _read_json(path, what: str, version: int) -> dict:
     return raw
 
 
+def _non_finite(obj, where: str):
+    """The field path and value of obj's first NaN or infinity in written
+    (sorted-key) order, or None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return where, float(obj)
+    items = (sorted(obj.items()) if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, (list, tuple)) else ())
+    found = (_non_finite(v, f"{where}[{k}]" if isinstance(k, int) else f"{where}.{k}".lstrip("."))
+             for k, v in items)
+    return next(filter(None, found), None)
+
+
 def _write_json(path: Path, obj) -> None:
-    # a NaN or an infinity raises ValueError before the file is opened
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    """obj as JSON at path; a NaN or an infinity is a DomainError that names
+    its field, raised before the file is opened."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        found = _non_finite(obj, "")
+        if found is None:
+            raise
+        raise DomainError("%s: %s = %r is not JSON compliant" % (path.name, *found)) from None
+    path.write_text(text + "\n")
 
 
 def load_config(path) -> dict:

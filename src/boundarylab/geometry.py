@@ -164,12 +164,15 @@ class BoundaryGraph:
 
     def _numbers(self, key) -> np.ndarray:
         """The parameter key, a number or a flat sequence of numbers, as a 1-d
-        float array, each entry checked as _number checks a scalar."""
+        float array; a bad entry is named by its index, as the config reader
+        names it (table ts[1]: expected a number, got True)."""
         v = self.params[key]
-        vals = list(v) if isinstance(v, (list, tuple, np.ndarray)) else [v]
-        if not all(map(_finite, vals)):
-            raise DomainError(f"{self.family} {key} must be numbers, got {v!r}")
-        return np.array(vals, dtype=float)
+        if not isinstance(v, (list, tuple, np.ndarray)):
+            return np.array([self._number(key)])
+        for i, x in enumerate(v):
+            if not _finite(x):
+                raise DomainError(f"{self.family} {key}[{i}]: expected a number, got {x!r}")
+        return np.array(v, dtype=float)
 
     # -- evaluation ---------------------------------------------------------
 

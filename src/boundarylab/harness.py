@@ -7,11 +7,15 @@ and the prescribed boundary data on the graph part.  R_1 is the graph's
 working radius, min(1/2, chart radius).  After each level the normal
 quotient q_k = u(r_k e_n)/r_k and sup quotient
 m_k = ||u||_{L_inf(B_{r_k})}/r_k are recorded at r_k = R_k/2 = 2^(-k) R_1.
+On a dilation-invariant graph the system, its one-policy LU factor and the
+bilinear transfer are built once: each later level costs one gather, one LU
+solve and its residual check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,52 +70,66 @@ def fit_log_slope(radii, values):
     return float(coef[0]), r2
 
 
+def _on_circle(pts: np.ndarray, R: float) -> np.ndarray:
+    """Which cut points lie on the circle |p| = R (to 1e-9 R), not on the graph."""
+    return np.abs(np.linalg.norm(pts, axis=-1) - R) < 1e-9 * R
+
+
+def _level_data(pts, *, R, circle_data, graph_data):
+    """A cascade level's Dirichlet data at its cut points: circle_data on the
+    circle |p| = R, graph_data on the graph part."""
+    on_circle = _on_circle(pts, R)
+    out = np.empty(len(pts))
+    out[on_circle] = circle_data(pts[on_circle])
+    out[~on_circle] = graph_data(pts[~on_circle])
+    return out
+
+
 def _run_cascade(graph: BoundaryGraph, operator, *, k_max: int, n_grid: int,
                  outer_data: Callable, graph_data: Callable):
     """Sequential dyadic solve of levels 1..k_max from B_{R_1}, R_1 the
     graph's working radius, with zero forcing; returns per-level summaries.
 
-    On a dilation-invariant graph each level after the first solves the
-    dilation of the level before, bitwise the level's own assembly.
+    Each level's problem carries its data as its dirichlet: outer_data (level
+    1) or the transfer of the level before on the circle, graph_data on the
+    graph part.  On a dilation-invariant graph each level after the first
+    solves the dilation of the level before, bitwise the level's own
+    assembly, and the circle split and the transfer of level 2 serve every
+    later level; other graphs assemble each level and build its transfer.
     """
     radii, qs, ms, residuals = [], [], [], []
-    prev_sol = system = None
+    sol = system = transfer = None
     origin_gap = float(np.atleast_1d(graph.gamma(np.zeros((1, 1))))[0])
     for k in range(1, k_max + 1):
         R = 2.0 ** (-k + 1) * graph.working_radius
-
-        def dirichlet(pts, _R=R, _prev=prev_sol):
-            pts = np.atleast_2d(pts)
-            out = np.empty(len(pts))
-            on_circle = np.abs(np.linalg.norm(pts, axis=-1) - _R) < 1e-9 * _R
-            if _prev is None:
-                out[on_circle] = np.atleast_1d(outer_data(pts[on_circle]))
-            else:
-                # transfer from the coarser level; below-graph fill uses the
-                # prescribed graph data (u extends continuously)
-                out[on_circle] = _prev.interpolate(
-                    pts[on_circle], fill=lambda q: np.atleast_1d(graph_data(q)))
-            out[~on_circle] = np.atleast_1d(graph_data(pts[~on_circle]))
-            return out
-
+        circle_data = outer_data if sol is None else partial(sol.interpolate, fill=graph_data)
         prob = GridProblem(graph, R, n_grid, operator, rhs=lambda p: np.zeros(len(p)),
-                           dirichlet=dirichlet)
+                           dirichlet=partial(_level_data, R=R, circle_data=circle_data,
+                                             graph_data=graph_data))
         try:
-            system = (system.dilated(prob) if graph.dilation_invariant and prev_sol is not None
-                      else discretize(prob))
+            if sol is None or not graph.dilation_invariant:
+                system = discretize(prob)
+            else:
+                # the level's cut points, as system.dilated scales them
+                pts = system.boundary_points * (R / system.problem.r)
+                if transfer is None:
+                    on_circle = _on_circle(pts, R)
+                    transfer = sol.transfer(pts[on_circle])
+                values = np.empty(len(pts))
+                values[on_circle] = sol.gather(transfer, graph_data)
+                values[~on_circle] = graph_data(pts[~on_circle])
+                system = system.dilated(prob, values)
             sol = solve(prob, system=system)
         except (BoundaryLabError, RuntimeError) as exc:
             raise ConvergenceError(f"cascade level {k} (R={R:g}) failed: {exc}") from exc
         r_k = R / 2.0
-        u_probe = float(sol.interpolate(np.array([[0.0, origin_gap + r_k]]),
-                                        fill=lambda q: np.atleast_1d(graph_data(q)))[0])
+        u_probe = float(sol.interpolate(np.array([[0.0, origin_gap + r_k]]), fill=graph_data)[0])
         in_ball = np.linalg.norm(sol.nodes, axis=-1) <= r_k
         sup_u = float(np.abs(sol.values[in_ball]).max()) if in_ball.any() else 0.0
         radii.append(r_k)
         qs.append(u_probe / r_k)
         ms.append(sup_u / r_k)
         residuals.append(sol.residual)
-        prev_sol = sol
     return (np.arange(1, k_max + 1), np.asarray(radii), np.asarray(qs),
             np.asarray(ms), np.asarray(residuals))
 

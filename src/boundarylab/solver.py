@@ -15,8 +15,8 @@ and only the directions that some policy weights are assembled: the
 anisotropic and Pucci operators.  The assembled directions stack, node-major,
 into one sparse matrix D and one boundary vector c, so a policy's operator
 sum_d alpha_d (D_d u + c_d) is one sparse product.  All are solved by one
-policy iteration, with a fixed tie-break for determinism; one policy settles
-in one round.
+policy iteration, with a fixed tie-break for determinism; one policy ends
+after its first linear solve.
 Every frozen-policy matrix is a nonsingular M-matrix, and so is each of
 its principal submatrices, so it has an LU factorization with positive
 pivots in any symmetric ordering: it is factored on a minimum-degree
@@ -190,14 +190,15 @@ class _DiscreteSystem:
         self._cut_rows = ck * n_dir + cd
         self._cut_weights = wgt[ck, cd, cs]
         self.unit = 1.0
-        self._factor = []      # [A, LU] of the one shared frozen matrix, once built
+        self._factor = []      # [pick, A, LU, |diag A|] of the one shared frozen matrix
         self._set_data(problem)
 
-    def _set_data(self, problem: GridProblem) -> None:
-        """Evaluate problem's Dirichlet data at the cut points, and c from it."""
+    def _set_data(self, problem: GridProblem, values=None) -> None:
+        """Take problem's Dirichlet data at the cut points, values if given and
+        problem.dirichlet evaluated there if not, and c from them."""
         self.problem = problem
-        self.boundary_values = _values_at(problem.dirichlet, self.boundary_points,
-                                          "dirichlet")
+        self.boundary_values = (_values_at(problem.dirichlet, self.boundary_points, "dirichlet")
+                                if values is None else values)
         # the stacked boundary vector, row n_dir i + d; the two arms of a row add in order
         self.c = np.bincount(self._cut_rows, self._cut_weights * self.boundary_values,
                              minlength=self.n_dir * self.m)
@@ -208,12 +209,13 @@ class _DiscreteSystem:
         # so every frozen-policy matrix is monotone (an M-matrix)
         return {"min_direction_weight": max(float(self.alphas.min()), 0.0), "monotone": True}
 
-    def dilated(self, problem: GridProblem) -> "_DiscreteSystem":
+    def dilated(self, problem: GridProblem, values=None) -> "_DiscreteSystem":
         """The system of problem: this one's problem with r scaled by s = 2^j.
 
         On a dilation-invariant graph every coordinate scales by s bit for
         bit and every second difference by exactly 1/s^2, so D is shared
-        and only unit changes.  The data are evaluated at the scaled points.
+        and only unit changes.  The data are values, or problem.dirichlet
+        evaluated at the scaled points.
         """
         old = self.problem
         s = problem.r / old.r
@@ -227,25 +229,24 @@ class _DiscreteSystem:
         new.xs = self.xs * s
         new.boundary_points = self.boundary_points * s
         new.unit = self.unit / (s * s)
-        new._set_data(problem)
+        new._set_data(problem, values)
         if self.alphas.shape[1] > 1:
             new.alphas = _operator_weights(problem.operator, new.nodes)[0]
         return new
 
     def frozen_matrix(self, alpha: np.ndarray):
-        """sum_d alpha[:, d] D_d, its LU factors, and sum_d alpha[:, d] c_d.
+        """sum_d alpha[:, d] D_d, its LU factors, sum_d alpha[:, d] c_d and |diag|.
 
         Each is one product with the row selection pick: A = pick D, c = pick c.
-        alpha >= 0 makes the matrix a nonsingular M-matrix, whose principal
-        submatrices are M-matrices too: SuperLU factors it in symmetric mode,
-        on a minimum-degree ordering of A^T + A with diagonal pivots, which
-        therefore stay positive.  relax = panel_size = 1 keeps every
-        supernode one column wide: the ordering and the fill are those of
-        SuperLU's default relaxed supernodes, and on these lattice matrices
-        the factorization takes a quarter to a third less time at n = 128
-        and 256 (scripts/splu_supernode_table.py).  One policy with one shared weight row gives
-        the same matrix on every call and every dilation; it is factored once.
+        SuperLU factors A as the module docstring says: symmetric mode, the
+        MMD_AT_PLUS_A ordering, diagonal pivots and single-column supernodes
+        (scripts/splu_supernode_table.py).  One policy with one shared weight
+        row gives the same pick and A on every call and every dilation: they
+        are built once, with the factor and the diagonal.
         """
+        if self._factor:
+            pick, A, lu, diag = self._factor
+            return A, lu, pick @ self.c, diag
         # imported here, not at module level: scipy.sparse and its linalg take
         # about 0.5 s to import, and only a solve needs them
         from scipy import sparse
@@ -254,15 +255,13 @@ class _DiscreteSystem:
         pick = sparse.csr_matrix((alpha.ravel(), np.arange(alpha.size),
                                   np.arange(0, alpha.size + 1, self.n_dir)),
                                  shape=(self.m, self.m * self.n_dir))
-        c = pick @ self.c
-        if self._factor:
-            return (*self._factor, c)
         A = (pick @ self.D).tocsc()
         lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
                   panel_size=1, options={"SymmetricMode": True})
+        diag = np.abs(A.diagonal())
         if self.alphas.shape[:2] == (1, 1):
-            self._factor += [A, lu]
-        return A, lu, c
+            self._factor += [pick, A, lu, diag]
+        return A, lu, pick @ self.c, diag
 
     def direction_values(self, u: np.ndarray) -> np.ndarray:
         """The problem's D_d u + c_d for every assembled direction d, as an (m, n_dir) array."""
@@ -426,13 +425,12 @@ class GridSolution:
         self._ids = system.ids
         self._xs = system.xs
 
-    def interpolate(self, pts: np.ndarray, fill: Callable) -> np.ndarray:
-        """Bilinear interpolation from the four surrounding grid nodes.
-
-        Non-interior corners take the values of fill, a vectorized callable
-        evaluated once on the distinct non-interior corners of the touched
-        cells.
-        """
+    def transfer(self, pts: np.ndarray):
+        """interpolate's build step: each point's corner ids into [u; fill
+        values], (k, 4), for (i, j), (i+1, j), (i, j+1), (i+1, j+1); their
+        bilinear weights, (4, k); and the grid indices of the distinct
+        non-interior corners, (f, 2).  All are in grid units, so on a
+        dilation-invariant graph one transfer serves every dilated grid."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         xs, h, n = self._xs, self.h, len(self._xs)
         fi = (pts[:, 0] - xs[0]) / h
@@ -441,18 +439,34 @@ class GridSolution:
         j = np.clip(np.floor(fj).astype(int), 0, n - 2)
         tx = fi - i
         ty = fj - j
-        # corners (i, j), (i+1, j), (i, j+1), (i+1, j+1), one row per point
         ci = i[:, None] + np.array([0, 1, 0, 1])
         cj = j[:, None] + np.array([0, 0, 1, 1])
         ids = self._ids[ci, cj]
-        inner = ids >= 0
-        c = np.empty(ids.shape)
-        c[inner] = self.values[ids[inner]]
-        if not inner.all():
-            flat, back = np.unique(ci[~inner] * n + cj[~inner], return_inverse=True)
-            c[~inner] = np.asarray(fill(xs[np.stack(np.divmod(flat, n), axis=-1)]))[back]
-        return ((1 - tx) * (1 - ty) * c[:, 0] + tx * (1 - ty) * c[:, 1]
-                + (1 - tx) * ty * c[:, 2] + tx * ty * c[:, 3])
+        outer = ids < 0
+        flat, back = np.unique(ci[outer] * n + cj[outer], return_inverse=True)
+        ids[outer] = len(self.values) + back
+        weights = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
+        return ids, weights, np.stack(np.divmod(flat, n), axis=-1)
+
+    def gather(self, transfer, fill: Callable) -> np.ndarray:
+        """interpolate's apply step, w0 c0 + w1 c1 + w2 c2 + w3 c3, with fill
+        called once on the non-interior corners, if there are any."""
+        ids, weights, corners = transfer
+        c = self.values
+        if len(corners):
+            c = np.concatenate([c, np.asarray(fill(self._xs[corners]), dtype=float)])
+        c = c[ids]
+        return (weights[0] * c[:, 0] + weights[1] * c[:, 1]
+                + weights[2] * c[:, 2] + weights[3] * c[:, 3])
+
+    def interpolate(self, pts: np.ndarray, fill: Callable) -> np.ndarray:
+        """Bilinear interpolation from the four surrounding grid nodes.
+
+        Non-interior corners take the values of fill, a vectorized callable
+        evaluated once on the distinct non-interior corners of the touched
+        cells: one transfer, then one gather.
+        """
+        return self.gather(self.transfer(pts), fill)
 
 
 def discretize(problem: GridProblem) -> _DiscreteSystem:
@@ -460,12 +474,12 @@ def discretize(problem: GridProblem) -> _DiscreteSystem:
     return _DiscreteSystem(problem)
 
 
-def _linear_solve(A, lu, c, f):
+def _linear_solve(A, lu, c, diag, f):
     """Solve A u = f - c with the LU factors lu of A; u and its residual in
-    node units (over the diagonal scale)."""
+    node units (over diag, the absolute diagonal of A)."""
     rhs = f - c
     u = lu.solve(rhs)
-    return u, float(np.max(np.abs(A @ u - rhs) / np.abs(A.diagonal())))
+    return u, float(np.max(np.abs(A @ u - rhs) / diag))
 
 
 def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None) -> GridSolution:
@@ -474,9 +488,10 @@ def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None) -> Gri
     Each round solves the frozen-policy linear system (one solve with the
     sparse LU of _DiscreteSystem.frozen_matrix, diagonal pivots, no
     refinement), then selects the optimal policy per node; the loop stops
-    once the policy is stationary, so a linear operator, whose single
-    policy is optimal everywhere, takes one round.  The final residual must
-    be at most 1e-10 (max|g| + r^2 max|f|), the scale of u itself, with no
+    once the policy is stationary.  A single policy (a linear operator, or
+    Pucci with lam = Lam) is optimal everywhere, so its solve ends after the
+    first linear solve, with no selection.  The final residual must be at
+    most 1e-10 (max|g| + r^2 max|f|), the scale of u itself, with no
     absolute floor: zero data give u = 0 and residual 0.  system, if given,
     must be discretize(problem) or a system dilated onto problem.
     """
@@ -493,18 +508,22 @@ def solve(problem: GridProblem, system: Optional[_DiscreteSystem] = None) -> Gri
     rows = np.arange(sys_.m)
     policy = np.zeros(sys_.m, dtype=int)
     for it in range(1, _MAX_POLICY_ROUNDS + 1):
+        # a single policy needs no per-node gather of its weight rows
+        alpha = per_node[0] if len(alphas) == 1 else per_node[policy, rows]
         # an uncached factor is freed before the next round builds its own
-        u, res = _linear_solve(*sys_.frozen_matrix(per_node[policy, rows]), f)
-        # every policy's operator value at every node, (m, npol); optimize
-        # contracts a shared weight row in BLAS, as a matrix product
-        pol_vals = np.einsum("nd,pnd->np", sys_.direction_values(u), alphas, optimize=True)
-        new_policy = (np.argmin(pol_vals, axis=1) if sys_.sense == "min"
-                      else np.argmax(pol_vals, axis=1))
-        # keep the old policy on exact ties to guarantee termination
-        old_vals = pol_vals[rows, policy]
-        best_vals = pol_vals[rows, new_policy]
-        unchanged = np.abs(best_vals - old_vals) <= 1e-12 * (1 + np.abs(best_vals))
-        new_policy[unchanged] = policy[unchanged]
+        u, res = _linear_solve(*sys_.frozen_matrix(alpha), f)
+        new_policy = policy
+        if len(alphas) > 1:
+            # every policy's operator value at every node, (m, npol); optimize
+            # contracts a shared weight row in BLAS, as a matrix product
+            pol_vals = np.einsum("nd,pnd->np", sys_.direction_values(u), alphas, optimize=True)
+            new_policy = (np.argmin(pol_vals, axis=1) if sys_.sense == "min"
+                          else np.argmax(pol_vals, axis=1))
+            # keep the old policy on exact ties to guarantee termination
+            old_vals = pol_vals[rows, policy]
+            best_vals = pol_vals[rows, new_policy]
+            unchanged = np.abs(best_vals - old_vals) <= 1e-12 * (1 + np.abs(best_vals))
+            new_policy[unchanged] = policy[unchanged]
         if np.array_equal(new_policy, policy):
             # written so that a NaN residual fails it
             if not res <= tol:

@@ -117,7 +117,7 @@ _FAMILY_CASES = {
     "regdist-sinusoid-A-nan": ("regdist-check", {"family": "sinusoid", "A": float("nan"), "k": 4},
                                "sinusoid A must be a number, got nan"),
     "regdist-linear-a-nan": ("regdist-check", {"family": "linear", "a": [float("nan")]},
-                             "linear a must be numbers, got [nan]"),
+                             "linear a[0]: expected a number, got nan"),
     "solve-cone-L-inf": ("solve", {"family": "cone", "L": float("inf")},
                          "cone L must be a number, got inf"),
 }
@@ -799,6 +799,66 @@ def test_cli_boundary_modulus_refuses_an_omega_tilde_that_vanishes(tmp_path, cap
     assert capsys.readouterr().err == ("error: omega_tilde must be positive at every cascade "
                                        "radius, got 0.0 at r = 0.25\n")
     assert not (out / "growth.csv").exists()
+
+
+@pytest.mark.parametrize("omega_tilde, message", [
+    ({"kind": None}, "config error: omega_tilde.kind: unknown modulus kind None"),
+    ({"kind": "constant", "L": 0}, "error: omega_tilde must be positive at every cascade "
+                                   "radius, got 0.0 at r = 0.25"),
+], ids=["unknown-kind", "zero"])
+def test_cli_boundary_modulus_checks_omega_tilde_before_the_cascade(tmp_path, capsys,
+                                                                    monkeypatch, omega_tilde,
+                                                                    message):
+    # the radii R_1 2^-k are known before any level is solved: a bad
+    # omega_tilde used to cost the whole cascade first
+    calls = []
+    monkeypatch.setattr(harness, "discretize", lambda prob: calls.append(prob))
+    cfg = _write(tmp_path, "c.json", {"schema_version": 1, "k_max": 4, "n_grid": 32,
+                                      "domain": _CONE, "omega_tilde": omega_tilde})
+    assert main(["boundary-modulus", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("regdist-check", {"n_points": 3, "domain": {"family": "table", "ts": [-0.5, True, 0.5],
+                                                 "values": [0.05, 0.0, 0.05]}},
+     "error: table ts[1]: expected a number, got True"),
+    ("modulus-table", {"modulus": {"kind": "table", "ts": [0.0, True, 0.5],
+                                   "values": [0.0, 0.1, 0.2]}},
+     "config error: modulus.ts[1]: expected a number, got True"),
+], ids=["domain", "modulus"])
+def test_a_table_names_its_bad_entry_by_index(tmp_path, capsys, command, cfg, message):
+    # a domain table used to name the whole list: "table ts must be numbers,
+    # got [-0.5, True, 0.5]"
+    path = _write(tmp_path, "c.json", {"schema_version": 1, **cfg})
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"residual": float("nan")}, "residual = nan"),
+    ({"reports": {"super": {"max": 1.0}, "sub": {"max": -float("inf"), "min": float("nan")}}},
+     "reports.sub.max = -inf"),
+    ({"q": [1.0, 2.0, float("inf")], "a": [0.5]}, "q[2] = inf"),
+])
+def test_write_json_names_the_non_finite_field(tmp_path, obj, field):
+    path = tmp_path / "report.json"
+    with pytest.raises(DomainError) as exc:
+        config._write_json(path, obj)
+    assert str(exc.value) == f"report.json: {field} is not JSON compliant"
+    assert not path.exists()
+
+
+def test_cli_a_non_finite_report_field_exits_2_and_names_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "fit_log_slope", lambda radii, q: (float("nan"), 1.0))
+    cfg = _write(tmp_path, "c.json", {"schema_version": 1, "k_max": 4, "n_grid": 32,
+                                      "domain": _CONE})
+    out = tmp_path / "o"
+    assert main(["growth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: growth_report.json: exponent = nan "
+                                       "is not JSON compliant\n")
+    assert not (out / "growth_report.json").exists()
 
 
 def test_a_boolean_schema_version_is_refused(tmp_path):

@@ -89,7 +89,9 @@ def test_bad_family_parameters_raise_domain_error(family, params, message):
         "sinusoid-k-inf", "linear-a-nan", "linear-a-true", "table-ts-nan", "table-values-inf",
         "c1model-sign-true"])
 def test_a_family_parameter_must_be_finite_numbers(family, params, key):
-    with pytest.raises(DomainError, match=rf"^{family} {key} must be (a number|numbers), got "):
+    # a list entry is named by its index, as the config reader names it
+    with pytest.raises(DomainError,
+                       match=rf"^{family} {key}( must be a number|\[\d\]: expected a number), got "):
         BoundaryGraph(family, **params)
 
 

@@ -5,10 +5,11 @@ from scipy.sparse.linalg import splu
 from boundarylab import (
     BoundaryGraph, ConvergenceError, DomainError, EllipticityPair, FixedOp, GridProblem,
     LaplaceOp, PucciOp, constant, harness, load_calibration,
-    measure_boundary_modulus, measure_growth, power, solver,
+    measure_boundary_modulus, measure_growth, power, solve, solver,
 )
 from boundarylab.harness import _run_cascade, envelope_lower, envelope_upper, fit_log_slope
 
+ZERO_DATA = lambda p: np.zeros(len(p))
 DILATION_GRAPHS = {"cone": {"L": 0.2}, "zero": {}, "linear": {"a": 0.15}}
 
 
@@ -177,6 +178,86 @@ def test_cascade_assembles_and_factors_once_when_dilation_invariant(monkeypatch,
     rep = measure_growth(graph, k_max=7, n_grid=32)
     assert len(rep.ks) == 7
     assert counts == {"discretize": calls, "splu": calls}
+
+
+_C1MODEL = BoundaryGraph("c1model", omega=power(0.5, 0.2))
+
+
+@pytest.mark.parametrize("graph, builds, interpolations", [
+    (BoundaryGraph("cone", L=0.2), 1, 5), (BoundaryGraph("linear", a=0.15), 1, 5),
+    (_C1MODEL, 0, 9)], ids=["cone", "linear", "c1model"])
+def test_cascade_transfer_is_bitwise_a_fresh_interpolation(monkeypatch, graph, builds,
+                                                           interpolations):
+    # a dilation-invariant cascade builds its level transfer once and gathers
+    # it at every later level; c1model builds it in each level's interpolate.
+    # Either way each level's circle data are bitwise a fresh interpolation
+    # of the level before, nonzero fill corners included
+    graph_data = lambda p: 0.1 + np.sin(5.0 * p[:, 0])
+    counts = {"transfer": 0, "interpolate": 0}
+    for name in counts:
+        method = getattr(solver.GridSolution, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            counts[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(solver.GridSolution, name, counted)
+    real_solve = solver.solve
+    levels = []
+
+    def recorded(prob, system=None):
+        sol = real_solve(prob, system=system)
+        levels.append((prob, system, sol))
+        return sol
+
+    monkeypatch.setattr(harness, "solve", recorded)
+    _run_cascade(graph, LaplaceOp(), k_max=5, n_grid=48, outer_data=lambda p: 1.0 + p[:, 1],
+                 graph_data=graph_data)
+    # one probe per level, plus the transfers that interpolate builds
+    assert counts == {"transfer": interpolations + builds, "interpolate": interpolations}
+    fills = []
+    for (_, _, prev), (prob, system, _) in zip(levels, levels[1:]):
+        pts = system.boundary_points
+        on = harness._on_circle(pts, prob.r)
+        fresh = prev.interpolate(pts[on], fill=lambda q: fills.append(len(q)) or graph_data(q))
+        np.testing.assert_array_equal(system.boundary_values[on], fresh)
+        np.testing.assert_array_equal(system.boundary_values[~on], graph_data(pts[~on]))
+    assert len(fills) == 4 and min(fills) > 0
+
+
+def test_boundary_modulus_equals_a_cold_level_by_level_cascade():
+    # linear g on a cone: g - g(0) - a x1 = 0.7 L |x1| on the graph, and the
+    # transfer reads it at four fill corners per level; each reference level
+    # assembles and solves its own problem, with a per-level data closure
+    coeffs = np.array([0.3, 0.7])
+    g = lambda p: 0.2 + np.atleast_2d(p) @ coeffs
+    graph = BoundaryGraph("cone", L=0.2)
+    rep = measure_boundary_modulus(graph, k_max=6, n_grid=64, g=g, grad_g0=coeffs[:-1])
+    affine = lambda p: 0.2 + p[:, :-1] @ coeffs[:-1]
+    graph_data = lambda p: np.atleast_1d(g(p)) - affine(np.atleast_2d(p))
+    fills = []
+    fill = lambda p: fills.append(len(p)) or graph_data(p)
+    prev, q, m, res = None, [], [], []
+    for k in range(1, 7):
+        R = 2.0 ** (-k + 1) * graph.working_radius
+
+        def dirichlet(pts, _R=R, _prev=prev):
+            out = np.empty(len(pts))
+            on = np.abs(np.linalg.norm(pts, axis=-1) - _R) < 1e-9 * _R
+            out[on] = (1.0 - affine(pts[on]) if _prev is None
+                       else _prev.interpolate(pts[on], fill=fill))
+            out[~on] = graph_data(pts[~on])
+            return out
+
+        prev = solve(GridProblem(graph, R, 64, LaplaceOp(), ZERO_DATA, dirichlet))
+        r_k = R / 2.0
+        q.append(prev.interpolate(np.array([[0.0, r_k]]), fill=graph_data)[0] / r_k)
+        m.append(np.abs(prev.values[np.linalg.norm(prev.nodes, axis=-1) <= r_k]).max() / r_k)
+        res.append(prev.residual)
+    assert fills == [4] * 5
+    np.testing.assert_array_equal(rep.q, q)
+    np.testing.assert_array_equal(rep.m, m)
+    np.testing.assert_array_equal(rep.residuals, res)
 
 
 def test_deep_cone_cascade_keeps_every_node(monkeypatch):

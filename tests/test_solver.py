@@ -6,7 +6,7 @@ from scipy.sparse.linalg import splu
 
 from boundarylab import (
     BoundaryGraph, ConvergenceError, DomainError, EllipticityPair, FixedOp, GridProblem,
-    LaplaceOp, MonotonicityError, PucciOp, abp_check, discretize, power, solve,
+    LaplaceOp, MonotonicityError, PucciOp, abp_check, discretize, power, solve, solver,
 )
 from boundarylab.solver import _DIRECTIONS, _cut_fractions, _decompose_spd, _operator_weights
 
@@ -457,7 +457,7 @@ def test_frozen_matrix_equals_the_per_direction_sum(operator):
     # a random policy per node; a field has the one policy of its own weights
     per_node = np.broadcast_to(sys_.alphas, (len(sys_.alphas), m, n_dir))
     alpha = per_node[rng.integers(len(sys_.alphas), size=m), np.arange(m)]
-    A, _, c = sys_.frozen_matrix(alpha)
+    A, _, c, _ = sys_.frozen_matrix(alpha)
     D = [sys_.D[d::n_dir] for d in range(n_dir)]
     c_d = [sys_.c[d::n_dir] for d in range(n_dir)]
     ref_A = sparse.diags(alpha[:, 0]) @ D[0]
@@ -521,6 +521,37 @@ def test_frozen_matrices_factor_with_diagonal_pivots(monkeypatch, case):
     np.testing.assert_array_equal(sol.policy, default.policy)
     assert sol.iterations == default.iterations
     assert np.abs(sol.values - default.values).max() <= 1e-13 * np.abs(sol.values).max()
+
+
+@pytest.mark.parametrize("operator", [
+    LaplaceOp(), FixedOp(A=lambda x: np.array([[1.0, 0.3], [0.3, 1.5]])),
+    FixedOp(A=_varying_field), PucciOp(EllipticityPair(2.0, 2.0), "plus")],
+    ids=["laplace", "fixed", "field", "pucci-lam-eq-Lam"])
+def test_a_single_policy_solve_is_one_linear_solve(monkeypatch, operator):
+    # one policy is optimal everywhere: the solve ends after its first LU
+    # solve and residual check, and never evaluates a policy's operator value
+    solves = []
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(len(b))
+            return self.lu.solve(b)
+
+    def no_selection(self, u):
+        raise AssertionError("a single policy needs no policy selection")
+
+    prob = GridProblem(_SIN, R, 32, operator, lambda p: -1.0 - p[:, 0], _harmonic)
+    want = solve(prob)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", lambda A, **kw: Counted(splu(A, **kw)))
+    monkeypatch.setattr(solver._DiscreteSystem, "direction_values", no_selection)
+    sol = solve(prob)
+    assert len(solves) == 1 and sol.iterations == 1
+    assert not sol.policy.any()
+    np.testing.assert_array_equal(sol.values, want.values)
+    assert sol.residual == want.residual
 
 
 @pytest.mark.parametrize("operator", [LaplaceOp(), PucciOp(_E12, "minus")],
@@ -630,8 +661,8 @@ def test_dilated_system_is_the_assembly_of_the_dilated_problem():
     u = np.random.default_rng(3).standard_normal(dil.m)
     np.testing.assert_array_equal(dil.direction_values(u), fresh.direction_values(u))
     alpha = np.broadcast_to(dil.alphas[1], (dil.m, dil.alphas.shape[2]))
-    A, _, c = dil.frozen_matrix(alpha)
-    A_fresh, _, c_fresh = fresh.frozen_matrix(alpha)
+    A, _, c, _ = dil.frozen_matrix(alpha)
+    A_fresh, _, c_fresh, _ = fresh.frozen_matrix(alpha)
     assert (dil.unit * A != A_fresh).nnz == 0
     np.testing.assert_array_equal(dil.unit * c, c_fresh)
     # forcing enters in the dilated system's units: a solve on it is bitwise
